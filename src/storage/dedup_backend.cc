@@ -239,45 +239,6 @@ bool DedupBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t byt
   }
 }
 
-int64_t DedupBackend::ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const {
-  auto* self = const_cast<DedupBackend*>(this);
-  std::unique_lock<std::mutex> lock(self->mu_);
-  const auto it = logical_.find(key);
-  if (it == logical_.end()) {
-    return -1;
-  }
-  if (it->second.bytes > buf_bytes) {
-    return -1;  // short buffer: no wrapped-backend IO, no stats, no side effects
-  }
-  const PhysId id = it->second.phys;
-  ++self->phys_.at(id).pins;
-  lock.unlock();
-  const int64_t r = base_->ReadChunk(PhysicalKey(id), buf, buf_bytes);
-  lock.lock();
-  self->UnpinLocked(lock, id);
-  return r;
-}
-
-int64_t DedupBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                          int64_t buf_bytes) const {
-  auto* self = const_cast<DedupBackend*>(this);
-  std::unique_lock<std::mutex> lock(self->mu_);
-  const auto it = logical_.find(key);
-  if (it == logical_.end()) {
-    return -1;
-  }
-  if (it->second.bytes > buf_bytes) {
-    return -1;
-  }
-  const PhysId id = it->second.phys;
-  ++self->phys_.at(id).pins;
-  lock.unlock();
-  const int64_t r = base_->ReadChunkUnverified(PhysicalKey(id), buf, buf_bytes);
-  lock.lock();
-  self->UnpinLocked(lock, id);
-  return r;
-}
-
 void DedupBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
                                   const BatchCompletion& done, bool verify) const {
   auto* self = const_cast<DedupBackend*>(this);
@@ -296,7 +257,7 @@ void DedupBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
       req.result = -1;
       const auto it = logical_.find(req.key);
       if (it == logical_.end() || it->second.bytes > req.buf_bytes) {
-        continue;  // fails only this request, exactly like serial ReadChunk
+        continue;  // absent or short buffer: fails only this request
       }
       const PhysId id = it->second.phys;
       ++self->phys_.at(id).pins;
@@ -334,11 +295,6 @@ void DedupBackend::ReadChunks(std::span<ChunkReadRequest> requests,
 void DedupBackend::ReadChunksUnverified(std::span<ChunkReadRequest> requests,
                                         const BatchCompletion& done) const {
   ReadChunksImpl(requests, done, /*verify=*/false);
-}
-
-bool DedupBackend::HasChunk(const ChunkKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return logical_.count(key) != 0;
 }
 
 int64_t DedupBackend::ChunkSize(const ChunkKey& key) const {

@@ -109,7 +109,6 @@ class DedupBackend : public StorageBackend {
   ~DedupBackend() override;
 
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
   // Batched read: logical keys translate to physical keys under one index lock,
   // then the whole batch goes to the wrapped backend as ONE submission (duplicate
   // logical keys of one shared chunk become duplicate physical requests, which the
@@ -118,9 +117,6 @@ class DedupBackend : public StorageBackend {
                   const BatchCompletion& done = {}) const override;
   void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
                             const BatchCompletion& done = {}) const override;
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override;
-  bool HasChunk(const ChunkKey& key) const override;
   int64_t ChunkSize(const ChunkKey& key) const override;
   void DeleteContext(int64_t context_id) override;
   bool DeleteChunk(const ChunkKey& key) override;

@@ -332,90 +332,6 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
 // Read path (failover)
 // ---------------------------------------------------------------------------
 
-int64_t DistributedColdBackend::ReadChunk(const ChunkKey& key, void* buf,
-                                          int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/true);
-}
-
-int64_t DistributedColdBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                                    int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/false);
-}
-
-int64_t DistributedColdBackend::ReadChunkImpl(const ChunkKey& key, void* buf,
-                                              int64_t buf_bytes, bool verify) const {
-  int64_t size = 0;
-  uint64_t gen = 0;
-  std::map<int, uint64_t> copies;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = index_.find(key);
-    if (it == index_.end() || !it->second.committed) {
-      return -1;
-    }
-    size = it->second.size;
-    if (size > buf_bytes) {
-      return -1;  // short buffer: no node IO, no stats, no side effects
-    }
-    gen = it->second.gen;
-    copies = it->second.copies;
-  }
-
-  const auto table = placement();
-  bool corrupt_seen = false;
-  bool damage_seen = false;
-  int attempts = 0;
-  int64_t delivered = -1;
-  for (const int n : CandidateHolders(key, *table, gen, copies)) {
-    if (!NodeReadable(n)) {
-      ++attempts;  // down node: fail over without touching it
-      continue;
-    }
-    InstrumentedBackend* io = nodes_[static_cast<size_t>(n)]->io.get();
-    const int64_t got = verify ? io->ReadChunk(key, buf, buf_bytes)
-                               : io->ReadChunkUnverified(key, buf, buf_bytes);
-    if (got >= 0) {
-      delivered = got;
-      break;
-    }
-    damage_seen = true;  // this replica's copy is gone or corrupt — repairable
-    if (got == kChunkCorrupt) {
-      corrupt_seen = true;
-    }
-    ++attempts;
-  }
-
-  if (delivered >= 0) {
-    total_reads_.fetch_add(1, std::memory_order_relaxed);
-    read_bytes_.fetch_add(delivered, std::memory_order_relaxed);
-    if (attempts > 0) {
-      failover_reads_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (damage_seen) {
-      {
-        std::lock_guard<std::mutex> lk(index_mu_);
-        EnqueueRepairLocked(key);
-      }
-      repair_cv_.notify_all();
-    }
-    return delivered;
-  }
-
-  // Nothing valid reachable. Never deliver wrong bytes: all-corrupt surfaces as
-  // kChunkCorrupt, everything else as a detected miss — either way the caller's
-  // recompute fallback engages and the chunk stays queued for repair.
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    EnqueueRepairLocked(key);
-  }
-  repair_cv_.notify_all();
-  if (corrupt_seen) {
-    crc_failures_.fetch_add(1, std::memory_order_relaxed);
-    return kChunkCorrupt;
-  }
-  return -1;
-}
-
 void DistributedColdBackend::ReadChunks(std::span<ChunkReadRequest> requests,
                                         const BatchCompletion& done) const {
   ReadChunksImpl(requests, done, /*verify=*/true);
@@ -550,12 +466,6 @@ void DistributedColdBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests
 // ---------------------------------------------------------------------------
 // Lookup / delete / enumerate
 // ---------------------------------------------------------------------------
-
-bool DistributedColdBackend::HasChunk(const ChunkKey& key) const {
-  std::lock_guard<std::mutex> lk(index_mu_);
-  auto it = index_.find(key);
-  return it != index_.end() && it->second.committed;
-}
 
 int64_t DistributedColdBackend::ChunkSize(const ChunkKey& key) const {
   std::lock_guard<std::mutex> lk(index_mu_);

@@ -304,47 +304,6 @@ bool FileBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t byte
   return true;
 }
 
-int64_t FileBackend::ReadChunkImpl(const ChunkKey& key, void* buf, int64_t buf_bytes,
-                                   bool verify) const {
-  int64_t size;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
-      return -1;
-    }
-    size = it->second;
-  }
-  if (size > buf_bytes) {
-    return -1;
-  }
-  const std::shared_ptr<FdHolder> fd = AcquireFd(key);
-  if (fd == nullptr || !PreadAll(fd->fd, buf, size)) {
-    return -1;
-  }
-  int64_t checked = 0;
-  if (verify && VerifyChunkBytes(buf, size, &checked) == ChunkVerdict::kCorrupt) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++crc_failures_;
-    return kChunkCorrupt;  // bytes in `buf` are damage, not data — no read counted
-  }
-  // Count only successful reads, so stats stay comparable across backends.
-  std::lock_guard<std::mutex> lock(mu_);
-  ++total_reads_;
-  read_bytes_ += size;
-  crc_checked_bytes_ += checked;
-  return size;
-}
-
-int64_t FileBackend::ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/true);
-}
-
-int64_t FileBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                         int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/false);
-}
-
 void FileBackend::ReadChunks(std::span<ChunkReadRequest> requests,
                              const BatchCompletion& done) const {
   ReadChunksImpl(requests, done, /*verify=*/true);
@@ -374,17 +333,26 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
       per_device[static_cast<size_t>(DeviceOf(req.key))].push_back(Job{&req, it->second});
     }
   }
+  // Fan out over the device groups that have work only: a batch touching one
+  // device (a single-chunk read in particular) runs inline, off the thread pool.
+  std::vector<const std::vector<Job>*> groups;
+  groups.reserve(per_device.size());
+  for (const std::vector<Job>& jobs : per_device) {
+    if (!jobs.empty()) {
+      groups.push_back(&jobs);
+    }
+  }
   std::atomic<int64_t> ok_reads{0};
   std::atomic<int64_t> ok_bytes{0};
   std::atomic<int64_t> crc_fails{0};
   std::atomic<int64_t> crc_bytes{0};
-  ParallelFor(0, static_cast<int64_t>(per_device.size()), 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t d = lo; d < hi; ++d) {
+  ParallelFor(0, static_cast<int64_t>(groups.size()), 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t g = lo; g < hi; ++g) {
       int64_t reads = 0;
       int64_t bytes = 0;
       int64_t fails = 0;
       int64_t checked_total = 0;
-      for (const Job& job : per_device[static_cast<size_t>(d)]) {
+      for (const Job& job : *groups[static_cast<size_t>(g)]) {
         const std::shared_ptr<FdHolder> fd = AcquireFd(job.req->key);
         if (fd == nullptr || !PreadAll(fd->fd, job.req->buf, job.size)) {
           continue;
@@ -410,7 +378,7 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
     }
   });
   {
-    // One stats update with the same totals N serial ReadChunk calls would post.
+    // One stats update with the totals of every request in the batch.
     std::lock_guard<std::mutex> lock(mu_);
     total_reads_ += ok_reads.load(std::memory_order_relaxed);
     read_bytes_ += ok_bytes.load(std::memory_order_relaxed);
@@ -443,11 +411,6 @@ bool FileBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
     done();
   }
   return all_ok.load(std::memory_order_relaxed);
-}
-
-bool FileBackend::HasChunk(const ChunkKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.count(key) != 0;
 }
 
 int64_t FileBackend::ChunkSize(const ChunkKey& key) const {

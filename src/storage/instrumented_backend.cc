@@ -60,15 +60,6 @@ bool InstrumentedBackend::WriteChunk(const ChunkKey& key, const void* data,
   return inner_->WriteChunk(key, data, bytes);
 }
 
-int64_t InstrumentedBackend::ReadChunk(const ChunkKey& key, void* buf,
-                                       int64_t buf_bytes) const {
-  InjectLatency();
-  if (read_hook_) {
-    read_hook_(key);
-  }
-  return inner_->ReadChunk(key, buf, buf_bytes);
-}
-
 void InstrumentedBackend::ReadChunks(std::span<ChunkReadRequest> requests,
                                      const BatchCompletion& done) const {
   read_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -151,10 +142,6 @@ bool InstrumentedBackend::TruncateChunk(const ChunkKey& key, int64_t new_bytes) 
     return false;
   }
   return inner_->WriteChunk(key, full.data(), new_bytes);
-}
-
-bool InstrumentedBackend::HasChunk(const ChunkKey& key) const {
-  return inner_->HasChunk(key);
 }
 
 int64_t InstrumentedBackend::ChunkSize(const ChunkKey& key) const {

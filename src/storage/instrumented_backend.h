@@ -27,7 +27,8 @@ class InstrumentedBackend : public StorageBackend {
   // `inner` must outlive the wrapper and defines chunk_bytes.
   explicit InstrumentedBackend(StorageBackend* inner);
 
-  // Every ReadChunk/WriteChunk sleeps this long before forwarding (0 = off).
+  // Every read batch (a single ReadChunk is a batch of one) and every WriteChunk /
+  // WriteChunks call sleeps this long before forwarding (0 = off).
   void set_io_latency_micros(int64_t micros) { io_latency_micros_ = micros; }
 
   // Deterministic per-op latency *distribution*: each injected sleep becomes
@@ -78,12 +79,12 @@ class InstrumentedBackend : public StorageBackend {
   int64_t injected_write_failures() const { return injected_write_failures_.load(); }
 
   // Batch submissions observed (each ReadChunks/WriteChunks call counts once, however
-  // many requests it carries) — the conformance tests assert callers actually batch.
+  // many requests it carries; a single ReadChunk counts as one read batch) — the
+  // conformance tests assert callers actually batch.
   int64_t read_batches() const { return read_batches_.load(); }
   int64_t write_batches() const { return write_batches_.load(); }
 
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
   // Latency is injected ONCE per batch — a batched submission pays one device round
   // trip, which is exactly the effect batching exists to model — then the per-request
   // hooks run and the whole batch forwards to the inner backend's batched entry
@@ -93,15 +94,16 @@ class InstrumentedBackend : public StorageBackend {
                   const BatchCompletion& done = {}) const override;
   bool WriteChunks(std::span<ChunkWriteRequest> requests,
                    const BatchCompletion& done = {}) override;
-  bool HasChunk(const ChunkKey& key) const override;
   int64_t ChunkSize(const ChunkKey& key) const override;
   void DeleteContext(int64_t context_id) override;
   std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const override {
     return inner_->ListChunks();
   }
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override {
-    return inner_->ReadChunkUnverified(key, buf, buf_bytes);
+  // The forensics read forwards straight to `inner`: no latency, no hooks, and not
+  // counted in read_batches().
+  void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                            const BatchCompletion& done = {}) const override {
+    inner_->ReadChunksUnverified(requests, done);
   }
   bool DeleteChunk(const ChunkKey& key) override { return inner_->DeleteChunk(key); }
   StorageStats Stats() const override;

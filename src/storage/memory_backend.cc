@@ -24,46 +24,6 @@ bool MemoryBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
   return true;
 }
 
-int64_t MemoryBackend::ReadChunkImpl(const ChunkKey& key, void* buf, int64_t buf_bytes,
-                                     bool verify) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = chunks_.find(key);
-  if (it == chunks_.end()) {
-    return -1;
-  }
-  const int64_t size = static_cast<int64_t>(it->second.size());
-  if (size > buf_bytes) {
-    return -1;
-  }
-  if (verify) {
-    // Fused verify+copy: one pass over the chunk instead of a CRC sweep followed
-    // by a memcpy sweep.
-    int64_t checked = 0;
-    if (VerifyAndCopyChunk(it->second.data(), size, buf, &checked) ==
-        ChunkVerdict::kCorrupt) {
-      ++crc_failures_;
-      return kChunkCorrupt;  // no data delivered (buf unspecified), no read counted
-    }
-    crc_checked_bytes_ += checked;
-    ++total_reads_;
-    read_bytes_ += size;
-    return size;
-  }
-  ++total_reads_;
-  read_bytes_ += size;
-  std::memcpy(buf, it->second.data(), static_cast<size_t>(size));
-  return size;
-}
-
-int64_t MemoryBackend::ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/true);
-}
-
-int64_t MemoryBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                           int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/false);
-}
-
 void MemoryBackend::ReadChunks(std::span<ChunkReadRequest> requests,
                                const BatchCompletion& done) const {
   ReadChunksImpl(requests, done, /*verify=*/true);
@@ -117,7 +77,7 @@ void MemoryBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
                     int64_t checked = 0;
                     if (VerifyAndCopyChunk(job.src, job.size, job.req->buf, &checked) ==
                         ChunkVerdict::kCorrupt) {
-                      // Fails only this request, like a serial ReadChunk.
+                      // Fails only this request.
                       job.req->result = kChunkCorrupt;
                       ++my_failures;
                       continue;
@@ -142,11 +102,6 @@ void MemoryBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
   if (done) {
     done();
   }
-}
-
-bool MemoryBackend::HasChunk(const ChunkKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return chunks_.count(key) != 0;
 }
 
 int64_t MemoryBackend::ChunkSize(const ChunkKey& key) const {

@@ -8,27 +8,18 @@ StorageBackend::StorageBackend(int64_t chunk_bytes) : chunk_bytes_(chunk_bytes) 
   CHECK_GT(chunk_bytes_, 0);
 }
 
-// Base implementation: the sequential loop. Correct for every backend (each request
-// is exactly one serial ReadChunk), so overrides only have to improve throughput,
-// never semantics.
-void StorageBackend::ReadChunks(std::span<ChunkReadRequest> requests,
-                                const BatchCompletion& done) const {
-  for (ChunkReadRequest& req : requests) {
-    req.result = ReadChunk(req.key, req.buf, req.buf_bytes);
-  }
-  if (done) {
-    done();
-  }
+int64_t StorageBackend::ReadChunk(const ChunkKey& key, void* buf,
+                                  int64_t buf_bytes) const {
+  ChunkReadRequest req{key, buf, buf_bytes, -1};
+  ReadChunks({&req, 1});
+  return req.result;
 }
 
-void StorageBackend::ReadChunksUnverified(std::span<ChunkReadRequest> requests,
-                                          const BatchCompletion& done) const {
-  for (ChunkReadRequest& req : requests) {
-    req.result = ReadChunkUnverified(req.key, req.buf, req.buf_bytes);
-  }
-  if (done) {
-    done();
-  }
+int64_t StorageBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
+                                            int64_t buf_bytes) const {
+  ChunkReadRequest req{key, buf, buf_bytes, -1};
+  ReadChunksUnverified({&req, 1});
+  return req.result;
 }
 
 bool StorageBackend::WriteChunks(std::span<ChunkWriteRequest> requests,

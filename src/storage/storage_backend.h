@@ -3,15 +3,26 @@
 // Everything above this interface (the two-stage saver, the restoration read path,
 // the functional engine, the serving engine's state registry) speaks in fixed-size
 // chunks keyed by (context, layer, chunk_index). Everything below it decides where
-// the bytes live:
+// the bytes live. Six backends implement it, and they compose:
 //
-//   FileBackend   — one chunk per file, striped round-robin across N device
-//                   directories (the paper's NVMe array, §4.2.1).
-//   MemoryBackend — DRAM-resident chunks (the paper's host-memory tier, §6.2.1;
-//                   also the fast path for tests).
-//   TieredBackend — DRAM over a cold backend with a capacity budget, context-granular
-//                   LRU eviction and write-back (the DRAM→SSD hierarchy the storage
-//                   manager assumes).
+//   MemoryBackend          — DRAM-resident chunks (the paper's host-memory tier,
+//                            §6.2.1; also the fast path for tests).
+//   FileBackend            — one chunk per file, striped round-robin across N device
+//                            directories (the paper's NVMe array, §4.2.1).
+//   TieredBackend          — DRAM over a cold backend with a capacity budget,
+//                            context-granular LRU eviction and write-back (the
+//                            DRAM→SSD hierarchy the storage manager assumes).
+//   DistributedColdBackend — chunks replicated across N storage nodes, with
+//                            failover reads and background re-replication.
+//   DedupBackend           — content-addressed single-instancing over any backend.
+//   InstrumentedBackend    — a forwarding wrapper that injects latency, failures
+//                            and corruption for tests and benches.
+//
+// One read path. The storage manager restores state as batched, layer-at-a-time
+// chunk reads, so `ReadChunks` is the only read a backend implements (plus
+// `ReadChunksUnverified` if it verifies). The single-chunk entry points are base
+// forwards that submit a one-request batch, so a single read and a batch of one
+// cannot disagree.
 //
 // Restoration speed is bounded by how fast a backend streams chunks back, so each
 // backend exposes uniform stats — including per-tier hit counts — that serving
@@ -40,13 +51,13 @@ struct ChunkKey {
 // (ChunkHeader v2 payload-CRC mismatch, or a header that contradicts itself).
 // Distinct from -1 (absent / short buffer): a corrupt chunk EXISTS — callers must
 // not retry the read or treat the key as free, they must fall back to recompute
-// (and fsck can quarantine it). Returned by ReadChunk / ReadChunks `result`.
+// (and fsck can quarantine it). Returned in a ReadChunks request's `result`.
 inline constexpr int64_t kChunkCorrupt = -2;
 
 // One read of a batched ReadChunks submission. The caller owns `buf` (capacity
 // `buf_bytes`) and keeps it alive until the batch's completion has run; `result` is
 // written by the backend: the chunk's byte count on success, -1 when the chunk is
-// absent or the buffer too small (the same per-request rule as ReadChunk).
+// absent or the buffer too small, kChunkCorrupt when it fails verification.
 struct ChunkReadRequest {
   ChunkKey key;
   void* buf = nullptr;
@@ -144,46 +155,53 @@ class StorageBackend {
   // Returns false on IO failure. Concurrent writers on distinct chunks are safe.
   virtual bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) = 0;
 
-  // Reads a chunk into `buf` (capacity `buf_bytes`). Returns the chunk's byte count,
-  // -1 if the chunk does not exist or the buffer is too small, or kChunkCorrupt (-2)
-  // when the stored bytes exist but fail integrity verification (v2 CRC mismatch; the
-  // read counts in Stats().crc_failures, delivers no data, and has no side effects).
+  // Batched read: one submission for a whole layer's (or batch's) chunks. This is
+  // the one read a backend implements; every other read entry point forwards here.
   //
-  // Short-buffer contract (uniform across Memory/File/Tiered, pinned by the
-  // cross-backend conformance test): when the stored chunk is larger than
-  // `buf_bytes`, ReadChunk returns -1 WITHOUT writing to `buf`, without counting a
-  // read (or any hit bytes) in Stats(), and without side effects — in particular a
-  // tiered backend performs no cold-tier IO, no promotion, and no LRU update for a
-  // short-buffer read. Callers distinguish "absent" from "too small" via ChunkSize.
-  virtual int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const = 0;
-
-  // Batched read: one submission for a whole layer's (or batch's) chunks, replacing
-  // N serial ReadChunk round trips on the restore hot path.
+  // Contract (uniform across every backend, pinned by
+  // tests/storage/read_chunks_test.cc):
   //
-  // ReadChunks contract (uniform across Memory/File/Tiered/Instrumented, pinned by
-  // tests/storage/read_chunks_test.cc, same rigor as the short-buffer rule above):
-  //
-  //   * Results: each request's `result` is set exactly as a serial
-  //     ReadChunk(key, buf, buf_bytes) would return it, and on success `buf` holds
-  //     the chunk bytes. Requests may be serviced in any order and concurrently;
+  //   * Results: each request's `result` is the chunk's byte count on success (`buf`
+  //     then holds the chunk bytes), -1 when the chunk is absent or `buf_bytes` is
+  //     too small, or kChunkCorrupt when the stored bytes exist but fail integrity
+  //     verification (v2 CRC mismatch: counted in Stats().crc_failures, no data
+  //     delivered). Requests may be serviced in any order and concurrently;
   //     duplicate keys in one batch are allowed (each is served independently).
-  //   * Partial failure: an absent chunk or short buffer fails ONLY its own request
-  //     (result = -1, no bytes written, no stats counted, no side effects — for a
-  //     tiered backend no cold IO, promotion, or LRU update for that request). It
-  //     never poisons the rest of the batch.
+  //   * Per-request failure: an absent chunk or short buffer fails ONLY its own
+  //     request (result = -1, nothing written to `buf`, no read or hit bytes
+  //     counted, no side effects — a tiered backend does no cold-tier IO, promotion
+  //     or LRU update for it). It never poisons the rest of the batch. Callers tell
+  //     "absent" from "too small" with ChunkSize.
   //   * Completion thread: every `result` is written before `done` runs; `done` is
   //     invoked exactly once, on the calling thread, and ReadChunks returns only
   //     after it — the call is a submission barrier. (Asynchrony is layered above:
   //     the pipelined restorer overlaps whole-batch submissions with compute.)
-  //   * Stats: counters advance exactly as the same N serial ReadChunk calls would
-  //     (hit tiering included), so dram_hit_bytes + cold_hit_bytes continues to
-  //     equal the bytes actually delivered.
+  //   * Stats: counters advance exactly as the same requests submitted one at a
+  //     time would (hit tiering included), so dram_hit_bytes + cold_hit_bytes
+  //     equals the bytes actually delivered.
   //
-  // The base implementation is the sequential loop; backends override it to batch
-  // (FileBackend: pread fan-out grouped per device; MemoryBackend: one lock
-  // acquisition; TieredBackend: DRAM hits inline + ONE batched cold round trip).
+  // Backends batch for throughput (FileBackend: pread fan-out grouped per device;
+  // MemoryBackend: one lock acquisition; TieredBackend: DRAM hits inline + ONE
+  // batched cold round trip; DistributedColdBackend: one submission per node).
   virtual void ReadChunks(std::span<ChunkReadRequest> requests,
-                          const BatchCompletion& done = {}) const;
+                          const BatchCompletion& done = {}) const = 0;
+
+  // ReadChunks minus verification: returns whatever bytes are stored, corrupt or
+  // not, so fsck can inspect damage the verified path refuses to deliver, and so a
+  // bench can measure exactly what verification costs. Production restores use
+  // ReadChunks. Default: ReadChunks, which is correct for backends that never verify.
+  virtual void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                                    const BatchCompletion& done = {}) const {
+    ReadChunks(requests, done);
+  }
+
+  // Single-chunk conveniences: a one-request ReadChunks / ReadChunksUnverified,
+  // returning that request's `result`. Backends do not override these; they stay
+  // virtual only because bench/serve's TimedBackend decorator intercepts every
+  // entry point to count the calls crossing one seam.
+  virtual int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const;
+  virtual int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
+                                      int64_t buf_bytes) const;
 
   // Batched write: the drainer's write-back flushes land a whole ticket in one
   // submission. Each request's `ok` mirrors WriteChunk's return value; failures are
@@ -192,8 +210,9 @@ class StorageBackend {
   virtual bool WriteChunks(std::span<ChunkWriteRequest> requests,
                            const BatchCompletion& done = {});
 
-  virtual bool HasChunk(const ChunkKey& key) const = 0;
   virtual int64_t ChunkSize(const ChunkKey& key) const = 0;  // -1 when absent
+  // Virtual for the same decorator reason as ReadChunk; backends do not override it.
+  virtual bool HasChunk(const ChunkKey& key) const { return ChunkSize(key) >= 0; }
 
   // Removes every chunk belonging to a context (session ended / state dropped).
   virtual void DeleteContext(int64_t context_id) = 0;
@@ -203,22 +222,6 @@ class StorageBackend {
   // Every resident (key, stored bytes) pair, in unspecified order — a scan
   // snapshot, not a consistency point. Default: empty (backend not enumerable).
   virtual std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const { return {}; }
-
-  // ReadChunk minus verification: returns whatever bytes are at `key`, corrupt or
-  // not, so fsck can inspect damage the verified path refuses to deliver. Default
-  // forwards to ReadChunk (correct for backends that never verify).
-  virtual int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                      int64_t buf_bytes) const {
-    return ReadChunk(key, buf, buf_bytes);
-  }
-
-  // ReadChunks without integrity checking — the batched analogue of
-  // ReadChunkUnverified, same contract as ReadChunks minus the CRC pass. For fsck
-  // sweeps over damaged stores and for measuring exactly what verification costs on
-  // the restore path (bench). Production restores use ReadChunks. Default: the
-  // sequential unverified loop; backends that batch override it alongside ReadChunks.
-  virtual void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
-                                    const BatchCompletion& done = {}) const;
 
   // Removes one chunk (fsck quarantine of a corrupt chunk so the context reads as
   // incomplete and falls back to recompute). Returns true if the key was resident.

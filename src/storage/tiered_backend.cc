@@ -142,35 +142,6 @@ void TieredBackend::EvictToBudgetLocked(Shard& shard,
   }
 }
 
-void TieredBackend::LegacyEvictToBudgetLocked(Shard& shard) const {
-  while (shard.hot_bytes > shard.capacity && !shard.lru.empty()) {
-    const int64_t victim = shard.lru.front();
-    auto it = shard.hot.lower_bound(ChunkKey{victim, 0, 0});
-    while (it != shard.hot.end() && it->first.context_id == victim) {
-      if (it->second.dirty) {
-        const int64_t bytes = static_cast<int64_t>(it->second.data.size());
-        // The PR 4 behavior this mode preserves: the cold-tier write happens while
-        // shard.mu is HELD, serializing every other operation on the stripe.
-        if (!cold_->WriteChunk(it->first, it->second.data.data(), bytes)) {
-          HCACHE_LOG_ERROR << "tiered write-back failed: ctx=" << it->first.context_id
-                           << " L=" << it->first.layer << " C=" << it->first.chunk_index
-                           << "; keeping context in DRAM";
-          shard.lru.splice(shard.lru.end(), shard.lru,
-                           shard.contexts.at(victim).lru_pos);
-          return;
-        }
-        ++writeback_chunks_;
-        writeback_bytes_ += bytes;
-      }
-      shard.hot_bytes -= static_cast<int64_t>(it->second.data.size());
-      it = shard.hot.erase(it);
-    }
-    shard.lru.pop_front();
-    shard.contexts.erase(victim);
-    ++evicted_contexts_;
-  }
-}
-
 bool TieredBackend::ProcessTicket(const DrainTicket& ticket) const {
   Shard& shard = *shards_[ticket.shard];
   // Snapshot every still-current payload under ONE lock hold, then land the whole
@@ -367,8 +338,7 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
     indexed.size = bytes;
     indexed.gen = ++write_gen_;
     ++total_writes_;
-    if (bytes > shard.capacity &&
-        options_.writeback != TieredOptions::Writeback::kLegacyLocked) {
+    if (bytes > shard.capacity) {
       // A chunk that can never be hot-resident within its stripe's share goes
       // straight to the drain plane (write-through), instead of being admitted and
       // then flushing every other resident of the stripe on its way back out.
@@ -404,11 +374,7 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
                       /*dirty=*/true);
       // The chunk is durably in the hot tier at this point; write-back concerns
       // *other* contexts and must not fail this write.
-      if (options_.writeback == TieredOptions::Writeback::kLegacyLocked) {
-        LegacyEvictToBudgetLocked(shard);
-      } else {
-        EvictToBudgetLocked(shard, &tickets);
-      }
+      EvictToBudgetLocked(shard, &tickets);
     }
   }
   if (cancelled_pending) {
@@ -419,128 +385,8 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
   return true;
 }
 
-int64_t TieredBackend::ReadChunk(const ChunkKey& key, void* buf,
-                                 int64_t buf_bytes) const {
-  Shard& shard = *shards_[ShardOf(key.context_id)];
-  constexpr int64_t kColdMiss = -2;  // fall through to the cold tier
-  int64_t dram_result = kColdMiss;
-  uint64_t read_gen = 0;  // the write generation the unlocked cold read serves
-  bool rescued_pending = false;
-  std::vector<DrainTicket> tickets;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto hot_it = shard.hot.find(key);
-    const auto pit =
-        hot_it != shard.hot.end() ? shard.pending.end() : shard.pending.find(key);
-    if (hot_it != shard.hot.end()) {
-      const int64_t size = static_cast<int64_t>(hot_it->second.data.size());
-      if (size > buf_bytes) {
-        return -1;
-      }
-      std::memcpy(buf, hot_it->second.data.data(), static_cast<size_t>(size));
-      TouchLocked(shard, key.context_id);
-      ++total_reads_;
-      ++dram_hits_;
-      dram_hit_bytes_ += size;
-      dram_result = size;
-    } else if (pit != shard.pending.end()) {
-      // Rescue: the chunk was evicted but its write-back has not retired — the
-      // payload is still in DRAM, so serve it from the drain queue (a DRAM hit).
-      // Re-admit it (still dirty; its queued flush is cancelled by the erase) only
-      // when it fits the stripe's FREE space: a rescue must never trigger an
-      // eviction, or alternating reads of a context bigger than its stripe would
-      // cycle rescue→re-admit→evict→re-flush and double the cold-tier write IO.
-      const std::shared_ptr<const std::vector<char>> data = pit->second.data;
-      const int64_t size = static_cast<int64_t>(data->size());
-      if (size > buf_bytes) {
-        return -1;
-      }
-      std::memcpy(buf, data->data(), static_cast<size_t>(size));
-      ++total_reads_;
-      ++dram_hits_;
-      dram_hit_bytes_ += size;
-      ++drain_rescued_chunks_;
-      if (size <= shard.capacity - shard.hot_bytes) {
-        pending_bytes_ -= size;
-        shard.pending.erase(pit);
-        rescued_pending = true;
-        InsertHotLocked(shard, key, data->data(), size, /*dirty=*/true);
-        TouchLocked(shard, key.context_id);
-      }
-      dram_result = size;
-    } else {
-      const auto iit = shard.index.find(key);
-      if (iit == shard.index.end()) {
-        return -1;
-      }
-      if (iit->second.size > buf_bytes) {
-        return -1;  // short-buffer contract: no IO, no stats, no side effects
-      }
-      read_gen = iit->second.gen;
-    }
-  }
-  if (dram_result != kColdMiss) {
-    if (rescued_pending) {
-      SignalDrainProgress();
-    }
-    DispatchTickets(std::move(tickets));
-    return dram_result;
-  }
-  // Miss in DRAM: the chunk lives in the cold tier. The read runs with no lock
-  // held, so other contexts — and other chunks of this one — proceed concurrently.
-  const int64_t got = cold_->ReadChunk(key, buf, buf_bytes);
-  if (got == kChunkCorrupt) {
-    // Detected at the cold tier: surface the distinct status (the chunk EXISTS,
-    // callers must fall back to recompute, not re-read) and never promote damage.
-    ++crc_failures_;
-    return kChunkCorrupt;
-  }
-  if (got < 0) {
-    return got;
-  }
-  ++total_reads_;
-  ++cold_hits_;
-  cold_hit_bytes_ += got;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Promote: a restored context is likely to be restored again soon (the §6.2.1
-    // caching argument); admit the chunk clean so re-eviction is free. Skip when the
-    // chunk can never fit its stripe's budget (a 0-budget write-through tier would
-    // otherwise evict-and-churn on every read), or when the bytes read are stale: a
-    // concurrent write bumps the index generation (even if its own copy has already
-    // drained through to the cold tier), and a delete removes the entry — either
-    // way this copy must not be re-admitted over newer durable data.
-    const auto iit = shard.index.find(key);
-    const bool current = iit != shard.index.end() && iit->second.gen == read_gen;
-    const bool displaced =
-        shard.hot.count(key) != 0 || shard.pending.count(key) != 0;
-    if (current && !displaced) {
-      if (got <= shard.capacity) {
-        InsertHotLocked(shard, key, static_cast<const char*>(buf), got,
-                        /*dirty=*/false);
-        TouchLocked(shard, key.context_id);
-        if (options_.writeback == TieredOptions::Writeback::kLegacyLocked) {
-          // Faithful PR 4 baseline: the promotion-triggered eviction flushes while
-          // the lock is HELD, exactly like the write path in this mode.
-          LegacyEvictToBudgetLocked(shard);
-        } else {
-          EvictToBudgetLocked(shard, &tickets);
-        }
-      } else {
-        ++promotions_skipped_;
-      }
-    }
-  }
-  DispatchTickets(std::move(tickets));
-  return got;
-}
-
 void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
                                const BatchCompletion& done) const {
-  if (options_.writeback == TieredOptions::Writeback::kLegacyLocked) {
-    StorageBackend::ReadChunks(requests, done);  // pre-redesign baseline stays serial
-    return;
-  }
   struct Miss {
     ChunkReadRequest* req;
     uint64_t read_gen;  // write generation the unlocked cold read will serve
@@ -551,8 +397,8 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
     by_shard[ShardOf(req.key.context_id)].push_back(&req);
   }
   // Phase 1 — per shard, under that shard's lock: serve hot hits and drain-queue
-  // rescues (ReadChunk's exact rules: short buffers fail with no side effects, a
-  // rescue re-admits only into FREE space) and snapshot each miss's generation.
+  // rescues, and snapshot each miss's write generation. Short buffers fail with no
+  // side effects.
   std::vector<std::vector<Miss>> miss_by_shard(shards_.size());
   size_t num_misses = 0;
   bool rescued_pending = false;
@@ -580,6 +426,12 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       }
       const auto pit = shard.pending.find(key);
       if (pit != shard.pending.end()) {
+        // Rescue: the chunk was evicted but its write-back has not retired — the
+        // payload is still in DRAM, so serve it from the drain queue (a DRAM hit).
+        // Re-admit it (still dirty; its queued flush is cancelled by the erase) only
+        // when it fits the stripe's FREE space: a rescue must never trigger an
+        // eviction, or alternating reads of a context bigger than its stripe would
+        // cycle rescue→re-admit→evict→re-flush and double the cold-tier write IO.
         const std::shared_ptr<const std::vector<char>> data = pit->second.data;
         const int64_t size = static_cast<int64_t>(data->size());
         if (size > req->buf_bytes) {
@@ -613,7 +465,8 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
   }
   if (num_misses > 0) {
     // Phase 2 — every shard lock released: ONE batched cold round trip for all
-    // misses, reading straight into the callers' buffers.
+    // misses, reading straight into the callers' buffers. Other contexts — and
+    // other chunks of these — proceed concurrently.
     std::vector<ChunkReadRequest> cold_reqs;
     cold_reqs.reserve(num_misses);
     for (const auto& misses : miss_by_shard) {
@@ -623,9 +476,15 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       }
     }
     cold_->ReadChunks(cold_reqs);
-    // Phase 3 — per shard, under the lock again: stats + gen-checked clean
-    // promotion (a concurrent write or delete invalidates the snapshot), one
-    // eviction pass per shard, tickets dispatched after release.
+    // Phase 3 — per shard, under the lock again: stats, then clean promotion — a
+    // restored context is likely to be restored again soon (the §6.2.1 caching
+    // argument), and a clean chunk re-evicts for free. Promotion is skipped when the
+    // chunk can never fit its stripe's budget (a 0-budget write-through tier would
+    // otherwise evict-and-churn on every read), or when the bytes read are stale: a
+    // concurrent write bumps the index generation (even if its own copy has already
+    // drained through to the cold tier), and a delete removes the entry — either way
+    // this copy must not be re-admitted over newer durable data. One eviction pass
+    // per shard; tickets dispatched after release.
     std::vector<DrainTicket> tickets;
     size_t j = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
@@ -637,7 +496,9 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       for (const Miss& m : miss_by_shard[s]) {
         const int64_t got = cold_reqs[j++].result;
         if (got == kChunkCorrupt) {
-          m.req->result = kChunkCorrupt;  // detected-corrupt is NOT a miss
+          // Detected at the cold tier: surface the distinct status (the chunk EXISTS,
+          // callers must fall back to recompute, not re-read); never promote damage.
+          m.req->result = kChunkCorrupt;
           ++crc_failures_;
           continue;
         }
@@ -669,12 +530,6 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
   if (done) {
     done();
   }
-}
-
-bool TieredBackend::HasChunk(const ChunkKey& key) const {
-  Shard& shard = *shards_[ShardOf(key.context_id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.index.count(key) != 0;
 }
 
 int64_t TieredBackend::ChunkSize(const ChunkKey& key) const {
@@ -737,13 +592,28 @@ std::vector<std::pair<ChunkKey, int64_t>> TieredBackend::ListChunks() const {
   return out;
 }
 
-int64_t TieredBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                           int64_t buf_bytes) const {
-  const int64_t got = ReadChunk(key, buf, buf_bytes);
-  if (got != kChunkCorrupt) {
-    return got;  // DRAM hits are trusted; a verified cold hit is already vetted
+void TieredBackend::ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                                         const BatchCompletion& done) const {
+  // DRAM hits are trusted and a verified cold hit is already vetted, so only the
+  // requests the cold tier rejected as corrupt need its unverified bytes.
+  ReadChunks(requests);
+  std::vector<ChunkReadRequest> corrupt;
+  std::vector<ChunkReadRequest*> origin;
+  for (ChunkReadRequest& req : requests) {
+    if (req.result == kChunkCorrupt) {
+      corrupt.push_back(ChunkReadRequest{req.key, req.buf, req.buf_bytes, -1});
+      origin.push_back(&req);
+    }
   }
-  return cold_->ReadChunkUnverified(key, buf, buf_bytes);
+  if (!corrupt.empty()) {
+    cold_->ReadChunksUnverified(corrupt);
+    for (size_t i = 0; i < corrupt.size(); ++i) {
+      origin[i]->result = corrupt[i].result;
+    }
+  }
+  if (done) {
+    done();
+  }
 }
 
 bool TieredBackend::DeleteChunk(const ChunkKey& key) {

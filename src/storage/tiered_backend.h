@@ -9,8 +9,7 @@
 // chunk of one context, so partial-context residency would still pay a cold read on
 // the critical path. LRU order advances whenever any chunk of a context is touched.
 //
-// Concurrency model (the PR 5 redesign; the old single-mutex tier survives only as
-// TieredOptions::Writeback::kLegacyLocked, a benchmark baseline):
+// Concurrency model:
 //
 //   * The chunk map, the logical index, and the per-context LRU metadata are striped
 //     across K lock shards keyed by context_id, so operations on distinct contexts
@@ -58,15 +57,13 @@ struct TieredOptions {
   int num_shards = 0;
 
   enum class Writeback {
-    kAsync,         // background drainer flushes evicted dirty chunks (default)
-    kSync,          // flush on the evicting caller, shard lock dropped around IO —
-                    // deterministic stats for single-threaded measurement runs.
-                    // NOT for concurrent same-key traffic: without the drainer's
-                    // single-writer/inflight tracking, an overwrite or delete racing
-                    // a caller-thread flush of the same chunk can strand stale bytes
-                    // in the cold tier. Concurrent workloads use kAsync.
-    kLegacyLocked,  // PR 4 baseline: flush inline HOLDING the shard lock; exists only
-                    // so the cluster bench can quantify what the redesign removes
+    kAsync,  // background drainer flushes evicted dirty chunks (default)
+    kSync,   // flush on the evicting caller, shard lock dropped around IO —
+             // deterministic stats for single-threaded measurement runs.
+             // NOT for concurrent same-key traffic: without the drainer's
+             // single-writer/inflight tracking, an overwrite or delete racing
+             // a caller-thread flush of the same chunk can strand stale bytes
+             // in the cold tier. Concurrent workloads use kAsync.
   };
   Writeback writeback = Writeback::kAsync;
 
@@ -104,26 +101,22 @@ class TieredBackend : public StorageBackend {
   ~TieredBackend() override;
 
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
   // Batched read in three phases: (1) per shard, under that shard's lock, serve hot
   // hits and drain-queue rescues and snapshot the misses' write generations; (2) with
   // every lock released, ONE batched cold-tier round trip for all misses — a restore
   // that hits cold pays one submission instead of a per-chunk lock/IO/lock cycle;
   // (3) per shard, gen-checked clean promotion under the lock, eviction tickets
-  // dispatched after release. Promotion, rescue, budget, and short-buffer rules are
-  // exactly ReadChunk's; no lock is ever held across cold-tier IO.
-  // (kLegacyLocked keeps the serial loop — it is the pre-redesign baseline.)
+  // dispatched after release. No lock is ever held across cold-tier IO.
   void ReadChunks(std::span<ChunkReadRequest> requests,
                   const BatchCompletion& done = {}) const override;
-  bool HasChunk(const ChunkKey& key) const override;
+  // A verified ReadChunks first (DRAM bytes are trusted; a cold hit is verified by
+  // the cold backend); only the requests the cold tier rejected as corrupt go to its
+  // unverified batched read, so fsck can inspect the damaged bytes.
+  void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                            const BatchCompletion& done = {}) const override;
   int64_t ChunkSize(const ChunkKey& key) const override;
   void DeleteContext(int64_t context_id) override;
   std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const override;
-  // Verified read first (DRAM bytes are trusted; a cold hit is verified by the cold
-  // backend); only a detected-corrupt cold chunk falls through to the cold tier's
-  // unverified read, so fsck can inspect the damaged bytes.
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override;
   bool DeleteChunk(const ChunkKey& key) override;
   StorageStats Stats() const override;
   std::string Name() const override { return "tiered(" + cold_->Name() + ")"; }
@@ -201,8 +194,7 @@ class TieredBackend : public StorageBackend {
   // outright — the cold tier already holds them). shard.mu held.
   void EvictToBudgetLocked(Shard& shard, std::vector<DrainTicket>* tickets) const;
   // Routes freshly-cut tickets per the writeback mode: enqueue to the drainer
-  // (kAsync), flush inline with the lock dropped (kSync), or — kLegacyLocked only —
-  // is never called because eviction flushed under the lock. No shard lock held.
+  // (kAsync) or flush inline with the lock dropped (kSync). No shard lock held.
   void DispatchTickets(std::vector<DrainTicket> tickets) const;
   // Flushes one ticket's chunks to the cold tier, taking shard.mu only around map
   // bookkeeping — never across cold_->WriteChunk. Returns false when any chunk
@@ -214,10 +206,6 @@ class TieredBackend : public StorageBackend {
   // were retired outside the drainer — a cancel on overwrite/delete or a rescue.
   void SignalDrainProgress() const;
   void DrainLoop();
-
-  // Legacy (PR 4) eviction: flush dirty victims inline while holding shard.mu — the
-  // serialization the redesign removes; kept as the bench's comparison baseline.
-  void LegacyEvictToBudgetLocked(Shard& shard) const;
 
   StorageBackend* cold_;
   int64_t dram_capacity_bytes_;

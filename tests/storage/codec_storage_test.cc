@@ -232,8 +232,15 @@ class PreallocatedBackend : public StorageBackend {
     ++writes_;
     return true;
   }
-  int64_t ReadChunk(const ChunkKey&, void*, int64_t) const override { return -1; }
-  bool HasChunk(const ChunkKey&) const override { return false; }
+  void ReadChunks(std::span<ChunkReadRequest> requests,
+                  const BatchCompletion& done = {}) const override {
+    for (ChunkReadRequest& req : requests) {
+      req.result = -1;
+    }
+    if (done) {
+      done();
+    }
+  }
   int64_t ChunkSize(const ChunkKey&) const override { return -1; }
   void DeleteContext(int64_t) override {}
   StorageStats Stats() const override { return {}; }

@@ -14,6 +14,7 @@
 #include "src/core/partition.h"
 #include "src/model/transformer.h"
 #include "src/storage/codec.h"
+#include "src/storage/distributed_backend.h"
 #include "src/storage/file_backend.h"
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
@@ -98,6 +99,17 @@ TEST_F(CorruptionTest, MemoryBackendDetectsDamage) {
 
 TEST_F(CorruptionTest, FileBackendDetectsDamage) {
   FileBackend backend(Dirs(), kChunkBytes);
+  ExpectCorruptionDetected(&backend);
+}
+
+// Every replica holds the damaged copy (CorruptChunk rewrites through the
+// replicated write path), so failover has nothing valid to fall back to. The
+// unverified read reaches the nodes through InstrumentedBackend's batched
+// unverified forward; if that forward verified, it would report corruption.
+TEST_F(CorruptionTest, DistributedColdBackendDetectsDamage) {
+  DistributedColdOptions opts;
+  opts.background_repair = false;
+  DistributedColdBackend backend(3, kChunkBytes, opts);
   ExpectCorruptionDetected(&backend);
 }
 

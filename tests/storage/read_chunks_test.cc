@@ -5,6 +5,7 @@
 // the batch or leave side effects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -348,6 +349,14 @@ TEST(ReadChunksTest, InstrumentedForwardsBatchAndInjectsFailuresPerRequest) {
   EXPECT_EQ(700, reads[0].result);
   EXPECT_EQ(700, reads[1].result);
   EXPECT_EQ(1, wrapped.read_batches());
+
+  // A single ReadChunk is a one-request batch: it counts as one read batch (the
+  // distributed store's repair reads of its nodes go through this path).
+  EXPECT_EQ(700, wrapped.ReadChunk(k2, b2.data(), kChunkBytes));
+  EXPECT_EQ(2, wrapped.read_batches());
+  // The unverified forensics read forwards uncounted.
+  EXPECT_EQ(700, wrapped.ReadChunkUnverified(k3, b3.data(), kChunkBytes));
+  EXPECT_EQ(2, wrapped.read_batches());
 }
 
 TEST(ReadChunksTest, FileBackendConcurrentReadsOfSameChunkAreRaceFree) {
@@ -420,31 +429,86 @@ TEST(ReadChunksTest, FileBackendFdCacheSurvivesOverwriteAndDelete) {
   fs::remove_all(dir);
 }
 
-TEST(ReadChunksTest, DefaultBaseImplementationServesAnyBackend) {
-  // The base-class sequential fallback must satisfy the same contract (a custom
-  // backend that never overrides ReadChunks still works).
-  class Minimal : public MemoryBackend {
+TEST(ReadChunksTest, BaseForwardsServeABackendThatOnlyImplementsReadChunks) {
+  // ReadChunks is the one read a backend implements: ReadChunk, ReadChunkUnverified
+  // and HasChunk come from the base class as forwards, and each single read is one
+  // submission of a one-request batch.
+  class BatchOnly : public StorageBackend {
    public:
-    using MemoryBackend::MemoryBackend;
+    using StorageBackend::StorageBackend;
+    bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override {
+      const char* src = static_cast<const char*>(data);
+      chunks_[key].assign(src, src + bytes);
+      return true;
+    }
     void ReadChunks(std::span<ChunkReadRequest> requests,
                     const BatchCompletion& done = {}) const override {
-      StorageBackend::ReadChunks(requests, done);  // force the base path
+      ++batches_;
+      for (ChunkReadRequest& req : requests) {
+        const auto it = chunks_.find(req.key);
+        const int64_t size =
+            it == chunks_.end() ? -1 : static_cast<int64_t>(it->second.size());
+        req.result = size >= 0 && size <= req.buf_bytes ? size : -1;
+        if (req.result >= 0) {
+          std::memcpy(req.buf, it->second.data(), static_cast<size_t>(size));
+        }
+      }
+      if (done) {
+        done();
+      }
     }
+    int64_t ChunkSize(const ChunkKey& key) const override {
+      const auto it = chunks_.find(key);
+      return it == chunks_.end() ? -1 : static_cast<int64_t>(it->second.size());
+    }
+    void DeleteContext(int64_t) override { chunks_.clear(); }
+    StorageStats Stats() const override { return {}; }
+    std::string Name() const override { return "batch-only"; }
+    int64_t batches() const { return batches_; }
+
+   private:
+    std::map<ChunkKey, std::vector<char>> chunks_;
+    mutable int64_t batches_ = 0;
   };
-  Minimal backend(kChunkBytes);
+
+  BatchOnly backend(kChunkBytes);
   const ChunkKey key{1, 0, 0};
+  const ChunkKey absent{2, 0, 0};
   const auto data = Payload(key, 900);
   ASSERT_TRUE(backend.WriteChunk(key, data.data(), 900));
-  std::vector<char> buf(kChunkBytes);
+
+  std::vector<char> buf(kChunkBytes, 'x');
+  EXPECT_EQ(900, backend.ReadChunk(key, buf.data(), kChunkBytes));
+  EXPECT_EQ(0, std::memcmp(buf.data(), data.data(), 900));
+  EXPECT_EQ(1, backend.batches());
+  EXPECT_EQ(-1, backend.ReadChunk(absent, buf.data(), kChunkBytes));
+
+  // Short buffer: -1 and the buffer is untouched.
+  std::vector<char> small(100, 'x');
+  EXPECT_EQ(-1, backend.ReadChunk(key, small.data(), 100));
+  EXPECT_EQ(std::vector<char>(100, 'x'), small);
+
+  // The unverified read falls through to ReadChunks (the backend never verifies).
+  std::fill(buf.begin(), buf.end(), 'x');
+  EXPECT_EQ(900, backend.ReadChunkUnverified(key, buf.data(), kChunkBytes));
+  EXPECT_EQ(0, std::memcmp(buf.data(), data.data(), 900));
+  EXPECT_EQ(-1, backend.ReadChunkUnverified(absent, buf.data(), kChunkBytes));
+  EXPECT_EQ(5, backend.batches());
+
+  EXPECT_TRUE(backend.HasChunk(key));
+  EXPECT_FALSE(backend.HasChunk(absent));
+
+  // The batched unverified read forwards whole batches, completion included.
   ChunkReadRequest reqs[] = {
       {key, buf.data(), kChunkBytes, -1},
-      {ChunkKey{2, 0, 0}, buf.data(), kChunkBytes, -1},
+      {absent, buf.data(), kChunkBytes, -1},
   };
   bool completed = false;
-  backend.ReadChunks(reqs, [&completed] { completed = true; });
+  backend.ReadChunksUnverified(reqs, [&completed] { completed = true; });
   EXPECT_TRUE(completed);
   EXPECT_EQ(900, reqs[0].result);
   EXPECT_EQ(-1, reqs[1].result);
+  EXPECT_EQ(6, backend.batches());
 }
 
 }  // namespace
