@@ -162,13 +162,9 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   const int64_t n = seq->num_tokens();
   CHECK_GT(n, 0);
 
-  // Fail before mutating the sequence if the pool cannot hold the restored state or
-  // any required chunk is missing/short (device loss, partial save).
+  // Fail before mutating the sequence if the pool cannot hold the restored state.
   const int64_t bt = seq->pool()->block_tokens();
   if ((n + bt - 1) / bt > seq->pool()->num_free()) {
-    return false;
-  }
-  if (!CanRestore(context_id, scheme, n)) {
     return false;
   }
 
@@ -187,7 +183,6 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
 
   std::vector<int32_t> positions(static_cast<size_t>(n));
   std::iota(positions.begin(), positions.end(), 0);
-  const HiddenStateReader reader(store_, cfg, chunk_tokens_);
 
   // Restoration is a two-stream pipeline, mirroring the paper's dedicated transmission
   // and computation streams: while the caller projects layer i's hidden states into
@@ -213,15 +208,16 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
     }
   }
 
-  // CanRestore vets sizes, not payloads: a chunk that passed the size check can still
-  // fail its CRC (or parse) when actually read. Loads therefore report failure through
-  // `load_failed` (they may run on a pool thread, where throwing or CHECKing would
-  // take the process down) and the pipeline unwinds to "still evicted" below.
+  // The batched reads are the only check: a missing, short or corrupt chunk (device
+  // loss, partial save, CRC mismatch) is found when its layer loads. Loads report
+  // failure through `load_failed` (they may run on a pool thread, where throwing or
+  // CHECKing would take the process down) and the pipeline unwinds to "still
+  // evicted" below.
   std::atomic<bool> load_failed{false};
   auto load = [&](LayerState& entry) {
     if (entry.from_hidden) {
       Tensor hidden({n, cfg.hidden_dim});
-      if (!reader.ReadLayerInto(context_id, entry.layer, n, hidden.data())) {
+      if (!ReadHiddenInto(context_id, entry.layer, n, hidden.data())) {
         load_failed.store(true, std::memory_order_release);
         return;
       }
@@ -290,6 +286,12 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
 void FunctionalHCache::DropContext(int64_t context_id) {
   writers_.erase(context_id);
   store_->DeleteContext(context_id);
+}
+
+bool FunctionalHCache::ReadHiddenInto(int64_t context_id, int64_t layer, int64_t n,
+                                      float* dst) const {
+  return HiddenStateReader(store_, model_->config(), chunk_tokens_)
+      .ReadLayerInto(context_id, layer, n, dst);
 }
 
 Tensor FunctionalHCache::ReadHidden(int64_t context_id, int64_t layer, int64_t n) const {

@@ -60,6 +60,8 @@ class FunctionalHCache {
 
   // True when everything `scheme` needs to restore `n` tokens of this context is
   // durably stored (hidden chunks for hidden layers, KV chunks for offloaded layers).
+  // A size-only probe; RestoreContext does not call it, because its batched reads
+  // detect missing, short and corrupt chunks themselves.
   bool CanRestore(int64_t context_id, const PartitionScheme& scheme, int64_t n) const;
 
   // Deletes all stored state for the context.
@@ -67,6 +69,10 @@ class FunctionalHCache {
 
   // Reads one layer's hidden states back (test/inspection hook).
   Tensor ReadHidden(int64_t context_id, int64_t layer, int64_t n) const;
+
+  // Decodes tokens [0, n) of one layer's hidden states into `dst` ([n, hidden_dim]).
+  // False when a covering chunk is missing, short or corrupt.
+  bool ReadHiddenInto(int64_t context_id, int64_t layer, int64_t n, float* dst) const;
 
   int64_t chunk_tokens() const { return chunk_tokens_; }
   ChunkCodec codec() const { return codec_; }

@@ -1,215 +1,81 @@
 #include "src/core/shared_prefix.h"
 
-#include <cstring>
 #include <numeric>
 
 #include "src/common/logging.h"
-#include "src/storage/codec.h"
 
 namespace hcache {
 
-namespace {
-
-uint64_t HashTokens(const std::vector<int32_t>& tokens) {
-  // FNV-1a over the token stream. This only PICKS A BUCKET — InternPrefix compares
-  // the full token vectors before sharing, so a collision costs one comparison,
-  // never a wrong share.
-  uint64_t h = 1469598103934665603ull;
-  for (int32_t t : tokens) {
-    for (int b = 0; b < 4; ++b) {
-      h ^= static_cast<uint64_t>((t >> (8 * b)) & 0xff);
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-}  // namespace
-
-SharedPrefixManager::SuffixSink::SuffixSink(StorageBackend* store, const ModelConfig& cfg,
-                                            int64_t context_id, int64_t offset,
-                                            int64_t chunk_tokens, ChunkCodec codec)
-    : writer_(store, /*flush_pool=*/nullptr, cfg, context_id, chunk_tokens, codec),
-      offset_(offset),
-      hidden_dim_(cfg.hidden_dim) {}
-
-void SharedPrefixManager::SuffixSink::OnLayerInput(int64_t layer, const Tensor& hidden,
-                                                   const int32_t* positions, int64_t n) {
-  // Collect the rows at positions >= offset and rebase them to suffix-local indices.
-  std::vector<int64_t> keep;
-  for (int64_t i = 0; i < n; ++i) {
-    if (positions[i] >= offset_) {
-      keep.push_back(i);
-    }
-  }
-  if (keep.empty()) {
-    return;
-  }
-  Tensor rows({static_cast<int64_t>(keep.size()), hidden_dim_});
-  std::vector<int32_t> rebased(keep.size());
-  for (size_t j = 0; j < keep.size(); ++j) {
-    std::memcpy(rows.row(static_cast<int64_t>(j)), hidden.row(keep[j]),
-                static_cast<size_t>(hidden_dim_) * sizeof(float));
-    rebased[j] = static_cast<int32_t>(positions[keep[j]] - offset_);
-  }
-  writer_.OnLayerInput(layer, rows, rebased.data(), static_cast<int64_t>(keep.size()));
-}
-
-SharedPrefixManager::SharedPrefixManager(Transformer* model, StorageBackend* store,
-                                         int64_t chunk_tokens, ChunkCodec codec)
-    : model_(model), store_(store), chunk_tokens_(chunk_tokens), codec_(codec) {
+SharedPrefixManager::SharedPrefixManager(Transformer* model, FunctionalHCache* engine)
+    : model_(model), engine_(engine) {
   CHECK(model != nullptr);
-  CHECK(store != nullptr);
+  CHECK(engine != nullptr);
 }
 
-uint64_t SharedPrefixManager::TokenHash(const std::vector<int32_t>& tokens) const {
-  return token_hash_for_test_ ? token_hash_for_test_(tokens) : HashTokens(tokens);
-}
-
-int64_t SharedPrefixManager::InternPrefix(const std::vector<int32_t>& tokens,
-                                          KvBlockPool* pool) {
-  CHECK(!tokens.empty());
-  const uint64_t hash = TokenHash(tokens);
-  // Walk the bucket and share only on TOKEN equality. A hash collision between two
-  // distinct prompts (same length or not) falls through and allocates a fresh prefix
-  // — the old length-only guard here would have handed one prompt the other's hidden
-  // states.
-  const auto [first, last] = hash_to_prefix_.equal_range(hash);
-  for (auto it = first; it != last; ++it) {
-    PrefixInfo& info = prefixes_.at(it->second);
-    if (info.tokens == tokens) {
-      ++info.ref_count;
-      bytes_deduped_ += info.encoded_bytes;
-      return info.prefix_id;
-    }
-  }
-
-  const int64_t id = next_prefix_id_++;
-  // One-time prefill of the prefix with capture; its KV is scratch and dropped.
-  HiddenStateWriter writer(store_, nullptr, model_->config(), id, chunk_tokens_, codec_);
-  PagedKvSequence scratch(pool);
-  model_->Forward(tokens, &scratch, &writer);
-  writer.Seal();
-
-  PrefixInfo info;
-  info.prefix_id = id;
-  info.length = static_cast<int64_t>(tokens.size());
-  info.ref_count = 1;
-  // What a repeat intern actually avoids storing: the prefix's encoded footprint
-  // under the ACTIVE codec (headers included), not a sizeof(float) estimate.
-  info.encoded_bytes = writer.encoded_bytes_written();
-  info.tokens = tokens;
-  info.token_hash = hash;
-  prefixes_[id] = std::move(info);
-  hash_to_prefix_.emplace(hash, id);
-  return id;
-}
-
-void SharedPrefixManager::ReleasePrefix(int64_t prefix_id) {
-  auto it = prefixes_.find(prefix_id);
-  CHECK(it != prefixes_.end());
-  CHECK_GT(it->second.ref_count, 0);
-  if (--it->second.ref_count == 0) {
-    store_->DeleteContext(prefix_id);
-    const auto [first, last] = hash_to_prefix_.equal_range(it->second.token_hash);
-    for (auto h = first; h != last; ++h) {
-      if (h->second == prefix_id) {
-        hash_to_prefix_.erase(h);
-        break;
-      }
-    }
-    prefixes_.erase(it);
-  }
-}
-
-HiddenStateSink* SharedPrefixManager::BeginSuffixCapture(int64_t context_id,
-                                                         int64_t prefix_id) {
-  const auto pit = prefixes_.find(prefix_id);
-  CHECK(pit != prefixes_.end()) << "unknown prefix " << prefix_id;
-  auto& sink = sinks_[context_id];
-  if (sink == nullptr) {
-    sink = std::make_unique<SuffixSink>(store_, model_->config(), context_id,
-                                        pit->second.length, chunk_tokens_, codec_);
-    context_prefix_[context_id] = prefix_id;
-    // The context now depends on the prefix's chunks staying restorable: hold a
-    // reference until DropContext, so the interner's ReleasePrefix cannot delete
-    // them under a live capture (which left RestoreContext to CHECK-crash).
-    ++pit->second.ref_count;
+HiddenStateSink* SharedPrefixManager::BeginContext(int64_t ctx,
+                                                   const std::vector<int32_t>& prefix,
+                                                   PagedKvSequence* seq) {
+  CHECK(!prefix.empty());
+  CHECK_EQ(seq->num_tokens(), 0) << "BeginContext needs a fresh sequence";
+  CHECK(!contexts_.contains(ctx)) << "context " << ctx << " already begun";
+  HiddenStateSink* sink = engine_->BeginCapture(ctx);
+  const Index::iterator entry = sharers_.try_emplace(prefix).first;
+  std::vector<int64_t>& sharers = entry->second;
+  const int64_t plen = static_cast<int64_t>(prefix.size());
+  if (!sharers.empty() && AdoptPrefix(sharers.front(), plen, sink, seq)) {
+    ++prefix_reuses_;
   } else {
-    CHECK_EQ(context_prefix_.at(context_id), prefix_id);
+    if (!sharers.empty()) {
+      // The donor's prefix is unreadable (missing, short or corrupt chunk): stop
+      // offering it. It stays a live engine context; DropContext still drops it.
+      HCACHE_LOG_ERROR << "prefix donor unreadable, forwarding instead: ctx=" << ctx
+                       << " donor=" << sharers.front();
+      contexts_.erase(sharers.front());
+      sharers.erase(sharers.begin());
+    }
+    model_->Forward(prefix, seq, sink);
   }
-  return sink.get();
+  sharers.push_back(ctx);
+  contexts_.emplace(ctx, entry);
+  return sink;
 }
 
-void SharedPrefixManager::SealContext(int64_t context_id) {
-  const auto it = sinks_.find(context_id);
-  CHECK(it != sinks_.end());
-  it->second->Seal();
-}
-
-bool SharedPrefixManager::RestoreContext(int64_t context_id, int64_t prefix_id,
-                                         PagedKvSequence* seq) {
+bool SharedPrefixManager::AdoptPrefix(int64_t donor, int64_t plen, HiddenStateSink* sink,
+                                      PagedKvSequence* seq) {
   const ModelConfig& cfg = model_->config();
-  const auto pit = prefixes_.find(prefix_id);
-  CHECK(pit != prefixes_.end());
-  const int64_t plen = pit->second.length;
-  CHECK(!seq->has_kv());
-  const int64_t n = seq->num_tokens();
-  CHECK_GE(n, plen);
-  const int64_t slen = n - plen;
-
-  const HiddenStateReader reader(store_, cfg, chunk_tokens_);
+  std::vector<Tensor> hidden;
+  hidden.reserve(static_cast<size_t>(cfg.num_layers));
   for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
-    if (!reader.LayerComplete(prefix_id, layer, plen, codec_) ||
-        (slen > 0 && !reader.LayerComplete(context_id, layer, slen, codec_))) {
+    hidden.emplace_back(Tensor({plen, cfg.hidden_dim}));
+    if (!engine_->ReadHiddenInto(donor, layer, plen, hidden.back().data())) {
       return false;
     }
   }
-  const int64_t bt = seq->pool()->block_tokens();
-  if ((n + bt - 1) / bt > seq->pool()->num_free()) {
-    return false;
-  }
-
-  seq->ResetForRestore();
-  CHECK(seq->EnsureCapacity(n));
-  seq->CommitTokens(n);
-
-  std::vector<int32_t> positions(static_cast<size_t>(n));
+  std::vector<int32_t> positions(static_cast<size_t>(plen));
   std::iota(positions.begin(), positions.end(), 0);
-  Tensor hidden({n, cfg.hidden_dim});
+  CHECK(seq->EnsureCapacity(plen)) << "KV pool exhausted";
   for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
-    const Tensor prefix_rows = reader.ReadLayer(prefix_id, layer, plen);
-    std::memcpy(hidden.row(0), prefix_rows.data(),
-                static_cast<size_t>(plen * cfg.hidden_dim) * sizeof(float));
-    if (slen > 0) {
-      const Tensor suffix_rows = reader.ReadLayer(context_id, layer, slen);
-      std::memcpy(hidden.row(plen), suffix_rows.data(),
-                  static_cast<size_t>(slen * cfg.hidden_dim) * sizeof(float));
-    }
+    const Tensor& rows = hidden[static_cast<size_t>(layer)];
+    sink->OnLayerInput(layer, rows, positions.data(), plen);
     Tensor k, v;
-    model_->RestoreLayerKv(layer, hidden, positions.data(), &k, &v);
+    model_->RestoreLayerKv(layer, rows, positions.data(), &k, &v);
     seq->WriteKv(layer, 0, k, v);
   }
+  seq->CommitTokens(plen);
   return true;
 }
 
-void SharedPrefixManager::DropContext(int64_t context_id) {
-  sinks_.erase(context_id);
-  const auto cit = context_prefix_.find(context_id);
-  if (cit != context_prefix_.end()) {
-    const int64_t prefix_id = cit->second;
-    context_prefix_.erase(cit);
-    // Release the reference BeginSuffixCapture took; the prefix (and its chunks)
-    // go away only when the interner and every capturing context are done with it.
-    ReleasePrefix(prefix_id);
+void SharedPrefixManager::DropContext(int64_t ctx) {
+  const auto it = contexts_.find(ctx);
+  if (it != contexts_.end()) {
+    std::vector<int64_t>& sharers = it->second->second;
+    std::erase(sharers, ctx);
+    if (sharers.empty()) {
+      sharers_.erase(it->second);
+    }
+    contexts_.erase(it);
   }
-  store_->DeleteContext(context_id);
-}
-
-const SharedPrefixManager::PrefixInfo* SharedPrefixManager::GetPrefix(
-    int64_t prefix_id) const {
-  const auto it = prefixes_.find(prefix_id);
-  return it == prefixes_.end() ? nullptr : &it->second;
+  engine_->DropContext(ctx);
 }
 
 }  // namespace hcache

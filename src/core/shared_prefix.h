@@ -1,152 +1,72 @@
-// Extension: prefix-sharing-aware hidden-state storage.
+// Extension: token-level prefix reuse on top of FunctionalHCache.
 //
 // Deployments put the same system prompt or retrieved document in front of many
-// contexts. Hidden states of those prefix tokens are identical across contexts (causal
-// attention: a token's activations depend only on tokens before it), so they can be
-// stored ONCE and referenced. This module interns prefixes in the chunk store with
-// reference counts and lets contexts capture/restore only their suffix:
+// contexts. Under causal attention a token's hidden states depend only on the tokens
+// before it, so every context that begins with the same tokens captures the same
+// prefix rows. SharedPrefixManager is the token index that skips the forward pass for
+// such a prefix:
 //
-//   * `SharedPrefixManager::InternPrefix(tokens)` runs the prefix through the model
-//     once, persists its hidden states under a dedicated prefix context id, and dedups
-//     repeat interns of the SAME token stream (a second Intern is free). Equality is
-//     decided by comparing the stored token vectors, never by hash alone: a token-hash
-//     collision between two distinct prompts allocates a fresh prefix instead of
-//     silently restoring the wrong prefix's hidden states into a user's KV (the
-//     length-only guard this module used to have was a real correctness hole).
-//   * `BeginSuffixCapture(ctx, prefix_id)` returns a sink that skips the prefix
-//     positions and stores only suffix rows under `ctx` — and takes a REFERENCE on
-//     the prefix, so a `ReleasePrefix` by the original interner can never delete
-//     prefix chunks out from under a live context. `DropContext` releases it.
-//   * `RestoreContext(ctx, prefix_id, seq)` reassembles full-layer hidden states
-//     (prefix rows from the shared copy + suffix rows) and rebuilds the KV cache —
-//     bit-identical to a never-evicted sequence when the codec is lossless.
+//   * `BeginContext(ctx, prefix, seq)` fills `seq` with the prefix's KV and returns
+//     the engine's capture sink for `ctx`. When a live context already began with
+//     exactly these tokens (the donor), the donor's stored prefix rows are read back,
+//     captured under `ctx`, and projected into K/V — no forward pass. Otherwise, or
+//     when a donor read fails, the prefix is forwarded once with capture.
+//   * Every context stores its full history under its own id, so seal, restore and
+//     drop are the engine's own calls and no context ever depends on another's chunks.
 //
-// Token-level interning exists to skip the model forward pass (the expensive part of
-// a repeat intern); BYTE-level sharing is the storage plane's job. Point `store` at a
-// DedupBackend and identical chunks dedup fleet-wide underneath this manager — across
-// prefixes that share a chunk-aligned start, across unrelated contexts, across
-// serving replicas — with refcounts owned by the store ("write and let the store
-// dedup").
+// Byte sharing is the store's job: point the engine at a DedupBackend and the
+// recaptured prefix chunks, byte-identical to the donor's, are stored once there, with
+// refcounts owned by the store.
 //
 // Related systems: PromptCache / SGLang share *KV* on the GPU hit path; this shares
-// *hidden states* on HCache's miss path, halving their storage as well.
+// *hidden states* on HCache's miss path.
 #ifndef HCACHE_SRC_CORE_SHARED_PREFIX_H_
 #define HCACHE_SRC_CORE_SHARED_PREFIX_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "src/core/functional_engine.h"
 #include "src/model/kv_cache.h"
 #include "src/model/transformer.h"
-#include "src/storage/storage_backend.h"
-#include "src/storage/hidden_saver.h"
 
 namespace hcache {
 
 class SharedPrefixManager {
  public:
-  struct PrefixInfo {
-    int64_t prefix_id = 0;
-    int64_t length = 0;
-    // Interner references + one per context that captured against this prefix.
-    int64_t ref_count = 0;
-    // Encoded bytes the prefix's chunks occupy in the store (headers included) —
-    // what a dedup hit actually avoids writing. Codec-accurate: an fp16 store saves
-    // half the bytes an fp32 one would, and bytes_deduped() reflects that.
-    int64_t encoded_bytes = 0;
-    // The interned token stream; the collision guard compares against it in full.
-    std::vector<int32_t> tokens;
-    uint64_t token_hash = 0;
-  };
+  // `model` and `engine` must outlive the manager.
+  SharedPrefixManager(Transformer* model, FunctionalHCache* engine);
 
-  // `model` and `store` must outlive the manager. Prefix ids live in their own
-  // context-id namespace (>= kPrefixIdBase) inside `store`. `codec` selects the
-  // stored precision of prefix and suffix chunks (kFp32 restores bit-exactly; kFp16
-  // halves the bytes at <= 0.5 ulp error, matching the serving plane's default).
-  SharedPrefixManager(Transformer* model, StorageBackend* store,
-                      int64_t chunk_tokens = kDefaultChunkTokens,
-                      ChunkCodec codec = ChunkCodec::kFp32);
+  // Starts context `ctx` with `prefix`. `seq` must be fresh; on return it holds the
+  // prefix's KV. The returned sink is the engine's BeginCapture(ctx) sink: feed it the
+  // rest of the context's history, then seal and restore through the engine.
+  HiddenStateSink* BeginContext(int64_t ctx, const std::vector<int32_t>& prefix,
+                                PagedKvSequence* seq);
 
-  // Interns a prefix: on first sight, runs the model over it (scratch KV from `pool`)
-  // and persists its hidden states; later calls with identical tokens only bump the
-  // refcount. Two distinct token streams NEVER share a prefix id, even under a
-  // token-hash collision. Returns the prefix id.
-  int64_t InternPrefix(const std::vector<int32_t>& tokens, KvBlockPool* pool);
+  // Removes `ctx` from the index and drops its stored state in the engine. Another
+  // live context that began with the same prefix takes over as donor.
+  void DropContext(int64_t ctx);
 
-  // Drops one reference; the prefix's chunks are deleted at zero. Live suffix
-  // captures hold their own reference, so releasing the interner's does not strand
-  // them.
-  void ReleasePrefix(int64_t prefix_id);
-
-  // Sink that captures only positions >= prefix length, stored under `context_id`.
-  // Valid until DropContext/destruction. Feed it the full forward pass of
-  // prefix+suffix (or of the suffix alone after restoration). Takes a prefix
-  // reference on the context's first capture; DropContext releases it.
-  HiddenStateSink* BeginSuffixCapture(int64_t context_id, int64_t prefix_id);
-
-  // Flushes a context's partial suffix chunks.
-  void SealContext(int64_t context_id);
-
-  // Rebuilds `seq`'s KV (pure hidden-state scheme) from shared prefix + own suffix.
-  // `seq` must be evicted and carry the full history length (prefix + suffix).
-  bool RestoreContext(int64_t context_id, int64_t prefix_id, PagedKvSequence* seq);
-
-  // Removes a context's suffix state and releases its prefix reference (the shared
-  // prefix itself survives while other referents remain).
-  void DropContext(int64_t context_id);
-
-  const PrefixInfo* GetPrefix(int64_t prefix_id) const;
-  int64_t num_prefixes() const { return static_cast<int64_t>(prefixes_.size()); }
-
-  // Encoded bytes NOT written thanks to prefix interning (repeat-intern hits),
-  // accounted at the active codec's stored size — not at sizeof(float), which
-  // overstated fp16/int8 deployments 2-4x.
-  int64_t bytes_deduped() const { return bytes_deduped_; }
-
-  // Test hook: overrides the token-stream hash so two distinct prefixes can be
-  // forced into one bucket and the full-compare collision guard exercised.
-  // nullptr restores the production hash.
-  void SetTokenHashForTest(std::function<uint64_t(const std::vector<int32_t>&)> fn) {
-    token_hash_for_test_ = std::move(fn);
-  }
+  // BeginContext calls that adopted a donor's prefix instead of forwarding it.
+  int64_t prefix_reuses() const { return prefix_reuses_; }
 
  private:
-  static constexpr int64_t kPrefixIdBase = 2'000'000'000;
+  // Live contexts keyed by the exact prefix tokens they began with; the front one
+  // donates. Keying by the tokens themselves means distinct prompts never share.
+  using Index = std::map<std::vector<int32_t>, std::vector<int64_t>>;
 
-  // Skips the first `offset` positions and rebases the rest onto an inner writer.
-  class SuffixSink : public HiddenStateSink {
-   public:
-    SuffixSink(StorageBackend* store, const ModelConfig& cfg, int64_t context_id,
-               int64_t offset, int64_t chunk_tokens, ChunkCodec codec);
-    void OnLayerInput(int64_t layer, const Tensor& hidden, const int32_t* positions,
-                      int64_t n) override;
-    void Seal() { writer_.Seal(); }
-
-   private:
-    HiddenStateWriter writer_;
-    int64_t offset_;
-    int64_t hidden_dim_;
-  };
-
-  uint64_t TokenHash(const std::vector<int32_t>& tokens) const;
+  // Captures `donor`'s first `plen` hidden rows under the new context and writes their
+  // K/V into `seq`. Reads every layer before capturing any, so a failed read leaves
+  // nothing captured and the forward fallback captures each row exactly once.
+  bool AdoptPrefix(int64_t donor, int64_t plen, HiddenStateSink* sink,
+                   PagedKvSequence* seq);
 
   Transformer* model_;
-  StorageBackend* store_;
-  int64_t chunk_tokens_;
-  ChunkCodec codec_;
-  int64_t next_prefix_id_ = kPrefixIdBase;
-  // Hash BUCKETS, not identities: multiple prefixes may share one bucket (forced by
-  // the test hook, or a real 64-bit collision); InternPrefix compares token vectors.
-  std::multimap<uint64_t, int64_t> hash_to_prefix_;
-  std::map<int64_t, PrefixInfo> prefixes_;
-  std::map<int64_t, std::unique_ptr<SuffixSink>> sinks_;        // context -> sink
-  std::map<int64_t, int64_t> context_prefix_;                   // context -> prefix id
-  int64_t bytes_deduped_ = 0;
-  std::function<uint64_t(const std::vector<int32_t>&)> token_hash_for_test_;
+  FunctionalHCache* engine_;
+  Index sharers_;
+  std::map<int64_t, Index::iterator> contexts_;  // context -> its index entry
+  int64_t prefix_reuses_ = 0;
 };
 
 }  // namespace hcache

@@ -1,6 +1,7 @@
 #include "src/storage/dedup_backend.h"
 
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -21,7 +22,7 @@ inline uint64_t Mix64(uint64_t x) {
 // One 64-bit multiply-mix lane over the payload: 8-byte little-endian words through
 // a seeded multiply-xorshift accumulator, scalar tail folded in by byte. Two lanes
 // with independent seeds give 128 effectively independent bits on non-adversarial
-// data (and verify_bytes covers the adversarial case).
+// data (and the byte compare on every dedup hit covers the adversarial case).
 uint64_t HashLane(const uint8_t* p, int64_t n, uint64_t seed) {
   uint64_t h = Mix64(seed ^ static_cast<uint64_t>(n));
   int64_t i = 0;
@@ -59,8 +60,8 @@ ChunkKey DedupBackend::PhysicalKey(const PhysId& id) {
                   static_cast<int64_t>(id.hash.lo & 0x7fffffffffffffffull), id.chain};
 }
 
-DedupBackend::DedupBackend(StorageBackend* base, const DedupOptions& options)
-    : StorageBackend(base->chunk_bytes()), base_(base), options_(options) {
+DedupBackend::DedupBackend(StorageBackend* base)
+    : StorageBackend(base->chunk_bytes()), base_(base) {
   CHECK(base != nullptr);
 }
 
@@ -117,8 +118,7 @@ bool DedupBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t byt
     // converge on one physical copy.
     bool must_wait = false;
     bool rescan = false;
-    PhysId match_id;
-    bool matched = false;
+    std::optional<PhysId> match;
     int64_t next_chain = 0;
     for (;;) {
       const auto it = phys_.lower_bound(PhysId{hash, next_chain});
@@ -135,62 +135,46 @@ bool DedupBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t byt
       if (entry.bytes != bytes) {
         continue;  // same hash, different size: a collision by construction
       }
-      if (options_.verify_bytes) {
-        // Pin the candidate and compare bytes outside the lock. A mismatch is a
-        // true 128-bit collision: chain past it instead of aliasing.
-        ++entry.pins;
-        lock.unlock();
-        std::vector<uint8_t> stored(static_cast<size_t>(bytes));
-        const int64_t got =
-            base_->ReadChunkUnverified(PhysicalKey(id), stored.data(), bytes);
-        const bool same =
-            got == bytes && std::memcmp(stored.data(), data, static_cast<size_t>(bytes)) == 0;
-        lock.lock();
-        UnpinLocked(lock, id);
-        if (phys_.find(id) == phys_.end()) {
-          rescan = true;  // candidate vanished while we compared; restart the walk
-          break;
-        }
-        if (!same) {
-          ++collision_chains_;
-          continue;
-        }
-        match_id = id;
-        matched = true;
+      // Pin the candidate and compare bytes outside the lock. A mismatch is a
+      // true 128-bit collision: chain past it instead of aliasing.
+      ++entry.pins;
+      lock.unlock();
+      std::vector<uint8_t> stored(static_cast<size_t>(bytes));
+      const int64_t got = base_->ReadChunkUnverified(PhysicalKey(id), stored.data(), bytes);
+      const bool same =
+          got == bytes && std::memcmp(stored.data(), data, static_cast<size_t>(bytes)) == 0;
+      lock.lock();
+      UnpinLocked(lock, id);
+      if (phys_.find(id) == phys_.end()) {
+        rescan = true;  // candidate vanished while we compared; restart the walk
         break;
       }
-      match_id = id;
-      matched = true;
+      if (!same) {
+        ++collision_chains_;
+        continue;
+      }
+      match = id;
       break;
     }
     if (rescan) {
       continue;
     }
-    if (matched) {
-      ++phys_.at(match_id).refs;
-      auto old = logical_.find(key);
-      if (old != logical_.end()) {
-        if (old->second.phys == match_id) {
-          // Re-write of identical content at the same key: net refcount unchanged.
-          --phys_.at(match_id).refs;
-        } else {
-          logical_bytes_ -= old->second.bytes;
-          const PhysId prev = old->second.phys;
-          old->second = LogicalEntry{match_id, bytes};
-          logical_bytes_ += bytes;
-          ++total_writes_;
-          ++dedup_hits_;
-          dedup_bytes_saved_ += bytes;
-          DecrefLocked(lock, prev);
-          return true;
-        }
-      } else {
-        logical_[key] = LogicalEntry{match_id, bytes};
-        logical_bytes_ += bytes;
-      }
+    if (match) {
       ++total_writes_;
       ++dedup_hits_;
       dedup_bytes_saved_ += bytes;
+      const auto [old, inserted] = logical_.try_emplace(key, LogicalEntry{*match, bytes});
+      if (inserted) {
+        ++phys_.at(*match).refs;
+        logical_bytes_ += bytes;
+      } else if (old->second.phys != *match) {
+        ++phys_.at(*match).refs;
+        logical_bytes_ += bytes - old->second.bytes;
+        const PhysId prev = old->second.phys;
+        old->second = LogicalEntry{*match, bytes};
+        DecrefLocked(lock, prev);
+      }
+      // Else a re-write of identical content at the same key: refcounts unchanged.
       return true;
     }
     if (must_wait) {

@@ -15,12 +15,15 @@
 // drop a reference; the bytes leave the wrapped backend when the last referent does.
 //
 // Correctness before savings: a hash match is treated as a *hint*, not as proof.
-// With `DedupOptions::verify_bytes` (the default) a dedup hit reads the candidate
-// back and byte-compares it against the incoming write; a true collision — however
-// astronomically unlikely at 128 bits — chains to a fresh physical slot
-// (`collision_chains`) instead of silently aliasing two users' states, the exact
-// failure mode the old SharedPrefixManager length-only guard had. Deployments that
-// accept the 2^-64 risk can disable verification and keep dedup-hit writes IO-free.
+// Every dedup hit reads the candidate back and byte-compares it against the incoming
+// write; a true collision — however astronomically unlikely at 128 bits — chains to a
+// fresh physical slot (`collision_chains`) instead of silently aliasing two users'
+// states.
+//
+// This layer is the one owner of shared bytes. Contexts that begin with the same
+// prompt write their own copies of its chunks (SharedPrefixManager recaptures a
+// donor's prefix rather than referencing it), and the copies dedup here: no layer
+// above keeps a second refcount.
 //
 // The layer composes with every other plane: it wraps Memory/File/Tiered/Distributed
 // (dedup-over-distributed = fleet-wide single-instancing of the replicated cold
@@ -64,14 +67,6 @@ struct ContentHash {
 
 ContentHash HashChunkContent(const void* data, int64_t bytes);
 
-struct DedupOptions {
-  // Byte-compare dedup-hit writes against the stored candidate before sharing it.
-  // On (default): a hash collision can never alias two contexts' states — it chains
-  // to a fresh physical chunk instead. Off: trust the 128-bit hash; dedup-hit writes
-  // become pure metadata operations (no read-back IO).
-  bool verify_bytes = true;
-};
-
 // One finding of an AuditIndex run (fsck's dedup leg).
 struct DedupAuditFinding {
   enum class Kind {
@@ -105,7 +100,7 @@ class DedupBackend : public StorageBackend {
   // `base` must outlive this backend and is used exclusively by it: every key this
   // layer writes into `base` is a physical-id key, and AuditIndex treats any other
   // resident chunk as an orphan.
-  DedupBackend(StorageBackend* base, const DedupOptions& options = {});
+  explicit DedupBackend(StorageBackend* base);
   ~DedupBackend() override;
 
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
@@ -145,11 +140,11 @@ class DedupBackend : public StorageBackend {
   // as misses -> recompute fallback), drifted refcounts are reset to the recount.
   DedupAuditReport AuditIndex(bool repair = false);
 
-  // True hash collisions caught by verify_bytes and diverted to chain slots.
+  // True hash collisions caught by the byte compare and diverted to chain slots.
   int64_t collision_chains() const;
 
   // Test hook: overrides the content hash so two distinct payloads can be forced
-  // onto one hash and the verify_bytes collision chain exercised. nullptr restores
+  // onto one hash and the byte-compare collision chain exercised. nullptr restores
   // the production hash. Not thread-safe against in-flight writes.
   void SetContentHashForTest(std::function<ContentHash(const void*, int64_t)> fn) {
     content_hash_for_test_ = std::move(fn);
@@ -190,7 +185,6 @@ class DedupBackend : public StorageBackend {
                       bool verify) const;
 
   StorageBackend* base_;
-  DedupOptions options_;
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;  // signals kWriting/kDeleting transitions
@@ -201,7 +195,7 @@ class DedupBackend : public StorageBackend {
   int64_t total_writes_ = 0;
   int64_t dedup_hits_ = 0;
   int64_t dedup_bytes_saved_ = 0;
-  int64_t collision_chains_ = 0;  // true hash collisions caught by verify_bytes
+  int64_t collision_chains_ = 0;  // true hash collisions caught by the byte compare
   std::function<ContentHash(const void*, int64_t)> content_hash_for_test_;
 };
 

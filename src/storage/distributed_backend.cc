@@ -26,12 +26,10 @@ DistributedColdBackend::DistributedColdBackend(int num_nodes, int64_t chunk_byte
                           : std::make_unique<MemoryBackend>(chunk_bytes);
     CHECK(node->store != nullptr);
     node->io = std::make_unique<InstrumentedBackend>(node->store.get());
-    node->capacity_bytes.store(options_.node_capacity_bytes, std::memory_order_relaxed);
     nodes_.push_back(std::move(node));
     ids.push_back(i);
   }
-  placement_ =
-      std::make_shared<const PlacementTable>(std::move(ids), options_.vnodes_per_node);
+  placement_ = std::make_shared<const PlacementTable>(std::move(ids));
 
   // Adopt whatever the node stores already hold (FileBackend nodes recover their
   // on-disk indexes at construction): rebuild the logical index from the physical

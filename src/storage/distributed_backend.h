@@ -65,14 +65,9 @@ namespace hcache {
 struct DistributedColdOptions {
   // Replication factor R: home copies per chunk (clamped to the live node count).
   int replication = 2;
-  // Consistent-hash ring granularity (placement.h).
-  int vnodes_per_node = 64;
   // Run the background repair worker. Off = repairs happen only via RepairChunk /
   // Quiesce / fsck --repair (deterministic single-threaded tests).
   bool background_repair = true;
-  // Per-node capacity in bytes; 0 = unlimited. A node at capacity rejects new
-  // chunk copies (they place on the next walk node or degrade the write).
-  int64_t node_capacity_bytes = 0;
 };
 
 // Builds one node's backing store. Default: a MemoryBackend per node. Benches and

@@ -119,8 +119,8 @@ void HiddenStateWriter::FlushChunk(int64_t layer, LayerBuffer& lb) {
   StorageBackend* store = store_;
   auto task = [this, store, key, bytes, payload]() mutable {
     // A failed flush must not take down the process (it may run on a background
-    // thread); the chunk simply stays absent and restoration reports the context
-    // incomplete (HiddenStateReader::LayerComplete / FunctionalHCache::CanRestore).
+    // thread); the chunk simply stays absent and the restore's read of it fails
+    // (FunctionalHCache::RestoreContext then leaves the sequence evicted).
     if (!store->WriteChunk(key, payload->data(), bytes)) {
       HCACHE_LOG_ERROR << "hidden-state chunk flush failed: ctx=" << key.context_id
                        << " layer=" << key.layer << " chunk=" << key.chunk_index;

@@ -28,15 +28,13 @@ uint64_t PlacementTable::HashKey(const ChunkKey& key) {
   return Mix64(h ^ static_cast<uint64_t>(key.chunk_index));
 }
 
-PlacementTable::PlacementTable(std::vector<int> node_ids, int vnodes_per_node)
-    : node_ids_(std::move(node_ids)), vnodes_per_node_(vnodes_per_node) {
+PlacementTable::PlacementTable(std::vector<int> node_ids) : node_ids_(std::move(node_ids)) {
   CHECK(!node_ids_.empty());
-  CHECK(vnodes_per_node_ > 0);
   std::sort(node_ids_.begin(), node_ids_.end());
   node_ids_.erase(std::unique(node_ids_.begin(), node_ids_.end()), node_ids_.end());
-  ring_.reserve(node_ids_.size() * static_cast<size_t>(vnodes_per_node_));
+  ring_.reserve(node_ids_.size() * kVnodesPerNode);
   for (const int node : node_ids_) {
-    for (int v = 0; v < vnodes_per_node_; ++v) {
+    for (int v = 0; v < kVnodesPerNode; ++v) {
       ring_.push_back(VirtualNode{VnodePoint(node, v), node});
     }
   }
@@ -98,13 +96,13 @@ PlacementTable PlacementTable::Without(int node) const {
       ids.push_back(id);
     }
   }
-  return PlacementTable(std::move(ids), vnodes_per_node_);
+  return PlacementTable(std::move(ids));
 }
 
 PlacementTable PlacementTable::With(int node) const {
   std::vector<int> ids = node_ids_;
   ids.push_back(node);
-  return PlacementTable(std::move(ids), vnodes_per_node_);
+  return PlacementTable(std::move(ids));
 }
 
 }  // namespace hcache

@@ -30,9 +30,7 @@ namespace hcache {
 class PlacementTable {
  public:
   // Ring over `node_ids` (need not be contiguous — drained nodes leave holes).
-  // `vnodes_per_node` trades lookup cost for fill evenness; 64 keeps worst-case
-  // node fill within a few percent of the mean at the fleet sizes we simulate.
-  explicit PlacementTable(std::vector<int> node_ids, int vnodes_per_node = 64);
+  explicit PlacementTable(std::vector<int> node_ids);
 
   // Every member node in clockwise walk order from `key`'s ring point, deduped:
   // element 0 is the primary, elements [0, R) the home replica set. Size ==
@@ -64,8 +62,12 @@ class PlacementTable {
     int node = -1;
   };
 
+  // Virtual nodes per member: trades lookup cost for fill evenness; 64 keeps
+  // worst-case node fill within a few percent of the mean at the fleet sizes we
+  // simulate.
+  static constexpr int kVnodesPerNode = 64;
+
   std::vector<int> node_ids_;
-  int vnodes_per_node_;
   std::vector<VirtualNode> ring_;  // sorted by point
 };
 

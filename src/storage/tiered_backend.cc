@@ -58,10 +58,7 @@ TieredBackend::TieredBackend(StorageBackend* cold, int64_t dram_capacity_bytes,
     shard->capacity = base + (i < rem ? 1 : 0);
     shards_.push_back(std::move(shard));
   }
-  high_water_bytes_ =
-      static_cast<int64_t>(options_.high_water_factor *
-                           static_cast<double>(dram_capacity_bytes_)) +
-      4 * chunk_bytes();
+  high_water_bytes_ = dram_capacity_bytes_ + 4 * chunk_bytes();
   if (options_.writeback == TieredOptions::Writeback::kAsync) {
     drainer_ = std::thread(&TieredBackend::DrainLoop, this);
   }

@@ -67,11 +67,6 @@ struct TieredOptions {
   };
   Writeback writeback = Writeback::kAsync;
 
-  // Async backpressure: writers stall once queued-for-drain bytes exceed
-  // high_water_factor * dram_capacity_bytes + 4 chunks (the floor keeps 0-budget
-  // write-through tiers from stalling on every write).
-  double high_water_factor = 1.0;
-
   // Transient cold-tier write failures (a loaded device, a momentary IO error) are
   // retried up to this many times with jittered doubling backoff (WritebackBackoffUs)
   // before the rollback path re-admits the chunks to DRAM. 0 = fail straight to
@@ -210,6 +205,9 @@ class TieredBackend : public StorageBackend {
   StorageBackend* cold_;
   int64_t dram_capacity_bytes_;
   TieredOptions options_;
+  // Async backpressure: writers stall once queued-for-drain bytes exceed the DRAM
+  // budget plus 4 chunks (the floor keeps 0-budget write-through tiers from stalling
+  // on every write).
   int64_t high_water_bytes_ = 0;
 
   // Promotion, rescue, and LRU bookkeeping happen on the (const) read path, so the

@@ -237,13 +237,20 @@ TEST_F(FunctionalEngineTest, RestoreFailsGracefullyWhenChunksMissing) {
   seq.Evict();
   engine_->DropContext(40);  // chunks gone
 
-  const PartitionScheme s = Scheme(cfg_.num_layers, ComplementMethod::kNone);
-  EXPECT_FALSE(engine_->CanRestore(40, s, seq.num_tokens()));
-  EXPECT_FALSE(engine_->RestoreContext(40, s, {}, &seq));
-  // The sequence must be untouched: still evicted, history intact, so the caller can
-  // fall back to full recomputation.
-  EXPECT_FALSE(seq.has_kv());
-  EXPECT_EQ(seq.num_tokens(), 14);
+  // All-hidden fails on its first read. The recompute scheme runs ForwardPartial
+  // over the first layers before its first hidden read finds the chunk missing.
+  for (const PartitionScheme& s : {Scheme(cfg_.num_layers, ComplementMethod::kNone),
+                                   Scheme(2, ComplementMethod::kRecompute)}) {
+    SCOPED_TRACE(s.layers_other);
+    const int64_t free_blocks = pool_->num_free();
+    EXPECT_FALSE(engine_->CanRestore(40, s, seq.num_tokens()));
+    EXPECT_FALSE(engine_->RestoreContext(40, s, prompt, &seq));
+    // The sequence must be left as it was: evicted, history intact, every block
+    // returned, so the caller can fall back to full recomputation.
+    EXPECT_FALSE(seq.has_kv());
+    EXPECT_EQ(seq.num_tokens(), 14);
+    EXPECT_EQ(pool_->num_free(), free_blocks);
+  }
 
   // Fallback: recompute everything from tokens (a 0 H + N RE scheme).
   PartitionScheme recompute_all = Scheme(0, ComplementMethod::kRecompute);

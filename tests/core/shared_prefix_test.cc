@@ -1,33 +1,25 @@
 #include "src/core/shared_prefix.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
-
-#include <filesystem>
 
 #include "src/common/rng.h"
 #include "src/storage/dedup_backend.h"
-#include "src/storage/file_backend.h"
+#include "src/storage/memory_backend.h"
 
 namespace hcache {
 namespace {
 
-class SharedPrefixTest : public ::testing::Test {
+class SharedPrefixTest : public ::testing::TestWithParam<ChunkCodec> {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(3, 32, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_prefix_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    store_ = std::make_unique<FileBackend>(
-        std::vector<std::string>{(base_ / "d0").string()}, 1 << 20);
     weights_ = std::make_unique<ModelWeights>(ModelWeights::Random(cfg_, 5));
     model_ = std::make_unique<Transformer>(weights_.get());
     pool_ = std::make_unique<KvBlockPool>(KvPoolConfig::ForModel(cfg_, 128, 8));
-    mgr_ = std::make_unique<SharedPrefixManager>(model_.get(), store_.get(),
-                                                 /*chunk_tokens=*/8);
+    engine_ = std::make_unique<FunctionalHCache>(model_.get(), &dedup_, &flush_pool_,
+                                                 /*chunk_tokens=*/8, GetParam());
+    mgr_ = std::make_unique<SharedPrefixManager>(model_.get(), engine_.get());
   }
-  void TearDown() override { std::filesystem::remove_all(base_); }
 
   std::vector<int32_t> RandomTokens(int64_t n, uint64_t seed) {
     Rng rng(seed);
@@ -38,304 +30,151 @@ class SharedPrefixTest : public ::testing::Test {
     return t;
   }
 
+  static std::vector<int32_t> Concat(std::vector<int32_t> a, const std::vector<int32_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  }
+
+  // Begins `ctx` with `prefix`, forwards `suffix` with capture, seals and evicts.
+  PagedKvSequence RunContext(int64_t ctx, const std::vector<int32_t>& prefix,
+                             const std::vector<int32_t>& suffix) {
+    PagedKvSequence seq(pool_.get());
+    HiddenStateSink* sink = mgr_->BeginContext(ctx, prefix, &seq);
+    EXPECT_EQ(seq.num_tokens(), static_cast<int64_t>(prefix.size()));
+    model_->Forward(suffix, &seq, sink);
+    engine_->SealContext(ctx);
+    seq.Evict();
+    return seq;
+  }
+
+  // Restores `ctx` through the engine. Under the lossless codec the restored KV must
+  // match a fresh prefill of `full` bitwise, and so must the greedy decode after it.
+  void ExpectRestoresLikeFreshPrefill(int64_t ctx, const std::vector<int32_t>& full,
+                                      PagedKvSequence* seq) {
+    PartitionScheme all_hidden;
+    all_hidden.layers_hidden = cfg_.num_layers;
+    ASSERT_TRUE(engine_->RestoreContext(ctx, all_hidden, {}, seq));
+    PagedKvSequence ref(pool_.get());
+    model_->Forward(full, &ref);
+    ASSERT_EQ(seq->num_tokens(), ref.num_tokens());
+    if (GetParam() == ChunkCodec::kFp32) {
+      for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
+        Tensor ka, va, kb, vb;
+        ref.ReadKv(layer, 0, ref.num_tokens(), &ka, &va);
+        seq->ReadKv(layer, 0, seq->num_tokens(), &kb, &vb);
+        EXPECT_TRUE(Tensor::BitwiseEqual(ka, kb)) << "ctx " << ctx << " K layer " << layer;
+        EXPECT_TRUE(Tensor::BitwiseEqual(va, vb)) << "ctx " << ctx << " V layer " << layer;
+      }
+      EXPECT_EQ(model_->GreedyDecode(full.back(), 4, seq),
+                model_->GreedyDecode(full.back(), 4, &ref));
+    }
+    seq->Evict();
+  }
+
   ModelConfig cfg_;
-  std::filesystem::path base_;
-  std::unique_ptr<FileBackend> store_;
+  MemoryBackend mem_{1 << 20};
+  DedupBackend dedup_{&mem_};
+  ThreadPool flush_pool_{2};
   std::unique_ptr<ModelWeights> weights_;
   std::unique_ptr<Transformer> model_;
   std::unique_ptr<KvBlockPool> pool_;
+  std::unique_ptr<FunctionalHCache> engine_;
   std::unique_ptr<SharedPrefixManager> mgr_;
 };
 
-TEST_F(SharedPrefixTest, InternDedupsIdenticalPrefixes) {
-  const auto sys_prompt = RandomTokens(12, 1);
-  const int64_t a = mgr_->InternPrefix(sys_prompt, pool_.get());
-  const int64_t chunks_after_first = store_->chunks_stored();
-  const int64_t b = mgr_->InternPrefix(sys_prompt, pool_.get());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(store_->chunks_stored(), chunks_after_first);  // nothing re-written
-  EXPECT_EQ(mgr_->GetPrefix(a)->ref_count, 2);
-  EXPECT_GT(mgr_->bytes_deduped(), 0);
-  EXPECT_EQ(mgr_->num_prefixes(), 1);
+TEST_P(SharedPrefixTest, SecondContextAdoptsPrefixAndRestoresBitExact) {
+  const auto prefix = RandomTokens(19, 1);  // two full chunks + a partial one
+  const auto suffix_a = RandomTokens(7, 2);
+  const auto suffix_b = RandomTokens(9, 3);
+  PagedKvSequence a = RunContext(1, prefix, suffix_a);
+  EXPECT_EQ(mgr_->prefix_reuses(), 0);
+  EXPECT_EQ(dedup_.Stats().dedup_hits, 0);
+
+  PagedKvSequence b = RunContext(2, prefix, suffix_b);
+  EXPECT_EQ(mgr_->prefix_reuses(), 1);
+  // The recaptured full prefix chunks are byte-identical to the donor's, under every
+  // codec: two per layer.
+  EXPECT_EQ(dedup_.Stats().dedup_hits, 2 * cfg_.num_layers);
+
+  ExpectRestoresLikeFreshPrefill(1, Concat(prefix, suffix_a), &a);
+  ExpectRestoresLikeFreshPrefill(2, Concat(prefix, suffix_b), &b);
 }
 
-TEST_F(SharedPrefixTest, DistinctPrefixesGetDistinctIds) {
-  const int64_t a = mgr_->InternPrefix(RandomTokens(10, 2), pool_.get());
-  const int64_t b = mgr_->InternPrefix(RandomTokens(10, 3), pool_.get());
-  EXPECT_NE(a, b);
-  EXPECT_EQ(mgr_->num_prefixes(), 2);
+TEST_P(SharedPrefixTest, DroppingTheDonorLeavesSharersRestorable) {
+  // Each context stores its own copy of the prefix, so no drop can strand another
+  // context's restore; the store's refcounts keep the shared bytes.
+  const auto prefix = RandomTokens(16, 4);
+  const auto suffix = RandomTokens(5, 5);
+  PagedKvSequence donor = RunContext(10, prefix, suffix);
+  PagedKvSequence b = RunContext(11, prefix, RandomTokens(6, 6));
+  const auto suffix_c = RandomTokens(3, 7);
+  PagedKvSequence c = RunContext(12, prefix, suffix_c);
+  EXPECT_EQ(mgr_->prefix_reuses(), 2);
+
+  mgr_->DropContext(10);
+  ExpectRestoresLikeFreshPrefill(12, Concat(prefix, suffix_c), &c);
+
+  // A surviving sharer donates to the next context.
+  const auto suffix_d = RandomTokens(4, 8);
+  PagedKvSequence d = RunContext(13, prefix, suffix_d);
+  EXPECT_EQ(mgr_->prefix_reuses(), 3);
+  ExpectRestoresLikeFreshPrefill(13, Concat(prefix, suffix_d), &d);
 }
 
-TEST_F(SharedPrefixTest, RestoreWithSharedPrefixIsBitExact) {
-  const auto prefix = RandomTokens(11, 4);  // deliberately not chunk-aligned
-  const auto suffix = RandomTokens(7, 5);
-  const int64_t pid = mgr_->InternPrefix(prefix, pool_.get());
+TEST_P(SharedPrefixTest, PrefixesDifferingInOneTokenNeverShare) {
+  const auto prefix_a = RandomTokens(12, 9);
+  auto prefix_b = prefix_a;
+  prefix_b.back() = (prefix_b.back() + 1) % static_cast<int32_t>(cfg_.vocab_size);
+  const auto suffix = RandomTokens(5, 10);
+  PagedKvSequence a = RunContext(20, prefix_a, suffix);
+  PagedKvSequence b = RunContext(21, prefix_b, suffix);
+  EXPECT_EQ(mgr_->prefix_reuses(), 0);
+  ExpectRestoresLikeFreshPrefill(20, Concat(prefix_a, suffix), &a);
+  ExpectRestoresLikeFreshPrefill(21, Concat(prefix_b, suffix), &b);
+}
 
-  // Reference: plain prefill of prefix+suffix.
-  std::vector<int32_t> full = prefix;
-  full.insert(full.end(), suffix.begin(), suffix.end());
-  PagedKvSequence ref(pool_.get());
-  model_->Forward(full, &ref);
+TEST_P(SharedPrefixTest, UnreadableDonorFallsBackToForward) {
+  const auto prefix = RandomTokens(13, 11);
+  PagedKvSequence donor = RunContext(30, prefix, RandomTokens(4, 12));
+  ASSERT_TRUE(dedup_.DeleteChunk(ChunkKey{30, /*layer=*/1, /*chunk_index=*/1}));
 
-  // Context 1: forward with suffix-only capture, evict, restore from shared + own.
-  PagedKvSequence seq(pool_.get());
-  HiddenStateSink* sink = mgr_->BeginSuffixCapture(1, pid);
-  model_->Forward(full, &seq, sink);
-  mgr_->SealContext(1);
-  seq.Evict();
-  ASSERT_TRUE(mgr_->RestoreContext(1, pid, &seq));
+  // The donor read fails before anything is captured; the forward pass captures
+  // every prefix row once and the context restores normally.
+  const auto suffix = RandomTokens(6, 13);
+  PagedKvSequence seq = RunContext(31, prefix, suffix);
+  EXPECT_EQ(mgr_->prefix_reuses(), 0);
+  ExpectRestoresLikeFreshPrefill(31, Concat(prefix, suffix), &seq);
 
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-    Tensor ka, va, kb, vb;
-    ref.ReadKv(layer, 0, ref.num_tokens(), &ka, &va);
-    seq.ReadKv(layer, 0, seq.num_tokens(), &kb, &vb);
-    EXPECT_TRUE(Tensor::BitwiseEqual(ka, kb)) << "K layer " << layer;
-    EXPECT_TRUE(Tensor::BitwiseEqual(va, vb)) << "V layer " << layer;
+  // The broken donor is forgotten: the next context adopts from the healthy one.
+  const auto suffix_next = RandomTokens(2, 14);
+  PagedKvSequence next = RunContext(32, prefix, suffix_next);
+  EXPECT_EQ(mgr_->prefix_reuses(), 1);
+  ExpectRestoresLikeFreshPrefill(32, Concat(prefix, suffix_next), &next);
+  mgr_->DropContext(30);
+}
+
+TEST_P(SharedPrefixTest, DroppingEveryContextFreesAllBytes) {
+  const auto prefix = RandomTokens(24, 15);
+  std::vector<PagedKvSequence> seqs;
+  for (int64_t ctx = 40; ctx < 44; ++ctx) {
+    seqs.push_back(RunContext(ctx, prefix, RandomTokens(5, static_cast<uint64_t>(ctx))));
   }
-}
-
-TEST_F(SharedPrefixTest, TwoContextsShareOnePrefixCopy) {
-  const auto prefix = RandomTokens(16, 6);
-  const int64_t pid = mgr_->InternPrefix(prefix, pool_.get());
-  mgr_->InternPrefix(prefix, pool_.get());  // second user
-
-  const auto suffix_a = RandomTokens(5, 7);
-  const auto suffix_b = RandomTokens(9, 8);
-  std::vector<int32_t> full_a = prefix, full_b = prefix;
-  full_a.insert(full_a.end(), suffix_a.begin(), suffix_a.end());
-  full_b.insert(full_b.end(), suffix_b.begin(), suffix_b.end());
-
-  PagedKvSequence sa(pool_.get()), sb(pool_.get());
-  model_->Forward(full_a, &sa, mgr_->BeginSuffixCapture(10, pid));
-  model_->Forward(full_b, &sb, mgr_->BeginSuffixCapture(11, pid));
-  mgr_->SealContext(10);
-  mgr_->SealContext(11);
-  sa.Evict();
-  sb.Evict();
-  ASSERT_TRUE(mgr_->RestoreContext(10, pid, &sa));
-  ASSERT_TRUE(mgr_->RestoreContext(11, pid, &sb));
-
-  // Both restored sequences decode identically to fresh prefills.
-  PagedKvSequence ra(pool_.get()), rb(pool_.get());
-  model_->Forward(full_a, &ra);
-  model_->Forward(full_b, &rb);
-  EXPECT_EQ(model_->GreedyDecode(full_a.back(), 4, &sa),
-            model_->GreedyDecode(full_a.back(), 4, &ra));
-  EXPECT_EQ(model_->GreedyDecode(full_b.back(), 4, &sb),
-            model_->GreedyDecode(full_b.back(), 4, &rb));
-}
-
-TEST_F(SharedPrefixTest, DecodePhaseTokensAlsoCaptured) {
-  const auto prefix = RandomTokens(8, 9);
-  const int64_t pid = mgr_->InternPrefix(prefix, pool_.get());
-  const auto suffix = RandomTokens(3, 10);
-  std::vector<int32_t> full = prefix;
-  full.insert(full.end(), suffix.begin(), suffix.end());
-
-  PagedKvSequence seq(pool_.get());
-  HiddenStateSink* sink = mgr_->BeginSuffixCapture(20, pid);
-  model_->Forward(full, &seq, sink);
-  const auto generated = model_->GreedyDecode(full.back(), 4, &seq, sink);
-  mgr_->SealContext(20);
-
-  PagedKvSequence ref(pool_.get());
-  model_->Forward(full, &ref);
-  const auto ref_gen = model_->GreedyDecode(full.back(), 4, &ref);
-  ASSERT_EQ(generated, ref_gen);
-
-  seq.Evict();
-  ASSERT_TRUE(mgr_->RestoreContext(20, pid, &seq));
-  EXPECT_EQ(seq.num_tokens(), ref.num_tokens());
-  EXPECT_EQ(model_->GreedyDecode(generated.back(), 3, &seq),
-            model_->GreedyDecode(ref_gen.back(), 3, &ref));
-}
-
-TEST_F(SharedPrefixTest, ReleaseDeletesAtZeroRefs) {
-  const auto prefix = RandomTokens(10, 11);
-  const int64_t pid = mgr_->InternPrefix(prefix, pool_.get());
-  mgr_->InternPrefix(prefix, pool_.get());
-  EXPECT_GT(store_->chunks_stored(), 0);
-  mgr_->ReleasePrefix(pid);
-  EXPECT_NE(mgr_->GetPrefix(pid), nullptr);  // one ref remains
-  mgr_->ReleasePrefix(pid);
-  EXPECT_EQ(mgr_->GetPrefix(pid), nullptr);
-  EXPECT_EQ(store_->chunks_stored(), 0);
-  // Re-interning after release re-creates the prefix.
-  const int64_t pid2 = mgr_->InternPrefix(prefix, pool_.get());
-  EXPECT_NE(pid2, pid);
-  EXPECT_GT(store_->chunks_stored(), 0);
-}
-
-TEST_F(SharedPrefixTest, HashCollisionAllocatesFreshPrefix) {
-  // Regression: the manager used to trust the 64-bit token hash plus a LENGTH check,
-  // so two same-length prompts colliding on the hash would silently share one
-  // prefix — one user's hidden states restored into the other's KV. Force every
-  // token stream onto one hash bucket and require full-content discrimination.
-  mgr_->SetTokenHashForTest([](const std::vector<int32_t>&) { return 0xdeadbeefull; });
-  const auto prompt_a = RandomTokens(12, 21);
-  const auto prompt_b = RandomTokens(12, 22);  // same length, different tokens
-  ASSERT_NE(prompt_a, prompt_b);
-  const int64_t a = mgr_->InternPrefix(prompt_a, pool_.get());
-  const int64_t b = mgr_->InternPrefix(prompt_b, pool_.get());
-  EXPECT_NE(a, b) << "colliding prompts must not share a prefix id";
-  EXPECT_EQ(mgr_->num_prefixes(), 2);
-
-  // Interning either stream again still dedups against ITS OWN prefix.
-  EXPECT_EQ(mgr_->InternPrefix(prompt_a, pool_.get()), a);
-  EXPECT_EQ(mgr_->InternPrefix(prompt_b, pool_.get()), b);
-  EXPECT_EQ(mgr_->GetPrefix(a)->ref_count, 2);
-  EXPECT_EQ(mgr_->GetPrefix(b)->ref_count, 2);
-
-  // And each prefix restores ITS tokens' states: a context on prompt_b must decode
-  // exactly like a never-evicted prompt_b prefill, not like prompt_a's.
-  const auto suffix = RandomTokens(5, 23);
-  std::vector<int32_t> full_b = prompt_b;
-  full_b.insert(full_b.end(), suffix.begin(), suffix.end());
-  PagedKvSequence seq(pool_.get());
-  model_->Forward(full_b, &seq, mgr_->BeginSuffixCapture(40, b));
-  mgr_->SealContext(40);
-  seq.Evict();
-  ASSERT_TRUE(mgr_->RestoreContext(40, b, &seq));
-  PagedKvSequence ref(pool_.get());
-  model_->Forward(full_b, &ref);
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-    Tensor ka, va, kb, vb;
-    ref.ReadKv(layer, 0, ref.num_tokens(), &ka, &va);
-    seq.ReadKv(layer, 0, seq.num_tokens(), &kb, &vb);
-    EXPECT_TRUE(Tensor::BitwiseEqual(ka, kb)) << "K layer " << layer;
-    EXPECT_TRUE(Tensor::BitwiseEqual(va, vb)) << "V layer " << layer;
+  EXPECT_EQ(mgr_->prefix_reuses(), 3);
+  EXPECT_GT(dedup_.PhysicalBytes(), 0);
+  for (int64_t ctx = 40; ctx < 44; ++ctx) {
+    mgr_->DropContext(ctx);
   }
-
-  // Releasing one of the colliding prefixes leaves the other's bucket entry intact.
-  mgr_->ReleasePrefix(a);
-  mgr_->ReleasePrefix(a);
-  EXPECT_EQ(mgr_->GetPrefix(a), nullptr);
-  EXPECT_EQ(mgr_->InternPrefix(prompt_b, pool_.get()), b);
+  EXPECT_EQ(dedup_.PhysicalBytes(), 0);
+  EXPECT_EQ(dedup_.Stats().chunks_stored, 0);
+  EXPECT_EQ(mem_.chunks_stored(), 0);
 }
 
-TEST_F(SharedPrefixTest, CaptureHoldsPrefixReferenceAcrossRelease) {
-  // Regression: BeginSuffixCapture took no prefix reference, so the interner's
-  // ReleasePrefix deleted the shared chunks under a live context and the later
-  // RestoreContext CHECK-crashed reading them. The capture must keep the prefix
-  // alive until DropContext.
-  const auto prefix = RandomTokens(10, 24);
-  const auto suffix = RandomTokens(6, 25);
-  const int64_t pid = mgr_->InternPrefix(prefix, pool_.get());
-  std::vector<int32_t> full = prefix;
-  full.insert(full.end(), suffix.begin(), suffix.end());
-
-  PagedKvSequence seq(pool_.get());
-  model_->Forward(full, &seq, mgr_->BeginSuffixCapture(50, pid));
-  mgr_->SealContext(50);
-  EXPECT_EQ(mgr_->GetPrefix(pid)->ref_count, 2);  // interner + capture
-
-  mgr_->ReleasePrefix(pid);  // interner is done; context 50 is not
-  ASSERT_NE(mgr_->GetPrefix(pid), nullptr) << "live capture must keep the prefix";
-
-  seq.Evict();
-  ASSERT_TRUE(mgr_->RestoreContext(50, pid, &seq));
-  PagedKvSequence ref(pool_.get());
-  model_->Forward(full, &ref);
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-    Tensor ka, va, kb, vb;
-    ref.ReadKv(layer, 0, ref.num_tokens(), &ka, &va);
-    seq.ReadKv(layer, 0, seq.num_tokens(), &kb, &vb);
-    EXPECT_TRUE(Tensor::BitwiseEqual(ka, kb)) << "K layer " << layer;
-    EXPECT_TRUE(Tensor::BitwiseEqual(va, vb)) << "V layer " << layer;
-  }
-
-  // DropContext releases the capture's reference — the LAST one — so the prefix
-  // and its chunks go away now, and only now.
-  mgr_->DropContext(50);
-  EXPECT_EQ(mgr_->GetPrefix(pid), nullptr);
-  EXPECT_EQ(store_->chunks_stored(), 0);
-}
-
-TEST_F(SharedPrefixTest, BytesDedupedTracksActiveCodec) {
-  // Regression: bytes_deduped() hardcoded sizeof(float), overstating fp16
-  // deployments 2x. It must report the encoded bytes a repeat intern actually
-  // avoided writing.
-  const auto prompt = RandomTokens(16, 26);
-
-  SharedPrefixManager fp16_mgr(model_.get(), store_.get(), /*chunk_tokens=*/8,
-                               ChunkCodec::kFp16);
-  const int64_t p16 = fp16_mgr.InternPrefix(prompt, pool_.get());
-  fp16_mgr.InternPrefix(prompt, pool_.get());
-  const int64_t fp16_saved = fp16_mgr.bytes_deduped();
-  EXPECT_EQ(fp16_saved, fp16_mgr.GetPrefix(p16)->encoded_bytes);
-  fp16_mgr.ReleasePrefix(p16);
-  fp16_mgr.ReleasePrefix(p16);
-
-  const int64_t p32 = mgr_->InternPrefix(prompt, pool_.get());
-  mgr_->InternPrefix(prompt, pool_.get());
-  const int64_t fp32_saved = mgr_->bytes_deduped();
-  EXPECT_EQ(fp32_saved, mgr_->GetPrefix(p32)->encoded_bytes);
-
-  // fp16 rows are half the fp32 rows; headers keep the ratio from being exactly 2.
-  EXPECT_LT(fp16_saved, fp32_saved);
-  EXPECT_GT(fp16_saved, fp32_saved / 4);
-  // And the figure is the store's truth, not a sizeof(float) estimate: what the
-  // writer reported persisting for one prefix copy.
-  const int64_t naive = cfg_.num_layers * static_cast<int64_t>(prompt.size()) *
-                        cfg_.hidden_dim * static_cast<int64_t>(sizeof(float));
-  EXPECT_NE(fp16_saved, naive);
-}
-
-TEST_F(SharedPrefixTest, DedupStoreSharesIdenticalSuffixChunksAcrossContexts) {
-  // The manager over the content-addressed plane: two contexts that happen to save
-  // byte-identical suffix states single-instance in the store with no manager
-  // involvement, and restores stay bit-exact.
-  DedupBackend dedup(store_.get());
-  SharedPrefixManager mgr(model_.get(), &dedup, /*chunk_tokens=*/8);
-  const auto prefix = RandomTokens(8, 27);
-  const auto suffix = RandomTokens(8, 28);  // chunk-aligned: identical full chunks
-  const int64_t pid = mgr.InternPrefix(prefix, pool_.get());
-  std::vector<int32_t> full = prefix;
-  full.insert(full.end(), suffix.begin(), suffix.end());
-
-  PagedKvSequence sa(pool_.get()), sb(pool_.get());
-  model_->Forward(full, &sa, mgr.BeginSuffixCapture(60, pid));
-  model_->Forward(full, &sb, mgr.BeginSuffixCapture(61, pid));
-  mgr.SealContext(60);
-  mgr.SealContext(61);
-
-  const StorageStats s = dedup.Stats();
-  EXPECT_GT(s.dedup_hits, 0) << "identical suffix chunks must dedup in the store";
-  EXPECT_LT(s.unique_chunks, s.chunks_stored);
-
-  sa.Evict();
-  ASSERT_TRUE(mgr.RestoreContext(60, pid, &sa));
-  PagedKvSequence ref(pool_.get());
-  model_->Forward(full, &ref);
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-    Tensor ka, va, kb, vb;
-    ref.ReadKv(layer, 0, ref.num_tokens(), &ka, &va);
-    sa.ReadKv(layer, 0, sa.num_tokens(), &kb, &vb);
-    EXPECT_TRUE(Tensor::BitwiseEqual(ka, kb)) << "K layer " << layer;
-    EXPECT_TRUE(Tensor::BitwiseEqual(va, vb)) << "V layer " << layer;
-  }
-  mgr.DropContext(60);
-  mgr.DropContext(61);
-  mgr.ReleasePrefix(pid);
-  EXPECT_EQ(dedup.Stats().chunks_stored, 0);
-  EXPECT_EQ(dedup.PhysicalBytes(), 0);
-}
-
-TEST_F(SharedPrefixTest, RestoreFailsWhenSuffixMissing) {
-  const auto prefix = RandomTokens(8, 12);
-  const int64_t pid = mgr_->InternPrefix(prefix, pool_.get());
-  std::vector<int32_t> full = prefix;
-  const auto suffix = RandomTokens(4, 13);
-  full.insert(full.end(), suffix.begin(), suffix.end());
-  PagedKvSequence seq(pool_.get());
-  model_->Forward(full, &seq, mgr_->BeginSuffixCapture(30, pid));
-  mgr_->SealContext(30);
-  seq.Evict();
-  mgr_->DropContext(30);  // lose the suffix, keep the prefix
-  EXPECT_FALSE(mgr_->RestoreContext(30, pid, &seq));
-  EXPECT_FALSE(seq.has_kv());
-  EXPECT_EQ(seq.num_tokens(), 12);
-}
+INSTANTIATE_TEST_SUITE_P(Codecs, SharedPrefixTest,
+                         ::testing::Values(ChunkCodec::kFp32, ChunkCodec::kFp16,
+                                           ChunkCodec::kInt8),
+                         [](const ::testing::TestParamInfo<ChunkCodec>& info) {
+                           return std::string(ChunkCodecName(info.param));
+                         });
 
 }  // namespace
 }  // namespace hcache

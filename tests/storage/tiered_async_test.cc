@@ -287,9 +287,8 @@ TEST(TieredAsyncTest, HighWaterMarkStallsWritersUntilTheDrainerCatchesUp) {
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
   cold.set_io_latency_micros(5000);  // 5ms per flush: the drainer lags the writer
-  TieredOptions o = AsyncOpts();
-  o.high_water_factor = 1.0;  // stall threshold: capacity + 4 chunks of slack
-  TieredBackend tiered(&cold, kChunkBytes, o);
+  // Writers stall once queued-for-drain bytes exceed capacity + 4 chunks of slack.
+  TieredBackend tiered(&cold, kChunkBytes, AsyncOpts());
 
   const auto data = Payload(kChunkBytes, 's');
   constexpr int64_t kContexts = 24;
