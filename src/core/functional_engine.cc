@@ -7,9 +7,16 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/storage/codec.h"
 
 namespace hcache {
+namespace {
+
+const ModelConfig& ConfigOf(const Transformer* model) {
+  CHECK(model != nullptr);
+  return model->config();
+}
+
+}  // namespace
 
 FunctionalHCache::FunctionalHCache(Transformer* model, StorageBackend* store,
                                    ThreadPool* flush_pool, int64_t chunk_tokens,
@@ -18,14 +25,9 @@ FunctionalHCache::FunctionalHCache(Transformer* model, StorageBackend* store,
       store_(store),
       flush_pool_(flush_pool),
       chunk_tokens_(chunk_tokens),
-      codec_(codec) {
-  CHECK(model != nullptr);
-  CHECK(store != nullptr);
-  // KV chunks carry K and V interleaved per token: rows are 2 * kv_dim wide.
-  const int64_t kv_chunk_bytes =
-      EncodedChunkBytes(codec_, chunk_tokens_, 2 * model_->config().kv_dim());
-  CHECK_LE(kv_chunk_bytes, store_->chunk_bytes()) << "chunk store too small for KV chunks";
-}
+      codec_(codec),
+      hidden_reader_(store, HiddenChunkGeometry(ConfigOf(model)), chunk_tokens),
+      kv_reader_(store, KvChunkGeometry(ConfigOf(model)), chunk_tokens) {}
 
 HiddenStateSink* FunctionalHCache::BeginCapture(int64_t context_id) {
   auto& writer = writers_[context_id];
@@ -42,114 +44,46 @@ void FunctionalHCache::SealContext(int64_t context_id) {
   it->second->Seal();
 }
 
-void FunctionalHCache::SaveKvLayer(int64_t context_id, const PagedKvSequence& seq,
-                                   int64_t layer) {
-  const ModelConfig& cfg = model_->config();
-  const int64_t n = seq.num_tokens();
-  const int64_t kv_dim = cfg.kv_dim();
-  const int64_t row_floats = 2 * kv_dim;
-  const int64_t row_stride = CodecRowBytes(codec_, row_floats);
-  const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
-  std::vector<uint8_t> payload(
-      static_cast<size_t>(EncodedChunkBytes(codec_, chunk_tokens_, row_floats)));
-  std::vector<float> row_buf(static_cast<size_t>(row_floats));
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const int64_t first = c * chunk_tokens_;
-    const int64_t count = std::min(chunk_tokens_, n - first);
-    for (int64_t i = 0; i < count; ++i) {
-      // Gather the token's K and V halves once, then encode straight into the chunk —
-      // the interleaved [K | V] row is never staged as a second FP32 buffer.
-      std::memcpy(row_buf.data(), seq.KeyRow(layer, first + i),
-                  static_cast<size_t>(kv_dim) * sizeof(float));
-      std::memcpy(row_buf.data() + kv_dim, seq.ValueRow(layer, first + i),
-                  static_cast<size_t>(kv_dim) * sizeof(float));
-      EncodeRowsInto(codec_, row_buf.data(), row_floats, 1, row_floats,
-                     payload.data() + sizeof(ChunkHeader) + i * row_stride);
-    }
-    WriteChunkHeader(codec_, count, row_floats, payload.data());
-    const ChunkKey key{context_id, kKvLayerBase + layer, c};
-    CHECK(store_->WriteChunk(key, payload.data(),
-                             static_cast<int64_t>(sizeof(ChunkHeader)) + count * row_stride));
-  }
-}
-
 void FunctionalHCache::SaveKvLayers(int64_t context_id, const PagedKvSequence& seq,
                                     const std::vector<int64_t>& layers) {
   CHECK(seq.has_kv());
-  for (int64_t layer : layers) {
-    SaveKvLayer(context_id, seq, layer);
+  // No flush pool: the chunks must be stored before this returns anyway, and a pooled
+  // flush would only keep more payload buffers in flight.
+  auto& writer = kv_writers_[context_id];
+  if (writer == nullptr) {
+    writer = std::make_unique<HiddenStateWriter>(store_, /*flush_pool=*/nullptr,
+                                                 KvChunkGeometry(model_->config()),
+                                                 context_id, chunk_tokens_, codec_);
   }
-}
-
-bool FunctionalHCache::LoadKvLayer(int64_t context_id, int64_t layer, int64_t n, Tensor* k,
-                                   Tensor* v) const {
-  const ModelConfig& cfg = model_->config();
-  const int64_t kv_dim = cfg.kv_dim();
-  const int64_t row_floats = 2 * kv_dim;
-  *k = Tensor({n, kv_dim});
-  *v = Tensor({n, kv_dim});
-  const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
-  const int64_t chunk_cap =
-      EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens_, row_floats);
-  std::vector<uint8_t> buf(static_cast<size_t>(num_chunks * chunk_cap));
-  // One batched submission for the layer's chunks (see HiddenStateReader: the
-  // backend overlaps the fetches instead of paying per-chunk round trips).
-  std::vector<ChunkReadRequest> reqs(static_cast<size_t>(num_chunks));
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    reqs[static_cast<size_t>(c)] =
-        ChunkReadRequest{ChunkKey{context_id, kKvLayerBase + layer, c},
-                         buf.data() + c * chunk_cap, chunk_cap, /*result=*/-1};
-  }
-  store_->ReadChunks(reqs);
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const uint8_t* chunk = buf.data() + c * chunk_cap;
-    const int64_t got = reqs[static_cast<size_t>(c)].result;
-    const int64_t first = c * chunk_tokens_;
-    const int64_t count = std::min(chunk_tokens_, n - first);
-    ChunkInfo info;
-    if (got <= 0 || !InspectChunk(chunk, got, row_floats, &info) ||
-        info.cols != row_floats || info.rows < count) {
-      HCACHE_LOG_ERROR << "KV chunk "
-                       << (got == kChunkCorrupt ? "corrupt" : "missing/short")
-                       << ": ctx=" << context_id << " L=" << layer << " C=" << c;
-      return false;
+  const int64_t kv_dim = model_->config().kv_dim();
+  const size_t half_bytes = static_cast<size_t>(kv_dim) * sizeof(float);
+  Tensor row({1, 2 * kv_dim});  // one token's [K | V]
+  for (const int64_t layer : layers) {
+    for (auto t = static_cast<int32_t>(writer->tokens_saved(layer)); t < seq.num_tokens();
+         ++t) {
+      std::memcpy(row.row(0), seq.KeyRow(layer, t), half_bytes);
+      std::memcpy(row.row(0) + kv_dim, seq.ValueRow(layer, t), half_bytes);
+      writer->OnLayerInput(layer, row, &t, 1);
     }
-    // Fused decode + de-interleave: each stored [K | V] row dequantizes directly into
-    // the two destination tensors via column sub-ranges — no FP32 staging pass.
-    DecodeChunkRange(chunk, got, info, 0, count, 0, kv_dim, k->row(first), kv_dim);
-    DecodeChunkRange(chunk, got, info, 0, count, kv_dim, row_floats, v->row(first),
-                     kv_dim);
   }
-  return true;
+  writer->Seal();
 }
 
 bool FunctionalHCache::CanRestore(int64_t context_id, const PartitionScheme& scheme,
                                   int64_t n) const {
-  const ModelConfig& cfg = model_->config();
-  const HiddenStateReader reader(store_, cfg, chunk_tokens_);
-  const int64_t first_hidden =
-      scheme.complement == ComplementMethod::kRecompute ? scheme.layers_other : 0;
-  for (int64_t layer = first_hidden; layer < first_hidden + scheme.layers_hidden; ++layer) {
-    if (!reader.LayerComplete(context_id, layer, n, codec_)) {
-      return false;
-    }
-  }
-  if (scheme.complement == ComplementMethod::kKvOffload) {
-    const int64_t kv_row_floats = 2 * cfg.kv_dim();
-    const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
-    for (int64_t layer = scheme.layers_hidden; layer < cfg.num_layers; ++layer) {
-      for (int64_t c = 0; c < num_chunks; ++c) {
-        const int64_t first = c * chunk_tokens_;
-        const int64_t want = std::min(chunk_tokens_, n - first);
-        if (!ChunkSizeCoversRows(
-                store_->ChunkSize(ChunkKey{context_id, kKvLayerBase + layer, c}), want,
-                chunk_tokens_, kv_row_floats, codec_)) {
-          return false;
-        }
+  const auto complete = [&](const HiddenStateReader& reader, int64_t first, int64_t last) {
+    for (int64_t layer = first; layer < last; ++layer) {
+      if (!reader.LayerComplete(context_id, layer, n, codec_)) {
+        return false;
       }
     }
-  }
-  return true;
+    return true;
+  };
+  const int64_t first_hidden =
+      scheme.complement == ComplementMethod::kRecompute ? scheme.layers_other : 0;
+  return complete(hidden_reader_, first_hidden, first_hidden + scheme.layers_hidden) &&
+         (scheme.complement != ComplementMethod::kKvOffload ||
+          complete(kv_reader_, scheme.layers_hidden, model_->config().num_layers));
 }
 
 bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme& scheme,
@@ -215,17 +149,18 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   // evicted" below.
   std::atomic<bool> load_failed{false};
   auto load = [&](LayerState& entry) {
+    bool ok = false;
     if (entry.from_hidden) {
-      Tensor hidden({n, cfg.hidden_dim});
-      if (!ReadHiddenInto(context_id, entry.layer, n, hidden.data())) {
-        load_failed.store(true, std::memory_order_release);
-        return;
-      }
-      entry.hidden = std::move(hidden);
+      entry.hidden = Tensor({n, cfg.hidden_dim});
+      ok = hidden_reader_.ReadLayerInto(context_id, entry.layer, n, entry.hidden.data());
     } else {
-      if (!LoadKvLayer(context_id, entry.layer, n, &entry.k, &entry.v)) {
-        load_failed.store(true, std::memory_order_release);
-      }
+      entry.k = Tensor({n, cfg.kv_dim()});
+      entry.v = Tensor({n, cfg.kv_dim()});
+      ok = kv_reader_.ReadLayerInto(context_id, entry.layer, n,
+                                    {entry.k.data(), entry.v.data()});
+    }
+    if (!ok) {
+      load_failed.store(true, std::memory_order_release);
     }
   };
   auto submit_load = [&](LayerState& entry) {
@@ -285,18 +220,17 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
 
 void FunctionalHCache::DropContext(int64_t context_id) {
   writers_.erase(context_id);
+  kv_writers_.erase(context_id);
   store_->DeleteContext(context_id);
 }
 
 bool FunctionalHCache::ReadHiddenInto(int64_t context_id, int64_t layer, int64_t n,
                                       float* dst) const {
-  return HiddenStateReader(store_, model_->config(), chunk_tokens_)
-      .ReadLayerInto(context_id, layer, n, dst);
+  return hidden_reader_.ReadLayerInto(context_id, layer, n, dst);
 }
 
 Tensor FunctionalHCache::ReadHidden(int64_t context_id, int64_t layer, int64_t n) const {
-  return HiddenStateReader(store_, model_->config(), chunk_tokens_)
-      .ReadLayer(context_id, layer, n);
+  return hidden_reader_.ReadLayer(context_id, layer, n);
 }
 
 }  // namespace hcache

@@ -29,7 +29,8 @@ class FunctionalHCache {
  public:
   // `model`, `store`, and `flush_pool` must outlive the engine. `flush_pool` may be
   // null (synchronous chunk flushes). A single store holds both hidden-state and KV
-  // chunks; KV chunks live in a disjoint layer-key namespace. `codec` selects the
+  // chunks; KV chunks live in a disjoint layer-key namespace (kKvLayerBase) and go
+  // through the same HiddenStateWriter / HiddenStateReader. `codec` selects the
   // stored precision of both chunk kinds: kFp32 (default) restores bit-exactly;
   // kFp16/kInt8 halve/quarter stored bytes with a bounded, deterministic error
   // (identical restored floats on every backend).
@@ -45,7 +46,10 @@ class FunctionalHCache {
   void SealContext(int64_t context_id);
 
   // Persists the KV cache of `layers` (paper: the last L_O layers under a KV-offload
-  // complement) from the sequence to the store. Call before Evict.
+  // complement) from the sequence to the store. Call before Evict; returns once the
+  // chunks are stored. Append-only like hidden-state capture: each call writes only
+  // the rows this context has not saved yet, rewriting from its partial tail chunk
+  // onward. After DropContext the next call starts again at row 0.
   void SaveKvLayers(int64_t context_id, const PagedKvSequence& seq,
                     const std::vector<int64_t>& layers);
 
@@ -59,12 +63,13 @@ class FunctionalHCache {
                       const std::vector<int32_t>& history_tokens, PagedKvSequence* seq);
 
   // True when everything `scheme` needs to restore `n` tokens of this context is
-  // durably stored (hidden chunks for hidden layers, KV chunks for offloaded layers).
-  // A size-only probe; RestoreContext does not call it, because its batched reads
-  // detect missing, short and corrupt chunks themselves.
+  // durably stored (hidden chunks for hidden layers, KV chunks for offloaded layers):
+  // HiddenStateReader::LayerComplete over each kind's geometry. A size-only probe;
+  // RestoreContext does not call it, because its batched reads detect missing, short
+  // and corrupt chunks themselves.
   bool CanRestore(int64_t context_id, const PartitionScheme& scheme, int64_t n) const;
 
-  // Deletes all stored state for the context.
+  // Deletes all stored state for the context and forgets its writers.
   void DropContext(int64_t context_id);
 
   // Reads one layer's hidden states back (test/inspection hook).
@@ -78,21 +83,15 @@ class FunctionalHCache {
   ChunkCodec codec() const { return codec_; }
 
  private:
-  // KV chunks are stored under layer' = kKvLayerBase + layer so they never collide
-  // with hidden-state chunks of the same context.
-  static constexpr int64_t kKvLayerBase = 1'000'000;
-
-  void SaveKvLayer(int64_t context_id, const PagedKvSequence& seq, int64_t layer);
-  // False (with a log) when any covering KV chunk is missing, short, or detected
-  // corrupt — RestoreContext unwinds to "still evicted" and reports failure.
-  bool LoadKvLayer(int64_t context_id, int64_t layer, int64_t n, Tensor* k, Tensor* v) const;
-
   Transformer* model_;
   StorageBackend* store_;
   ThreadPool* flush_pool_;
   int64_t chunk_tokens_;
   ChunkCodec codec_;
+  HiddenStateReader hidden_reader_;
+  HiddenStateReader kv_reader_;
   std::map<int64_t, std::unique_ptr<HiddenStateWriter>> writers_;
+  std::map<int64_t, std::unique_ptr<HiddenStateWriter>> kv_writers_;
 };
 
 }  // namespace hcache

@@ -573,8 +573,7 @@ double ClusterReport::ReplicaRoundSkew() const {
 ClusterEngine::ClusterEngine(const Platform& replica_platform, const ModelConfig& cfg,
                              const ClusterOptions& options, StorageBackend* shared_backend)
     : options_(options),
-      router_(MakeRouter(options.router, options.router_seed,
-                         options.sticky_spill_margin_tokens)),
+      router_(MakeRouter(options.router, kRouterSeed)),
       shared_backend_(shared_backend) {
   CHECK_GT(options_.num_replicas, 0);
   CHECK_LE(options_.initial_replicas, options_.num_replicas);

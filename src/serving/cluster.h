@@ -56,11 +56,17 @@ class SessionRouter {
   virtual std::string Name() const = 0;
 };
 
+// Seed of the cluster's router (only kPowerOfTwo draws from it).
+inline constexpr uint64_t kRouterSeed = 0x5e5510f;
+// The cluster's kStickyWithSpill margin: roughly one whale context's worth of work.
+inline constexpr int64_t kStickySpillMarginTokens = 16384;
+
 // `sticky_spill_margin_tokens` only affects kStickyWithSpill: the home replica is
 // abandoned for this round when its queued token demand exceeds the least-loaded
-// replica's by more than the margin (roughly one whale context's worth of work).
+// replica's by more than the margin.
 std::unique_ptr<SessionRouter> MakeRouter(RouterPolicy policy, uint64_t seed,
-                                          int64_t sticky_spill_margin_tokens = 16384);
+                                          int64_t sticky_spill_margin_tokens =
+                                              kStickySpillMarginTokens);
 
 // A scripted fleet transition fired at a simulation time: fail-stop a replica
 // (kKill), gracefully retire one (kDrain), or revive a down one (kScaleUp).
@@ -214,8 +220,6 @@ struct ClusterOptions {
   // PRs 4-9, reproduced bit-for-bit when autoscaler/events/arrivals stay default).
   int initial_replicas = 0;
   RouterPolicy router = RouterPolicy::kLeastLoadedTokens;
-  uint64_t router_seed = 0x5e5510f;
-  int64_t sticky_spill_margin_tokens = 16384;
   // Step the replicas concurrently (shared thread pool) within each global-clock
   // iteration. Simulated results are byte-identical to the serial schedule — replica
   // state is disjoint and completions merge in id order — but the replicas' state

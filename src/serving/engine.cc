@@ -114,7 +114,7 @@ ServingReport ServingEngine::RunLongContextSerial(
     double compute_busy = 0;
     const double restore = RestoreTime(req.context_tokens, &compute_busy);
     const double prefill = gpu_.PrefillTime(cfg_, req.input_tokens);
-    const double ttft = options_.request_overhead + restore + prefill;
+    const double ttft = kRequestOverheadS + restore + prefill;
     report.ttft.Add(ttft);
     now += ttft;
     for (int64_t i = 1; i < req.output_tokens; ++i) {
@@ -148,7 +148,7 @@ ServingReport ServingEngine::RunWithGpuCache(
     }
     cache.Insert(context_ids[i], req.context_tokens);
     const double ttft =
-        options_.request_overhead + restore + gpu_.PrefillTime(cfg_, req.input_tokens);
+        kRequestOverheadS + restore + gpu_.PrefillTime(cfg_, req.input_tokens);
     report.ttft.Add(ttft);
     now += ttft;
     ++report.rounds_completed;
@@ -162,7 +162,7 @@ ServingReport ServingEngine::RunWithGpuCache(
 // ===== stepped simulation core =====
 
 // Encoded bytes one history token's descriptor occupies under the configured codec.
-// `state_bytes_per_token` is the FP32-equivalent stand-in size; the codec's byte ratio
+// kStateBytesPerToken is the FP32-equivalent stand-in size; the codec's byte ratio
 // is taken at the REAL per-token row width (hidden_dim elements), so the INT8 per-row
 // scale amortizes as it does in the actual storage plane instead of being charged
 // against the tiny stand-in row (which would make int8 look bigger than fp16).
@@ -171,7 +171,7 @@ int64_t ServingEngine::EncodedStateBytesPerToken() const {
   const double ratio =
       static_cast<double>(CodecRowBytes(options_.state_codec, cfg_.hidden_dim)) / fp32_row;
   const auto bytes = static_cast<int64_t>(
-      static_cast<double>(options_.state_bytes_per_token) * ratio + 0.5);
+      static_cast<double>(kStateBytesPerToken) * ratio + 0.5);
   return std::max<int64_t>(1, bytes);
 }
 
@@ -189,12 +189,11 @@ void ServingEngine::StartExternal() {
   report_.state_codec = options_.state_codec;
 
   // Context state is persisted through the configured backend as descriptor chunks
-  // (state_bytes_per_token per history token, context id = session id). Saving appends
+  // (kStateBytesPerToken per history token, context id = session id). Saving appends
   // from the first incomplete chunk (the two-stage saver's seal-and-rewrite pattern);
   // restoration streams every chunk back, which is what drives per-tier hit counts.
   StorageBackend* backend = options_.state_backend;
   if (backend != nullptr) {
-    CHECK_GT(options_.state_bytes_per_token, 0) << "state_bytes_per_token must be positive";
     CHECK_LE(EncodedStateBytesPerToken(), backend->chunk_bytes())
         << "encoded state bytes per token exceed the backend's chunk capacity";
     chunk_capacity_tokens_ =
@@ -223,7 +222,7 @@ void ServingEngine::SaveState(int64_t session, int64_t old_tokens, int64_t new_t
                         chunk_tokens * encoded_bpt);
   }
   const int64_t appended = new_tokens - old_tokens;
-  report_.state_logical_bytes += appended * options_.state_bytes_per_token;
+  report_.state_logical_bytes += appended * kStateBytesPerToken;
   report_.state_encoded_bytes += appended * encoded_bpt;
 }
 
@@ -436,7 +435,7 @@ void ServingEngine::Advance(double until, std::vector<RoundCompletion>* done) {
                                         cfg_, static_cast<int64_t>(decode_.size()), total_ctx);
     int64_t chunk = 0;
     const bool can_prefill =
-        !prefill_q_.empty() && static_cast<int64_t>(decode_.size()) < options_.max_batch_size;
+        !prefill_q_.empty() && static_cast<int64_t>(decode_.size()) < kMaxBatchSize;
     if (can_prefill) {
       chunk = std::min(options_.prefill_chunk_tokens, prefill_q_.front().prefill_remaining);
       iter += gpu_.PrefillTime(cfg_, chunk);
@@ -473,7 +472,7 @@ void ServingEngine::Advance(double until, std::vector<RoundCompletion>* done) {
       head.prefill_remaining -= chunk;
       if (head.prefill_remaining == 0) {
         // Prefill emits the first token.
-        report_.ttft.Add(now_ - head.r.arrival + options_.request_overhead);
+        report_.ttft.Add(now_ - head.r.arrival + kRequestOverheadS);
         head.decoded = 1;
         if (head.decoded >= head.r.output) {
           FinishRound(head, done);

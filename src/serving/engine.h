@@ -35,9 +35,21 @@ enum class SaveMode {
   kDirect,    // Fig 14 ablation: synchronous row-granular writes per layer
 };
 
+// Largest decode batch an engine runs per iteration.
+inline constexpr int64_t kMaxBatchSize = 32;
+// Fixed per-round engine overhead (scheduling, tokenization, API) added to TTFT, in
+// seconds.
+inline constexpr double kRequestOverheadS = 20e-3;
+// FP32-equivalent descriptor bytes per history token that RunConversations writes
+// through ServingOptions::state_backend: a scaled stand-in for the
+// hidden_dim * sizeof(float) * num_layers real footprint, keeping simulated runs cheap
+// while preserving relative context sizes for eviction decisions. The bytes actually
+// written — and the bytes the restoration stream is charged for — are this scaled by
+// ServingOptions::state_codec.
+inline constexpr int64_t kStateBytesPerToken = 8;
+
 struct ServingOptions {
   RestoreMethod method = RestoreMethod::kHCache;
-  int64_t max_batch_size = 32;
   int64_t prefill_chunk_tokens = 512;  // SplitFuse per-iteration prefill budget
   int64_t kv_capacity_tokens = 0;      // 0 = derive from HBM minus weights (§2.4)
   SaveMode save_mode = SaveMode::kTwoStage;
@@ -45,8 +57,6 @@ struct ServingOptions {
   // stay comfortably below kv_capacity_tokens or whales serialize admission).
   int64_t max_history_tokens = 16384;
   double max_sim_seconds = 7200.0;
-  // Fixed per-round engine overhead (scheduling, tokenization, API) added to TTFT.
-  double request_overhead = 20e-3;
   // Storage backend the engine registers evicted context state with (must outlive the
   // engine; may be shared across engines). When set, RunConversations writes each
   // completed round's state descriptor through it, reads it back before restoration,
@@ -55,12 +65,6 @@ struct ServingOptions {
   // storage accounting (timing is unaffected either way; the performance plane models
   // transfer time via Platform::storage).
   StorageBackend* state_backend = nullptr;
-  // FP32-equivalent descriptor bytes per history token (a scaled stand-in for the
-  // hidden_dim * sizeof(float) * num_layers real footprint, keeping simulated runs
-  // cheap while preserving relative context sizes for eviction decisions). The bytes
-  // actually written through `state_backend` — and the bytes the restoration stream
-  // is charged for — are this scaled by `state_codec`.
-  int64_t state_bytes_per_token = 8;
   // Storage precision of the hidden-state plane. kFp16 is the deployment default (the
   // paper sizes hidden-state IO for FP16 transport); kFp32 models the raw-float
   // strawman at 2x the bytes; kInt8 is the §7 CacheGen-style option. Affects both the

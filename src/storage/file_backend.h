@@ -130,10 +130,6 @@ class FileBackend : public StorageBackend {
   mutable int64_t crc_checked_bytes_ = 0;
 };
 
-// The storage layer's historical name for the file tier; kept so call sites reading
-// the paper's terminology ("chunk store") still resolve.
-using ChunkStore = FileBackend;
-
 }  // namespace hcache
 
 #endif  // HCACHE_SRC_STORAGE_FILE_BACKEND_H_

@@ -8,27 +8,30 @@
 namespace hcache {
 
 HiddenStateWriter::HiddenStateWriter(StorageBackend* store, ThreadPool* flush_pool,
-                                     const ModelConfig& cfg, int64_t context_id,
+                                     const ChunkGeometry& geometry, int64_t context_id,
                                      int64_t chunk_tokens, ChunkCodec codec)
     : store_(store),
       flush_pool_(flush_pool),
-      cfg_(cfg),
+      geometry_(geometry),
       context_id_(context_id),
       chunk_tokens_(chunk_tokens),
       codec_(codec),
-      row_stride_(CodecRowBytes(codec, cfg.hidden_dim)),
-      staging_bytes_(EncodedChunkBytes(codec, chunk_tokens, cfg.hidden_dim)),
-      layers_(static_cast<size_t>(cfg.num_layers)) {
+      row_stride_(CodecRowBytes(codec, geometry.cols)),
+      staging_bytes_(EncodedChunkBytes(codec, chunk_tokens, geometry.cols)),
+      layers_(static_cast<size_t>(geometry.num_layers)) {
   CHECK(store != nullptr);
   CHECK_GT(chunk_tokens_, 0);
   CHECK_LE(staging_bytes_, store_->chunk_bytes())
-      << "chunk store sized too small for " << cfg_.name << " under codec "
+      << "chunk store sized too small for " << geometry_.cols << "-element rows under codec "
       << ChunkCodecName(codec_);
-  for (auto& lb : layers_) {
-    lb.staging.resize(static_cast<size_t>(staging_bytes_));
-  }
   payload_pool_.reserve(16);
 }
+
+HiddenStateWriter::HiddenStateWriter(StorageBackend* store, ThreadPool* flush_pool,
+                                     const ModelConfig& cfg, int64_t context_id,
+                                     int64_t chunk_tokens, ChunkCodec codec)
+    : HiddenStateWriter(store, flush_pool, HiddenChunkGeometry(cfg), context_id, chunk_tokens,
+                        codec) {}
 
 HiddenStateWriter::~HiddenStateWriter() { Seal(); }
 
@@ -68,10 +71,13 @@ int64_t HiddenStateWriter::logical_bytes_written() const {
 void HiddenStateWriter::OnLayerInput(int64_t layer, const Tensor& hidden,
                                      const int32_t* positions, int64_t n) {
   CHECK_GE(layer, 0);
-  CHECK_LT(layer, cfg_.num_layers);
-  CHECK_EQ(hidden.dim(1), cfg_.hidden_dim);
+  CHECK_LT(layer, geometry_.num_layers);
+  CHECK_EQ(hidden.dim(1), geometry_.cols);
   LayerBuffer& lb = layers_[static_cast<size_t>(layer)];
-  const int64_t cols = cfg_.hidden_dim;
+  if (lb.staging.empty()) {
+    lb.staging.resize(static_cast<size_t>(staging_bytes_));
+  }
+  const int64_t cols = geometry_.cols;
   int64_t i = 0;
   while (i < n) {
     const int64_t take = std::min(chunk_tokens_ - lb.fill_tokens, n - i);
@@ -97,9 +103,9 @@ void HiddenStateWriter::FlushChunk(int64_t layer, LayerBuffer& lb) {
   // Stage 2: hand the encoded chunk to the flush pool (or write inline without one).
   const int64_t rows = lb.fill_tokens;
   const int64_t bytes = static_cast<int64_t>(sizeof(ChunkHeader)) + rows * row_stride_;
-  WriteChunkHeader(codec_, rows, cfg_.hidden_dim, lb.staging.data());
+  WriteChunkHeader(codec_, rows, geometry_.cols, lb.staging.data());
   auto payload = AcquirePayload();
-  const ChunkKey key{context_id_, layer, lb.open_chunk};
+  const ChunkKey key{context_id_, geometry_.layer_key_base + layer, lb.open_chunk};
   if (rows == chunk_tokens_) {
     // Full chunk: swap the sealed bytes out and continue staging into the recycled
     // buffer. A partial flush (Seal) copies instead and keeps the buffer + chunk index
@@ -114,7 +120,7 @@ void HiddenStateWriter::FlushChunk(int64_t layer, LayerBuffer& lb) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     encoded_bytes_written_ += bytes;
-    logical_bytes_written_ += rows * cfg_.hidden_dim * static_cast<int64_t>(sizeof(float));
+    logical_bytes_written_ += rows * geometry_.cols * static_cast<int64_t>(sizeof(float));
   }
   StorageBackend* store = store_;
   auto task = [this, store, key, bytes, payload]() mutable {
@@ -122,7 +128,7 @@ void HiddenStateWriter::FlushChunk(int64_t layer, LayerBuffer& lb) {
     // thread); the chunk simply stays absent and the restore's read of it fails
     // (FunctionalHCache::RestoreContext then leaves the sequence evicted).
     if (!store->WriteChunk(key, payload->data(), bytes)) {
-      HCACHE_LOG_ERROR << "hidden-state chunk flush failed: ctx=" << key.context_id
+      HCACHE_LOG_ERROR << "chunk flush failed: ctx=" << key.context_id
                        << " layer=" << key.layer << " chunk=" << key.chunk_index;
     }
     // Recycle regardless of outcome; Seal() drains the pool before `this` dies.
@@ -136,7 +142,7 @@ void HiddenStateWriter::FlushChunk(int64_t layer, LayerBuffer& lb) {
 }
 
 void HiddenStateWriter::Seal() {
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
+  for (int64_t layer = 0; layer < geometry_.num_layers; ++layer) {
     LayerBuffer& lb = layers_[static_cast<size_t>(layer)];
     if (lb.dirty && lb.fill_tokens > 0) {
       FlushChunk(layer, lb);
@@ -147,34 +153,32 @@ void HiddenStateWriter::Seal() {
   }
 }
 
-int64_t HiddenStateWriter::tokens_saved() const { return layers_.empty() ? 0 : layers_[0].tokens_seen; }
-
-DirectHiddenWriter::DirectHiddenWriter(StorageBackend* store, const ModelConfig& cfg,
-                                       int64_t context_id, int64_t chunk_tokens,
-                                       ChunkCodec codec)
-    : inner_(store, /*flush_pool=*/nullptr, cfg, context_id, chunk_tokens, codec) {}
-
-void DirectHiddenWriter::OnLayerInput(int64_t layer, const Tensor& hidden,
-                                      const int32_t* positions, int64_t n) {
-  // Row-granular synchronous persistence: in the real system each row is one small
-  // storage write stalling the layer; we account for them and reuse the chunk encoding
-  // so the read path stays identical.
-  synchronous_writes_ += n;
-  inner_.OnLayerInput(layer, hidden, positions, n);
+int64_t HiddenStateWriter::tokens_saved(int64_t layer) const {
+  return layers_.at(static_cast<size_t>(layer)).tokens_seen;
 }
 
-void DirectHiddenWriter::Seal() { inner_.Seal(); }
-
-HiddenStateReader::HiddenStateReader(const StorageBackend* store, const ModelConfig& cfg,
+HiddenStateReader::HiddenStateReader(const StorageBackend* store, const ChunkGeometry& geometry,
                                      int64_t chunk_tokens, bool verify)
-    : store_(store), cfg_(cfg), chunk_tokens_(chunk_tokens), verify_(verify) {
+    : store_(store), geometry_(geometry), chunk_tokens_(chunk_tokens), verify_(verify) {
   CHECK(store != nullptr);
 }
 
+HiddenStateReader::HiddenStateReader(const StorageBackend* store, const ModelConfig& cfg,
+                                     int64_t chunk_tokens, bool verify)
+    : HiddenStateReader(store, HiddenChunkGeometry(cfg), chunk_tokens, verify) {}
+
 bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
                                       float* dst) const {
+  return ReadLayerInto(context_id, layer, n, {dst});
+}
+
+bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
+                                      std::initializer_list<float*> dsts) const {
   CHECK_GT(n, 0);
-  const int64_t cols = cfg_.hidden_dim;
+  const int64_t cols = geometry_.cols;
+  const int64_t block_cols = cols / static_cast<int64_t>(dsts.size());
+  CHECK_EQ(block_cols * static_cast<int64_t>(dsts.size()), cols);
+  const int64_t key_layer = geometry_.layer_key_base + layer;
   const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
   // FP32 is the widest encoding, so its chunk size bounds every stored form
   // (including legacy headerless chunks, which lack the 16-byte header).
@@ -194,7 +198,7 @@ bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t
   std::vector<ChunkReadRequest> reqs(static_cast<size_t>(num_chunks));
   for (int64_t c = 0; c < num_chunks; ++c) {
     reqs[static_cast<size_t>(c)] =
-        ChunkReadRequest{ChunkKey{context_id, layer, c}, buf + c * chunk_cap,
+        ChunkReadRequest{ChunkKey{context_id, key_layer, c}, buf + c * chunk_cap,
                          chunk_cap, /*result=*/-1};
   }
   if (verify_) {
@@ -206,12 +210,11 @@ bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t
     const uint8_t* chunk = buf + c * chunk_cap;
     const int64_t got = reqs[static_cast<size_t>(c)].result;
     // Any failure (absent, detected-corrupt, bad geometry) fails the whole layer —
-    // a hidden-state tensor with a hole in it is worthless — but must not take the
+    // a state tensor with a hole in it is worthless — but must not take the
     // process down: the caller recomputes from tokens instead.
     if (got <= 0) {
-      HCACHE_LOG_ERROR << "hidden-state chunk "
-                       << (got == kChunkCorrupt ? "corrupt" : "missing")
-                       << ": ctx=" << context_id << " L=" << layer << " C=" << c;
+      HCACHE_LOG_ERROR << "chunk " << (got == kChunkCorrupt ? "corrupt" : "missing")
+                       << ": ctx=" << context_id << " L=" << key_layer << " C=" << c;
       return false;
     }
     ChunkInfo info;
@@ -219,21 +222,25 @@ bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t
     const int64_t want_tokens = std::min(chunk_tokens_, n - first_tok);
     if (!InspectChunk(chunk, got, cols, &info) || info.cols != cols ||
         info.rows < want_tokens) {
-      HCACHE_LOG_ERROR << "hidden-state chunk unparsable or short: ctx=" << context_id
-                       << " L=" << layer << " C=" << c << " bytes=" << got;
+      HCACHE_LOG_ERROR << "chunk unparsable or short: ctx=" << context_id
+                       << " L=" << key_layer << " C=" << c << " bytes=" << got;
       return false;
     }
-    // Fused decode: dequantize straight into the destination rows.
-    DecodeChunkRange(chunk, got, info, 0, want_tokens, 0, cols, dst + first_tok * cols,
-                     cols);
+    // Fused decode: dequantize each column block straight into its destination rows.
+    int64_t col = 0;
+    for (float* dst : dsts) {
+      DecodeChunkRange(chunk, got, info, 0, want_tokens, col, col + block_cols,
+                       dst + first_tok * block_cols, block_cols);
+      col += block_cols;
+    }
   }
   return true;
 }
 
 Tensor HiddenStateReader::ReadLayer(int64_t context_id, int64_t layer, int64_t n) const {
-  Tensor out({n, cfg_.hidden_dim});
+  Tensor out({n, geometry_.cols});
   CHECK(ReadLayerInto(context_id, layer, n, out.data()))
-      << "hidden-state read failed: ctx=" << context_id << " L=" << layer;
+      << "chunked read failed: ctx=" << context_id << " L=" << layer;
   return out;
 }
 
@@ -243,8 +250,9 @@ bool HiddenStateReader::LayerComplete(int64_t context_id, int64_t layer, int64_t
   for (int64_t c = 0; c < num_chunks; ++c) {
     const int64_t first_tok = c * chunk_tokens_;
     const int64_t want_tokens = std::min(chunk_tokens_, n - first_tok);
-    const int64_t size = store_->ChunkSize(ChunkKey{context_id, layer, c});
-    if (!ChunkSizeCoversRows(size, want_tokens, chunk_tokens_, cfg_.hidden_dim, expected)) {
+    const int64_t size =
+        store_->ChunkSize(ChunkKey{context_id, geometry_.layer_key_base + layer, c});
+    if (!ChunkSizeCoversRows(size, want_tokens, chunk_tokens_, geometry_.cols, expected)) {
       return false;
     }
   }
@@ -253,7 +261,7 @@ bool HiddenStateReader::LayerComplete(int64_t context_id, int64_t layer, int64_t
 
 bool HiddenStateReader::ContextComplete(int64_t context_id, int64_t n,
                                         ChunkCodec expected) const {
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
+  for (int64_t layer = 0; layer < geometry_.num_layers; ++layer) {
     if (!LayerComplete(context_id, layer, n, expected)) {
       return false;
     }

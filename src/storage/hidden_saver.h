@@ -13,12 +13,17 @@
 // are handed off by swapping the staging buffer with a pooled payload buffer that
 // returns to the pool when the write completes.
 //
-// `HiddenStateWriter` is the per-sequence sink; `DirectHiddenWriter` is the Fig 14
-// ablation variant that performs storage writes synchronously inside OnLayerInput.
+// `HiddenStateWriter` is the per-sequence sink and `HiddenStateReader` its readback.
+// Both carry any kind of chunked row state through a ChunkGeometry: the engine saves
+// and restores its KV-offload layers (interleaved [K | V] rows under kKvLayerBase)
+// through the same writer and reader as hidden states. The Fig 14 DirectIO ablation
+// (row-granular synchronous writes) is modeled by the serving simulator's
+// SaveMode::kDirect, not here.
 #ifndef HCACHE_SRC_STORAGE_HIDDEN_SAVER_H_
 #define HCACHE_SRC_STORAGE_HIDDEN_SAVER_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -34,15 +39,23 @@ namespace hcache {
 class HiddenStateWriter : public HiddenStateSink {
  public:
   // `flush_pool` may be null, in which case sealed chunks flush synchronously (still
-  // chunk-granular — the distinction DirectHiddenWriter ablates is *row*-granular
-  // synchronous writes). `codec` selects the stored precision; kFp32 round-trips
-  // bit-exactly (the functional default), kFp16/kInt8 trade bounded error for bytes.
+  // chunk-granular). `geometry` fixes the layers, row width and layer keys; a layer's
+  // staging buffer is allocated when its first row arrives, so a writer holds buffers
+  // only for the layers it is fed. `codec` selects the stored precision; kFp32
+  // round-trips bit-exactly (the functional default), kFp16/kInt8 trade bounded error
+  // for bytes.
+  HiddenStateWriter(StorageBackend* store, ThreadPool* flush_pool,
+                    const ChunkGeometry& geometry, int64_t context_id,
+                    int64_t chunk_tokens = kDefaultChunkTokens,
+                    ChunkCodec codec = ChunkCodec::kFp32);
+  // Hidden states of `cfg`: HiddenChunkGeometry(cfg).
   HiddenStateWriter(StorageBackend* store, ThreadPool* flush_pool, const ModelConfig& cfg,
                     int64_t context_id, int64_t chunk_tokens = kDefaultChunkTokens,
                     ChunkCodec codec = ChunkCodec::kFp32);
   ~HiddenStateWriter() override;
 
-  // Stage 1. Tokens must arrive append-only and contiguously per layer.
+  // Stage 1. Tokens must arrive append-only and contiguously per layer, as rows of
+  // geometry.cols elements.
   void OnLayerInput(int64_t layer, const Tensor& hidden, const int32_t* positions,
                     int64_t n) override;
 
@@ -53,7 +66,8 @@ class HiddenStateWriter : public HiddenStateSink {
   // rewritten in place, keeping the chunk/token mapping uniform for the reader.
   void Seal();
 
-  int64_t tokens_saved() const;
+  // Rows fed so far for `layer` (the next row it accepts).
+  int64_t tokens_saved(int64_t layer) const;
   int64_t context_id() const { return context_id_; }
   ChunkCodec codec() const { return codec_; }
 
@@ -69,7 +83,8 @@ class HiddenStateWriter : public HiddenStateSink {
 
  private:
   struct LayerBuffer {
-    std::vector<uint8_t> staging;  // ChunkHeader + chunk_tokens * row stride, encoded
+    std::vector<uint8_t> staging;  // ChunkHeader + chunk_tokens * row stride, encoded;
+                                   // empty until the layer's first row
     int64_t fill_tokens = 0;       // rows currently staged
     int64_t open_chunk = 0;        // chunk index the staging buffer maps to
     int64_t tokens_seen = 0;       // append-only position check
@@ -87,7 +102,7 @@ class HiddenStateWriter : public HiddenStateSink {
 
   StorageBackend* store_;
   ThreadPool* flush_pool_;
-  ModelConfig cfg_;
+  ChunkGeometry geometry_;
   int64_t context_id_;
   int64_t chunk_tokens_;
   ChunkCodec codec_;
@@ -107,31 +122,10 @@ class HiddenStateWriter : public HiddenStateSink {
   int64_t logical_bytes_written_ = 0;
 };
 
-// Ablation: byte-for-byte the same data, but every OnLayerInput call writes its rows
-// straight to the store (the "DirectIO" baseline of Fig 14 — small synchronous writes
-// on the critical path).
-class DirectHiddenWriter : public HiddenStateSink {
- public:
-  DirectHiddenWriter(StorageBackend* store, const ModelConfig& cfg, int64_t context_id,
-                     int64_t chunk_tokens = kDefaultChunkTokens,
-                     ChunkCodec codec = ChunkCodec::kFp32);
-
-  void OnLayerInput(int64_t layer, const Tensor& hidden, const int32_t* positions,
-                    int64_t n) override;
-  void Seal();
-
-  int64_t synchronous_writes() const { return synchronous_writes_; }
-
- private:
-  // Delegates data handling to a synchronous writer but counts the row-granular writes
-  // the real system would issue.
-  HiddenStateWriter inner_;
-  int64_t synchronous_writes_ = 0;
-};
-
-// Reassembles a layer's hidden states from chunks, in token order — the
-// token-before-layer read path of Fig 6b. Chunks are self-describing, so one reader
-// handles any mix of codecs (and legacy headerless FP32 chunks) within a context.
+// Reassembles a layer's rows from chunks, in token order — the token-before-layer
+// read path of Fig 6b. Chunks are self-describing, so one reader handles any mix of
+// codecs (and legacy headerless FP32 chunks) within a context. The geometry selects
+// the kind of state read (hidden states by default, or offloaded KV).
 class HiddenStateReader {
  public:
   // `verify` selects the batched read flavor ReadLayerInto submits: true (the
@@ -139,6 +133,9 @@ class HiddenStateReader {
   // raw bytes (ReadChunksUnverified) — for trusted-memory deployments that opt out
   // and for the bench row that measures exactly what verification costs, since the
   // two flavors share every other instruction of the restore path.
+  HiddenStateReader(const StorageBackend* store, const ChunkGeometry& geometry,
+                    int64_t chunk_tokens = kDefaultChunkTokens, bool verify = true);
+  // Hidden states of `cfg`: HiddenChunkGeometry(cfg).
   HiddenStateReader(const StorageBackend* store, const ModelConfig& cfg,
                     int64_t chunk_tokens = kDefaultChunkTokens, bool verify = true);
 
@@ -146,14 +143,20 @@ class HiddenStateReader {
   // corrupt — use only where absence is a programming error (tests, benches).
   Tensor ReadLayer(int64_t context_id, int64_t layer, int64_t n) const;
 
-  // Same, but decodes straight into `dst` ([n, hidden_dim] row-major floats) — the
+  // Same, but decodes straight into `dst` ([n, geometry.cols] row-major floats) — the
   // fused path: dequantization writes the projection GEMM's input buffer directly,
   // with no intermediate FP32 chunk staging. Returns false (logging the failing
   // chunk) when any covering chunk is missing, short, or detected corrupt; `dst`
   // contents are then unspecified and the caller falls back to recomputation.
   bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n, float* dst) const;
 
-  // True when every chunk covering tokens [0, n) of every layer exists. `expected` is
+  // Same, for rows read as equal-width column blocks: block i of every row decodes
+  // into dsts[i] ([n, geometry.cols / dsts.size()]). A KV reader splits each
+  // [K | V] row into separate K and V tensors this way, with no staging pass.
+  bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
+                     std::initializer_list<float*> dsts) const;
+
+  // True when every chunk covering tokens [0, n) of every geometry layer exists. `expected` is
   // the codec this context's writer is configured with (legacy headerless FP32 chunks
   // are always additionally accepted); pinning it keeps a partially saved chunk from
   // size-aliasing to a complete chunk of a different codec.
@@ -167,7 +170,7 @@ class HiddenStateReader {
 
  private:
   const StorageBackend* store_;
-  ModelConfig cfg_;
+  ChunkGeometry geometry_;
   int64_t chunk_tokens_;
   bool verify_;
 };

@@ -92,6 +92,28 @@ inline constexpr uint16_t kChunkFormatVersion = 2;
 // Size of the v1 header (everything before the CRC fields); v1 chunks still parse.
 inline constexpr int64_t kChunkHeaderBytesV1 = 16;
 
+// Chunk keys: a context's hidden-state chunks sit under the model layer index, its
+// KV-offload chunks under kKvLayerBase + layer, so the two kinds never collide.
+inline constexpr int64_t kKvLayerBase = 1'000'000;
+
+// The shape of one kind of chunked row state: `num_layers` layers of `cols`-element
+// rows, stored under layer keys `layer_key_base + layer`.
+struct ChunkGeometry {
+  int64_t num_layers = 0;
+  int64_t cols = 0;
+  int64_t layer_key_base = 0;
+};
+
+// Hidden states: one hidden_dim row per token and layer.
+inline ChunkGeometry HiddenChunkGeometry(const ModelConfig& cfg) {
+  return {cfg.num_layers, cfg.hidden_dim, 0};
+}
+
+// Offloaded KV: one interleaved [K | V] row (2 * kv_dim) per token and layer.
+inline ChunkGeometry KvChunkGeometry(const ModelConfig& cfg) {
+  return {cfg.num_layers, 2 * cfg.kv_dim(), kKvLayerBase};
+}
+
 // Total stored size of an encoded chunk: header + rows * CodecRowBytes.
 int64_t EncodedChunkBytes(ChunkCodec codec, int64_t rows, int64_t cols);
 
@@ -111,7 +133,7 @@ inline int64_t LegacyChunkRows(int64_t stored_bytes, int64_t cols) {
 // True when `stored_bytes` is the exact size of a valid chunk — encoded under
 // `expected` (the codec the context's writer is configured with), or legacy headerless
 // FP32 — holding between `min_rows` and `max_rows` rows of `cols` elements. The
-// existence check completeness scans (LayerComplete, CanRestore) use when only
+// existence check completeness scans (HiddenStateReader::LayerComplete) use when only
 // ChunkSize() is known: a partially saved chunk fails both interpretations, so
 // restoration reports the context incomplete and the caller falls back to recompute
 // instead of CHECK-failing mid-decode. The codec must be pinned by the caller —

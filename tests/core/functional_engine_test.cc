@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "src/common/rng.h"
+#include "src/storage/codec.h"
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
@@ -359,6 +360,90 @@ TEST_F(FunctionalEngineTest, ReadHiddenMatchesCapture) {
     EXPECT_EQ(h0.at(0, d), weights_->embedding.at(prompt[0], d));
   }
 }
+
+// Multi-round KV offload under each stored precision. KV saving is append-only, so a
+// later round writes only from the previous round's partial tail chunk onward.
+class KvOffloadRoundsTest : public FunctionalEngineTest,
+                            public ::testing::WithParamInterface<ChunkCodec> {
+ protected:
+  static constexpr int64_t kCtx = 1;
+  static constexpr int64_t kChunk = 8;
+  const std::vector<int64_t> kv_layers_ = {2, 3};
+
+  // The KV a save of `t` must restore: bit-exact under fp32, its fp16 round trip
+  // under fp16.
+  Tensor Stored(const Tensor& t) const {
+    Tensor out = t.Clone();
+    if (GetParam() == ChunkCodec::kFp16) {
+      for (int64_t i = 0; i < out.numel(); ++i) {
+        out.at(i) = Fp16BitsToFp32(Fp32ToFp16Bits(out.at(i)));
+      }
+    }
+    return out;
+  }
+
+  // Seals the context and saves its KV-offload layers, then evicts `seq` and restores
+  // it. Expects the offloaded layers back as they were at save time and, under fp32,
+  // every layer bit-exact against a fresh forward of `history`. Returns the chunk
+  // writes the KV save issued.
+  int64_t SaveEvictRestore(FunctionalHCache& engine, const MemoryBackend& store,
+                           const std::vector<int32_t>& history, PagedKvSequence* seq) {
+    engine.SealContext(kCtx);
+    const int64_t writes_before = store.total_writes();
+    engine.SaveKvLayers(kCtx, *seq, kv_layers_);
+    const int64_t kv_writes = store.total_writes() - writes_before;
+    const int64_t n = seq->num_tokens();
+    std::vector<Tensor> saved_k(kv_layers_.size()), saved_v(kv_layers_.size());
+    for (size_t j = 0; j < kv_layers_.size(); ++j) {
+      seq->ReadKv(kv_layers_[j], 0, n, &saved_k[j], &saved_v[j]);
+    }
+    seq->Evict();
+    EXPECT_TRUE(engine.RestoreContext(kCtx, Scheme(2, ComplementMethod::kKvOffload), {}, seq));
+    for (size_t j = 0; j < kv_layers_.size(); ++j) {
+      Tensor k, v;
+      seq->ReadKv(kv_layers_[j], 0, n, &k, &v);
+      EXPECT_TRUE(Tensor::BitwiseEqual(k, Stored(saved_k[j]))) << "K layer " << kv_layers_[j];
+      EXPECT_TRUE(Tensor::BitwiseEqual(v, Stored(saved_v[j]))) << "V layer " << kv_layers_[j];
+    }
+    if (GetParam() == ChunkCodec::kFp32) {
+      PagedKvSequence ref(pool_.get());
+      model_->Forward(history, &ref);
+      ExpectKvEqual(ref, *seq);
+    }
+    return kv_writes;
+  }
+};
+
+TEST_P(KvOffloadRoundsTest, SaveKvLayersAppendsAcrossRounds) {
+  MemoryBackend store(1 << 20);
+  FunctionalHCache engine(model_.get(), &store, flush_pool_.get(), kChunk, GetParam());
+  const auto layers = static_cast<int64_t>(kv_layers_.size());
+  std::vector<int32_t> history = RandomTokens(13, 50);  // chunk 0 full, chunk 1 holds 5
+  PagedKvSequence seq(pool_.get());
+  model_->Forward(history, &seq, engine.BeginCapture(kCtx));
+  EXPECT_EQ(SaveEvictRestore(engine, store, history, &seq), layers * 2);
+
+  // Round 2 crosses into chunk 2: only chunks 1 and 2 are written.
+  const auto round2 = RandomTokens(7, 51);
+  model_->Forward(round2, &seq, engine.BeginCapture(kCtx));
+  history.insert(history.end(), round2.begin(), round2.end());
+  EXPECT_EQ(SaveEvictRestore(engine, store, history, &seq), layers * 2);
+
+  // After DropContext the next save starts again at row 0.
+  engine.DropContext(kCtx);
+  PagedKvSequence recomputed(pool_.get());
+  model_->Forward(history, &recomputed, engine.BeginCapture(kCtx));
+  EXPECT_EQ(SaveEvictRestore(engine, store, history, &recomputed), layers * 3);
+  seq.Evict();
+  recomputed.Evict();
+  engine.DropContext(kCtx);
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, KvOffloadRoundsTest,
+                         ::testing::Values(ChunkCodec::kFp32, ChunkCodec::kFp16),
+                         [](const ::testing::TestParamInfo<ChunkCodec>& info) {
+                           return std::string(ChunkCodecName(info.param));
+                         });
 
 }  // namespace
 }  // namespace hcache

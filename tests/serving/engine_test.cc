@@ -208,7 +208,7 @@ TEST(ServingEngineTest, TtftPercentilesOrdered) {
   ASSERT_GT(rep.ttft.count(), 10u);
   EXPECT_LE(rep.ttft.Percentile(50), rep.ttft.Percentile(99));
   EXPECT_LE(rep.ttft.Percentile(99), rep.ttft.Max());
-  EXPECT_GE(rep.ttft.Min(), e.options().request_overhead);
+  EXPECT_GE(rep.ttft.Min(), kRequestOverheadS);
 }
 
 TEST(ServingEngineTest, KvCapacityLimitsConcurrency) {
