@@ -2,10 +2,127 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace hcache {
 namespace {
 
 constexpr int64_t kHistory = 1024;
+
+// --- golden DES pin ---
+//
+// Every RestoreResult field of a sweep over methods × models × platforms × histories
+// × codecs, pinned as hex floats. The table (restorer_golden.inc) was printed by
+// DISABLED_PrintGoldenTable before the restore plan was shared between the DES and the
+// engine; any change to the schedules the DES times shows up here.
+
+struct GoldenRow {
+  int method;
+  int64_t history_tokens;
+  // total_time, compute_busy, io_busy, compute_bubble, io_bubble, bytes_read,
+  // hidden_bytes_read, flops, scheme.predicted_time, scheme.predicted_bubble
+  double values[10];
+  int64_t layers_hidden;
+  int64_t layers_other;
+  int complement;
+};
+
+const GoldenRow kGolden[] = {
+#include "tests/core/restorer_golden.inc"
+};
+
+struct SweepCase {
+  std::string label;
+  RestoreResult result;
+};
+
+// The sweep, in table order. Per (model, platform, history, codec): the six methods,
+// token-wise without and with tile rounding, then HCache pipeline-parallel over 1, 2
+// and 4 stages (on the same platform with four GPUs, one per stage).
+std::vector<SweepCase> GoldenSweep() {
+  const std::pair<const char*, Platform> platforms[] = {
+      {"testbed", Platform::DefaultTestbed(1, 4)},
+      {"io-sufficient", Platform::IoSufficient()},
+      {"compute-sufficient", Platform::ComputeSufficient()}};
+  const RestoreMethod methods[] = {RestoreMethod::kRecompute,  RestoreMethod::kKvOffload,
+                                   RestoreMethod::kHCache,     RestoreMethod::kHCacheOnly,
+                                   RestoreMethod::kNaiveHybrid, RestoreMethod::kIdeal};
+  std::vector<SweepCase> out;
+  for (const ModelConfig& cfg :
+       {ModelConfig::Llama2_7B(), ModelConfig::Llama2_13B(), ModelConfig::Opt30B()}) {
+    for (const auto& [platform_name, platform] : platforms) {
+      for (const int64_t n : {256, 1024, 8192}) {
+        for (const ChunkCodec codec :
+             {ChunkCodec::kFp16, ChunkCodec::kFp32, ChunkCodec::kInt8}) {
+          const std::string prefix = cfg.name + " " + platform_name + " n=" +
+                                     std::to_string(n) + " " + ChunkCodecName(codec) + " ";
+          const Restorer r(platform, cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
+                           codec);
+          for (const RestoreMethod m : methods) {
+            out.push_back({prefix + RestoreMethodName(m), r.Restore(m, n)});
+          }
+          out.push_back({prefix + "token-wise", r.RestoreTokenWise(n, false)});
+          out.push_back({prefix + "token-wise+round", r.RestoreTokenWise(n, true)});
+          Platform four_gpus = platform;
+          four_gpus.num_gpus = 4;
+          const Restorer pp(four_gpus, cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
+                            codec);
+          for (const int stages : {1, 2, 4}) {
+            out.push_back({prefix + "pp" + std::to_string(stages),
+                           pp.RestorePipelineParallel(RestoreMethod::kHCache, n, stages)});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<double> GoldenValues(const RestoreResult& r) {
+  return {r.total_time,        r.compute_busy, r.io_busy,
+          r.compute_bubble,    r.io_bubble,    r.bytes_read,
+          r.hidden_bytes_read, r.flops,        r.scheme.predicted_time,
+          r.scheme.predicted_bubble};
+}
+
+TEST(RestorerGoldenTest, DISABLED_PrintGoldenTable) {
+  for (const SweepCase& c : GoldenSweep()) {
+    const RestoreResult& r = c.result;
+    const std::vector<double> v = GoldenValues(r);
+    std::printf("// %s\n{%d, %lld, {%a, %a, %a, %a, %a, %a, %a, %a, %a, %a}, %lld, %lld, %d},\n",
+                c.label.c_str(), static_cast<int>(r.method),
+                static_cast<long long>(r.history_tokens), v[0], v[1], v[2], v[3], v[4], v[5],
+                v[6], v[7], v[8], v[9], static_cast<long long>(r.scheme.layers_hidden),
+                static_cast<long long>(r.scheme.layers_other),
+                static_cast<int>(r.scheme.complement));
+  }
+}
+
+TEST(RestorerGoldenTest, EveryResultFieldMatchesPinnedTable) {
+  const std::vector<SweepCase> sweep = GoldenSweep();
+  ASSERT_EQ(sweep.size(), std::size(kGolden));
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const RestoreResult& r = sweep[i].result;
+    const GoldenRow& g = kGolden[i];
+    SCOPED_TRACE(sweep[i].label);
+    EXPECT_EQ(static_cast<int>(r.method), g.method);
+    EXPECT_EQ(r.history_tokens, g.history_tokens);
+    EXPECT_EQ(r.scheme.layers_hidden, g.layers_hidden);
+    EXPECT_EQ(r.scheme.layers_other, g.layers_other);
+    EXPECT_EQ(static_cast<int>(r.scheme.complement), g.complement);
+    const std::vector<double> v = GoldenValues(r);
+    for (size_t f = 0; f < v.size(); ++f) {
+      // FMA contraction under -march=native moves the last bits.
+      EXPECT_LE(std::abs(v[f] - g.values[f]), 1e-12 * std::abs(g.values[f]))
+          << "field " << f << ": " << v[f] << " vs pinned " << g.values[f];
+    }
+  }
+}
 
 TEST(RestorerTest, IdealIsFree) {
   Restorer r(Platform::DefaultTestbed(1, 4), ModelConfig::Llama2_7B());
