@@ -71,30 +71,50 @@ void FunctionalHCache::SaveKvLayers(int64_t context_id, const PagedKvSequence& s
 
 bool FunctionalHCache::CanRestore(int64_t context_id, const PartitionScheme& scheme,
                                   int64_t n) const {
-  const auto complete = [&](const HiddenStateReader& reader, int64_t first, int64_t last) {
-    for (int64_t layer = first; layer < last; ++layer) {
-      if (!reader.LayerComplete(context_id, layer, n, codec_)) {
-        return false;
-      }
+  for (const RestoreStep& step : PlanRestore(scheme.Sources(), model_->config().num_layers)) {
+    const HiddenStateReader* reader = step.source == LayerSource::kHidden ? &hidden_reader_
+                                      : step.source == LayerSource::kKv   ? &kv_reader_
+                                                                          : nullptr;
+    if (reader != nullptr && !reader->LayerComplete(context_id, step.layer, n, codec_)) {
+      return false;
     }
-    return true;
-  };
-  const int64_t first_hidden =
-      scheme.complement == ComplementMethod::kRecompute ? scheme.layers_other : 0;
-  return complete(hidden_reader_, first_hidden, first_hidden + scheme.layers_hidden) &&
-         (scheme.complement != ComplementMethod::kKvOffload ||
-          complete(kv_reader_, scheme.layers_hidden, model_->config().num_layers));
+  }
+  return true;
 }
 
 bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme& scheme,
                                       const std::vector<int32_t>& history_tokens,
                                       PagedKvSequence* seq) {
   const ModelConfig& cfg = model_->config();
-  const int64_t nl = cfg.num_layers;
-  CHECK_EQ(scheme.layers_hidden + scheme.layers_other, nl);
   CHECK(!seq->has_kv()) << "restore target must be evicted";
   const int64_t n = seq->num_tokens();
   CHECK_GT(n, 0);
+
+  // Restoration runs the plan's steps as a two-stream pipeline, mirroring the paper's
+  // dedicated transmission and computation streams. The recompute layers [0, L_O)
+  // rebuild from raw tokens in one ForwardPartial; every later step loads stored
+  // chunks — hidden layers are projected into K/V, KV-offloaded layers are copied in.
+  // While the caller computes one step, the flush pool is already reading the next
+  // step's chunks (transmission stream). The first read is submitted before
+  // ForwardPartial, as the DES starts the recompute and the first transfer together.
+  // Without a flush pool the steps load serially — the bytes and math are identical
+  // either way.
+  struct LayerState {
+    RestoreStep step;
+    Tensor hidden;  // kHidden: the layer's saved input activations
+    Tensor k, v;    // kKv: the layer's offloaded KV rows
+  };
+  const LayerSources sources = scheme.Sources();
+  std::vector<LayerState> plan;
+  for (const RestoreStep& step : PlanRestore(sources, cfg.num_layers)) {
+    if (step.source != LayerSource::kRecompute) {
+      plan.push_back({step, {}, {}, {}});
+    }
+  }
+  if (sources.recompute > 0) {
+    CHECK_EQ(static_cast<int64_t>(history_tokens.size()), n)
+        << "recompute complement needs the original tokens";
+  }
 
   // Fail before mutating the sequence if the pool cannot hold the restored state.
   const int64_t bt = seq->pool()->block_tokens();
@@ -102,45 +122,8 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
     return false;
   }
 
-  int64_t first_hidden = 0;  // hidden-layer range [first_hidden, first_hidden + L_H)
-  seq->ResetForRestore();
-  CHECK(seq->EnsureCapacity(n));
-  if (scheme.complement == ComplementMethod::kRecompute && scheme.layers_other > 0) {
-    CHECK_EQ(static_cast<int64_t>(history_tokens.size()), n)
-        << "recompute complement needs the original tokens";
-    // Rebuild the first L_O layers (and their KV) from raw tokens.
-    model_->ForwardPartial(history_tokens, seq, scheme.layers_other);
-    first_hidden = scheme.layers_other;
-  } else {
-    seq->CommitTokens(n);
-  }
-
   std::vector<int32_t> positions(static_cast<size_t>(n));
   std::iota(positions.begin(), positions.end(), 0);
-
-  // Restoration is a two-stream pipeline, mirroring the paper's dedicated transmission
-  // and computation streams: while the caller projects layer i's hidden states into
-  // K/V (compute stream), the flush pool is already reading layer i+1's chunks from
-  // the backend (transmission stream). Each step consumes data loaded one step ahead,
-  // so file/tiered I/O overlaps the projection GEMMs instead of serializing with them.
-  // KV-offloaded layers join the same pipeline: their chunk reads prefetch behind the
-  // last projections. Without a flush pool the plan degrades to the serial loads the
-  // engine always performed — the bytes and math are identical either way.
-  struct LayerState {
-    int64_t layer = 0;
-    bool from_hidden = false;
-    Tensor hidden;  // from_hidden: the layer's saved input activations
-    Tensor k, v;    // !from_hidden: the layer's offloaded KV rows
-  };
-  std::vector<LayerState> plan;
-  for (int64_t layer = first_hidden; layer < first_hidden + scheme.layers_hidden; ++layer) {
-    plan.push_back({layer, /*from_hidden=*/true, {}, {}, {}});
-  }
-  if (scheme.complement == ComplementMethod::kKvOffload) {
-    for (int64_t layer = scheme.layers_hidden; layer < nl; ++layer) {
-      plan.push_back({layer, /*from_hidden=*/false, {}, {}, {}});
-    }
-  }
 
   // The batched reads are the only check: a missing, short or corrupt chunk (device
   // loss, partial save, CRC mismatch) is found when its layer loads. Loads report
@@ -149,15 +132,15 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   // evicted" below.
   std::atomic<bool> load_failed{false};
   auto load = [&](LayerState& entry) {
+    const int64_t layer = entry.step.layer;
     bool ok = false;
-    if (entry.from_hidden) {
+    if (entry.step.source == LayerSource::kHidden) {
       entry.hidden = Tensor({n, cfg.hidden_dim});
-      ok = hidden_reader_.ReadLayerInto(context_id, entry.layer, n, entry.hidden.data());
+      ok = hidden_reader_.ReadLayerInto(context_id, layer, n, entry.hidden.data());
     } else {
       entry.k = Tensor({n, cfg.kv_dim()});
       entry.v = Tensor({n, cfg.kv_dim()});
-      ok = kv_reader_.ReadLayerInto(context_id, entry.layer, n,
-                                    {entry.k.data(), entry.v.data()});
+      ok = kv_reader_.ReadLayerInto(context_id, layer, n, {entry.k.data(), entry.v.data()});
     }
     if (!ok) {
       load_failed.store(true, std::memory_order_release);
@@ -173,9 +156,16 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
     return fut;
   };
 
+  seq->ResetForRestore();
+  CHECK(seq->EnsureCapacity(n));
   std::future<void> next_loaded;
   if (flush_pool_ != nullptr && !plan.empty()) {
     next_loaded = submit_load(plan.front());
+  }
+  if (sources.recompute > 0) {
+    model_->ForwardPartial(history_tokens, seq, sources.recompute);
+  } else {
+    seq->CommitTokens(n);
   }
   for (size_t idx = 0; idx < plan.size(); ++idx) {
     LayerState& entry = plan[idx];
@@ -192,13 +182,14 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
     if (load_failed.load(std::memory_order_acquire)) {
       break;
     }
-    if (entry.from_hidden) {
+    const int64_t layer = entry.step.layer;
+    if (entry.step.source == LayerSource::kHidden) {
       Tensor k, v;
-      model_->RestoreLayerKv(entry.layer, entry.hidden, positions.data(), &k, &v);
-      seq->WriteKv(entry.layer, 0, k, v);
+      model_->RestoreLayerKv(layer, entry.hidden, positions.data(), &k, &v);
+      seq->WriteKv(layer, 0, k, v);
       entry.hidden = Tensor();  // release the staged activations early
     } else {
-      seq->WriteKv(entry.layer, 0, entry.k, entry.v);
+      seq->WriteKv(layer, 0, entry.k, entry.v);
     }
   }
   if (load_failed.load(std::memory_order_acquire)) {

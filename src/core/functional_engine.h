@@ -53,7 +53,8 @@ class FunctionalHCache {
   void SaveKvLayers(int64_t context_id, const PagedKvSequence& seq,
                     const std::vector<int64_t>& layers);
 
-  // Rebuilds `seq`'s KV cache for its recorded history according to `scheme`.
+  // Rebuilds `seq`'s KV cache for its recorded history by running PlanRestore's steps
+  // for `scheme`; a scheme that leaves a layer without a source is a CHECK failure.
   // `history_tokens` must be the context's original token ids when the scheme contains
   // recomputed layers (complement == kRecompute); it may be empty otherwise.
   // Returns false — leaving the sequence evicted and its history length intact — when
@@ -64,9 +65,9 @@ class FunctionalHCache {
 
   // True when everything `scheme` needs to restore `n` tokens of this context is
   // durably stored (hidden chunks for hidden layers, KV chunks for offloaded layers):
-  // HiddenStateReader::LayerComplete over each kind's geometry. A size-only probe;
-  // RestoreContext does not call it, because its batched reads detect missing, short
-  // and corrupt chunks themselves.
+  // HiddenStateReader::LayerComplete over each kind's geometry, for the same steps
+  // RestoreContext runs. A size-only probe; RestoreContext does not call it, because
+  // its batched reads detect missing, short and corrupt chunks themselves.
   bool CanRestore(int64_t context_id, const PartitionScheme& scheme, int64_t n) const;
 
   // Deletes all stored state for the context and forgets its writers.

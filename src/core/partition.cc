@@ -21,15 +21,34 @@ const char* ComplementName(ComplementMethod m) {
   return "?";
 }
 
+std::vector<RestoreStep> PlanRestore(const LayerSources& sources, int64_t num_layers) {
+  CHECK(sources.recompute >= 0 && sources.hidden >= 0 && sources.kv >= 0);
+  CHECK_EQ(sources.recompute + sources.hidden + sources.kv, num_layers)
+      << "restore plan must cover every layer exactly once";
+  std::vector<RestoreStep> steps;
+  steps.reserve(static_cast<size_t>(num_layers));
+  const auto append = [&steps](int64_t count, LayerSource source) {
+    for (int64_t i = 0; i < count; ++i) {
+      steps.push_back({static_cast<int64_t>(steps.size()), source});
+    }
+  };
+  append(sources.recompute, LayerSource::kRecompute);
+  append(sources.hidden, LayerSource::kHidden);
+  append(sources.kv, LayerSource::kKv);
+  return steps;
+}
+
+LayerSources PartitionScheme::Sources() const {
+  CHECK(complement != ComplementMethod::kNone || layers_other == 0)
+      << "complement none leaves " << layers_other << " layers without a source";
+  const bool kv = complement == ComplementMethod::kKvOffload;
+  return {kv ? 0 : layers_other, layers_hidden, kv ? layers_other : 0};
+}
+
 int64_t PartitionScheme::StoredElementsPerToken(const ModelConfig& cfg) const {
-  const int64_t hidden_elems = cfg.hidden_dim;
-  const int64_t kv_elems = 2 * cfg.kv_dim();
-  int64_t total = layers_hidden * hidden_elems;
-  if (complement == ComplementMethod::kKvOffload) {
-    total += layers_other * kv_elems;
-  }
   // Recomputed layers store nothing beyond the raw tokens (negligible).
-  return total;
+  const LayerSources s = Sources();
+  return s.hidden * cfg.hidden_dim + s.kv * 2 * cfg.kv_dim();
 }
 
 int64_t PartitionScheme::StoredBytesPerToken(const ModelConfig& cfg) const {
@@ -51,20 +70,11 @@ namespace {
 
 // Makespan and bubble of a layer-wise schedule under steady-state pipelining.
 void EvaluateLayerWise(const LayerProfile& p, PartitionScheme& s) {
-  double compute = 0, io = 0;
-  switch (s.complement) {
-    case ComplementMethod::kKvOffload:
-    case ComplementMethod::kNone:
-      compute = p.c_hidden * static_cast<double>(s.layers_hidden);
-      io = p.io_hidden * static_cast<double>(s.layers_hidden) +
-           p.io_kv * static_cast<double>(s.layers_other);
-      break;
-    case ComplementMethod::kRecompute:
-      compute = p.c_token * static_cast<double>(s.layers_other) +
-                p.c_hidden * static_cast<double>(s.layers_hidden);
-      io = p.io_hidden * static_cast<double>(s.layers_hidden);
-      break;
-  }
+  const LayerSources src = s.Sources();
+  const double compute = p.c_token * static_cast<double>(src.recompute) +
+                         p.c_hidden * static_cast<double>(src.hidden);
+  const double io = p.io_hidden * static_cast<double>(src.hidden) +
+                    p.io_kv * static_cast<double>(src.kv);
   s.predicted_time = std::max(compute, io);
   s.predicted_bubble = std::abs(compute - io);
 }
@@ -179,10 +189,10 @@ NaiveHybridScheme SolveNaiveHybrid(const LayerProfile& p, int64_t num_layers) {
   // Balance recompute compute-time against KV transmission: C_T*L_RE == IO_KV*L_KV.
   const double denom = p.c_token + p.io_kv;
   const double lkv = std::ceil(static_cast<double>(num_layers) * p.c_token / denom);
-  s.layers_kv = std::clamp(static_cast<int64_t>(lkv), int64_t{0}, num_layers);
-  s.layers_recompute = num_layers - s.layers_kv;
-  s.predicted_time = std::max(p.io_kv * static_cast<double>(s.layers_kv),
-                              p.c_token * static_cast<double>(s.layers_recompute));
+  s.sources.kv = std::clamp(static_cast<int64_t>(lkv), int64_t{0}, num_layers);
+  s.sources.recompute = num_layers - s.sources.kv;
+  s.predicted_time = std::max(p.io_kv * static_cast<double>(s.sources.kv),
+                              p.c_token * static_cast<double>(s.sources.recompute));
   return s;
 }
 

@@ -12,11 +12,16 @@
 //
 // Token-wise partitioning (Fig 8a/8c) is implemented for the Fig 13 ablation, including
 // the tile round-up variant; layer-wise is what HCache ships (§4.1.1 explains why).
+//
+// Every layer-wise schedule — the solver's, the baselines', the engine's — reduces to
+// per-source layer counts, and PlanRestore turns those into the one restore order the
+// DES times and FunctionalHCache runs.
 #ifndef HCACHE_SRC_CORE_PARTITION_H_
 #define HCACHE_SRC_CORE_PARTITION_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/core/profiler.h"
 
@@ -25,6 +30,27 @@ namespace hcache {
 enum class ComplementMethod { kNone, kKvOffload, kRecompute };
 
 const char* ComplementName(ComplementMethod m);
+
+// Where one layer's KV comes from during restoration.
+enum class LayerSource { kRecompute, kHidden, kKv };
+
+// Layers restored from each source.
+struct LayerSources {
+  int64_t recompute = 0;
+  int64_t hidden = 0;
+  int64_t kv = 0;
+};
+
+struct RestoreStep {
+  int64_t layer = 0;
+  LayerSource source = LayerSource::kHidden;
+};
+
+// The restore order (§4.1.2): recompute layers [0, r) first — recomputation needs the
+// layers below it — then hidden-state layers [r, r + h), then KV-offloaded layers
+// [r + h, num_layers), whose transfers fill the transmission slack behind the hidden
+// reads. CHECKs that the counts cover `num_layers` exactly.
+std::vector<RestoreStep> PlanRestore(const LayerSources& sources, int64_t num_layers);
 
 struct PartitionScheme {
   int64_t layers_hidden = 0;  // L_H: restored from hidden states
@@ -35,6 +61,9 @@ struct PartitionScheme {
   double predicted_time = 0;
   // Predicted idle time on the slower-finishing stream (0 when perfectly bubble-free).
   double predicted_bubble = 0;
+
+  // The per-source counts: L_O goes to `complement`. CHECKs that kNone has L_O == 0.
+  LayerSources Sources() const;
 
   // Per-token storage footprint of this schedule in *stored elements* (the unit the
   // paper's Table 3 reports): hidden layers store D, KV layers store 2D, recompute
@@ -60,12 +89,10 @@ TokenPartition SolveTokenWise(const LayerProfile& profile, int64_t history_token
                               bool round_to_tile);
 
 // Reference schedule for the NaiveHybrid baseline (§6.3.1): mix token recomputation
-// and KV offload only — no hidden states. Returns layers assigned to recompute in
-// `layers_other` with complement kRecompute and layers_hidden reinterpreted as the KV
-// -offloaded count by the caller; provided as its own type for clarity.
+// and KV offload only — no hidden states. PartitionScheme cannot express it (it pairs
+// hidden layers with one complement), so the solver returns the counts directly.
 struct NaiveHybridScheme {
-  int64_t layers_kv = 0;
-  int64_t layers_recompute = 0;
+  LayerSources sources;  // recompute + kv; hidden stays 0
   double predicted_time = 0;
 };
 NaiveHybridScheme SolveNaiveHybrid(const LayerProfile& profile, int64_t num_layers);

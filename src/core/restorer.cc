@@ -69,9 +69,9 @@ double Restorer::PipelineFillLatency() const {
   return StorageIoModel(platform_).DeviceLatency();
 }
 
-Restorer::PipelineTotals Restorer::RunPipeline(
-    const std::vector<double>& pre_compute,
-    const std::vector<std::pair<double, double>>& io_tasks) const {
+void Restorer::RunPipeline(const std::vector<double>& pre_compute,
+                           const std::vector<std::pair<double, double>>& io_tasks,
+                           RestoreResult* r) const {
   Simulator sim;
   SerialResource compute(&sim, "compute");
   SerialResource io(&sim, "io");
@@ -87,11 +87,11 @@ Restorer::PipelineTotals Restorer::RunPipeline(
                            : Simulator::Callback());
   }
   sim.Run();
-  PipelineTotals t;
-  t.makespan = std::max(compute.next_free(), io.next_free());
-  t.compute_busy = compute.total_busy();
-  t.io_busy = io.total_busy();
-  return t;
+  r->total_time = std::max(compute.next_free(), io.next_free());
+  r->compute_busy = compute.total_busy();
+  r->io_busy = io.total_busy();
+  r->compute_bubble = r->total_time - r->compute_busy;
+  r->io_bubble = r->total_time - r->io_busy;
 }
 
 RestoreResult Restorer::Restore(RestoreMethod method, int64_t history_tokens) const {
@@ -104,90 +104,60 @@ RestoreResult Restorer::Restore(RestoreMethod method, int64_t history_tokens) co
   r.method = method;
   r.history_tokens = history_tokens;
 
-  std::vector<double> pre;
-  std::vector<std::pair<double, double>> io_tasks;
-
+  LayerSources src;
   switch (method) {
     case RestoreMethod::kIdeal:
       return r;
-
     case RestoreMethod::kRecompute:
-      pre.assign(static_cast<size_t>(nl), p.c_token);
-      r.flops = static_cast<double>(nl) * RecomputeFlopsPerLayer(cfg_, n);
+      src.recompute = nl;
       break;
-
     case RestoreMethod::kKvOffload:
-      io_tasks.assign(static_cast<size_t>(nl), {p.io_kv, 0.0});
-      r.bytes_read = static_cast<double>(nl) * KvIoBytesPerLayer(cfg_, n);
+      src.kv = nl;
       break;
-
     case RestoreMethod::kHCacheOnly:
-      io_tasks.assign(static_cast<size_t>(nl), {p.io_hidden, p.c_hidden});
-      r.bytes_read = static_cast<double>(nl) * HiddenIoBytesPerLayer(cfg_, n, codec_);
-      r.hidden_bytes_read = r.bytes_read;
-      r.flops = static_cast<double>(nl) * HiddenToKvFlopsPerLayer(cfg_, n);
       r.scheme.layers_hidden = nl;
-      r.scheme.complement = ComplementMethod::kNone;
+      src = r.scheme.Sources();
       break;
-
-    case RestoreMethod::kHCache: {
+    case RestoreMethod::kHCache:
       // SolveLayerWise performs plan selection internally (mixed schedule vs pure
       // strategies); execute whatever plan it returns.
-      const PartitionScheme s = SolveLayerWise(p, nl);
-      r.scheme = s;
-      switch (s.complement) {
-        case ComplementMethod::kNone:
-          io_tasks.assign(static_cast<size_t>(nl), {p.io_hidden, p.c_hidden});
-          r.bytes_read = static_cast<double>(nl) * HiddenIoBytesPerLayer(cfg_, n, codec_);
-          r.hidden_bytes_read = r.bytes_read;
-          r.flops = static_cast<double>(nl) * HiddenToKvFlopsPerLayer(cfg_, n);
-          break;
-        case ComplementMethod::kKvOffload:
-          // Hidden layers stream first (each triggers its projection); the KV layers'
-          // transfers fill the transmission slack behind them (Fig 8d).
-          io_tasks.assign(static_cast<size_t>(s.layers_hidden), {p.io_hidden, p.c_hidden});
-          io_tasks.insert(io_tasks.end(), static_cast<size_t>(s.layers_other),
-                          {p.io_kv, 0.0});
-          r.hidden_bytes_read =
-              static_cast<double>(s.layers_hidden) * HiddenIoBytesPerLayer(cfg_, n, codec_);
-          r.bytes_read = r.hidden_bytes_read +
-                         static_cast<double>(s.layers_other) * KvIoBytesPerLayer(cfg_, n);
-          r.flops = static_cast<double>(s.layers_hidden) * HiddenToKvFlopsPerLayer(cfg_, n);
-          break;
-        case ComplementMethod::kRecompute:
-          // The first L_O layers recompute from tokens while hidden states for the
-          // remaining layers prefetch (§4.1.2).
-          pre.assign(static_cast<size_t>(s.layers_other), p.c_token);
-          io_tasks.assign(static_cast<size_t>(s.layers_hidden), {p.io_hidden, p.c_hidden});
-          r.bytes_read =
-              static_cast<double>(s.layers_hidden) * HiddenIoBytesPerLayer(cfg_, n, codec_);
-          r.hidden_bytes_read = r.bytes_read;
-          r.flops = static_cast<double>(s.layers_other) * RecomputeFlopsPerLayer(cfg_, n) +
-                    static_cast<double>(s.layers_hidden) * HiddenToKvFlopsPerLayer(cfg_, n);
-          break;
-      }
+      r.scheme = SolveLayerWise(p, nl);
+      src = r.scheme.Sources();
       break;
-    }
-
-    case RestoreMethod::kNaiveHybrid: {
-      const NaiveHybridScheme s = SolveNaiveHybrid(p, nl);
-      pre.assign(static_cast<size_t>(s.layers_recompute), p.c_token);
-      io_tasks.assign(static_cast<size_t>(s.layers_kv), {p.io_kv, 0.0});
-      r.bytes_read = static_cast<double>(s.layers_kv) * KvIoBytesPerLayer(cfg_, n);
-      r.flops = static_cast<double>(s.layers_recompute) * RecomputeFlopsPerLayer(cfg_, n);
+    case RestoreMethod::kNaiveHybrid:
+      src = SolveNaiveHybrid(p, nl).sources;
       break;
-    }
   }
 
-  const PipelineTotals t = RunPipeline(pre, io_tasks);
-  r.total_time = t.makespan;
-  r.compute_busy = t.compute_busy;
-  r.io_busy = t.io_busy;
-  r.compute_bubble = t.makespan - t.compute_busy;
-  r.io_bubble = t.makespan - t.io_busy;
+  // Recompute layers start on the compute stream at t=0 while the transfers queue back
+  // to back: each hidden-state transfer triggers its projection, and the KV transfers
+  // fill the transmission slack behind them (§4.1.2, Fig 8d).
+  std::vector<double> pre;
+  std::vector<std::pair<double, double>> io_tasks;
+  for (const RestoreStep& step : PlanRestore(src, nl)) {
+    switch (step.source) {
+      case LayerSource::kRecompute:
+        pre.push_back(p.c_token);
+        break;
+      case LayerSource::kHidden:
+        io_tasks.emplace_back(p.io_hidden, p.c_hidden);
+        break;
+      case LayerSource::kKv:
+        io_tasks.emplace_back(p.io_kv, 0.0);
+        break;
+    }
+  }
+  RunPipeline(pre, io_tasks, &r);
   // flops/bytes are whole-model quantities: under tensor parallelism every GPU works
   // on a shard, so the totals already cover the whole system; the all-gather moves
   // data over NVLink, not storage, and does not add to bytes_read.
+  const double recompute = static_cast<double>(src.recompute);
+  const double hidden = static_cast<double>(src.hidden);
+  const double kv = static_cast<double>(src.kv);
+  r.hidden_bytes_read = hidden * HiddenIoBytesPerLayer(cfg_, n, codec_);
+  r.bytes_read = r.hidden_bytes_read + kv * KvIoBytesPerLayer(cfg_, n);
+  r.flops = recompute * RecomputeFlopsPerLayer(cfg_, n) +
+            hidden * HiddenToKvFlopsPerLayer(cfg_, n);
   return r;
 }
 
@@ -236,7 +206,6 @@ RestoreResult Restorer::RestoreTokenWise(int64_t history_tokens, bool round_to_t
   // Real per-layer kernel times (tile quantization applies — the effect Fig 13 shows).
   const double c_h_part = tp.tokens_hidden > 0 ? gpu.HiddenToKvTime(cfg_, tp.tokens_hidden) : 0.0;
 
-  std::vector<double> pre;
   std::vector<std::pair<double, double>> io_tasks;
   if (p.c_hidden > p.io_hidden) {
     // Complement = KV offload for the token suffix, inside every layer.
@@ -262,12 +231,7 @@ RestoreResult Restorer::RestoreTokenWise(int64_t history_tokens, bool round_to_t
                RecomputeFlopsPerLayer(cfg_, static_cast<double>(tp.tokens_other)));
   }
 
-  const PipelineTotals t = RunPipeline(pre, io_tasks);
-  r.total_time = t.makespan;
-  r.compute_busy = t.compute_busy;
-  r.io_busy = t.io_busy;
-  r.compute_bubble = t.makespan - t.compute_busy;
-  r.io_bubble = t.makespan - t.io_busy;
+  RunPipeline(/*pre_compute=*/{}, io_tasks, &r);
   return r;
 }
 

@@ -6,14 +6,19 @@
 // records the makespan plus per-stream busy/bubble accounting, bytes moved, and FLOPs
 // spent, which the benches turn into the paper's figures.
 //
-// Methods:
-//   kRecompute   — DeepSpeed-MII baseline: full prefill from tokens (compute only).
-//   kKvOffload   — AttentionStore baseline: stream the KV cache in (IO only).
-//   kHCache      — hidden states + bubble-free complement (the full system).
-//   kHCacheOnly  — hidden states without the bubble-free scheduler (ablation
-//                  "HCache-O", Fig 12).
-//   kNaiveHybrid — recompute + KV offload mixed, no hidden states (ablation, Fig 12).
+// Every layer-wise method is a set of per-source layer counts (recompute / hidden / KV)
+// that PlanRestore orders — the same plan FunctionalHCache runs — and the DES times:
+//   kRecompute   — DeepSpeed-MII baseline: every layer recomputed from tokens
+//                  (compute only).
+//   kKvOffload   — AttentionStore baseline: every layer's KV streamed in (IO only).
+//   kHCache      — the solver's scheme: hidden states + bubble-free complement (the
+//                  full system).
+//   kHCacheOnly  — every layer from hidden states, no scheduler (ablation "HCache-O",
+//                  Fig 12).
+//   kNaiveHybrid — SolveNaiveHybrid's recompute + KV split, no hidden states
+//                  (ablation, Fig 12).
 //   kIdeal       — state already on GPU; restoration is free.
+// Bytes and FLOPs are count × per-layer cost for each source.
 #ifndef HCACHE_SRC_CORE_RESTORER_H_
 #define HCACHE_SRC_CORE_RESTORER_H_
 
@@ -93,17 +98,13 @@ class Restorer {
   ChunkCodec codec() const { return codec_; }
 
  private:
-  struct PipelineTotals {
-    double makespan = 0;
-    double compute_busy = 0;
-    double io_busy = 0;
-  };
   // Runs a layer-granular pipeline: `pre_compute` tasks start immediately on the
   // compute stream; each of `io_tasks` occupies the transmission stream in order and,
   // if its paired compute duration is positive, enqueues that compute task at IO
-  // completion. Returns stream accounting.
-  PipelineTotals RunPipeline(const std::vector<double>& pre_compute,
-                             const std::vector<std::pair<double, double>>& io_tasks) const;
+  // completion. Fills `r`'s makespan and per-stream busy/bubble accounting.
+  void RunPipeline(const std::vector<double>& pre_compute,
+                   const std::vector<std::pair<double, double>>& io_tasks,
+                   RestoreResult* r) const;
 
   double PipelineFillLatency() const;
 

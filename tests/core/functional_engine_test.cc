@@ -296,6 +296,37 @@ TEST_F(FunctionalEngineTest, CanRestoreChecksOnlySchemeLayers) {
   seq.Evict();
 }
 
+// {2 H, 2 other, kNone} names no source for layers 2-3. Restoring it must not return
+// true with those layers never written: the restore plan refuses such a scheme. The
+// death tests re-execute the binary ("threadsafe") so the child owns live flush threads.
+class FunctionalEngineDeathTest : public FunctionalEngineTest {
+ protected:
+  void SetUp() override {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    FunctionalEngineTest::SetUp();
+  }
+};
+
+TEST_F(FunctionalEngineDeathTest, RestoreContextRejectsLayersWithoutSource) {
+  const auto prompt = RandomTokens(12, 23);
+  PagedKvSequence seq(pool_.get());
+  model_->Forward(prompt, &seq, engine_->BeginCapture(43));
+  engine_->SealContext(43);
+  seq.Evict();
+  EXPECT_DEATH(engine_->RestoreContext(43, Scheme(2, ComplementMethod::kNone), {}, &seq),
+               "without a source");
+}
+
+TEST_F(FunctionalEngineDeathTest, CanRestoreRejectsLayersWithoutSource) {
+  const auto prompt = RandomTokens(12, 24);
+  PagedKvSequence seq(pool_.get());
+  model_->Forward(prompt, &seq, engine_->BeginCapture(44));
+  engine_->SealContext(44);
+  EXPECT_DEATH(engine_->CanRestore(44, Scheme(2, ComplementMethod::kNone), seq.num_tokens()),
+               "without a source");
+  seq.Evict();
+}
+
 TEST_F(FunctionalEngineTest, DropContextRemovesChunks) {
   const auto prompt = RandomTokens(9, 9);
   PagedKvSequence seq(pool_.get());

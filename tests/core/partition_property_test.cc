@@ -3,11 +3,12 @@
 // split under both complement methods, and the predicted bubble of a mixed schedule
 // must never exceed one layer's stage cost (one layer of compute + one layer of IO on
 // the chosen streams) — that is exactly the "bubble-free up to integer rounding"
-// claim of §4.1.2.
+// claim of §4.1.2. The same sweep checks the restore plan each returned scheme maps to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/partition.h"
@@ -56,6 +57,8 @@ LayerProfile RandomProfile(Rng& rng) {
 
 TEST(PartitionPropertyTest, SolverMatchesExhaustiveEnumeration) {
   Rng rng(0xbeef);
+  // GQA keeps a KV layer's footprint (2 * kv_dim) apart from a hidden layer's (D).
+  const ModelConfig cfg = ModelConfig::WithGqa(ModelConfig::Llama2_7B(), 8);
   constexpr int kTrials = 2000;
   for (int trial = 0; trial < kTrials; ++trial) {
     LayerProfile p = RandomProfile(rng);
@@ -83,6 +86,33 @@ TEST(PartitionPropertyTest, SolverMatchesExhaustiveEnumeration) {
     ASSERT_LE(s.predicted_time, best * (1.0 + 1e-9) + 1e-12)
         << "suboptimal split " << s.ToString() << " for profile " << p.ToString()
         << " with " << num_layers << " layers (brute force " << best << ")";
+
+    // The restore plan covers [0, num_layers) exactly once, in the order recompute →
+    // hidden → KV, and its per-source counts agree with the storage footprint.
+    const std::vector<RestoreStep> steps = PlanRestore(s.Sources(), num_layers);
+    std::vector<int> visits(static_cast<size_t>(num_layers), 0);
+    int64_t per_source[3] = {0, 0, 0};  // indexed by LayerSource, declared in plan order
+    for (size_t i = 0; i < steps.size(); ++i) {
+      ASSERT_GE(steps[i].layer, 0);
+      ASSERT_LT(steps[i].layer, num_layers);
+      ++visits[static_cast<size_t>(steps[i].layer)];
+      ++per_source[static_cast<int>(steps[i].source)];
+      if (i > 0) {
+        ASSERT_LT(steps[i - 1].layer, steps[i].layer) << s.ToString();
+        ASSERT_LE(static_cast<int>(steps[i - 1].source), static_cast<int>(steps[i].source))
+            << s.ToString();
+      }
+    }
+    for (const int v : visits) {
+      ASSERT_EQ(v, 1) << s.ToString();
+    }
+    const int64_t recompute = per_source[static_cast<int>(LayerSource::kRecompute)];
+    const int64_t hidden = per_source[static_cast<int>(LayerSource::kHidden)];
+    const int64_t kv = per_source[static_cast<int>(LayerSource::kKv)];
+    EXPECT_EQ(hidden, s.layers_hidden) << s.ToString();
+    EXPECT_EQ(recompute + kv, s.layers_other) << s.ToString();
+    EXPECT_EQ(hidden * cfg.hidden_dim + kv * 2 * cfg.kv_dim(), s.StoredElementsPerToken(cfg))
+        << s.ToString();
   }
 }
 

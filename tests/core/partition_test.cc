@@ -192,9 +192,9 @@ TEST(TokenWisePartitionTest, RoundingSnapsToTile) {
 TEST(NaiveHybridTest, BalancesComputeAgainstKvTransfer) {
   const LayerProfile p = MakeProfile(1.0, 2.0, 0.5, 6.0);
   const NaiveHybridScheme s = SolveNaiveHybrid(p, 40);
-  EXPECT_EQ(s.layers_kv + s.layers_recompute, 40);
+  EXPECT_EQ(s.sources.kv + s.sources.recompute, 40);
   // 6.0 * L_RE ~ 2.0 * L_KV -> L_KV ~ 30.
-  EXPECT_NEAR(static_cast<double>(s.layers_kv), 30.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(s.sources.kv), 30.0, 2.0);
   // Mixing beats both pure strategies.
   EXPECT_LT(s.predicted_time, 2.0 * 40);
   EXPECT_LT(s.predicted_time, 6.0 * 40);

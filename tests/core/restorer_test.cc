@@ -94,7 +94,8 @@ TEST(RestorerGoldenTest, DISABLED_PrintGoldenTable) {
   for (const SweepCase& c : GoldenSweep()) {
     const RestoreResult& r = c.result;
     const std::vector<double> v = GoldenValues(r);
-    std::printf("// %s\n{%d, %lld, {%a, %a, %a, %a, %a, %a, %a, %a, %a, %a}, %lld, %lld, %d},\n",
+    std::printf("// %s\n"
+                "{%d, %lld, {%a, %a, %a, %a, %a, %a, %a, %a, %a, %a}, %lld, %lld, %d},\n",
                 c.label.c_str(), static_cast<int>(r.method),
                 static_cast<long long>(r.history_tokens), v[0], v[1], v[2], v[3], v[4], v[5],
                 v[6], v[7], v[8], v[9], static_cast<long long>(r.scheme.layers_hidden),
