@@ -4,9 +4,10 @@
 // performance honest (and to catch accidental kernel regressions).
 //
 // Besides the google-benchmark table, main() runs a thread-scaling sweep over the
-// acceptance-gate shapes (1024^3 GemmNN, the 256-token KV projection, and the large-k
-// GemmNT point) and records ops/s, thread count, and speedup vs 1 thread in
-// BENCH_micro_tensor.json — the repo's persisted perf trajectory.
+// acceptance-gate shapes (1024^3 GemmNN, the 256-token KV projection through a packed
+// [W_k; W_v], the large-k GemmNT point, and one decode step of the serving model) and
+// records ops/s, thread count, and speedup vs 1 thread in BENCH_micro_tensor.json —
+// the repo's persisted perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -48,11 +49,12 @@ void BM_GemmNN(benchmark::State& state) {
 BENCHMARK(BM_GemmNN)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_KvProjection(benchmark::State& state) {
-  // The restoration hot loop: [tokens, hidden] x [hidden, kv]^T.
+  // The restoration hot loop: [tokens, hidden] x [W_k; W_v]^T, weights packed at load.
   const int64_t tokens = state.range(0);
   const int64_t hidden = 256;
   Tensor x = RandomTensor(tokens, hidden, 3);
-  Tensor w = RandomTensor(hidden, hidden, 4);
+  const PackedWeight w = PackedWeight::Stack(RandomTensor(hidden / 2, hidden, 4),
+                                             RandomTensor(hidden / 2, hidden, 13));
   for (auto _ : state) {
     Tensor k = MatMulTransposedB(x, w);
     benchmark::DoNotOptimize(k.data());
@@ -205,12 +207,28 @@ void WriteMicroTensorJson() {
   const size_t hw = std::thread::hardware_concurrency();
   const size_t max_threads = hw > 0 ? hw : 1;
 
-  // Operands for the acceptance-gate shapes.
+  // Operands for the acceptance-gate shapes. The KV projection's [W_k; W_v] is
+  // [256, 256] (two 128-row halves), the same GEMM shape as the pre-PR baseline's.
   Tensor a = RandomTensor(1024, 1024, 21), b = RandomTensor(1024, 1024, 22),
          c({1024, 1024});
   Tensor px = RandomTensor(256, 256, 23), pw = RandomTensor(256, 256, 24);
+  const PackedWeight pkv =
+      PackedWeight::Stack(RandomTensor(128, 256, 24), RandomTensor(128, 256, 27));
   Tensor lx = RandomTensor(256, 4096, 25), lw = RandomTensor(256, 4096, 26),
          lc({256, 256});
+
+  // One decode step of the serving model (hcache_serve's TinyLlama(8, 256, 4), vocab
+  // 1024) after a 64-token prompt: every projection GEMM at m = 1.
+  ModelConfig dcfg = ModelConfig::TinyLlama(8, 256, 4);
+  dcfg.vocab_size = 1024;
+  const ModelWeights dweights = ModelWeights::Random(dcfg, 28);
+  Transformer dmodel(&dweights);
+  KvBlockPool dpool(KvPoolConfig::ForModel(dcfg, 64, 16));
+  PagedKvSequence dseq(&dpool);
+  std::vector<int32_t> dprompt(64);
+  std::iota(dprompt.begin(), dprompt.end(), 0);
+  dmodel.Forward(dprompt, &dseq);
+  const int64_t dprompt_tokens = dseq.num_tokens();
 
   std::vector<SweepCase> cases;
   cases.push_back({"gemm_nn_1024", GemmFlops(1024, 1024, 1024), 1.0,
@@ -219,7 +237,7 @@ void WriteMicroTensorJson() {
                                            1024); }});
   cases.push_back({"kv_projection_256", GemmFlops(256, 256, 256), 256.0,
                    [&] {
-                     Tensor k = MatMulTransposedB(px, pw);
+                     Tensor k = MatMulTransposedB(px, pkv);
                      benchmark::DoNotOptimize(k.data());
                    },
                    [&] {
@@ -231,6 +249,15 @@ void WriteMicroTensorJson() {
                    [&] { GemmNT(lx.data(), lw.data(), lc.data(), 256, 4096, 256); },
                    [&] { PreprScalarGemmNT(lx.data(), lw.data(), lc.data(), 256, 4096,
                                            256); }});
+  // Each run appends one token; the context stays within the 64-block pool because
+  // the sweep times a handful of runs per thread count.
+  cases.push_back({"decode_step", 0.0, 1.0,
+                   [&] {
+                     const auto token = static_cast<int32_t>(dseq.num_tokens() % 1024);
+                     Tensor out = dmodel.Forward({token}, &dseq);
+                     benchmark::DoNotOptimize(out.data());
+                   },
+                   {}});
 
   JsonValue benches = JsonValue::Array();
   PrintSection("thread scaling (JSON sweep)");
@@ -278,6 +305,8 @@ void WriteMicroTensorJson() {
     }
   }
   ThreadPool::ResizeShared(max_threads);
+  std::printf("  decode_step context: %ld -> %ld tokens\n", static_cast<long>(dprompt_tokens),
+              static_cast<long>(dseq.num_tokens()));
 
   JsonValue doc = JsonValue::Object();
   doc.Set("bench", "micro_tensor")

@@ -184,9 +184,7 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
     }
     const int64_t layer = entry.step.layer;
     if (entry.step.source == LayerSource::kHidden) {
-      Tensor k, v;
-      model_->RestoreLayerKv(layer, entry.hidden, positions.data(), &k, &v);
-      seq->WriteKv(layer, 0, k, v);
+      model_->RestoreLayerKv(layer, entry.hidden, positions.data(), seq);
       entry.hidden = Tensor();  // release the staged activations early
     } else {
       seq->WriteKv(layer, 0, entry.k, entry.v);

@@ -57,9 +57,7 @@ bool SharedPrefixManager::AdoptPrefix(int64_t donor, int64_t plen, HiddenStateSi
   for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
     const Tensor& rows = hidden[static_cast<size_t>(layer)];
     sink->OnLayerInput(layer, rows, positions.data(), plen);
-    Tensor k, v;
-    model_->RestoreLayerKv(layer, rows, positions.data(), &k, &v);
-    seq->WriteKv(layer, 0, k, v);
+    model_->RestoreLayerKv(layer, rows, positions.data(), seq);
   }
   seq->CommitTokens(plen);
   return true;

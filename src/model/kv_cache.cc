@@ -133,17 +133,20 @@ void PagedKvSequence::WriteKv(int64_t layer, int64_t first_pos, const Tensor& k,
   const int64_t n = k.dim(0);
   const int64_t kv_dim = pool_->config().kv_dim;
   CHECK_EQ(k.dim(1), kv_dim);
-  const int64_t bt = pool_->block_tokens();
-  CHECK_LE((first_pos + n + bt - 1) / bt, num_blocks_held());
   for (int64_t i = 0; i < n; ++i) {
-    const int64_t pos = first_pos + i;
-    const int64_t block = block_table_[static_cast<size_t>(pos / bt)];
-    const int64_t slot = pos % bt;
-    std::memcpy(pool_->Key(block, layer) + slot * kv_dim, k.row(i),
-                static_cast<size_t>(kv_dim) * sizeof(float));
-    std::memcpy(pool_->Value(block, layer) + slot * kv_dim, v.row(i),
-                static_cast<size_t>(kv_dim) * sizeof(float));
+    const auto [k_row, v_row] = MutableKvRows(layer, first_pos + i);
+    std::memcpy(k_row, k.row(i), static_cast<size_t>(kv_dim) * sizeof(float));
+    std::memcpy(v_row, v.row(i), static_cast<size_t>(kv_dim) * sizeof(float));
   }
+}
+
+std::pair<float*, float*> PagedKvSequence::MutableKvRows(int64_t layer, int64_t pos) {
+  CHECK(has_kv_);
+  const int64_t bt = pool_->block_tokens();
+  CHECK(pos >= 0 && pos / bt < num_blocks_held()) << "no capacity for token " << pos;
+  const int64_t block = block_table_[static_cast<size_t>(pos / bt)];
+  const int64_t offset = (pos % bt) * pool_->config().kv_dim;
+  return {pool_->Key(block, layer) + offset, pool_->Value(block, layer) + offset};
 }
 
 void PagedKvSequence::CommitTokens(int64_t n) {

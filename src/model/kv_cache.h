@@ -10,6 +10,7 @@
 #define HCACHE_SRC_MODEL_KV_CACHE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/model/config.h"
@@ -84,6 +85,10 @@ class PagedKvSequence {
   // Writes K/V rows for tokens [first_pos, first_pos + k.dim(0)) at `layer`.
   // k and v are [n, kv_dim]. Capacity must already cover the range.
   void WriteKv(int64_t layer, int64_t first_pos, const Tensor& k, const Tensor& v);
+
+  // The writable {K row, V row} of `layer` at token `pos`, for writers that produce rows
+  // in place (the transformer's fused K/V projection). Capacity must cover `pos`.
+  std::pair<float*, float*> MutableKvRows(int64_t layer, int64_t pos);
 
   // Marks `n` more tokens as present (call after all layers wrote their K/V).
   void CommitTokens(int64_t n);

@@ -9,12 +9,28 @@
 #include "src/common/thread_pool.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/rope.h"
 
 namespace hcache {
 
+namespace {
+
+// Rows per tile when RestoreLayerKv writes tensors rather than pool pages.
+constexpr int64_t kTensorTileRows = 16;
+
+void AddBias(float* row, const Tensor& bias) {
+  for (int64_t c = 0; c < bias.numel(); ++c) {
+    row[c] += bias.at(c);
+  }
+}
+
+}  // namespace
+
 Transformer::Transformer(const ModelWeights* weights) : weights_(weights) {
   CHECK(weights != nullptr);
+  const ModelConfig& cfg = weights->config;
+  if (cfg.position == PositionKind::kRope) {
+    rope_ = RopeTable(cfg.head_dim(), cfg.max_position);
+  }
 }
 
 Tensor Transformer::Embed(const std::vector<int32_t>& tokens, const int32_t* positions) const {
@@ -55,23 +71,80 @@ void Transformer::AddBiasRows(Tensor& t, const Tensor& bias) {
   }
   CHECK_EQ(t.dim(1), bias.numel());
   for (int64_t r = 0; r < t.dim(0); ++r) {
-    float* row = t.row(r);
-    for (int64_t c = 0; c < t.dim(1); ++c) {
-      row[c] += bias.at(c);
-    }
+    AddBias(t.row(r), bias);
   }
 }
 
-void Transformer::ProjectKv(const LayerWeights& lw, const Tensor& normed,
-                            const int32_t* positions, Tensor* k_out, Tensor* v_out) const {
+template <typename Dest>
+void Transformer::ProjectKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
+                            int64_t tile_rows, const Dest& dest) const {
   const ModelConfig& cfg = config();
-  *k_out = MatMulTransposedB(normed, lw.wk);
-  *v_out = MatMulTransposedB(normed, lw.wv);
-  AddBiasRows(*k_out, lw.bk);
-  AddBiasRows(*v_out, lw.bv);
-  if (cfg.position == PositionKind::kRope) {
-    ApplyRope(*k_out, positions, cfg.num_kv_heads, cfg.head_dim());
+  CHECK_GE(layer, 0);
+  CHECK_LT(layer, cfg.num_layers);
+  CHECK_EQ(hidden.rank(), 2);
+  CHECK_EQ(hidden.dim(1), cfg.hidden_dim);
+  const int64_t n = hidden.dim(0);
+  if (n == 0) {
+    return;
   }
+  const LayerWeights& lw = weights_->layers[static_cast<size_t>(layer)];
+  const int64_t dim = cfg.hidden_dim;
+  const int64_t kv_dim = cfg.kv_dim();
+  const bool rope = cfg.position == PositionKind::kRope;
+  CHECK_GE(positions[0], 0);
+  const int64_t lead = positions[0] % tile_rows;  // rows of the first block before row 0
+  const int64_t tiles = (lead + n + tile_rows - 1) / tile_rows;
+
+  const auto project = [&](int64_t r0, int64_t r1, bool parallel_gemm) {
+    // Grown to the largest tile once per thread, then reused.
+    thread_local std::vector<float> x_tile;
+    thread_local std::vector<float> kv_tile;
+    const int64_t rows = r1 - r0;
+    x_tile.resize(static_cast<size_t>(rows * dim));
+    kv_tile.resize(static_cast<size_t>(rows * 2 * kv_dim));
+    // The paper's K = W_k * H elides the (cheap, per-row) pre-norm; including it here is
+    // required for exactness and is covered by the epsilon term of §3.2's cost analysis.
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* in = hidden.row(r0 + r);
+      float* out = x_tile.data() + r * dim;
+      if (cfg.norm == NormKind::kRmsNorm) {
+        RmsNormRow(in, lw.attn_norm_weight.data(), cfg.norm_eps, dim, out);
+      } else {
+        LayerNormRow(in, lw.attn_norm_weight.data(), lw.attn_norm_bias.data(), cfg.norm_eps,
+                     dim, out);
+      }
+    }
+    if (parallel_gemm) {
+      GemmPacked(x_tile.data(), dim, lw.wkv, kv_tile.data(), 2 * kv_dim, rows);
+    } else {
+      GemmPackedSerial(x_tile.data(), dim, lw.wkv, kv_tile.data(), 2 * kv_dim, rows);
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+      float* k = kv_tile.data() + r * 2 * kv_dim;
+      float* v = k + kv_dim;
+      AddBias(k, lw.bk);
+      AddBias(v, lw.bv);
+      const auto [k_dst, v_dst] = dest(r0 + r);
+      if (rope) {
+        rope_.RotateRow(k, k_dst, positions[r0 + r], cfg.num_kv_heads);
+      } else {
+        std::memcpy(k_dst, k, static_cast<size_t>(kv_dim) * sizeof(float));
+      }
+      std::memcpy(v_dst, v, static_cast<size_t>(kv_dim) * sizeof(float));
+    }
+  };
+  if (tiles == 1) {
+    project(0, n, /*parallel_gemm=*/true);
+    return;
+  }
+  const auto run_tiles = [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      project(std::max<int64_t>(0, t * tile_rows - lead),
+              std::min(n, (t + 1) * tile_rows - lead), /*parallel_gemm=*/false);
+    }
+  };
+  // One reference capture fits std::function's in-place storage: no allocation.
+  ParallelFor(0, tiles, 1, [&run_tiles](int64_t t0, int64_t t1) { run_tiles(t0, t1); });
 }
 
 float Transformer::AlibiSlope(int64_t head) const {
@@ -189,11 +262,9 @@ Tensor Transformer::ForwardPartial(const std::vector<int32_t>& tokens, PagedKvSe
     Tensor q = MatMulTransposedB(normed, lw.wq);
     AddBiasRows(q, lw.bq);
     if (cfg.position == PositionKind::kRope) {
-      ApplyRope(q, positions.data(), cfg.num_heads, cfg.head_dim());
+      rope_.Apply(q, positions.data(), cfg.num_heads);
     }
-    Tensor k, v;
-    ProjectKv(lw, normed, positions.data(), &k, &v);
-    seq->WriteKv(layer, start, k, v);
+    RestoreLayerKv(layer, h, positions.data(), seq);
     if (layer == 0) {
       // Tokens become visible to attention once their layer-0 K/V exist; later layers
       // reuse the same committed range.
@@ -287,18 +358,17 @@ std::vector<int32_t> Transformer::SampleDecode(int32_t first_token, int64_t step
 }
 
 void Transformer::RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
+                                 PagedKvSequence* seq) const {
+  ProjectKv(layer, hidden, positions, seq->pool()->block_tokens(),
+            [&](int64_t i) { return seq->MutableKvRows(layer, positions[i]); });
+}
+
+void Transformer::RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                                  Tensor* k_out, Tensor* v_out) const {
-  const ModelConfig& cfg = config();
-  CHECK_GE(layer, 0);
-  CHECK_LT(layer, cfg.num_layers);
-  CHECK_EQ(hidden.rank(), 2);
-  CHECK_EQ(hidden.dim(1), cfg.hidden_dim);
-  const LayerWeights& lw = weights_->layers[static_cast<size_t>(layer)];
-  // The paper's K = W_k * H elides the (cheap, per-row) pre-norm; including it here is
-  // required for exactness and is covered by the epsilon term of §3.2's cost analysis.
-  Tensor normed({hidden.dim(0), cfg.hidden_dim});
-  Normalize(hidden, lw.attn_norm_weight, lw.attn_norm_bias, &normed);
-  ProjectKv(lw, normed, positions, k_out, v_out);
+  *k_out = Tensor({hidden.dim(0), config().kv_dim()});
+  *v_out = Tensor({hidden.dim(0), config().kv_dim()});
+  ProjectKv(layer, hidden, positions, kTensorTileRows,
+            [&](int64_t i) { return std::pair{k_out->row(i), v_out->row(i)}; });
 }
 
 }  // namespace hcache

@@ -14,6 +14,13 @@
 //   KV  -> paged cache
 //   h   = h_L + (MHA(q, KV) W_o^T)
 //   h_{L+1} = h + FFN(Norm2(h))
+//
+// The K/V step is one fused call shared by the forward pass and restoration: per row
+// tile aligned to the pool's blocks it normalizes h_L into per-thread scratch, runs
+// one GEMM over the packed [W_k; W_v], and in the epilogue adds the biases, rotates K
+// from the RoPE table and writes each row straight into its K and V pool pages. The
+// forward pass writes its KV through RestoreLayerKv, so restoring a layer from its
+// saved input lands the same bits by construction.
 #ifndef HCACHE_SRC_MODEL_TRANSFORMER_H_
 #define HCACHE_SRC_MODEL_TRANSFORMER_H_
 
@@ -23,6 +30,7 @@
 #include "src/common/rng.h"
 #include "src/model/kv_cache.h"
 #include "src/model/weights.h"
+#include "src/tensor/rope.h"
 #include "src/tensor/tensor.h"
 
 namespace hcache {
@@ -86,18 +94,30 @@ class Transformer {
   // === The HCache restoration primitive (paper §3.1) ===
   // Computes layer `layer`'s K/V for tokens with the given `positions` from that
   // layer's saved input `hidden` [n, hidden_dim], applying exactly the operations the
-  // forward pass applies (pre-norm, projection, bias, RoPE with original positions).
-  // Outputs are [n, kv_dim]. Bit-identical to what Forward wrote for those tokens.
+  // forward pass applies (pre-norm, projection, bias, RoPE with original positions),
+  // and writes each token's rows into `seq`'s pool pages at its position. The
+  // sequence's capacity must cover every position. Allocates nothing in steady state.
+  // Bit-identical to what Forward wrote for those tokens: Forward writes through it.
+  void RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
+                      PagedKvSequence* seq) const;
+
+  // The same projection into fresh [n, kv_dim] tensors instead of pool pages.
   void RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                       Tensor* k_out, Tensor* v_out) const;
 
  private:
   Tensor Embed(const std::vector<int32_t>& tokens, const int32_t* positions) const;
   void Normalize(const Tensor& x, const Tensor& weight, const Tensor& bias, Tensor* out) const;
-  // Projects normed activations to K/V (+bias, +RoPE). Shared verbatim by the forward
-  // pass and RestoreLayerKv — sharing the code path is what makes restoration lossless.
-  void ProjectKv(const LayerWeights& lw, const Tensor& normed, const int32_t* positions,
-                 Tensor* k_out, Tensor* v_out) const;
+  // The fused K/V projection behind both RestoreLayerKv forms. Works in row tiles of
+  // `tile_rows` whose boundaries fall where positions[i] % tile_rows == 0 (pool blocks,
+  // for contiguous positions); per tile it pre-norms `hidden`'s rows into per-thread
+  // scratch, runs one GEMM over the packed [W_k; W_v] and, in the epilogue, adds the
+  // biases, rotates K from the RoPE table and stores row i through dest(i), which
+  // returns its {K row, V row}. Tiles work-share on the pool; a lone tile work-shares
+  // its GEMM's columns instead.
+  template <typename Dest>
+  void ProjectKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
+                 int64_t tile_rows, const Dest& dest) const;
   float AlibiSlope(int64_t head) const;
   Tensor Attention(int64_t layer, const Tensor& q, const PagedKvSequence& seq,
                    const int32_t* positions, int64_t n) const;
@@ -105,6 +125,7 @@ class Transformer {
   static void AddBiasRows(Tensor& t, const Tensor& bias);
 
   const ModelWeights* weights_;
+  RopeTable rope_;  // up to max_position; RoPE models only
 };
 
 }  // namespace hcache

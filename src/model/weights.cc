@@ -25,6 +25,50 @@ Tensor OnesTensor(std::vector<int64_t> shape) {
   return t;
 }
 
+// A layer's projections in the raw row-major layout that Random samples and the
+// checkpoint stores; LayerWeights holds them packed.
+struct RawProjections {
+  Tensor wq, wk, wv, wo, w_gate, w_up, w_down;
+};
+
+bool Packable(const Tensor& t) { return t.rank() == 0 || t.rank() == 2; }
+
+// Packs `raw` into `lw`. False (leaving `lw` untouched) when the shapes cannot form
+// packed weights: a projection that is neither absent nor a matrix, or W_k and W_v
+// that do not stack.
+bool PackProjections(const RawProjections& raw, LayerWeights* lw) {
+  for (const Tensor* t : {&raw.wq, &raw.wo, &raw.w_gate, &raw.w_up, &raw.w_down}) {
+    if (!Packable(*t)) {
+      return false;
+    }
+  }
+  if (raw.wk.shape() != raw.wv.shape() || !Packable(raw.wk)) {
+    return false;
+  }
+  lw->wq = PackedWeight(raw.wq);
+  lw->wkv = raw.wk.rank() == 0 ? PackedWeight() : PackedWeight::Stack(raw.wk, raw.wv);
+  lw->wo = PackedWeight(raw.wo);
+  lw->w_gate = PackedWeight(raw.w_gate);
+  lw->w_up = PackedWeight(raw.w_up);
+  lw->w_down = PackedWeight(raw.w_down);
+  return true;
+}
+
+RawProjections UnpackProjections(const LayerWeights& lw) {
+  RawProjections raw;
+  raw.wq = lw.wq.Unpack();
+  if (!lw.wkv.empty()) {
+    const int64_t kv_dim = lw.wkv.rows() / 2;
+    raw.wk = lw.wkv.UnpackRows(0, kv_dim);
+    raw.wv = lw.wkv.UnpackRows(kv_dim, lw.wkv.rows());
+  }
+  raw.wo = lw.wo.Unpack();
+  raw.w_gate = lw.w_gate.Unpack();
+  raw.w_up = lw.w_up.Unpack();
+  raw.w_down = lw.w_down.Unpack();
+  return raw;
+}
+
 }  // namespace
 
 ModelWeights ModelWeights::Random(const ModelConfig& config, uint64_t seed) {
@@ -47,10 +91,11 @@ ModelWeights ModelWeights::Random(const ModelConfig& config, uint64_t seed) {
   w.layers.reserve(static_cast<size_t>(config.num_layers));
   for (int64_t l = 0; l < config.num_layers; ++l) {
     LayerWeights lw;
-    lw.wq = RandomTensor({config.hidden_dim, config.hidden_dim}, rng, proj_scale);
-    lw.wk = RandomTensor({config.kv_dim(), config.hidden_dim}, rng, proj_scale);
-    lw.wv = RandomTensor({config.kv_dim(), config.hidden_dim}, rng, proj_scale);
-    lw.wo = RandomTensor({config.hidden_dim, config.hidden_dim}, rng, proj_scale);
+    RawProjections raw;
+    raw.wq = RandomTensor({config.hidden_dim, config.hidden_dim}, rng, proj_scale);
+    raw.wk = RandomTensor({config.kv_dim(), config.hidden_dim}, rng, proj_scale);
+    raw.wv = RandomTensor({config.kv_dim(), config.hidden_dim}, rng, proj_scale);
+    raw.wo = RandomTensor({config.hidden_dim, config.hidden_dim}, rng, proj_scale);
     if (layer_norm) {
       lw.bq = Tensor({config.hidden_dim});
       lw.bk = Tensor({config.kv_dim()});
@@ -66,15 +111,16 @@ ModelWeights ModelWeights::Random(const ModelConfig& config, uint64_t seed) {
     }
 
     if (swiglu) {
-      lw.w_gate = RandomTensor({config.ffn_dim, config.hidden_dim}, rng, proj_scale);
+      raw.w_gate = RandomTensor({config.ffn_dim, config.hidden_dim}, rng, proj_scale);
     }
-    lw.w_up = RandomTensor({config.ffn_dim, config.hidden_dim}, rng, proj_scale);
-    lw.w_down = RandomTensor({config.hidden_dim, config.ffn_dim}, rng,
-                             1.0f / std::sqrt(static_cast<float>(config.ffn_dim)));
+    raw.w_up = RandomTensor({config.ffn_dim, config.hidden_dim}, rng, proj_scale);
+    raw.w_down = RandomTensor({config.hidden_dim, config.ffn_dim}, rng,
+                              1.0f / std::sqrt(static_cast<float>(config.ffn_dim)));
     if (layer_norm) {
       lw.b_up = Tensor({config.ffn_dim});
       lw.b_down = Tensor({config.hidden_dim});
     }
+    CHECK(PackProjections(raw, &lw));
     w.layers.push_back(std::move(lw));
   }
 
@@ -82,7 +128,8 @@ ModelWeights ModelWeights::Random(const ModelConfig& config, uint64_t seed) {
   if (layer_norm) {
     w.final_norm_bias = Tensor({config.hidden_dim});
   }
-  w.lm_head = RandomTensor({config.vocab_size, config.hidden_dim}, rng, proj_scale);
+  w.lm_head =
+      PackedWeight(RandomTensor({config.vocab_size, config.hidden_dim}, rng, proj_scale));
   return w;
 }
 
@@ -90,33 +137,27 @@ namespace {
 
 constexpr uint64_t kCheckpointMagic = 0x48434143'4b505431ull;  // "HCACKPT1"
 
-// Applies `fn` to every tensor of `w` in a fixed order — the serialization schema.
-template <typename W, typename Fn>
-void ForEachTensor(W& w, Fn&& fn) {
-  fn(w.embedding);
-  fn(w.pos_embedding);
-  for (auto& layer : w.layers) {
-    fn(layer.wq);
-    fn(layer.wk);
-    fn(layer.wv);
-    fn(layer.wo);
-    fn(layer.bq);
-    fn(layer.bk);
-    fn(layer.bv);
-    fn(layer.bo);
-    fn(layer.attn_norm_weight);
-    fn(layer.attn_norm_bias);
-    fn(layer.ffn_norm_weight);
-    fn(layer.ffn_norm_bias);
-    fn(layer.w_gate);
-    fn(layer.w_up);
-    fn(layer.w_down);
-    fn(layer.b_up);
-    fn(layer.b_down);
-  }
-  fn(w.final_norm_weight);
-  fn(w.final_norm_bias);
-  fn(w.lm_head);
+// Applies `fn` to one layer's tensors in checkpoint order, taking the projections
+// from `raw` — the serialization schema of a layer.
+template <typename L, typename R, typename Fn>
+void ForEachLayerTensor(L& layer, R& raw, Fn&& fn) {
+  fn(raw.wq);
+  fn(raw.wk);
+  fn(raw.wv);
+  fn(raw.wo);
+  fn(layer.bq);
+  fn(layer.bk);
+  fn(layer.bv);
+  fn(layer.bo);
+  fn(layer.attn_norm_weight);
+  fn(layer.attn_norm_bias);
+  fn(layer.ffn_norm_weight);
+  fn(layer.ffn_norm_bias);
+  fn(raw.w_gate);
+  fn(raw.w_up);
+  fn(raw.w_down);
+  fn(layer.b_up);
+  fn(layer.b_down);
 }
 
 bool WriteRaw(std::FILE* f, const void* p, size_t n) { return std::fwrite(p, 1, n, f) == n; }
@@ -152,7 +193,8 @@ bool ModelWeights::SaveToFile(const std::string& path) const {
   }
   ok = ok && WriteRaw(f, &config.norm_eps, sizeof(config.norm_eps));
 
-  ForEachTensor(*this, [&](const Tensor& t) {
+  // Tensors in schema order: embeddings, each layer, the final norm and the LM head.
+  const auto write = [&](const Tensor& t) {
     ok = ok && WriteI64(f, t.rank());
     for (int64_t d = 0; d < t.rank(); ++d) {
       ok = ok && WriteI64(f, t.dim(d));
@@ -160,7 +202,16 @@ bool ModelWeights::SaveToFile(const std::string& path) const {
     if (t.numel() > 0) {
       ok = ok && WriteRaw(f, t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
     }
-  });
+  };
+  write(embedding);
+  write(pos_embedding);
+  for (const LayerWeights& layer : layers) {
+    const RawProjections raw = UnpackProjections(layer);
+    ForEachLayerTensor(layer, raw, write);
+  }
+  write(final_norm_weight);
+  write(final_norm_bias);
+  write(lm_head.Unpack());
   ok = std::fclose(f) == 0 && ok;
   return ok;
 }
@@ -203,7 +254,7 @@ bool ModelWeights::LoadFromFile(const std::string& path, ModelWeights* out) {
   out->config = cfg;
   out->layers.clear();
   out->layers.resize(static_cast<size_t>(std::max<int64_t>(0, cfg.num_layers)));
-  ForEachTensor(*out, [&](Tensor& t) {
+  const auto read = [&](Tensor& t) {
     int64_t rank = 0;
     ok = ok && ReadI64(f, &rank) && rank >= 0 && rank <= 4;
     if (!ok) {
@@ -225,7 +276,22 @@ bool ModelWeights::LoadFromFile(const std::string& path, ModelWeights* out) {
       ok = ok && ReadRaw(f, loaded.data(), static_cast<size_t>(loaded.numel()) * sizeof(float));
     }
     t = std::move(loaded);
-  });
+  };
+  read(out->embedding);
+  read(out->pos_embedding);
+  for (LayerWeights& layer : out->layers) {
+    RawProjections raw;
+    ForEachLayerTensor(layer, raw, read);
+    ok = ok && PackProjections(raw, &layer);  // packs as it reads
+  }
+  read(out->final_norm_weight);
+  read(out->final_norm_bias);
+  Tensor lm_head;
+  read(lm_head);
+  ok = ok && Packable(lm_head);
+  if (ok) {
+    out->lm_head = PackedWeight(lm_head);
+  }
   std::fclose(f);
   return ok;
 }

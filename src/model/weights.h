@@ -2,8 +2,14 @@
 //
 // The functional plane never loads real checkpoints — the lossless-restoration property
 // being verified is independent of weight values — so weights are sampled from a seeded
-// Gaussian. Layouts match HuggingFace conventions: every projection is stored
+// Gaussian. Layouts match HuggingFace conventions: every projection is
 // [out_features, in_features] and applied as x * W^T.
+//
+// Every projection is held only in packed form (PackedWeight), built once when the
+// weights are sampled or loaded, so no GEMM re-packs a weight per call and no raw copy
+// doubles the weights' memory. W_k and W_v are packed stacked, so the K/V projection
+// that restoration runs is one GEMM. The checkpoint file keeps the raw row-major
+// layout: SaveToFile unpacks, LoadFromFile packs as it reads.
 #ifndef HCACHE_SRC_MODEL_WEIGHTS_H_
 #define HCACHE_SRC_MODEL_WEIGHTS_H_
 
@@ -12,16 +18,16 @@
 #include <vector>
 
 #include "src/model/config.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/tensor.h"
 
 namespace hcache {
 
 struct LayerWeights {
   // Attention.
-  Tensor wq;  // [hidden, hidden]
-  Tensor wk;  // [kv_dim, hidden]
-  Tensor wv;  // [kv_dim, hidden]
-  Tensor wo;  // [hidden, hidden]
+  PackedWeight wq;   // [hidden, hidden]
+  PackedWeight wkv;  // [W_k; W_v]: [2 * kv_dim, hidden], K columns first
+  PackedWeight wo;   // [hidden, hidden]
   Tensor bq, bk, bv, bo;  // [.] biases, only for OPT-style models (empty otherwise)
 
   // Norms. attn_norm precedes attention, ffn_norm precedes the FFN (pre-norm models).
@@ -31,9 +37,9 @@ struct LayerWeights {
   Tensor ffn_norm_bias;     // [hidden], LayerNorm only
 
   // FFN. SwiGLU uses w_gate/w_up/w_down; GELU/ReLU models use w_up (fc1) / w_down (fc2).
-  Tensor w_gate;  // [ffn, hidden]
-  Tensor w_up;    // [ffn, hidden]
-  Tensor w_down;  // [hidden, ffn]
+  PackedWeight w_gate;  // [ffn, hidden]
+  PackedWeight w_up;    // [ffn, hidden]
+  PackedWeight w_down;  // [hidden, ffn]
   Tensor b_up;    // [ffn], OPT only
   Tensor b_down;  // [hidden], OPT only
 };
@@ -45,14 +51,15 @@ struct ModelWeights {
   std::vector<LayerWeights> layers;
   Tensor final_norm_weight;  // [hidden]
   Tensor final_norm_bias;    // [hidden], LayerNorm only
-  Tensor lm_head;            // [vocab, hidden]
+  PackedWeight lm_head;      // [vocab, hidden]
 
   // Samples every parameter from N(0, scale^2) with a deterministic per-tensor stream
   // derived from `seed`, so two processes with the same seed build identical models.
   static ModelWeights Random(const ModelConfig& config, uint64_t seed = 42);
 
   // Binary checkpoint round trip (simple versioned format: config header + raw FP32
-  // tensors). Returns false on IO or format errors.
+  // row-major tensors, W_k and W_v as two tensors). Returns false on IO or format
+  // errors.
   bool SaveToFile(const std::string& path) const;
   static bool LoadFromFile(const std::string& path, ModelWeights* out);
 };

@@ -50,23 +50,44 @@ void SoftmaxLastDim(Tensor& t) {
   });
 }
 
+void RmsNormRow(const float* in, const float* weight, float eps, int64_t dim, float* out) {
+  double ssq = 0.0;
+  for (int64_t i = 0; i < dim; ++i) {
+    ssq += static_cast<double>(in[i]) * in[i];
+  }
+  const float scale =
+      1.0f / std::sqrt(static_cast<float>(ssq / static_cast<double>(dim)) + eps);
+  for (int64_t i = 0; i < dim; ++i) {
+    out[i] = in[i] * scale * weight[i];
+  }
+}
+
+void LayerNormRow(const float* in, const float* weight, const float* bias, float eps,
+                  int64_t dim, float* out) {
+  double mean = 0.0;
+  for (int64_t i = 0; i < dim; ++i) {
+    mean += in[i];
+  }
+  mean /= static_cast<double>(dim);
+  double var = 0.0;
+  for (int64_t i = 0; i < dim; ++i) {
+    const double d = in[i] - mean;
+    var += d * d;
+  }
+  var /= static_cast<double>(dim);
+  const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+  for (int64_t i = 0; i < dim; ++i) {
+    out[i] = (in[i] - static_cast<float>(mean)) * inv * weight[i] + bias[i];
+  }
+}
+
 void RmsNorm(const Tensor& x, const float* weight, float eps, Tensor& out) {
   CHECK_EQ(x.rank(), 2);
   CHECK(x.shape() == out.shape());
   const int64_t dim = x.dim(1);
   ParallelFor(0, x.dim(0), RowGrain(dim), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      const float* in_row = x.row(r);
-      float* out_row = out.row(r);
-      double ssq = 0.0;
-      for (int64_t i = 0; i < dim; ++i) {
-        ssq += static_cast<double>(in_row[i]) * in_row[i];
-      }
-      const float scale =
-          1.0f / std::sqrt(static_cast<float>(ssq / static_cast<double>(dim)) + eps);
-      for (int64_t i = 0; i < dim; ++i) {
-        out_row[i] = in_row[i] * scale * weight[i];
-      }
+      RmsNormRow(x.row(r), weight, eps, dim, out.row(r));
     }
   });
 }
@@ -78,23 +99,7 @@ void LayerNorm(const Tensor& x, const float* weight, const float* bias, float ep
   const int64_t dim = x.dim(1);
   ParallelFor(0, x.dim(0), RowGrain(dim), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      const float* in_row = x.row(r);
-      float* out_row = out.row(r);
-      double mean = 0.0;
-      for (int64_t i = 0; i < dim; ++i) {
-        mean += in_row[i];
-      }
-      mean /= static_cast<double>(dim);
-      double var = 0.0;
-      for (int64_t i = 0; i < dim; ++i) {
-        const double d = in_row[i] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(dim);
-      const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-      for (int64_t i = 0; i < dim; ++i) {
-        out_row[i] = (in_row[i] - static_cast<float>(mean)) * inv * weight[i] + bias[i];
-      }
+      LayerNormRow(x.row(r), weight, bias, eps, dim, out.row(r));
     }
   });
 }

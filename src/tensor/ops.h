@@ -25,6 +25,12 @@ void RmsNorm(const Tensor& x, const float* weight, float eps, Tensor& out);
 void LayerNorm(const Tensor& x, const float* weight, const float* bias, float eps,
                Tensor& out);
 
+// One row of RmsNorm / LayerNorm: the tensor forms run exactly this per row, so a
+// caller normalizing rows into its own scratch gets the same bits.
+void RmsNormRow(const float* in, const float* weight, float eps, int64_t dim, float* out);
+void LayerNormRow(const float* in, const float* weight, const float* bias, float eps,
+                  int64_t dim, float* out);
+
 // SiLU (x * sigmoid(x)), in place.
 void SiluInPlace(Tensor& t);
 

@@ -227,6 +227,55 @@ TEST_P(RestorationFidelityTest, RestorationBatchSizeIrrelevant) {
   }
 }
 
+TEST_P(RestorationFidelityTest, RestoreIntoPoolMatchesTensorsAndForward) {
+  // The pool form of RestoreLayerKv writes through the fused projection epilogue; it
+  // must land the bits of the tensor form + WriteKv and of the KV Forward wrote. The
+  // prefill is chunked so its second chunk starts mid-block (block_tokens = 8), and n
+  // is not a multiple of block_tokens.
+  const ModelConfig cfg = MakeConfig(GetParam());
+  Harness h(cfg);
+  CaptureSink sink(cfg);
+  PagedKvSequence fwd(&h.pool);
+  const int64_t n = 21;
+  const auto toks = RandomTokens(n, cfg.vocab_size, 12);
+  h.model.Forward({toks.begin(), toks.begin() + 5}, &fwd, &sink);
+  h.model.Forward({toks.begin() + 5, toks.end()}, &fwd, &sink);
+
+  std::vector<int32_t> positions(static_cast<size_t>(n));
+  std::iota(positions.begin(), positions.end(), 0);
+  PagedKvSequence via_tensors(&h.pool), via_pool(&h.pool), tail_only(&h.pool);
+  for (PagedKvSequence* s : {&via_tensors, &via_pool, &tail_only}) {
+    ASSERT_TRUE(s->EnsureCapacity(n));
+    s->CommitTokens(n);
+  }
+  // Tokens [first, n) alone: the tiles start mid-block.
+  const int64_t first = 11;
+  for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
+    const Tensor hidden = sink.LayerHidden(layer, n);
+    Tensor k, v;
+    h.model.RestoreLayerKv(layer, hidden, positions.data(), &k, &v);
+    via_tensors.WriteKv(layer, 0, k, v);
+    h.model.RestoreLayerKv(layer, hidden, positions.data(), &via_pool);
+    Tensor tail({n - first, cfg.hidden_dim});
+    std::copy(hidden.row(first), hidden.row(first) + tail.numel(), tail.row(0));
+    h.model.RestoreLayerKv(layer, tail, positions.data() + first, &tail_only);
+  }
+  for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
+    Tensor k_fwd, v_fwd, k_t, v_t, k_p, v_p, k_tail, v_tail, k_ref, v_ref;
+    fwd.ReadKv(layer, 0, n, &k_fwd, &v_fwd);
+    via_tensors.ReadKv(layer, 0, n, &k_t, &v_t);
+    via_pool.ReadKv(layer, 0, n, &k_p, &v_p);
+    EXPECT_TRUE(Tensor::BitwiseEqual(k_fwd, k_t)) << "K layer " << layer;
+    EXPECT_TRUE(Tensor::BitwiseEqual(v_fwd, v_t)) << "V layer " << layer;
+    EXPECT_TRUE(Tensor::BitwiseEqual(k_fwd, k_p)) << "K layer " << layer;
+    EXPECT_TRUE(Tensor::BitwiseEqual(v_fwd, v_p)) << "V layer " << layer;
+    tail_only.ReadKv(layer, first, n - first, &k_tail, &v_tail);
+    fwd.ReadKv(layer, first, n - first, &k_ref, &v_ref);
+    EXPECT_TRUE(Tensor::BitwiseEqual(k_ref, k_tail)) << "K tail layer " << layer;
+    EXPECT_TRUE(Tensor::BitwiseEqual(v_ref, v_tail)) << "V tail layer " << layer;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Architectures, RestorationFidelityTest,
                          ::testing::Values("llama", "opt", "gqa", "alibi"));
 

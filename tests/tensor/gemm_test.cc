@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.h"
 
 namespace hcache {
@@ -96,6 +98,104 @@ TEST(GemmTest, GemmNTRowsIndependentOfBatch) {
   for (int64_t j = 0; j < 13; ++j) {
     // Bitwise equality, not approximate: identical accumulation order is required.
     EXPECT_EQ(full.at(5, j), single.at(0, j));
+  }
+}
+
+Tensor Transpose(const Tensor& w) {
+  Tensor t({w.dim(1), w.dim(0)});
+  for (int64_t i = 0; i < w.dim(0); ++i) {
+    for (int64_t j = 0; j < w.dim(1); ++j) {
+      t.at(j, i) = w.at(i, j);
+    }
+  }
+  return t;
+}
+
+TEST(GemmTest, PackedMatchesNaiveAcrossShapes) {
+  // m across the 4-row register tile and the 64-row block, n off the 16-column panels,
+  // k past one 256-deep k block.
+  Rng rng(4);
+  for (const int64_t m : {1, 3, 4, 17, 67}) {
+    for (const int64_t n : {5, 37, 300}) {
+      for (const int64_t k : {7, 300, 513}) {
+        SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+        const Tensor x = RandomMatrix(m, k, rng);
+        const Tensor w = RandomMatrix(n, k, rng);
+        const Tensor got = MatMulTransposedB(x, PackedWeight(w));
+        EXPECT_LT(Tensor::MaxAbsDiff(got, NaiveMatMul(x, Transpose(w))), 2e-3f);
+        // Packing once at load and packing per call build the same panels.
+        EXPECT_TRUE(Tensor::BitwiseEqual(got, MatMulTransposedB(x, w)));
+      }
+    }
+  }
+}
+
+TEST(GemmTest, PackedWeightUnpacksToRawRows) {
+  Rng rng(5);
+  const Tensor top = RandomMatrix(21, 33, rng);
+  const Tensor bottom = RandomMatrix(21, 33, rng);
+  const PackedWeight one(top);
+  EXPECT_EQ(one.rows(), 21);
+  EXPECT_EQ(one.cols(), 33);
+  EXPECT_TRUE(Tensor::BitwiseEqual(one.Unpack(), top));
+  const PackedWeight stacked = PackedWeight::Stack(top, bottom);
+  EXPECT_EQ(stacked.rows(), 42);
+  EXPECT_TRUE(Tensor::BitwiseEqual(stacked.UnpackRows(0, 21), top));
+  EXPECT_TRUE(Tensor::BitwiseEqual(stacked.UnpackRows(21, 42), bottom));
+  // An absent tensor stays absent.
+  EXPECT_TRUE(PackedWeight(Tensor()).empty());
+  EXPECT_EQ(PackedWeight(Tensor()).Unpack().rank(), 0);
+}
+
+TEST(GemmTest, StackedKvGemmEqualsSeparateGemms) {
+  // Column independence: the fused [W_k; W_v] projection must give each column exactly
+  // the bits of its own GEMM, including at kv_dim % 16 != 0, where a 16-column panel
+  // holds both K and V columns.
+  Rng rng(6);
+  const int64_t hidden = 300;
+  for (const int64_t kv_dim : {24, 40}) {
+    for (const int64_t m : {1, 7, 33}) {
+      SCOPED_TRACE(testing::Message() << "kv_dim " << kv_dim << " m " << m);
+      const Tensor x = RandomMatrix(m, hidden, rng);
+      const Tensor wk = RandomMatrix(kv_dim, hidden, rng);
+      const Tensor wv = RandomMatrix(kv_dim, hidden, rng);
+      const Tensor kv = MatMulTransposedB(x, PackedWeight::Stack(wk, wv));
+      const Tensor k = MatMulTransposedB(x, PackedWeight(wk));
+      const Tensor v = MatMulTransposedB(x, PackedWeight(wv));
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < kv_dim; ++j) {
+          ASSERT_EQ(kv.at(i, j), k.at(i, j)) << i << "," << j;
+          ASSERT_EQ(kv.at(i, kv_dim + j), v.at(i, j)) << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, PackedHonorsLeadingDimensions) {
+  // GemmPacked reads A rows `lda` apart and writes C rows `ldc` apart, leaving the
+  // columns past n alone; the serial form computes the same bits.
+  Rng rng(7);
+  const int64_t m = 9, k = 20, n = 18, lda = 25, ldc = 30;
+  const Tensor a = RandomMatrix(m, lda, rng);
+  const Tensor w = RandomMatrix(n, k, rng);
+  const PackedWeight pw(w);
+  Tensor c({m, ldc});
+  c.Fill(-7.0f);
+  GemmPacked(a.data(), lda, pw, c.data(), ldc, m);
+  Tensor serial({m, ldc});
+  serial.Fill(-7.0f);
+  GemmPackedSerial(a.data(), lda, pw, serial.data(), ldc, m);
+  EXPECT_TRUE(Tensor::BitwiseEqual(c, serial));
+  Tensor dense({m, k});
+  for (int64_t i = 0; i < m; ++i) {
+    std::copy(a.row(i), a.row(i) + k, dense.row(i));
+  }
+  const Tensor want = MatMulTransposedB(dense, w);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < ldc; ++j) {
+      EXPECT_EQ(c.at(i, j), j < n ? want.at(i, j) : -7.0f) << i << "," << j;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 // restore time on any other thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -122,6 +123,32 @@ TEST(ParallelKernelsTest, GemmNTRowResultIndependentOfBatchAtAnyThreadCount) {
   for (int64_t j = 0; j < 13; ++j) {
     EXPECT_EQ(full.at(37, j), single.at(0, j)) << "col " << j;
   }
+}
+
+TEST(ParallelKernelsTest, PackedGemmBitExactAcrossThreadCountsAndRowSplits) {
+  // Every projection of the transformer runs on pre-packed weights: the output must be
+  // the same bits at 1-4 threads, and a row computed alone (decode) must equal the same
+  // row computed inside the batch (prefill, restore).
+  uint64_t seed = 700;
+  for (const auto& s : kShapes) {
+    SCOPED_TRACE(testing::Message() << s[0] << "x" << s[1] << "x" << s[2]);
+    const Tensor x = RandomMatrix(s[0], s[1], seed++);
+    const PackedWeight w(RandomMatrix(s[2], s[1], seed++));
+    ThreadPool::ResizeShared(1);
+    const Tensor serial = MatMulTransposedB(x, w);
+    for (size_t threads = 2; threads <= kParallelThreads; ++threads) {
+      ThreadPool::ResizeShared(threads);
+      EXPECT_TRUE(Tensor::BitwiseEqual(serial, MatMulTransposedB(x, w))) << threads;
+    }
+    const int64_t row = s[0] / 2;
+    Tensor one({1, s[1]});
+    std::copy(x.row(row), x.row(row) + s[1], one.row(0));
+    const Tensor single = MatMulTransposedB(one, w);
+    for (int64_t j = 0; j < s[2]; ++j) {
+      ASSERT_EQ(single.at(0, j), serial.at(row, j)) << "col " << j;
+    }
+  }
+  ThreadPool::ResizeShared(kParallelThreads);
 }
 
 TEST(ParallelKernelsTest, RopeBitExactAcrossThreadCounts) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -76,6 +77,44 @@ TEST(RopeTest, RelativeAngleProperty) {
   };
   EXPECT_NEAR(dot_at(5, 3), dot_at(12, 10), 1e-4f);
   EXPECT_NEAR(dot_at(30, 7), dot_at(123, 100), 1e-3f);
+}
+
+TEST(RopeTest, TableHoldsThePerCallExpressions) {
+  // The table is built once from RoPE's own expressions; every entry must equal a
+  // fresh powf/cosf/sinf evaluation bit for bit, below max_position (table rows) and
+  // past it (computed on demand).
+  const int64_t head_dim = 64, max_position = 100;
+  const RopeTable table(head_dim, max_position);
+  std::vector<float> scratch(head_dim);
+  for (const int32_t pos : {0, 1, 7, 63, 99, 100, 101, 4095, 70000}) {
+    const float* cs = table.CosSin(pos, scratch.data());
+    for (int64_t i = 0; i < head_dim / 2; ++i) {
+      const float freq = std::pow(10000.0f, -2.0f * static_cast<float>(i) /
+                                                static_cast<float>(head_dim));
+      const float angle = static_cast<float>(pos) * freq;
+      EXPECT_EQ(cs[2 * i], std::cos(angle)) << pos << "," << i;
+      EXPECT_EQ(cs[2 * i + 1], std::sin(angle)) << pos << "," << i;
+    }
+  }
+}
+
+TEST(RopeTest, TableRotationEqualsApplyRope) {
+  // The transformer rotates through the table; the result must be ApplyRope's bits,
+  // including for positions past max_position and with src != dst.
+  const int64_t num_heads = 3, head_dim = 16;
+  const RopeTable table(head_dim, /*max_position=*/50);
+  const int32_t positions[] = {0, 5, 49, 50, 51, 1000};
+  const Tensor base = RandomActivations(6, num_heads * head_dim, 7);
+  Tensor want = base.Clone();
+  ApplyRope(want, positions, num_heads, head_dim);
+  Tensor applied = base.Clone();
+  table.Apply(applied, positions, num_heads);
+  EXPECT_TRUE(Tensor::BitwiseEqual(applied, want));
+  Tensor rotated({6, num_heads * head_dim});
+  for (int64_t t = 0; t < 6; ++t) {
+    table.RotateRow(base.row(t), rotated.row(t), positions[t], num_heads);
+  }
+  EXPECT_TRUE(Tensor::BitwiseEqual(rotated, want));
 }
 
 TEST(RopeTest, DifferentThetaBasesDiffer) {
