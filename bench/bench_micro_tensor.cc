@@ -5,9 +5,10 @@
 //
 // Besides the google-benchmark table, main() runs a thread-scaling sweep over the
 // acceptance-gate shapes (1024^3 GemmNN, the 256-token KV projection through a packed
-// [W_k; W_v], the large-k GemmNT point, and one decode step of the serving model) and
-// records ops/s, thread count, and speedup vs 1 thread in BENCH_micro_tensor.json —
-// the repo's persisted perf trajectory.
+// [W_k; W_v], the large-k GemmNT point, one decode step of the serving model, and its
+// attention-heavy 7-token prefill and decode step at a 283-token context) and records
+// ops/s, thread count, and speedup vs 1 thread in BENCH_micro_tensor.json — the repo's
+// persisted perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -180,17 +182,22 @@ void PreprScalarGemmNT(const float* a, const float* b, float* c, int64_t m, int6
   }
 }
 
-// Best-of-`reps` wall time of `fn` after one warmup run.
+// Best-of-`reps` wall time of `fn` after one warmup run; `setup`, when set, runs
+// untimed before every run.
 template <typename Fn>
-double TimeSeconds(Fn&& fn, int reps = 3) {
-  fn();
+double TimeSeconds(Fn&& fn, const std::function<void()>& setup = {}, int reps = 3) {
   double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r <= reps; ++r) {  // run 0 is the warmup
+    if (setup) {
+      setup();
+    }
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const double s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    best = std::min(best, s);
+    if (r > 0) {
+      best = std::min(best, s);
+    }
   }
   return best;
 }
@@ -201,6 +208,7 @@ struct SweepCase {
   double items;                   // per invocation
   std::function<void()> run;
   std::function<void()> prepr;    // pre-PR scalar baseline (may be empty)
+  std::function<void()> setup = {};  // untimed, before each run (may be empty)
 };
 
 void WriteMicroTensorJson() {
@@ -230,6 +238,19 @@ void WriteMicroTensorJson() {
   dmodel.Forward(dprompt, &dseq);
   const int64_t dprompt_tokens = dseq.num_tokens();
 
+  // The serving model's attention-heavy steps at the rag workload's 283-token context:
+  // a 7-token prefill onto 276 cached tokens and one decode step onto 282. Each run
+  // starts from a freshly prefilled sequence, built untimed.
+  KvBlockPool apool(KvPoolConfig::ForModel(dcfg, 32, 16));
+  std::optional<PagedKvSequence> aseq;
+  const auto cached_context = [&](int64_t tokens) {
+    aseq.reset();
+    aseq.emplace(&apool);
+    std::vector<int32_t> context(static_cast<size_t>(tokens));
+    std::iota(context.begin(), context.end(), 0);
+    dmodel.Forward(context, &*aseq);
+  };
+
   std::vector<SweepCase> cases;
   cases.push_back({"gemm_nn_1024", GemmFlops(1024, 1024, 1024), 1.0,
                    [&] { GemmNN(a.data(), b.data(), c.data(), 1024, 1024, 1024); },
@@ -258,6 +279,18 @@ void WriteMicroTensorJson() {
                      benchmark::DoNotOptimize(out.data());
                    },
                    {}});
+  cases.push_back({"prefill_7_at_283", 0.0, 7.0,
+                   [&] {
+                     Tensor out = dmodel.Forward({1, 2, 3, 4, 5, 6, 7}, &*aseq);
+                     benchmark::DoNotOptimize(out.data());
+                   },
+                   {}, [&] { cached_context(276); }});
+  cases.push_back({"decode_at_283", 0.0, 1.0,
+                   [&] {
+                     Tensor out = dmodel.Forward({7}, &*aseq);
+                     benchmark::DoNotOptimize(out.data());
+                   },
+                   {}, [&] { cached_context(282); }});
 
   JsonValue benches = JsonValue::Array();
   PrintSection("thread scaling (JSON sweep)");
@@ -282,7 +315,7 @@ void WriteMicroTensorJson() {
     double serial_seconds = 0.0;
     for (const size_t threads : thread_counts) {
       ThreadPool::ResizeShared(threads);
-      const double s = TimeSeconds(sc.run);
+      const double s = TimeSeconds(sc.run, sc.setup);
       if (threads == 1) {
         serial_seconds = s;
       }

@@ -1,5 +1,6 @@
 #include "src/model/kv_cache.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -185,6 +186,20 @@ const float* PagedKvSequence::ValueRow(int64_t layer, int64_t pos) const {
   const int64_t bt = pool_->block_tokens();
   const int64_t block = block_table_[static_cast<size_t>(pos / bt)];
   return pool_->Value(block, layer) + (pos % bt) * pool_->config().kv_dim;
+}
+
+KvBlockRows PagedKvSequence::BlockRows(int64_t layer, int64_t pos) const {
+  CHECK(has_kv_);
+  CHECK(layer >= 0 && layer < pool_->config().num_layers) << "no layer " << layer;
+  CHECK(pos >= 0 && pos < num_tokens_) << "token " << pos << " is not committed";
+  const int64_t bt = pool_->block_tokens();
+  const int64_t block = block_table_[static_cast<size_t>(pos / bt)];
+  KvBlockRows rows;
+  rows.first = pos - pos % bt;
+  rows.rows = std::min(bt, num_tokens_ - rows.first);
+  rows.k = pool_->Key(block, layer);
+  rows.v = pool_->Value(block, layer);
+  return rows;
 }
 
 void PagedKvSequence::ReadKv(int64_t layer, int64_t first, int64_t count, Tensor* k_out,

@@ -67,6 +67,16 @@ class KvBlockPool {
   std::vector<int64_t> free_list_;
 };
 
+// One pool block's rows of one layer, as PagedKvSequence::BlockRows returns them:
+// tokens [first, first + rows) of the sequence, token first + r's K row at
+// k + r * kv_dim and its V row at v + r * kv_dim.
+struct KvBlockRows {
+  int64_t first = 0;
+  int64_t rows = 0;
+  const float* k = nullptr;
+  const float* v = nullptr;
+};
+
 // One sequence's view of the pool: a block table plus the token count. The sequence
 // remembers its history length across eviction so restoration knows what to rebuild.
 class PagedKvSequence {
@@ -108,6 +118,11 @@ class PagedKvSequence {
 
   const float* KeyRow(int64_t layer, int64_t pos) const;
   const float* ValueRow(int64_t layer, int64_t pos) const;
+
+  // The rows of `layer` in the block holding committed token `pos`: every committed
+  // token of that block, so the last block's view is partial. For walkers that read a
+  // block's rows in one go (attention); CHECKs the KV is present and pos is committed.
+  KvBlockRows BlockRows(int64_t layer, int64_t pos) const;
 
   // Copies tokens [first, first+count) of `layer` into [count, kv_dim] tensors.
   void ReadKv(int64_t layer, int64_t first, int64_t count, Tensor* k_out, Tensor* v_out) const;

@@ -17,6 +17,152 @@ namespace {
 // Rows per tile when RestoreLayerKv writes tensors rather than pool pages.
 constexpr int64_t kTensorTileRows = 16;
 
+// Query rows per attention work item. Only the work split depends on it: every
+// (row, head) is computed in the same order whichever item holds it.
+constexpr int64_t kAttentionRowChunk = 8;
+
+// (row, head) pairs that share one pass over a packed K tile (independent q.k chains
+// that hide the add latency, as the GEMM microkernel's four rows do) or over V's rows.
+constexpr int64_t kTilePairs = 4;
+
+// One query row and head of an attention work item.
+struct AttentionPair {
+  const float* q;  // the head's query slice
+  float* out;      // the head's output slice, zero on entry
+  float* scores;   // `keys` floats of scratch: the scores, then the softmax weights
+  int64_t keys;    // causal length: the row attends to keys 0..keys-1
+  float slope;     // the head's ALiBi slope (0 without ALiBi)
+};
+
+// dots[r] lane j = sum over d ascending from 0 of q_r[d] * key_j[d] for the kNr keys
+// of `tile` ([head_dim][kNr], PackRows' panel form) and P pairs: each lane is the
+// serial per-key dot chain. Each pair's chain is textually the same in every
+// instantiation, so a score does not depend on which pairs share the pass. Each
+// product is rounded before it is added (no multiply-add contraction), so the scores
+// are the same bits in every build: GCC computes the scalar chain that way too, as an
+// in-order vector reduction, when it vectorizes it for -march=native.
+template <int P>
+__attribute__((optimize("fp-contract=off"))) void ScoreTileImpl(
+    AttentionPair* const* pairs, const float* tile, int64_t head_dim, VecNr* dots) {
+  VecNr acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
+  for (int64_t d = 0; d < head_dim; ++d) {
+    VecNr k;
+    std::memcpy(&k, tile + d * kNr, sizeof(k));
+    acc0 += pairs[0]->q[d] * k;
+    if constexpr (P > 1) acc1 += pairs[1]->q[d] * k;
+    if constexpr (P > 2) acc2 += pairs[2]->q[d] * k;
+    if constexpr (P > 3) acc3 += pairs[3]->q[d] * k;
+  }
+  dots[0] = acc0;
+  if constexpr (P > 1) dots[1] = acc1;
+  if constexpr (P > 2) dots[2] = acc2;
+  if constexpr (P > 3) dots[3] = acc3;
+}
+
+static_assert(kTilePairs == 4, "ScoreTileImpl unrolls up to four pairs");
+
+void ScoreTile(AttentionPair* const* pairs, int64_t m, const float* tile, int64_t head_dim,
+               VecNr* dots) {
+  switch (m) {
+    case 0: break;
+    case 1: ScoreTileImpl<1>(pairs, tile, head_dim, dots); break;
+    case 2: ScoreTileImpl<2>(pairs, tile, head_dim, dots); break;
+    case 3: ScoreTileImpl<3>(pairs, tile, head_dim, dots); break;
+    default: ScoreTileImpl<4>(pairs, tile, head_dim, dots); break;
+  }
+}
+
+// Stores the scores of keys t0.. that lie in the pair's causal range from one tile's
+// dot products: dot * scale, less the ALiBi distance penalty.
+void StoreScores(const VecNr& dots, int64_t t0, float scale, bool alibi,
+                 const AttentionPair& pair) {
+  float lanes[kNr];
+  std::memcpy(lanes, &dots, sizeof(lanes));
+  const int64_t pos = pair.keys - 1;
+  const int64_t lanes_used = std::min(kNr, pair.keys - t0);
+  for (int64_t j = 0; j < lanes_used; ++j) {
+    float s = lanes[j] * scale;
+    if (alibi) {
+      // Linear distance penalty on the score; K stays position-free, which is why
+      // ALiBi models restore with a bare projection.
+      s -= pair.slope * static_cast<float>(pos - (t0 + j));
+    }
+    pair.scores[t0 + j] = s;
+  }
+}
+
+// For P pairs, continues out[d + x] += weight_j * v[j][d + x] over keys j in [j0, j1)
+// ascending and x < C * kNr, every element's chain held in a vector register between
+// the load from and the store to the pair's output. The pairs share each V row's loads.
+template <int P, int C>
+void ValueTile(const AttentionPair* pairs, const float* const* v, int64_t j0, int64_t j1,
+               int64_t d) {
+  VecNr acc[P][C];
+  for (int r = 0; r < P; ++r) {
+    std::memcpy(acc[r], pairs[r].out + d, sizeof(acc[r]));
+  }
+  for (int64_t j = j0; j < j1; ++j) {
+    VecNr x[C];
+    std::memcpy(x, v[j] + d, sizeof(x));
+    for (int r = 0; r < P; ++r) {
+      const float a = pairs[r].scores[j];
+      for (int c = 0; c < C; ++c) {
+        acc[r][c] += a * x[c];
+      }
+    }
+  }
+  for (int r = 0; r < P; ++r) {
+    std::memcpy(pairs[r].out + d, acc[r], sizeof(acc[r]));
+  }
+}
+
+// ValueTile over every whole kNr-lane vector of a head, up to four at a time.
+template <int P>
+void ValueTiles(const AttentionPair* pairs, const float* const* v, int64_t j0, int64_t j1,
+                int64_t head_dim) {
+  int64_t d = 0;
+  for (; d + 4 * kNr <= head_dim; d += 4 * kNr) {
+    ValueTile<P, 4>(pairs, v, j0, j1, d);
+  }
+  switch ((head_dim - d) / kNr) {
+    case 3: ValueTile<P, 3>(pairs, v, j0, j1, d); break;
+    case 2: ValueTile<P, 2>(pairs, v, j0, j1, d); break;
+    case 1: ValueTile<P, 1>(pairs, v, j0, j1, d); break;
+    default: break;
+  }
+}
+
+// Each pair's out[d] = sum over j ascending from 0 of weight_j * v[j][d] over its own
+// causal range: the serial `out[d] += a * v[d]` chains, one per element. Each group of
+// kTilePairs pairs runs its shared keys together, then finishes its longer chains one
+// pair at a time; the head_dim % kNr tail is scalar.
+void ValueSums(const AttentionPair* pairs, int64_t num_pairs, const float* const* v,
+               int64_t head_dim) {
+  for (int64_t p = 0; p < num_pairs; p += kTilePairs) {
+    const int64_t m = std::min(kTilePairs, num_pairs - p);
+    int64_t shared = 0;
+    if (m == kTilePairs) {
+      shared = pairs[p].keys;
+      for (int64_t r = 1; r < m; ++r) {
+        shared = std::min(shared, pairs[p + r].keys);
+      }
+      ValueTiles<kTilePairs>(pairs + p, v, 0, shared, head_dim);
+    }
+    for (int64_t r = p; r < p + m; ++r) {
+      ValueTiles<1>(pairs + r, v, shared, pairs[r].keys, head_dim);
+    }
+  }
+  for (int64_t r = 0; r < num_pairs; ++r) {
+    for (int64_t d = head_dim / kNr * kNr; d < head_dim; ++d) {
+      float acc = 0.0f;
+      for (int64_t j = 0; j < pairs[r].keys; ++j) {
+        acc += pairs[r].scores[j] * v[j][d];
+      }
+      pairs[r].out[d] = acc;
+    }
+  }
+}
+
 void AddBias(float* row, const Tensor& bias) {
   for (int64_t c = 0; c < bias.numel(); ++c) {
     row[c] += bias.at(c);
@@ -158,51 +304,88 @@ Tensor Transformer::Attention(int64_t layer, const Tensor& q, const PagedKvSeque
                               const int32_t* positions, int64_t n) const {
   const ModelConfig& cfg = config();
   const int64_t head_dim = cfg.head_dim();
-  const int64_t num_heads = cfg.num_heads;
-  // GQA: query head h reads KV head h / group_size.
-  const int64_t group = cfg.num_heads / cfg.num_kv_heads;
+  const int64_t kv_dim = cfg.kv_dim();
+  const int64_t kv_heads = cfg.num_kv_heads;
+  // GQA: query head h reads KV head h / group.
+  const int64_t group = cfg.num_heads / kv_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const bool alibi = cfg.position == PositionKind::kAlibi;
+  const int64_t chunks = (n + kAttentionRowChunk - 1) / kAttentionRowChunk;
 
   Tensor out({n, cfg.hidden_dim});
-  // Every (token, head) pair reads shared K/V but writes only its own slice of `out`,
-  // so tokens parallelize freely; each token's math is untouched, keeping the output
-  // bit-identical to the serial loop at any thread count. Later tokens attend over
-  // longer prefixes, so a fine grain (1 token) load-balances the causal skew.
-  ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
-    thread_local std::vector<float> scores;  // reused across tokens within each thread
-    for (int64_t i = i0; i < i1; ++i) {
-      const int64_t causal_len = positions[i] + 1;  // attends to absolute 0..pos inclusive
-      scores.resize(static_cast<size_t>(causal_len));
-      for (int64_t h = 0; h < num_heads; ++h) {
-        const float* q_head = q.row(i) + h * head_dim;
-        const int64_t kv_head_off = (h / group) * head_dim;
-        const float slope = alibi ? AlibiSlope(h) : 0.0f;
-        for (int64_t j = 0; j < causal_len; ++j) {
-          const float* k_row = seq.KeyRow(layer, j) + kv_head_off;
-          float dot = 0.0f;
-          for (int64_t d = 0; d < head_dim; ++d) {
-            dot += q_head[d] * k_row[d];
+  // One work item: the query heads of KV head `kv_head` over rows [r0, r1). Its
+  // (row, head) pairs share each packed K tile and write only their own slices of `out`.
+  const auto item = [&](int64_t kv_head, int64_t r0, int64_t r1) {
+    // Grown to the largest item once per thread, then reused.
+    thread_local std::vector<AttentionPair> pairs;
+    thread_local std::vector<const float*> k_rows, v_rows;
+    thread_local std::vector<float> tile, scores;
+    pairs.clear();
+    int64_t keys = 0;  // the longest causal range among the item's rows
+    for (int64_t r = r0; r < r1; ++r) {
+      // Row r attends to absolute positions 0..positions[r] inclusive.
+      keys = std::max<int64_t>(keys, positions[r] + 1);
+      for (int64_t h = kv_head * group; h < (kv_head + 1) * group; ++h) {
+        pairs.push_back({q.row(r) + h * head_dim, out.row(r) + h * head_dim, nullptr,
+                         positions[r] + 1, alibi ? AlibiSlope(h) : 0.0f});
+      }
+    }
+    const int64_t num_pairs = static_cast<int64_t>(pairs.size());
+    scores.resize(static_cast<size_t>(num_pairs * keys));
+    for (int64_t p = 0; p < num_pairs; ++p) {
+      pairs[static_cast<size_t>(p)].scores = scores.data() + p * keys;
+    }
+    // The KV head's K and V rows, walked one pool block at a time.
+    k_rows.resize(static_cast<size_t>(keys));
+    v_rows.resize(static_cast<size_t>(keys));
+    for (int64_t j = 0; j < keys;) {
+      const KvBlockRows block = seq.BlockRows(layer, j);
+      for (; j < std::min(keys, block.first + block.rows); ++j) {
+        const int64_t off = (j - block.first) * kv_dim + kv_head * head_dim;
+        k_rows[static_cast<size_t>(j)] = block.k + off;
+        v_rows[static_cast<size_t>(j)] = block.v + off;
+      }
+    }
+
+    // Scores, one kNr-key tile at a time: the tile is packed once, and every pair whose
+    // causal range reaches it reads it.
+    tile.resize(static_cast<size_t>(head_dim * kNr));
+    for (int64_t t0 = 0; t0 < keys; t0 += kNr) {
+      PackRows(
+          std::min(kNr, keys - t0), head_dim,
+          [&](int64_t j) { return k_rows[static_cast<size_t>(t0 + j)]; }, tile.data());
+      for (int64_t p = 0; p < num_pairs;) {
+        AttentionPair* batch[kTilePairs];
+        int64_t m = 0;
+        for (; p < num_pairs && m < kTilePairs; ++p) {
+          if (pairs[static_cast<size_t>(p)].keys > t0) {
+            batch[m++] = &pairs[static_cast<size_t>(p)];
           }
-          float s = dot * scale;
-          if (alibi) {
-            // Linear distance penalty on the score; K stays position-free, which is why
-            // ALiBi models restore with a bare projection.
-            s -= slope * static_cast<float>(positions[i] - static_cast<int32_t>(j));
-          }
-          scores[static_cast<size_t>(j)] = s;
         }
-        SoftmaxRow(scores.data(), causal_len);
-        float* out_head = out.row(i) + h * head_dim;
-        for (int64_t j = 0; j < causal_len; ++j) {
-          const float a = scores[static_cast<size_t>(j)];
-          const float* v_row = seq.ValueRow(layer, j) + kv_head_off;
-          for (int64_t d = 0; d < head_dim; ++d) {
-            out_head[d] += a * v_row[d];
-          }
+        VecNr dots[kTilePairs];
+        ScoreTile(batch, m, tile.data(), head_dim, dots);
+        for (int64_t r = 0; r < m; ++r) {
+          StoreScores(dots[r], t0, scale, alibi, *batch[r]);
         }
       }
     }
+    for (const AttentionPair& pair : pairs) {
+      SoftmaxRow(pair.scores, pair.keys);
+    }
+    ValueSums(pairs.data(), num_pairs, v_rows.data(), head_dim);
+  };
+  // Items run longest first (the last row chunk attends over the most keys) to balance
+  // the causal skew; a decode step (one chunk) spreads its KV heads across the pool.
+  const auto run_items = [&](int64_t w0, int64_t w1) {
+    for (int64_t w = w0; w < w1; ++w) {
+      const int64_t chunk = chunks - 1 - w / kv_heads;
+      item(w % kv_heads, chunk * kAttentionRowChunk,
+           std::min(n, (chunk + 1) * kAttentionRowChunk));
+    }
+  };
+  // One reference capture fits std::function's in-place storage: no allocation.
+  ParallelFor(0, chunks * kv_heads, 1, [&run_items](int64_t w0, int64_t w1) {
+    run_items(w0, w1);
   });
   return out;
 }

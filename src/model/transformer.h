@@ -21,6 +21,11 @@
 // from the RoPE table and writes each row straight into its K and V pool pages. The
 // forward pass writes its KV through RestoreLayerKv, so restoring a layer from its
 // saved input lands the same bits by construction.
+//
+// Attention is one tiled kernel for prefill and decode. Its per-element order (stated
+// at Transformer::Attention) never depends on how many rows a call carries, which rows
+// share a work item, the pool's block size or the thread count, so a prefill equals the
+// same tokens decoded one by one, bit for bit.
 #ifndef HCACHE_SRC_MODEL_TRANSFORMER_H_
 #define HCACHE_SRC_MODEL_TRANSFORMER_H_
 
@@ -105,6 +110,27 @@ class Transformer {
   void RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                       Tensor* k_out, Tensor* v_out) const;
 
+  // Causal multi-head attention of `q` [n, hidden_dim] (RoPE already applied) over
+  // `layer`'s K/V in `seq`: row i attends to positions 0..positions[i], every one of
+  // which must be committed. Returns [n, hidden_dim], before the output projection.
+  //
+  // Per-element order (what makes a prefill equal the same tokens decoded one by one,
+  // at any chunking, block size or thread count):
+  //   score_j = (sum over d ascending from 0 of q[d] * k_j[d]) * scale, minus the ALiBi
+  //             distance penalty; one chain per key, started from 0, each product
+  //             rounded before it is added (never contracted into a multiply-add);
+  //   a       = SoftmaxRow(score_0..score_pos);
+  //   out[d]  = sum over j ascending from 0 to pos of a_j * v_j[d]; one chain per element,
+  //             started from 0, stopping at the row's own causal length.
+  // The kernel work-shares (KV head, chunk of query rows) items on the shared pool, so
+  // a decode step spreads its heads across threads. An item walks the pool one block at
+  // a time, packs each run of kNr keys once into a [head_dim][kNr] tile (PackRows'
+  // panel form) for all its rows and GQA group heads, computes q.k with one key per
+  // vector lane, and holds the V sums in vector registers. No step depends on which
+  // rows share an item, so one formula serves prefill and decode.
+  Tensor Attention(int64_t layer, const Tensor& q, const PagedKvSequence& seq,
+                   const int32_t* positions, int64_t n) const;
+
  private:
   Tensor Embed(const std::vector<int32_t>& tokens, const int32_t* positions) const;
   void Normalize(const Tensor& x, const Tensor& weight, const Tensor& bias, Tensor* out) const;
@@ -119,8 +145,6 @@ class Transformer {
   void ProjectKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                  int64_t tile_rows, const Dest& dest) const;
   float AlibiSlope(int64_t head) const;
-  Tensor Attention(int64_t layer, const Tensor& q, const PagedKvSequence& seq,
-                   const int32_t* positions, int64_t n) const;
   Tensor Ffn(const LayerWeights& lw, const Tensor& x) const;
   static void AddBiasRows(Tensor& t, const Tensor& bias);
 

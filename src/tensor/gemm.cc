@@ -17,7 +17,6 @@ constexpr int64_t kMc = 64;
 constexpr int64_t kKc = 256;
 constexpr int64_t kNc = 256;
 constexpr int64_t kMr = 4;
-constexpr int64_t kNr = 16;
 
 // Below this many multiply-adds a GEMM runs on the calling thread: waking the shared
 // pool costs more than the work. Above it, slabs carry at least kMinSlabWork
@@ -36,27 +35,6 @@ constexpr int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 // Floats in the panels of a W [n, k]: whole kNr-column panels of k rows each.
 constexpr int64_t PanelFloats(int64_t n, int64_t k) { return CeilDiv(n, kNr) * kNr * k; }
-
-// Packs W [n, k], whose row j starts at row(j), into panels at `out`:
-// out[s * k * kNr + p * kNr + j] = W[s * kNr + j][p], zero past row n.
-template <typename RowPtr>
-void PackRows(int64_t n, int64_t k, RowPtr row, float* out) {
-  for (int64_t s = 0; s < CeilDiv(n, kNr); ++s) {
-    const int64_t cols = std::min(kNr, n - s * kNr);
-    const float* src[kNr] = {};
-    for (int64_t j = 0; j < cols; ++j) {
-      src[j] = row(s * kNr + j);
-    }
-    float* panel = out + s * k * kNr;
-    for (int64_t p = 0; p < k; ++p) {
-      float* dst = panel + p * kNr;
-      for (int64_t j = 0; j < cols; ++j) {
-        dst[j] = src[j][p];
-      }
-      std::fill(dst + cols, dst + kNr, 0.0f);
-    }
-  }
-}
 
 // Packs W = B^T for a row-major B [k, n] (GemmNN's right operand) into the same panels.
 void PackColumns(const float* b, int64_t k, int64_t n, float* out) {
@@ -90,11 +68,6 @@ void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* ap) {
     ap += kc * kMr;
   }
 }
-
-// kNr floats as one GCC vector value, so the microkernel's accumulators stay in vector
-// registers for the whole k loop (as float arrays, GCC spilled them to the stack once it
-// unrolled the loop). Lane j computes exactly the scalar expression acc[j] += a * b[j].
-typedef float VecNr __attribute__((vector_size(kNr * sizeof(float))));
 
 // Register-tiled inner kernel: accumulates a full kMr x kNr tile over kc in four
 // vector accumulators (four independent fma streams over kNr lanes), then stores the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.h"
 
 namespace hcache {
@@ -99,6 +101,71 @@ TEST(PagedKvSequenceTest, RowAccessCrossesBlockBoundary) {
   for (int64_t d = 0; d < 8; ++d) {
     EXPECT_EQ(row[d], k.at(5, d));
   }
+}
+
+// Fills `layer` of a fresh sequence with `n` committed tokens of random K/V and checks
+// that BlockRows returns, for every position, the block that holds it: its first token,
+// its committed row count and row pointers that read back every token's K and V.
+void CheckBlockRows(int64_t block_tokens, int64_t n) {
+  SCOPED_TRACE(testing::Message() << "block_tokens " << block_tokens << ", " << n
+                                  << " tokens");
+  KvBlockPool pool(TinyPool(16, block_tokens));
+  PagedKvSequence seq(&pool);
+  ASSERT_TRUE(seq.EnsureCapacity(n));
+  const Tensor k = RandomKv(n, 8, 20), v = RandomKv(n, 8, 21);
+  seq.WriteKv(1, 0, k, v);
+  seq.CommitTokens(n);
+  for (int64_t pos = 0; pos < n; ++pos) {
+    const KvBlockRows rows = seq.BlockRows(1, pos);
+    EXPECT_EQ(rows.first, pos / block_tokens * block_tokens) << "pos " << pos;
+    EXPECT_EQ(rows.rows, std::min(block_tokens, n - rows.first)) << "pos " << pos;
+    for (int64_t r = 0; r < rows.rows; ++r) {
+      for (int64_t d = 0; d < 8; ++d) {
+        ASSERT_EQ(rows.k[r * 8 + d], k.at(rows.first + r, d)) << "pos " << pos;
+        ASSERT_EQ(rows.v[r * 8 + d], v.at(rows.first + r, d)) << "pos " << pos;
+      }
+    }
+    // The row pointers agree with the per-token accessors.
+    EXPECT_EQ(rows.k + (pos - rows.first) * 8, seq.KeyRow(1, pos));
+    EXPECT_EQ(rows.v + (pos - rows.first) * 8, seq.ValueRow(1, pos));
+  }
+}
+
+TEST(PagedKvSequenceTest, BlockRowsAtAndAcrossBlockBoundaries) {
+  CheckBlockRows(4, 12);  // whole blocks: 0..3 | 4..7 | 8..11
+  CheckBlockRows(4, 10);  // last block partial: 8..9
+}
+
+TEST(PagedKvSequenceTest, BlockRowsOneTokenBlocks) { CheckBlockRows(1, 7); }
+
+TEST(PagedKvSequenceTest, BlockRowsFiveTokenBlocks) {
+  CheckBlockRows(5, 15);
+  CheckBlockRows(5, 13);
+}
+
+TEST(PagedKvSequenceTest, BlockRowsLastPartialBlockStopsAtCommittedTokens) {
+  KvBlockPool pool(TinyPool(8, 4));
+  PagedKvSequence seq(&pool);
+  ASSERT_TRUE(seq.EnsureCapacity(8));  // two whole blocks of capacity
+  const Tensor k = RandomKv(6, 8, 22), v = RandomKv(6, 8, 23);
+  seq.WriteKv(0, 0, k, v);
+  seq.CommitTokens(6);
+  const KvBlockRows last = seq.BlockRows(0, 5);
+  EXPECT_EQ(last.first, 4);
+  EXPECT_EQ(last.rows, 2);  // capacity covers 8, but only tokens 4 and 5 are committed
+}
+
+TEST(PagedKvSequenceDeathTest, BlockRowsPastCapacityDies) {
+  KvBlockPool pool(TinyPool(8, 4));
+  PagedKvSequence seq(&pool);
+  ASSERT_TRUE(seq.EnsureCapacity(6));  // two blocks: capacity 8
+  const Tensor k = RandomKv(6, 8, 24), v = RandomKv(6, 8, 25);
+  seq.WriteKv(0, 0, k, v);
+  seq.CommitTokens(6);
+  EXPECT_DEATH(seq.BlockRows(0, 8), "not committed");  // past capacity
+  EXPECT_DEATH(seq.BlockRows(0, 6), "not committed");  // in capacity, not committed
+  EXPECT_DEATH(seq.BlockRows(0, -1), "not committed");
+  EXPECT_DEATH(seq.BlockRows(2, 0), "no layer");
 }
 
 TEST(PagedKvSequenceTest, IncrementalAppendLikeDecode) {

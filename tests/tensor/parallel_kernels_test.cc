@@ -202,12 +202,13 @@ TEST(ParallelKernelsTest, RowWiseOpsBitExactAcrossThreadCounts) {
 TEST(ParallelKernelsTest, TransformerForwardBitExactAcrossThreadCounts) {
   // End-to-end: embedding -> norms -> projections -> RoPE -> attention -> FFN across
   // every parallel kernel at once, for both a multi-token prefill and a subsequent
-  // single-token decode step.
+  // single-token decode step. The 83-token prompt runs attention over more than four
+  // 16-key tiles and splits into several row chunks.
   const ModelConfig cfg = ModelConfig::TinyLlama(4, 64, 4);
   const ModelWeights weights = ModelWeights::Random(cfg, 777);
   Transformer model(&weights);
   Rng rng(9);
-  std::vector<int32_t> prompt(37);
+  std::vector<int32_t> prompt(83);
   for (auto& t : prompt) {
     t = static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(cfg.vocab_size)));
   }
@@ -230,8 +231,12 @@ TEST(ParallelKernelsTest, TransformerForwardBitExactAcrossThreadCounts) {
     }
     return all;
   };
-  auto [serial, parallel] = SerialVsParallel(run);
-  EXPECT_TRUE(Tensor::BitwiseEqual(serial, parallel));
+  ThreadPool::ResizeShared(1);
+  const Tensor serial = run();
+  for (size_t threads = 2; threads <= kParallelThreads; ++threads) {
+    ThreadPool::ResizeShared(threads);
+    EXPECT_TRUE(Tensor::BitwiseEqual(serial, run())) << threads << " threads";
+  }
 }
 
 }  // namespace
