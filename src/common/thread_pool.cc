@@ -23,6 +23,9 @@ size_t DefaultSharedThreads() {
   return hw > 0 ? static_cast<size_t>(hw) : 1;
 }
 
+// Set on the workers of every pool but Shared().
+thread_local bool t_dedicated_worker = false;
+
 std::mutex g_shared_mu;
 std::unique_ptr<ThreadPool>& SharedSlot() {
   static std::unique_ptr<ThreadPool> pool;
@@ -31,7 +34,7 @@ std::unique_ptr<ThreadPool>& SharedSlot() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads, bool shared) : shared_(shared) {
   CHECK_GT(num_threads, 0u);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
@@ -138,7 +141,7 @@ ThreadPool& ThreadPool::Shared() {
   std::lock_guard<std::mutex> lock(g_shared_mu);
   auto& slot = SharedSlot();
   if (slot == nullptr) {
-    slot = std::make_unique<ThreadPool>(DefaultSharedThreads());
+    slot.reset(new ThreadPool(DefaultSharedThreads(), /*shared=*/true));
   }
   return *slot;
 }
@@ -150,8 +153,10 @@ void ThreadPool::ResizeShared(size_t n) {
   if (slot != nullptr && slot->num_threads() == n) {
     return;
   }
-  slot = std::make_unique<ThreadPool>(n);
+  slot.reset(new ThreadPool(n, /*shared=*/true));
 }
+
+bool ThreadPool::OnDedicatedWorker() { return t_dedicated_worker; }
 
 size_t ThreadPool::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -159,6 +164,7 @@ size_t ThreadPool::pending() const {
 }
 
 void ThreadPool::WorkerLoop() {
+  t_dedicated_worker = !shared_;
   for (;;) {
     std::function<void()> task;
     {

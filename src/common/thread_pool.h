@@ -1,7 +1,11 @@
-// Fixed-size worker pool used by the two-stage state saver (§4.2.2 of the paper uses 8
-// background host threads to assemble and flush chunks), by the restore pipeline to
-// overlap chunk reads with projection, and — through ParallelFor — by every compute
-// kernel in the functional plane (GEMM, RoPE, softmax, attention).
+// Fixed-size worker pool. Shared() is the compute pool: through ParallelFor every
+// kernel of the functional plane (GEMM, RoPE, softmax, attention) work-shares on it.
+// Any other pool is dedicated storage threads: the two-stage saver flushes chunks on
+// one (§4.2.2 of the paper uses 8 background host threads), and the restore pipeline
+// runs its transmission stream there — every chunk read, CRC check and decode of a
+// restore — while the caller projects on the compute pool. On a dedicated pool's
+// workers the free ParallelFor runs inline, so storage work never posts helpers into
+// the compute pool's queue, where they would wait behind (and delay) the projection.
 #ifndef HCACHE_SRC_COMMON_THREAD_POOL_H_
 #define HCACHE_SRC_COMMON_THREAD_POOL_H_
 
@@ -18,7 +22,8 @@ namespace hcache {
 
 class ThreadPool {
  public:
-  explicit ThreadPool(size_t num_threads);
+  // A dedicated pool (see the file comment); the compute pool is Shared().
+  explicit ThreadPool(size_t num_threads) : ThreadPool(num_threads, /*shared=*/false) {}
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -59,7 +64,11 @@ class ThreadPool {
   // are concurrently using the shared pool.
   static void ResizeShared(size_t n);
 
+  // True on a worker thread of a dedicated pool, where the free ParallelFor runs inline.
+  static bool OnDedicatedWorker();
+
  private:
+  ThreadPool(size_t num_threads, bool shared);
   void WorkerLoop();
 
   mutable std::mutex mu_;
@@ -68,19 +77,21 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   size_t in_flight_ = 0;
   bool shutting_down_ = false;
+  const bool shared_;
   std::vector<std::thread> workers_;
 };
 
-// Shorthand used by the tensor/model kernels: work-share [begin, end) on the shared
-// pool. See ThreadPool::ParallelFor for the contract. A range that fits in one grain
-// runs inline without touching the shared pool (no mutex, no std::function), keeping
-// the decode path (1-row tensors) as cheap as the old serial loops.
+// Shorthand used by the tensor/model kernels and the storage plane: work-share
+// [begin, end) on the shared pool. See ThreadPool::ParallelFor for the contract. A
+// range that fits in one grain runs inline without touching the shared pool (no mutex,
+// no std::function), keeping the decode path (1-row tensors) as cheap as the old
+// serial loops; so does any range on a dedicated pool's worker.
 template <typename Fn>
 inline void ParallelFor(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
   if (end <= begin) {
     return;
   }
-  if (end - begin <= grain) {
+  if (end - begin <= grain || ThreadPool::OnDedicatedWorker()) {
     fn(begin, end);
     return;
   }

@@ -1,8 +1,9 @@
 #include "src/core/functional_engine.h"
 
-#include <atomic>
+#include <algorithm>
+#include <condition_variable>
 #include <cstring>
-#include <future>
+#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -10,6 +11,10 @@
 
 namespace hcache {
 namespace {
+
+// FP32 hidden rows the transmission stream may stage ahead of the projections (at least
+// one layer). Tuned on hcache-serve: all of chat's hidden layers, rag's peak RSS kept.
+constexpr int64_t kRunAheadBytes = int64_t{1536} << 10;
 
 const ModelConfig& ConfigOf(const Transformer* model) {
   CHECK(model != nullptr);
@@ -90,27 +95,17 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   const int64_t n = seq->num_tokens();
   CHECK_GT(n, 0);
 
-  // Restoration runs the plan's steps as a two-stream pipeline, mirroring the paper's
-  // dedicated transmission and computation streams. The recompute layers [0, L_O)
-  // rebuild from raw tokens in one ForwardPartial; every later step loads stored
-  // chunks — hidden layers are projected into K/V, KV-offloaded layers are copied in.
-  // While the caller computes one step, the flush pool is already reading the next
-  // step's chunks (transmission stream). The first read is submitted before
-  // ForwardPartial, as the DES starts the recompute and the first transfer together.
-  // Without a flush pool the steps load serially — the bytes and math are identical
-  // either way.
-  struct LayerState {
-    RestoreStep step;
-    Tensor hidden;  // kHidden: the layer's saved input activations
-    Tensor k, v;    // kKv: the layer's offloaded KV rows
-  };
+  // The plan runs on two streams, like the paper's transmission and computation
+  // streams. The caller (compute) rebuilds the recompute layers [0, L_O) from tokens in
+  // one ForwardPartial, then projects each hidden layer's staged rows into its pages.
+  // One flush-pool task (transmission) loads every stored step in plan order, starting
+  // before ForwardPartial: hidden layers decode into staging slots, whose count bounds
+  // how far reads run ahead of the projections; KV-offloaded layers decode straight
+  // into their pool pages. Without a flush pool the caller loads each step just before
+  // using it; the bytes and math are identical either way.
   const LayerSources sources = scheme.Sources();
-  std::vector<LayerState> plan;
-  for (const RestoreStep& step : PlanRestore(sources, cfg.num_layers)) {
-    if (step.source != LayerSource::kRecompute) {
-      plan.push_back({step, {}, {}, {}});
-    }
-  }
+  std::vector<RestoreStep> steps = PlanRestore(sources, cfg.num_layers);
+  steps.erase(steps.begin(), steps.begin() + sources.recompute);  // stored steps only
   if (sources.recompute > 0) {
     CHECK_EQ(static_cast<int64_t>(history_tokens.size()), n)
         << "recompute complement needs the original tokens";
@@ -125,81 +120,86 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   std::vector<int32_t> positions(static_cast<size_t>(n));
   std::iota(positions.begin(), positions.end(), 0);
 
-  // The batched reads are the only check: a missing, short or corrupt chunk (device
-  // loss, partial save, CRC mismatch) is found when its layer loads. Loads report
-  // failure through `load_failed` (they may run on a pool thread, where throwing or
-  // CHECKing would take the process down) and the pipeline unwinds to "still
-  // evicted" below.
-  std::atomic<bool> load_failed{false};
-  auto load = [&](LayerState& entry) {
-    const int64_t layer = entry.step.layer;
-    bool ok = false;
-    if (entry.step.source == LayerSource::kHidden) {
-      entry.hidden = Tensor({n, cfg.hidden_dim});
-      ok = hidden_reader_.ReadLayerInto(context_id, layer, n, entry.hidden.data());
-    } else {
-      entry.k = Tensor({n, cfg.kv_dim()});
-      entry.v = Tensor({n, cfg.kv_dim()});
-      ok = kv_reader_.ReadLayerInto(context_id, layer, n, {entry.k.data(), entry.v.data()});
-    }
-    if (!ok) {
-      load_failed.store(true, std::memory_order_release);
-    }
+  // Hidden step i (they come first) stages its rows, read and decoded to FP32, in slot
+  // i % slots of staging_, which is reused across restores and never zero-filled.
+  const auto hidden = static_cast<size_t>(sources.hidden);
+  const int64_t layer_bytes =
+      RestoreStepReadBytes(cfg, {0, LayerSource::kHidden}, n, ChunkCodec::kFp32);
+  const auto slots = static_cast<size_t>(std::max<int64_t>(1, kRunAheadBytes / layer_bytes));
+  const size_t slot_floats = static_cast<size_t>(n * cfg.hidden_dim);
+  if (hidden > 0 && staging_floats_ < slots * slot_floats) {
+    staging_floats_ = slots * slot_floats;
+    staging_.reset(new float[staging_floats_]);
+  }
+  auto slot = [&](size_t i) { return staging_.get() + (i % slots) * slot_floats; };
+
+  // The batched reads are the only check: a missing, short or corrupt chunk is found
+  // when its layer loads; the stream then stops and the restore unwinds below.
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t loaded = 0;     // steps whose rows have landed
+  size_t projected = 0;  // hidden steps the caller has projected (their slots are free)
+  bool failed = false;
+  bool stream_done = flush_pool_ == nullptr;
+  auto load = [&](size_t i) {
+    const RestoreStep& step = steps[i];
+    const bool ok = step.source == LayerSource::kHidden
+                        ? hidden_reader_.ReadLayerInto(context_id, step.layer, n, slot(i))
+                        : kv_reader_.ReadLayerInto(context_id, step.layer, n, seq);
+    std::lock_guard<std::mutex> lock(mu);
+    loaded += ok;
+    failed |= !ok;
+    cv.notify_all();
   };
-  auto submit_load = [&](LayerState& entry) {
-    auto done = std::make_shared<std::promise<void>>();
-    std::future<void> fut = done->get_future();
-    flush_pool_->Submit([&entry, &load, done] {
-      load(entry);
-      done->set_value();
-    });
-    return fut;
+  auto stream = [&] {
+    for (size_t i = 0; i < steps.size(); ++i) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return failed || i >= hidden || i < projected + slots; });
+      if (failed) {
+        break;
+      }
+      lock.unlock();
+      load(i);
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    stream_done = true;
+    cv.notify_all();
   };
 
   seq->ResetForRestore();
   CHECK(seq->EnsureCapacity(n));
-  std::future<void> next_loaded;
-  if (flush_pool_ != nullptr && !plan.empty()) {
-    next_loaded = submit_load(plan.front());
+  if (flush_pool_ != nullptr) {
+    flush_pool_->Submit([&stream] { stream(); });
   }
   if (sources.recompute > 0) {
     model_->ForwardPartial(history_tokens, seq, sources.recompute);
   } else {
     seq->CommitTokens(n);
   }
-  for (size_t idx = 0; idx < plan.size(); ++idx) {
-    LayerState& entry = plan[idx];
-    if (next_loaded.valid()) {
-      next_loaded.get();  // wait for this layer's read...
-      if (idx + 1 < plan.size() && !load_failed.load(std::memory_order_acquire)) {
-        next_loaded = submit_load(plan[idx + 1]);  // ...and start the next one now
-      } else {
-        next_loaded = std::future<void>();
-      }
-    } else {
-      load(entry);
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (flush_pool_ == nullptr) {
+      load(i);
     }
-    if (load_failed.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return failed || loaded > i; });
+    if (failed) {
       break;
     }
-    const int64_t layer = entry.step.layer;
-    if (entry.step.source == LayerSource::kHidden) {
-      model_->RestoreLayerKv(layer, entry.hidden, positions.data(), seq);
-      entry.hidden = Tensor();  // release the staged activations early
-    } else {
-      seq->WriteKv(layer, 0, entry.k, entry.v);
+    lock.unlock();
+    if (i < hidden) {
+      model_->RestoreLayerKv(steps[i].layer, slot(i), n, positions.data(), seq);
+      lock.lock();
+      ++projected;
+      cv.notify_all();
     }
   }
-  if (load_failed.load(std::memory_order_acquire)) {
-    // The failure may have been set by the layer we just consumed while its
-    // *successor's* prefetch was already submitted — wait that one out before
-    // unwinding so no pool task still references this frame.
-    if (next_loaded.valid()) {
-      next_loaded.get();
-    }
-    // Leave the sequence exactly as a failed-precondition return does: evicted
-    // (partially written KV released) with its history length intact, so the caller
-    // can recompute from tokens.
+  // Every read in flight may still be writing pool pages or a slot: wait the stream out
+  // before the pages can be released or the frame unwinds.
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return stream_done; });
+  if (failed) {
+    // Leave the sequence as a failed-precondition return does: evicted, its history
+    // length intact, so the caller can recompute from tokens.
     seq->Evict();
     HCACHE_LOG_ERROR << "restore aborted, sequence left evicted: ctx=" << context_id;
     return false;

@@ -27,13 +27,14 @@ namespace hcache {
 
 class FunctionalHCache {
  public:
-  // `model`, `store`, and `flush_pool` must outlive the engine. `flush_pool` may be
-  // null (synchronous chunk flushes). A single store holds both hidden-state and KV
-  // chunks; KV chunks live in a disjoint layer-key namespace (kKvLayerBase) and go
-  // through the same HiddenStateWriter / HiddenStateReader. `codec` selects the
-  // stored precision of both chunk kinds: kFp32 (default) restores bit-exactly;
-  // kFp16/kInt8 halve/quarter stored bytes with a bounded, deterministic error
-  // (identical restored floats on every backend).
+  // `model`, `store`, and `flush_pool` must outlive the engine. `flush_pool` runs the
+  // chunk flushes and each restore's transmission stream; it may be null (synchronous
+  // flushes, and restores that load each layer on the caller). A single store holds
+  // both hidden-state and KV chunks; KV chunks live in a disjoint layer-key namespace
+  // (kKvLayerBase) and go through the same HiddenStateWriter / HiddenStateReader.
+  // `codec` selects the stored precision of both chunk kinds: kFp32 (default)
+  // restores bit-exactly; kFp16/kInt8 halve/quarter stored bytes with a bounded,
+  // deterministic error (identical restored floats on every backend).
   FunctionalHCache(Transformer* model, StorageBackend* store, ThreadPool* flush_pool,
                    int64_t chunk_tokens = kDefaultChunkTokens,
                    ChunkCodec codec = ChunkCodec::kFp32);
@@ -93,6 +94,9 @@ class FunctionalHCache {
   HiddenStateReader kv_reader_;
   std::map<int64_t, std::unique_ptr<HiddenStateWriter>> writers_;
   std::map<int64_t, std::unique_ptr<HiddenStateWriter>> kv_writers_;
+  // RestoreContext's hidden-row slots, reused across restores.
+  std::unique_ptr<float[]> staging_;
+  size_t staging_floats_ = 0;
 };
 
 }  // namespace hcache

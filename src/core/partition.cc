@@ -38,6 +38,19 @@ std::vector<RestoreStep> PlanRestore(const LayerSources& sources, int64_t num_la
   return steps;
 }
 
+int64_t RestoreStepReadBytes(const ModelConfig& cfg, const RestoreStep& step, int64_t n,
+                             ChunkCodec codec) {
+  switch (step.source) {
+    case LayerSource::kRecompute:
+      return 0;
+    case LayerSource::kHidden:
+      return n * CodecRowBytes(codec, cfg.hidden_dim);
+    case LayerSource::kKv:
+      return n * CodecRowBytes(codec, 2 * cfg.kv_dim());
+  }
+  return 0;
+}
+
 LayerSources PartitionScheme::Sources() const {
   CHECK(complement != ComplementMethod::kNone || layers_other == 0)
       << "complement none leaves " << layers_other << " layers without a source";

@@ -52,6 +52,13 @@ struct RestoreStep {
 // reads. CHECKs that the counts cover `num_layers` exactly.
 std::vector<RestoreStep> PlanRestore(const LayerSources& sources, int64_t num_layers);
 
+// Bytes `step` reads from storage to restore `n` tokens when its rows are stored under
+// `codec`: n rows of the layer's stored width (hidden_dim for a hidden layer, the
+// [K | V] pair, 2 * kv_dim, for a KV layer) at CodecRowBytes each; chunk headers are
+// not counted. A recomputed layer reads nothing.
+int64_t RestoreStepReadBytes(const ModelConfig& cfg, const RestoreStep& step, int64_t n,
+                             ChunkCodec codec);
+
 struct PartitionScheme {
   int64_t layers_hidden = 0;  // L_H: restored from hidden states
   int64_t layers_other = 0;   // L_O: restored via `complement`

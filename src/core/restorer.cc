@@ -132,8 +132,15 @@ RestoreResult Restorer::Restore(RestoreMethod method, int64_t history_tokens) co
   // Recompute layers start on the compute stream at t=0 while the transfers queue back
   // to back: each hidden-state transfer triggers its projection, and the KV transfers
   // fill the transmission slack behind them (§4.1.2, Fig 8d).
+  // Bytes are each step's own read bytes: hidden layers under the hidden codec,
+  // KV-offload layers always as FP16 KV. flops/bytes are whole-model quantities: under
+  // tensor parallelism every GPU works on a shard, so the totals already cover the
+  // whole system; the all-gather moves data over NVLink, not storage, and does not add
+  // to bytes_read.
   std::vector<double> pre;
   std::vector<std::pair<double, double>> io_tasks;
+  int64_t hidden_bytes = 0;
+  int64_t kv_bytes = 0;
   for (const RestoreStep& step : PlanRestore(src, nl)) {
     switch (step.source) {
       case LayerSource::kRecompute:
@@ -141,23 +148,19 @@ RestoreResult Restorer::Restore(RestoreMethod method, int64_t history_tokens) co
         break;
       case LayerSource::kHidden:
         io_tasks.emplace_back(p.io_hidden, p.c_hidden);
+        hidden_bytes += RestoreStepReadBytes(cfg_, step, history_tokens, codec_);
         break;
       case LayerSource::kKv:
         io_tasks.emplace_back(p.io_kv, 0.0);
+        kv_bytes += RestoreStepReadBytes(cfg_, step, history_tokens, ChunkCodec::kFp16);
         break;
     }
   }
   RunPipeline(pre, io_tasks, &r);
-  // flops/bytes are whole-model quantities: under tensor parallelism every GPU works
-  // on a shard, so the totals already cover the whole system; the all-gather moves
-  // data over NVLink, not storage, and does not add to bytes_read.
-  const double recompute = static_cast<double>(src.recompute);
-  const double hidden = static_cast<double>(src.hidden);
-  const double kv = static_cast<double>(src.kv);
-  r.hidden_bytes_read = hidden * HiddenIoBytesPerLayer(cfg_, n, codec_);
-  r.bytes_read = r.hidden_bytes_read + kv * KvIoBytesPerLayer(cfg_, n);
-  r.flops = recompute * RecomputeFlopsPerLayer(cfg_, n) +
-            hidden * HiddenToKvFlopsPerLayer(cfg_, n);
+  r.hidden_bytes_read = static_cast<double>(hidden_bytes);
+  r.bytes_read = static_cast<double>(hidden_bytes + kv_bytes);
+  r.flops = static_cast<double>(src.recompute) * RecomputeFlopsPerLayer(cfg_, n) +
+            static_cast<double>(src.hidden) * HiddenToKvFlopsPerLayer(cfg_, n);
   return r;
 }
 

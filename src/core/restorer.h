@@ -18,7 +18,8 @@
 //   kNaiveHybrid — SolveNaiveHybrid's recompute + KV split, no hidden states
 //                  (ablation, Fig 12).
 //   kIdeal       — state already on GPU; restoration is free.
-// Bytes and FLOPs are count × per-layer cost for each source.
+// Bytes are the sum of each step's RestoreStepReadBytes (the figure the engine's
+// run-ahead budget uses too); FLOPs are count × per-layer cost for each source.
 #ifndef HCACHE_SRC_CORE_RESTORER_H_
 #define HCACHE_SRC_CORE_RESTORER_H_
 

@@ -222,14 +222,13 @@ void Transformer::AddBiasRows(Tensor& t, const Tensor& bias) {
 }
 
 template <typename Dest>
-void Transformer::ProjectKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
-                            int64_t tile_rows, const Dest& dest) const {
+void Transformer::ProjectKv(int64_t layer, const float* hidden, int64_t n,
+                            const int32_t* positions, int64_t tile_rows,
+                            const Dest& dest) const {
   const ModelConfig& cfg = config();
   CHECK_GE(layer, 0);
   CHECK_LT(layer, cfg.num_layers);
-  CHECK_EQ(hidden.rank(), 2);
-  CHECK_EQ(hidden.dim(1), cfg.hidden_dim);
-  const int64_t n = hidden.dim(0);
+  CHECK_GE(n, 0);
   if (n == 0) {
     return;
   }
@@ -251,7 +250,7 @@ void Transformer::ProjectKv(int64_t layer, const Tensor& hidden, const int32_t* 
     // The paper's K = W_k * H elides the (cheap, per-row) pre-norm; including it here is
     // required for exactness and is covered by the epsilon term of §3.2's cost analysis.
     for (int64_t r = 0; r < rows; ++r) {
-      const float* in = hidden.row(r0 + r);
+      const float* in = hidden + (r0 + r) * dim;
       float* out = x_tile.data() + r * dim;
       if (cfg.norm == NormKind::kRmsNorm) {
         RmsNormRow(in, lw.attn_norm_weight.data(), cfg.norm_eps, dim, out);
@@ -542,15 +541,24 @@ std::vector<int32_t> Transformer::SampleDecode(int32_t first_token, int64_t step
 
 void Transformer::RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                                  PagedKvSequence* seq) const {
-  ProjectKv(layer, hidden, positions, seq->pool()->block_tokens(),
+  CHECK_EQ(hidden.rank(), 2);
+  CHECK_EQ(hidden.dim(1), config().hidden_dim);
+  RestoreLayerKv(layer, hidden.data(), hidden.dim(0), positions, seq);
+}
+
+void Transformer::RestoreLayerKv(int64_t layer, const float* hidden, int64_t n,
+                                 const int32_t* positions, PagedKvSequence* seq) const {
+  ProjectKv(layer, hidden, n, positions, seq->pool()->block_tokens(),
             [&](int64_t i) { return seq->MutableKvRows(layer, positions[i]); });
 }
 
 void Transformer::RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                                  Tensor* k_out, Tensor* v_out) const {
+  CHECK_EQ(hidden.rank(), 2);
+  CHECK_EQ(hidden.dim(1), config().hidden_dim);
   *k_out = Tensor({hidden.dim(0), config().kv_dim()});
   *v_out = Tensor({hidden.dim(0), config().kv_dim()});
-  ProjectKv(layer, hidden, positions, kTensorTileRows,
+  ProjectKv(layer, hidden.data(), hidden.dim(0), positions, kTensorTileRows,
             [&](int64_t i) { return std::pair{k_out->row(i), v_out->row(i)}; });
 }
 

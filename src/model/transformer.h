@@ -106,6 +106,11 @@ class Transformer {
   void RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                       PagedKvSequence* seq) const;
 
+  // The same from `n` row-major hidden rows at `hidden`, for callers that stage the
+  // rows in buffers of their own (the restore pipeline's reused staging slots).
+  void RestoreLayerKv(int64_t layer, const float* hidden, int64_t n, const int32_t* positions,
+                      PagedKvSequence* seq) const;
+
   // The same projection into fresh [n, kv_dim] tensors instead of pool pages.
   void RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
                       Tensor* k_out, Tensor* v_out) const;
@@ -134,15 +139,15 @@ class Transformer {
  private:
   Tensor Embed(const std::vector<int32_t>& tokens, const int32_t* positions) const;
   void Normalize(const Tensor& x, const Tensor& weight, const Tensor& bias, Tensor* out) const;
-  // The fused K/V projection behind both RestoreLayerKv forms. Works in row tiles of
-  // `tile_rows` whose boundaries fall where positions[i] % tile_rows == 0 (pool blocks,
-  // for contiguous positions); per tile it pre-norms `hidden`'s rows into per-thread
-  // scratch, runs one GEMM over the packed [W_k; W_v] and, in the epilogue, adds the
-  // biases, rotates K from the RoPE table and stores row i through dest(i), which
-  // returns its {K row, V row}. Tiles work-share on the pool; a lone tile work-shares
-  // its GEMM's columns instead.
+  // The fused K/V projection behind every RestoreLayerKv form, over `n` rows of
+  // hidden_dim floats at `hidden`. Works in row tiles of `tile_rows` whose boundaries
+  // fall where positions[i] % tile_rows == 0 (pool blocks, for contiguous positions);
+  // per tile it pre-norms the tile's rows into per-thread scratch, runs one GEMM over
+  // the packed [W_k; W_v] and, in the epilogue, adds the biases, rotates K from the
+  // RoPE table and stores row i through dest(i), which returns its {K row, V row}.
+  // Tiles work-share on the pool; a lone tile work-shares its GEMM's columns instead.
   template <typename Dest>
-  void ProjectKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
+  void ProjectKv(int64_t layer, const float* hidden, int64_t n, const int32_t* positions,
                  int64_t tile_rows, const Dest& dest) const;
   float AlibiSlope(int64_t head) const;
   Tensor Ffn(const LayerWeights& lw, const Tensor& x) const;

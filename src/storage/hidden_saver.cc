@@ -167,17 +167,11 @@ HiddenStateReader::HiddenStateReader(const StorageBackend* store, const ModelCon
                                      int64_t chunk_tokens, bool verify)
     : HiddenStateReader(store, HiddenChunkGeometry(cfg), chunk_tokens, verify) {}
 
-bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
-                                      float* dst) const {
-  return ReadLayerInto(context_id, layer, n, {dst});
-}
-
-bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
-                                      std::initializer_list<float*> dsts) const {
+template <typename Decode>
+bool HiddenStateReader::ReadChunksThen(int64_t context_id, int64_t layer, int64_t n,
+                                       const Decode& decode) const {
   CHECK_GT(n, 0);
   const int64_t cols = geometry_.cols;
-  const int64_t block_cols = cols / static_cast<int64_t>(dsts.size());
-  CHECK_EQ(block_cols * static_cast<int64_t>(dsts.size()), cols);
   const int64_t key_layer = geometry_.layer_key_base + layer;
   const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
   // FP32 is the widest encoding, so its chunk size bounds every stored form
@@ -185,13 +179,16 @@ bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t
   const int64_t chunk_cap = EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens_, cols);
   // Per-thread scratch reused across restores. A fresh multi-MB allocation here would
   // dominate the layer read: large mallocs are mmap-backed, so every call would repay
-  // soft page faults (and a zeroing sweep, for a value-initialized vector) across the
-  // whole staging buffer. The vector only zero-fills on growth, once per high-water mark.
-  static thread_local std::vector<uint8_t> scratch;
-  if (scratch.size() < static_cast<size_t>(num_chunks * chunk_cap)) {
-    scratch.resize(static_cast<size_t>(num_chunks * chunk_cap));
+  // soft page faults across the whole staging buffer. It grows once per high-water mark
+  // and is never zero-filled, so the tail of each chunk's slot that a narrower codec
+  // leaves unread never becomes resident.
+  static thread_local std::unique_ptr<uint8_t[]> scratch;
+  static thread_local int64_t scratch_bytes = 0;
+  if (scratch_bytes < num_chunks * chunk_cap) {
+    scratch_bytes = num_chunks * chunk_cap;
+    scratch.reset(new uint8_t[static_cast<size_t>(scratch_bytes)]);
   }
-  uint8_t* const buf = scratch.data();
+  uint8_t* const buf = scratch.get();
   // One batched submission for the whole layer: the backend overlaps the chunk
   // fetches (per-device pread fan-out, or one cold round trip on a tiered store)
   // instead of paying num_chunks serial round trips.
@@ -226,15 +223,42 @@ bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t
                        << " L=" << key_layer << " C=" << c << " bytes=" << got;
       return false;
     }
-    // Fused decode: dequantize each column block straight into its destination rows.
-    int64_t col = 0;
-    for (float* dst : dsts) {
-      DecodeChunkRange(chunk, got, info, 0, want_tokens, col, col + block_cols,
-                       dst + first_tok * block_cols, block_cols);
-      col += block_cols;
-    }
+    decode(chunk, got, info, first_tok, want_tokens);
   }
   return true;
+}
+
+bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
+                                      float* dst) const {
+  // Fused decode: dequantize straight into the destination rows.
+  const int64_t cols = geometry_.cols;
+  return ReadChunksThen(context_id, layer, n,
+                        [&](const uint8_t* chunk, int64_t bytes, const ChunkInfo& info,
+                            int64_t first, int64_t rows) {
+                          DecodeChunkRange(chunk, bytes, info, 0, rows, 0, cols,
+                                           dst + first * cols, cols);
+                        });
+}
+
+bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
+                                      PagedKvSequence* seq) const {
+  const int64_t kv_dim = seq->pool()->config().kv_dim;
+  CHECK_EQ(geometry_.cols, 2 * kv_dim) << "not a KV geometry";
+  const int64_t bt = seq->pool()->block_tokens();
+  return ReadChunksThen(
+      context_id, layer, n,
+      [&](const uint8_t* chunk, int64_t bytes, const ChunkInfo& info, int64_t first,
+          int64_t rows) {
+        // A chunk's rows split at pool-block boundaries: each run's K and V halves
+        // land in one block's K and V slabs.
+        for (int64_t r = 0; r < rows;) {
+          const int64_t run = std::min(rows - r, bt - (first + r) % bt);
+          const auto [k, v] = seq->MutableKvRows(layer, first + r);
+          DecodeChunkRange(chunk, bytes, info, r, r + run, 0, kv_dim, k, kv_dim);
+          DecodeChunkRange(chunk, bytes, info, r, r + run, kv_dim, 2 * kv_dim, v, kv_dim);
+          r += run;
+        }
+      });
 }
 
 Tensor HiddenStateReader::ReadLayer(int64_t context_id, int64_t layer, int64_t n) const {

@@ -23,7 +23,6 @@
 #define HCACHE_SRC_STORAGE_HIDDEN_SAVER_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -150,11 +149,11 @@ class HiddenStateReader {
   // contents are then unspecified and the caller falls back to recomputation.
   bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n, float* dst) const;
 
-  // Same, for rows read as equal-width column blocks: block i of every row decodes
-  // into dsts[i] ([n, geometry.cols / dsts.size()]). A KV reader splits each
-  // [K | V] row into separate K and V tensors this way, with no staging pass.
-  bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
-                     std::initializer_list<float*> dsts) const;
+  // Same, for a KV geometry: decodes each chunk's [K | V] rows straight into `seq`'s
+  // pool pages at `layer`, one pool block's run of rows at a time (MutableKvRows), with
+  // no staging tensor and no second copy. `seq` must already hold capacity for n
+  // tokens. On failure the pages of the chunks decoded before it hold their rows.
+  bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n, PagedKvSequence* seq) const;
 
   // True when every chunk covering tokens [0, n) of every geometry layer exists. `expected` is
   // the codec this context's writer is configured with (legacy headerless FP32 chunks
@@ -169,6 +168,13 @@ class HiddenStateReader {
                      ChunkCodec expected = ChunkCodec::kFp32) const;
 
  private:
+  // The batched read behind both ReadLayerInto forms: fetches and checks every chunk
+  // covering tokens [0, n) of `layer`, then calls decode(chunk, bytes, info, first,
+  // rows) to land chunk rows [0, rows) as tokens [first, first + rows).
+  template <typename Decode>
+  bool ReadChunksThen(int64_t context_id, int64_t layer, int64_t n,
+                      const Decode& decode) const;
+
   const StorageBackend* store_;
   ChunkGeometry geometry_;
   int64_t chunk_tokens_;

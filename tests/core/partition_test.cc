@@ -200,5 +200,20 @@ TEST(NaiveHybridTest, BalancesComputeAgainstKvTransfer) {
   EXPECT_LT(s.predicted_time, 6.0 * 40);
 }
 
+// A step's read bytes: n rows of its stored width at the codec's row size. A
+// GQA model's KV rows are narrower than its hidden rows; int8 adds a per-row scale.
+TEST(PartitionTest, RestoreStepReadBytesIsRowsTimesCodecRowBytes) {
+  const ModelConfig cfg = ModelConfig::TinyGqa(4, 64, 4, 2);  // kv_dim 32
+  const RestoreStep recompute{0, LayerSource::kRecompute};
+  const RestoreStep hidden{1, LayerSource::kHidden};
+  const RestoreStep kv{3, LayerSource::kKv};
+  EXPECT_EQ(RestoreStepReadBytes(cfg, recompute, 10, ChunkCodec::kFp32), 0);
+  EXPECT_EQ(RestoreStepReadBytes(cfg, hidden, 10, ChunkCodec::kFp32), 10 * 64 * 4);
+  EXPECT_EQ(RestoreStepReadBytes(cfg, hidden, 10, ChunkCodec::kFp16), 10 * 64 * 2);
+  EXPECT_EQ(RestoreStepReadBytes(cfg, kv, 10, ChunkCodec::kFp16), 10 * 2 * 32 * 2);
+  EXPECT_EQ(RestoreStepReadBytes(cfg, kv, 10, ChunkCodec::kInt8),
+            10 * CodecRowBytes(ChunkCodec::kInt8, 2 * 32));
+}
+
 }  // namespace
 }  // namespace hcache
