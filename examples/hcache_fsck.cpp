@@ -64,7 +64,7 @@ void PrintHuman(const FsckReport& r) {
               static_cast<long long>(r.chunks_scanned),
               static_cast<long long>(r.bytes_scanned));
   std::printf("  clean (CRC verified): %lld\n", static_cast<long long>(r.clean));
-  std::printf("  unverified (no CRC):  %lld\n", static_cast<long long>(r.unverified));
+  std::printf("  unverified (opaque):  %lld\n", static_cast<long long>(r.unverified));
   std::printf("  partial (truncated):  %lld\n", static_cast<long long>(r.partial));
   std::printf("  corrupt (CRC failed): %lld\n", static_cast<long long>(r.corrupt));
   std::printf("  orphaned temp files:  %lld\n",

@@ -200,56 +200,37 @@ void EncodeRowsInto(ChunkCodec codec, const float* src, int64_t src_stride, int6
   }
 }
 
-bool InspectChunk(const void* data, int64_t bytes, int64_t legacy_cols, ChunkInfo* info) {
+bool HasChunkMagic(const void* data, int64_t bytes) {
+  uint32_t magic = 0;
+  if (data == nullptr || bytes < static_cast<int64_t>(sizeof(magic))) {
+    return false;
+  }
+  std::memcpy(&magic, data, sizeof(magic));
+  return magic == kChunkMagic;
+}
+
+bool ParseChunkHeader(const void* data, int64_t bytes, ChunkInfo* info) {
   CHECK(info != nullptr);
-  if (bytes >= static_cast<int64_t>(sizeof(ChunkHeader))) {
-    ChunkHeader h;
-    std::memcpy(&h, data, sizeof(h));
-    if (h.magic == kChunkMagic && h.version == kChunkFormatVersion &&
-        h.codec <= static_cast<uint8_t>(ChunkCodec::kInt8) && h.cols > 0 &&
-        EncodedChunkBytes(static_cast<ChunkCodec>(h.codec), h.rows, h.cols) == bytes &&
-        Crc32c(data, offsetof(ChunkHeader, header_crc32c)) == h.header_crc32c) {
-      info->codec = static_cast<ChunkCodec>(h.codec);
-      info->rows = h.rows;
-      info->cols = h.cols;
-      info->header_bytes = static_cast<int64_t>(sizeof(ChunkHeader));
-      info->payload_crc32c = h.payload_crc32c;
-      info->has_crc = true;
-      return true;
-    }
+  if (data == nullptr || bytes < static_cast<int64_t>(sizeof(ChunkHeader))) {
+    return false;
   }
-  // v1 (16-byte header, no checksums): still live on disk from pre-v2 writers.
-  if (bytes >= kChunkHeaderBytesV1) {
-    ChunkHeader h{};
-    std::memcpy(&h, data, static_cast<size_t>(kChunkHeaderBytesV1));
-    if (h.magic == kChunkMagic && h.version == 1 &&
-        h.codec <= static_cast<uint8_t>(ChunkCodec::kInt8) && h.cols > 0 &&
-        kChunkHeaderBytesV1 +
-                static_cast<int64_t>(h.rows) *
-                    CodecRowBytes(static_cast<ChunkCodec>(h.codec), h.cols) ==
-            bytes) {
-      info->codec = static_cast<ChunkCodec>(h.codec);
-      info->rows = h.rows;
-      info->cols = h.cols;
-      info->header_bytes = kChunkHeaderBytesV1;
-      info->payload_crc32c = 0;
-      info->has_crc = false;
-      return true;
-    }
+  ChunkHeader h;
+  std::memcpy(&h, data, sizeof(h));
+  if (h.magic != kChunkMagic || h.version != kChunkFormatVersion ||
+      h.codec > static_cast<uint8_t>(ChunkCodec::kInt8) || h.cols == 0 ||
+      Crc32c(data, offsetof(ChunkHeader, header_crc32c)) != h.header_crc32c) {
+    return false;
   }
-  // Legacy v0 chunk: raw FP32 rows, no header (size rule shared with the
-  // completeness scans via LegacyChunkRows). A legacy chunk whose leading floats
-  // happen to spell a valid header AND whose size matches that header's geometry is
-  // the only ambiguity; the triple check makes it vanishingly unlikely.
-  const int64_t legacy_rows = LegacyChunkRows(bytes, legacy_cols);
-  if (legacy_rows > 0) {
-    info->codec = ChunkCodec::kFp32;
-    info->rows = legacy_rows;
-    info->cols = legacy_cols;
-    info->header_bytes = 0;
-    return true;
-  }
-  return false;
+  info->codec = static_cast<ChunkCodec>(h.codec);
+  info->rows = h.rows;
+  info->cols = h.cols;
+  info->payload_crc32c = h.payload_crc32c;
+  return true;
+}
+
+bool InspectChunk(const void* data, int64_t bytes, int64_t cols, ChunkInfo* info) {
+  return ParseChunkHeader(data, bytes, info) && (cols == 0 || info->cols == cols) &&
+         EncodedChunkBytes(info->codec, info->rows, info->cols) == bytes;
 }
 
 void DecodeChunkRange(const void* data, int64_t bytes, const ChunkInfo& info, int64_t row0,
@@ -265,11 +246,10 @@ void DecodeChunkRange(const void* data, int64_t bytes, const ChunkInfo& info, in
     return;
   }
   const int64_t cols = col1 - col0;
-  const int64_t row_bytes =
-      info.header_bytes > 0 ? CodecRowBytes(info.codec, info.cols)
-                            : info.cols * static_cast<int64_t>(sizeof(float));
-  const uint8_t* base = static_cast<const uint8_t*>(data) + info.header_bytes;
-  CHECK_LE(info.header_bytes + info.rows * row_bytes, bytes) << "short chunk payload";
+  const int64_t row_bytes = CodecRowBytes(info.codec, info.cols);
+  const uint8_t* base = static_cast<const uint8_t*>(data) + sizeof(ChunkHeader);
+  CHECK_LE(EncodedChunkBytes(info.codec, info.rows, info.cols), bytes)
+      << "short chunk payload";
   switch (info.codec) {
     case ChunkCodec::kFp32:
       ForEachRow(rows, cols, [&](int64_t r) {

@@ -76,26 +76,32 @@ void EncodeRowsInto(ChunkCodec codec, const float* src, int64_t src_stride, int6
 
 // --- chunk decode ---
 
-// What a stored chunk contains. header_bytes is 0 for legacy (v0, headerless raw
-// FP32) chunks, kChunkHeaderBytesV1 for v1, sizeof(ChunkHeader) for v2.
+// What a chunk's header says. The payload (rows * CodecRowBytes bytes) starts
+// sizeof(ChunkHeader) bytes in.
 struct ChunkInfo {
   ChunkCodec codec = ChunkCodec::kFp32;
   int64_t rows = 0;
   int64_t cols = 0;
-  int64_t header_bytes = 0;
-  // v2 only: the stored payload checksum (has_crc == true). Verification against the
-  // actual payload bytes is the read path's job (integrity.h's VerifyChunkBytes) —
-  // InspectChunk validates the header's own CRC but never walks the payload.
+  // The stored payload checksum. Verification against the actual payload bytes is
+  // the read path's job (integrity.h's VerifyChunkBytes) — the parsers below check
+  // the header's own CRC but never walk the payload.
   uint32_t payload_crc32c = 0;
-  bool has_crc = false;
 };
 
-// Parses a stored chunk. A chunk is *encoded* when it starts with a valid header
-// (magic, known version and codec, size == EncodedChunkBytes(codec, rows, cols); a v2
-// header must additionally pass its own header CRC); anything else is treated as a
-// legacy raw-FP32 chunk whose row width `legacy_cols` the caller supplies (bytes must
-// then be a whole number of rows). Returns false when the bytes fit neither form.
-bool InspectChunk(const void* data, int64_t bytes, int64_t legacy_cols, ChunkInfo* info);
+// The one header parser: true when `data` starts with a header whose magic, version,
+// codec, cols (> 0) and header CRC are all valid. It does NOT check that `bytes`
+// holds the payload the header promises, so fsck can tell a torn write (a trusted
+// header over a short payload) from a corrupt chunk.
+bool ParseChunkHeader(const void* data, int64_t bytes, ChunkInfo* info);
+
+// True when `data` starts with the chunk magic, i.e. the bytes claim the chunk format
+// (integrity.h reads a failed claim as corruption, and no magic as opaque bytes).
+bool HasChunkMagic(const void* data, int64_t bytes);
+
+// Parses a stored chunk: ParseChunkHeader, plus bytes == EncodedChunkBytes(codec,
+// rows, cols) and, when `cols` > 0, a header row width equal to `cols` (0 accepts
+// any width). Returns false for anything else — including bytes with no header.
+bool InspectChunk(const void* data, int64_t bytes, int64_t cols, ChunkInfo* info);
 
 // Decodes the rectangle rows [row0, row1) x cols [col0, col1) of an inspected chunk
 // into dst (row-major, leading dimension dst_stride floats). Column sub-ranges let the

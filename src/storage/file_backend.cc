@@ -112,9 +112,7 @@ FileBackend::FileBackend(std::vector<std::string> device_dirs, int64_t chunk_byt
     fs::create_directories(dir, ec);
     CHECK(!ec) << "cannot create device dir " << dir << ": " << ec.message();
   }
-  if (options_.recover_index) {
-    RecoverFromDisk();
-  }
+  RecoverFromDisk();
 }
 
 void FileBackend::RecoverFromDisk() {

@@ -6,7 +6,9 @@
 // one file under a per-context subdirectory: the paper's design point that chunk
 // allocation is incremental (no reservation at max context length, §4.2.1) falls out
 // naturally, and DeleteContext can unlink the whole directory so long serving runs do
-// not leak empty dirs.
+// not leak empty dirs. Opening a backend over existing device dirs rebuilds the
+// index from the chunk files already there, so a previous process's chunks read back
+// after a crash or restart.
 //
 // Thread safety: concurrent writers on distinct chunks are safe (the two-stage saver's
 // flush threads rely on this); the in-memory index is mutex-guarded. Reads are
@@ -38,9 +40,6 @@ struct FileBackendOptions {
   // atomic either way). Benches on tmpfs can turn it off — fsync there is ~free but
   // the syscalls are not.
   bool fsync_writes = true;
-  // Rebuild the in-memory index from the chunk files already present in the device
-  // dirs (a previous process's chunks become readable again after a crash/restart).
-  bool recover_index = true;
   // Unlink orphaned `*.tmp` files left by a writer that died mid-write. fsck turns
   // this off so it can classify the orphans instead.
   bool sweep_temp_files = true;
@@ -75,7 +74,7 @@ class FileBackend : public StorageBackend {
   StorageStats Stats() const override;
   std::string Name() const override { return "file"; }
 
-  // Orphaned temp files the startup recovery scan removed (0 unless recover_index).
+  // Orphaned temp files the startup recovery scan removed (0 unless sweep_temp_files).
   int64_t swept_temp_files() const { return swept_temp_files_; }
 
   // Device a chunk is striped onto (round-robin by chunk index — §4.2.1's bandwidth

@@ -1,14 +1,11 @@
 #include "src/storage/fsck.h"
 
-#include <cstddef>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 
 #include "src/common/logging.h"
 #include "src/storage/codec.h"
-#include "src/storage/codec_simd.h"
 #include "src/storage/dedup_backend.h"
 #include "src/storage/distributed_backend.h"
 #include "src/storage/integrity.h"
@@ -19,62 +16,39 @@ namespace {
 namespace fs = std::filesystem;
 
 // Classifies one chunk's stored bytes. VerifyChunkBytes alone folds every
-// magic-bearing failure into kCorrupt; fsck wants to split out the torn-write case
-// (header intact and trustworthy, payload tail missing), so it re-parses the header
-// prefix by hand when verification fails.
+// magic-bearing failure into kCorrupt; fsck splits out the torn-write case (header
+// intact and trustworthy, payload tail missing) by re-parsing the header alone.
 FsckClass ClassifyChunk(const uint8_t* data, int64_t bytes, std::string* detail) {
   switch (VerifyChunkBytes(data, bytes)) {
     case ChunkVerdict::kOkVerified:
       return FsckClass::kClean;
     case ChunkVerdict::kOkUnverified:
-      detail->assign("no checksum (v1/legacy/opaque)");
+      detail->assign("no chunk magic (opaque)");
       return FsckClass::kUnverified;
     case ChunkVerdict::kCorrupt:
       break;
   }
-  // Magic is present (else the verdict would be kOkUnverified). Read the fixed
-  // prefix fields; every header version starts {magic u32, version u16, codec u8,
-  // reserved u8, rows u32, cols u32}.
-  if (bytes < kChunkHeaderBytesV1) {
+  // Magic is present (else the verdict would be kOkUnverified).
+  if (bytes < static_cast<int64_t>(sizeof(ChunkHeader))) {
     detail->assign("truncated inside the header");
     return FsckClass::kPartial;
   }
-  uint16_t version = 0;
-  uint8_t codec = 0;
-  uint32_t rows = 0, cols = 0;
-  std::memcpy(&version, data + 4, sizeof(version));
-  std::memcpy(&codec, data + 6, sizeof(codec));
-  std::memcpy(&rows, data + 8, sizeof(rows));
-  std::memcpy(&cols, data + 12, sizeof(cols));
-  const bool fields_sane = (version == 1 || version == kChunkFormatVersion) &&
-                           codec <= static_cast<uint8_t>(ChunkCodec::kInt8) && cols > 0;
-  if (fields_sane) {
-    const int64_t header_bytes =
-        version == 1 ? kChunkHeaderBytesV1 : static_cast<int64_t>(sizeof(ChunkHeader));
-    if (version == kChunkFormatVersion &&
-        bytes >= static_cast<int64_t>(sizeof(ChunkHeader))) {
-      // Full v2 header present: only trust its row/col claim if the header's own
-      // CRC holds — a flipped bit in `rows` must not masquerade as truncation.
-      uint32_t stored_hcrc = 0;
-      std::memcpy(&stored_hcrc, data + offsetof(ChunkHeader, header_crc32c),
-                  sizeof(stored_hcrc));
-      if (Crc32c(data, offsetof(ChunkHeader, header_crc32c)) != stored_hcrc) {
-        detail->assign("header CRC mismatch");
-        return FsckClass::kCorrupt;
-      }
-    }
-    const int64_t expected = header_bytes + static_cast<int64_t>(rows) *
-                                                CodecRowBytes(static_cast<ChunkCodec>(codec),
-                                                              static_cast<int64_t>(cols));
-    if (bytes < expected) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "truncated: %lld of %lld bytes",
-                    static_cast<long long>(bytes), static_cast<long long>(expected));
-      detail->assign(buf);
-      return FsckClass::kPartial;
-    }
+  // Only trust the header's row/col claim if the header's own CRC holds — a flipped
+  // bit in `rows` must not masquerade as truncation.
+  ChunkInfo info;
+  if (!ParseChunkHeader(data, bytes, &info)) {
+    detail->assign("header CRC mismatch or unknown version");
+    return FsckClass::kCorrupt;
   }
-  detail->assign("payload/header CRC mismatch");
+  const int64_t expected = EncodedChunkBytes(info.codec, info.rows, info.cols);
+  if (bytes < expected) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "truncated: %lld of %lld bytes",
+                  static_cast<long long>(bytes), static_cast<long long>(expected));
+    detail->assign(buf);
+    return FsckClass::kPartial;
+  }
+  detail->assign("payload CRC or size mismatch");
   return FsckClass::kCorrupt;
 }
 

@@ -3,13 +3,12 @@
 // Walks every chunk a backend can enumerate (ListChunks), reads it back UNVERIFIED,
 // and classifies it:
 //
-//   kClean      — v2 header, payload CRC32C matches (bit-exact as written).
-//   kUnverified — parses but carries no checksum (v1 header or legacy headerless
-//                 FP32; also opaque chunks like the serving plane's descriptors).
-//                 Nothing to verify against; reported so operators can see how much
-//                 of the store predates the v2 format.
-//   kPartial    — the header parses and claims more payload than the chunk holds: a
-//                 torn/truncated write (lost tail).
+//   kClean      — valid header, payload CRC32C matches (bit-exact as written).
+//   kUnverified — opaque bytes with no chunk magic, like the serving plane's
+//                 descriptor chunks. Nothing to verify against; counted so operators
+//                 can see how much of the store is not in the chunk format.
+//   kPartial    — the header parses (codec.h's ParseChunkHeader) and claims more
+//                 payload than the chunk holds: a torn/truncated write (lost tail).
 //   kCorrupt    — chunk bears the magic but fails its header or payload CRC (or is
 //                 internally inconsistent): a media fault or bit rot.
 //

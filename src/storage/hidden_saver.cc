@@ -174,8 +174,7 @@ bool HiddenStateReader::ReadChunksThen(int64_t context_id, int64_t layer, int64_
   const int64_t cols = geometry_.cols;
   const int64_t key_layer = geometry_.layer_key_base + layer;
   const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
-  // FP32 is the widest encoding, so its chunk size bounds every stored form
-  // (including legacy headerless chunks, which lack the 16-byte header).
+  // FP32 is the widest encoding, so its chunk size bounds every stored form.
   const int64_t chunk_cap = EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens_, cols);
   // Per-thread scratch reused across restores. A fresh multi-MB allocation here would
   // dominate the layer read: large mallocs are mmap-backed, so every call would repay
@@ -217,8 +216,7 @@ bool HiddenStateReader::ReadChunksThen(int64_t context_id, int64_t layer, int64_
     ChunkInfo info;
     const int64_t first_tok = c * chunk_tokens_;
     const int64_t want_tokens = std::min(chunk_tokens_, n - first_tok);
-    if (!InspectChunk(chunk, got, cols, &info) || info.cols != cols ||
-        info.rows < want_tokens) {
+    if (!InspectChunk(chunk, got, cols, &info) || info.rows < want_tokens) {
       HCACHE_LOG_ERROR << "chunk unparsable or short: ctx=" << context_id
                        << " L=" << key_layer << " C=" << c << " bytes=" << got;
       return false;

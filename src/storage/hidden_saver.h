@@ -123,8 +123,9 @@ class HiddenStateWriter : public HiddenStateSink {
 
 // Reassembles a layer's rows from chunks, in token order — the token-before-layer
 // read path of Fig 6b. Chunks are self-describing, so one reader handles any mix of
-// codecs (and legacy headerless FP32 chunks) within a context. The geometry selects
-// the kind of state read (hidden states by default, or offloaded KV).
+// codecs within a context; bytes without a valid header of the geometry's row width
+// never decode. The geometry selects the kind of state read (hidden states by
+// default, or offloaded KV).
 class HiddenStateReader {
  public:
   // `verify` selects the batched read flavor ReadLayerInto submits: true (the
@@ -145,8 +146,9 @@ class HiddenStateReader {
   // Same, but decodes straight into `dst` ([n, geometry.cols] row-major floats) — the
   // fused path: dequantization writes the projection GEMM's input buffer directly,
   // with no intermediate FP32 chunk staging. Returns false (logging the failing
-  // chunk) when any covering chunk is missing, short, or detected corrupt; `dst`
-  // contents are then unspecified and the caller falls back to recomputation.
+  // chunk) when any covering chunk is missing, short, detected corrupt, or not a
+  // chunk of geometry.cols-wide rows; `dst` contents are then unspecified and the
+  // caller falls back to recomputation.
   bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n, float* dst) const;
 
   // Same, for a KV geometry: decodes each chunk's [K | V] rows straight into `seq`'s
@@ -156,9 +158,8 @@ class HiddenStateReader {
   bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n, PagedKvSequence* seq) const;
 
   // True when every chunk covering tokens [0, n) of every geometry layer exists. `expected` is
-  // the codec this context's writer is configured with (legacy headerless FP32 chunks
-  // are always additionally accepted); pinning it keeps a partially saved chunk from
-  // size-aliasing to a complete chunk of a different codec.
+  // the codec this context's writer is configured with; pinning it keeps a partially
+  // saved chunk from size-aliasing to a complete chunk of a different codec.
   bool ContextComplete(int64_t context_id, int64_t n,
                        ChunkCodec expected = ChunkCodec::kFp32) const;
 

@@ -28,15 +28,11 @@ ChunkVerdict VerifyChunkBytes(const void* data, int64_t bytes, int64_t* checked_
     return ChunkVerdict::kOkUnverified;
   }
   ChunkInfo info;
-  // legacy_cols = 0: the backend does not know the caller's row geometry, so the
-  // legacy-FP32 interpretation never fires here — headerless bytes simply stay
-  // unverified (the decode path still vets their size against its own geometry).
-  if (InspectChunk(data, bytes, /*legacy_cols=*/0, &info)) {
-    if (!info.has_crc) {
-      return ChunkVerdict::kOkUnverified;  // v1: readable, carries no checksum
-    }
-    const uint8_t* payload = static_cast<const uint8_t*>(data) + info.header_bytes;
-    const int64_t payload_bytes = bytes - info.header_bytes;
+  // cols = 0: the backend does not know the caller's row geometry; the reader checks
+  // the width against its own.
+  if (InspectChunk(data, bytes, /*cols=*/0, &info)) {
+    const uint8_t* payload = static_cast<const uint8_t*>(data) + sizeof(ChunkHeader);
+    const int64_t payload_bytes = bytes - static_cast<int64_t>(sizeof(ChunkHeader));
     if (Crc32c(payload, payload_bytes) != info.payload_crc32c) {
       return ChunkVerdict::kCorrupt;
     }
@@ -46,16 +42,9 @@ ChunkVerdict VerifyChunkBytes(const void* data, int64_t bytes, int64_t* checked_
     return ChunkVerdict::kOkVerified;
   }
   // Unparseable. If the bytes CLAIM the chunk format (the magic is present) the
-  // claim failed — header bit flip, bad header CRC, or truncation — and that is a
-  // detected corruption, not an opaque blob.
-  uint32_t magic = 0;
-  if (bytes >= static_cast<int64_t>(sizeof(magic))) {
-    std::memcpy(&magic, data, sizeof(magic));
-    if (magic == kChunkMagic) {
-      return ChunkVerdict::kCorrupt;
-    }
-  }
-  return ChunkVerdict::kOkUnverified;
+  // claim failed — header bit flip, bad header CRC, an unread version, or truncation
+  // — and that is a detected corruption, not an opaque blob.
+  return HasChunkMagic(data, bytes) ? ChunkVerdict::kCorrupt : ChunkVerdict::kOkUnverified;
 }
 
 ChunkVerdict VerifyAndCopyChunk(const void* data, int64_t bytes, void* dst,
@@ -67,16 +56,16 @@ ChunkVerdict VerifyAndCopyChunk(const void* data, int64_t bytes, void* dst,
     return ChunkVerdict::kOkUnverified;  // nothing to copy
   }
   ChunkInfo info;
-  if (InspectChunk(data, bytes, /*legacy_cols=*/0, &info) && info.has_crc) {
-    // Sealed v2 chunk: checksum the payload while it moves.
+  if (InspectChunk(data, bytes, /*cols=*/0, &info)) {
+    // Sealed chunk: checksum the payload while it moves.
+    constexpr int64_t kHeader = static_cast<int64_t>(sizeof(ChunkHeader));
     const auto* src = static_cast<const uint8_t*>(data);
     auto* out = static_cast<uint8_t*>(dst);
-    std::memcpy(out, src, static_cast<size_t>(info.header_bytes));
-    const int64_t payload_bytes = bytes - info.header_bytes;
-    const uint32_t crc =
-        ActiveCodecKernels().crc32c_copy(0xFFFFFFFFu, src + info.header_bytes,
-                                         out + info.header_bytes, payload_bytes) ^
-        0xFFFFFFFFu;
+    std::memcpy(out, src, sizeof(ChunkHeader));
+    const int64_t payload_bytes = bytes - kHeader;
+    const uint32_t crc = ActiveCodecKernels().crc32c_copy(0xFFFFFFFFu, src + kHeader,
+                                                          out + kHeader, payload_bytes) ^
+                         0xFFFFFFFFu;
     if (crc != info.payload_crc32c) {
       return ChunkVerdict::kCorrupt;  // dst contents unspecified
     }
@@ -85,7 +74,8 @@ ChunkVerdict VerifyAndCopyChunk(const void* data, int64_t bytes, void* dst,
     }
     return ChunkVerdict::kOkVerified;
   }
-  // v1 / opaque / corrupt format claim: the two-pass verdict, plain copy on success.
+  // Opaque bytes or a failed format claim: the two-pass verdict, plain copy unless
+  // corrupt.
   const ChunkVerdict verdict = VerifyChunkBytes(data, bytes, nullptr);
   if (verdict != ChunkVerdict::kCorrupt) {
     std::memcpy(dst, data, static_cast<size_t>(bytes));

@@ -6,15 +6,16 @@
 // misdirected IO are routine, and a flipped bit in a chunk would otherwise decode
 // into silently wrong KV. VerifyChunkBytes classifies a stored chunk:
 //
-//   kOkVerified   — a v2 chunk whose payload CRC32C matches its header. The bytes
-//                   are what the writer sealed.
-//   kOkUnverified — bytes that carry no checksum: a v1 or legacy headerless chunk,
-//                   or an opaque blob that never claimed the chunk format (the
-//                   serving plane's descriptor chunks). Readable, not attestable.
+//   kOkVerified   — a sealed chunk whose payload CRC32C matches its header. The
+//                   bytes are what the writer sealed.
+//   kOkUnverified — opaque bytes with no chunk magic, which never claimed the chunk
+//                   format (the serving plane's descriptor chunks). Delivered as
+//                   stored, not attestable — and never decodable: the chunk readers
+//                   accept only a valid header (codec.h's InspectChunk).
 //   kCorrupt      — bytes that CLAIM the chunk format (magic present) but fail it:
-//                   payload CRC mismatch, header CRC mismatch, or a size that
-//                   contradicts the header (truncation). Backends surface this as
-//                   kChunkCorrupt — never as decoded data.
+//                   payload CRC mismatch, header CRC mismatch, a version or size
+//                   that contradicts the format (truncation). Backends surface this
+//                   as kChunkCorrupt — never as decoded data.
 #ifndef HCACHE_SRC_STORAGE_INTEGRITY_H_
 #define HCACHE_SRC_STORAGE_INTEGRITY_H_
 

@@ -1,8 +1,5 @@
 #include "src/storage/layout.h"
 
-#include <algorithm>
-#include <initializer_list>
-
 #include "src/common/logging.h"
 
 namespace hcache {
@@ -41,28 +38,18 @@ bool ChunkSizeCoversRows(int64_t stored_bytes, int64_t min_rows, int64_t max_row
                          int64_t cols, ChunkCodec expected) {
   CHECK_GT(cols, 0);
   CHECK_GE(max_rows, min_rows);
-  // Encoded form: header + rows * the EXPECTED codec's row stride must land exactly
-  // on a row boundary with a row count in range. Only the configured codec's stride
-  // is accepted — a short chunk's payload can alias to an in-range row count under a
+  // Header + rows * the EXPECTED codec's row stride must land exactly on a row
+  // boundary with a row count in range. Only the configured codec's stride is
+  // accepted — a short chunk's payload can alias to an in-range row count under a
   // different codec's stride (FP32 vs FP16 alias deterministically at 2:1), which
-  // would report a half-saved context restorable and crash the decode path. Both the
-  // v2 (24-byte) and v1 (16-byte) header sizes are live on disk; size-aliasing
-  // between them is tolerable because the decode path now fails gracefully when the
-  // header does not actually parse (or its CRC does not match).
+  // would report a half-saved context restorable.
   const int64_t row = CodecRowBytes(expected, cols);
-  for (const int64_t header :
-       {static_cast<int64_t>(sizeof(ChunkHeader)), kChunkHeaderBytesV1}) {
-    const int64_t payload = stored_bytes - header;
-    if (payload >= 0 && payload % row == 0) {
-      const int64_t rows = payload / row;
-      if (rows >= min_rows && rows <= max_rows) {
-        return true;
-      }
-    }
+  const int64_t payload = stored_bytes - static_cast<int64_t>(sizeof(ChunkHeader));
+  if (payload < 0 || payload % row != 0) {
+    return false;
   }
-  // Legacy headerless FP32 (v0 contexts resumed under any codec).
-  const int64_t legacy_rows = LegacyChunkRows(stored_bytes, cols);
-  return legacy_rows >= min_rows && legacy_rows <= max_rows;
+  const int64_t rows = payload / row;
+  return rows >= min_rows && rows <= max_rows;
 }
 
 namespace {

@@ -19,8 +19,7 @@
 // Chunks are additionally *encoded*: restoration is bound by bytes moved per token
 // (§3.2), so the precision of the stored rows is a first-class lever. A ChunkCodec
 // selects the element encoding, and every stored chunk is self-describing via a
-// versioned ChunkHeader so backends can hold a mix of codecs (and of format versions:
-// headerless FP32 chunks from the v0 format still read back).
+// versioned ChunkHeader so backends can hold a mix of codecs.
 #ifndef HCACHE_SRC_STORAGE_LAYOUT_H_
 #define HCACHE_SRC_STORAGE_LAYOUT_H_
 
@@ -53,23 +52,23 @@ const char* ChunkCodecName(ChunkCodec codec);
 // transmission cost the restoration model charges). kInt8 carries its per-row scale.
 int64_t CodecRowBytes(ChunkCodec codec, int64_t cols);
 
-// Self-describing header at the front of every encoded chunk. 24 bytes, little-endian,
-// laid out so old headerless FP32 chunks are distinguishable by magic + size check.
+// Self-describing header at the front of every stored chunk. 24 bytes, little-endian.
 //
-// --- storage-format note (version history + durability protocol) ---
+// --- storage-format note (version + durability protocol) ---
 //
-//   v0 — headerless raw-FP32 rows; recognized purely by size (LegacyChunkRows).
-//   v1 — 16-byte header {magic, version, codec, rows, cols}; no integrity check.
-//   v2 — 24-byte header appending two CRC32C checksums (Castagnoli polynomial,
-//        ~0 init, final xor, i.e. the SSE4.2 `crc32` instruction's convention):
-//          payload_crc32c — over the rows * CodecRowBytes payload that follows the
-//                           header. Backends verify it on EVERY read of a v2 chunk
-//                           (ReadChunk, ReadChunks, tiered promotion) and report a
-//                           mismatch as kChunkCorrupt, never as decoded data.
-//          header_crc32c  — over the first 20 header bytes, so a bit flip inside
-//                           the header itself (rows, cols, codec) is detected
-//                           before any field is trusted.
-//        v1 and v0 chunks still read back, but pass unverified.
+//   v2 is the one chunk format: {magic, version, codec, rows, cols} followed by two
+//   CRC32C checksums (Castagnoli polynomial, ~0 init, final xor, i.e. the SSE4.2
+//   `crc32` instruction's convention):
+//     payload_crc32c — over the rows * CodecRowBytes payload that follows the
+//                      header. Backends verify it on EVERY read of a chunk
+//                      (ReadChunk, ReadChunks, tiered promotion) and report a
+//                      mismatch as kChunkCorrupt, never as decoded data.
+//     header_crc32c  — over the first 20 header bytes, so a bit flip inside the
+//                      header itself (rows, cols, codec) is detected before any
+//                      field is trusted.
+//   Readers accept nothing else (codec.h's ParseChunkHeader is the one parser):
+//   bytes without the magic are opaque and never decode, and bytes with the magic
+//   but any other version read as corrupt.
 //
 //   Crash consistency: FileBackend publishes a chunk by writing `<path>.tmp`,
 //   fsync-ing it, then rename(2)-ing it over the final path — a reader never
@@ -89,8 +88,6 @@ static_assert(sizeof(ChunkHeader) == 24, "header layout is part of the storage f
 
 inline constexpr uint32_t kChunkMagic = 0x4b434348;  // "HCCK" little-endian
 inline constexpr uint16_t kChunkFormatVersion = 2;
-// Size of the v1 header (everything before the CRC fields); v1 chunks still parse.
-inline constexpr int64_t kChunkHeaderBytesV1 = 16;
 
 // Chunk keys: a context's hidden-state chunks sit under the model layer index, its
 // KV-offload chunks under kKvLayerBase + layer, so the two kinds never collide.
@@ -117,26 +114,12 @@ inline ChunkGeometry KvChunkGeometry(const ModelConfig& cfg) {
 // Total stored size of an encoded chunk: header + rows * CodecRowBytes.
 int64_t EncodedChunkBytes(ChunkCodec codec, int64_t rows, int64_t cols);
 
-// Rows a LEGACY (v0, headerless raw-FP32) chunk of `stored_bytes` holds, or -1 when
-// the size is not a whole number of `cols`-float rows. The single source of truth for
-// the legacy size rule — both the completeness scan (ChunkSizeCoversRows) and the
-// decode path (codec.cc's InspectChunk) consult it, so a chunk reported restorable is
-// guaranteed to also parse.
-inline int64_t LegacyChunkRows(int64_t stored_bytes, int64_t cols) {
-  const int64_t row = cols * static_cast<int64_t>(sizeof(float));
-  if (cols <= 0 || stored_bytes <= 0 || stored_bytes % row != 0) {
-    return -1;
-  }
-  return stored_bytes / row;
-}
-
-// True when `stored_bytes` is the exact size of a valid chunk — encoded under
-// `expected` (the codec the context's writer is configured with), or legacy headerless
-// FP32 — holding between `min_rows` and `max_rows` rows of `cols` elements. The
-// existence check completeness scans (HiddenStateReader::LayerComplete) use when only
-// ChunkSize() is known: a partially saved chunk fails both interpretations, so
-// restoration reports the context incomplete and the caller falls back to recompute
-// instead of CHECK-failing mid-decode. The codec must be pinned by the caller —
+// True when `stored_bytes` is the exact size of a chunk encoded under `expected` (the
+// codec the context's writer is configured with) holding between `min_rows` and
+// `max_rows` rows of `cols` elements. The existence check completeness scans
+// (HiddenStateReader::LayerComplete) use when only ChunkSize() is known: a partially
+// saved chunk fails it, so restoration reports the context incomplete and the caller
+// falls back to recompute. The codec must be pinned by the caller —
 // accepting ANY codec's row stride would let a half-saved FP32 chunk alias to a full
 // FP16 chunk (r rows x 4 bytes == 2r rows x 2 bytes, a deterministic 2:1 aliasing).
 bool ChunkSizeCoversRows(int64_t stored_bytes, int64_t min_rows, int64_t max_rows,
@@ -151,7 +134,7 @@ struct IoPattern {
 
 // IO pattern to restore ONE layer's hidden states for n history tokens. `codec` sets
 // the per-row transmission bytes; the default kFp16 matches the paper's FP16 transport
-// (and ModelConfig::state_dtype_bytes == 2). The 16-byte chunk header is amortized to
+// (and ModelConfig::state_dtype_bytes == 2). The 24-byte chunk header is amortized to
 // noise (< 0.1% of a 64-token chunk) and not charged.
 IoPattern RestoreLayerPattern(StorageLayout layout, const ModelConfig& cfg, int64_t n,
                               int64_t chunk_tokens = kDefaultChunkTokens,

@@ -10,6 +10,12 @@ namespace hcache {
 
 namespace {
 
+// Write-back retry schedule (WritebackBackoffUs): retries per flush, the round-0
+// backoff ceiling and the ceiling's cap.
+constexpr int kWritebackRetryLimit = 3;
+constexpr int64_t kWritebackBackoffUs = 500;
+constexpr int64_t kWritebackBackoffCapUs = 8000;
+
 int AutoShards(int64_t capacity_bytes, int64_t chunk_bytes) {
   const int64_t stripes = capacity_bytes / (8 * chunk_bytes);
   return static_cast<int>(std::clamp<int64_t>(stripes, 1, 16));
@@ -17,15 +23,12 @@ int AutoShards(int64_t capacity_bytes, int64_t chunk_bytes) {
 
 }  // namespace
 
-int64_t WritebackBackoffUs(const TieredOptions& options, int round, uint64_t seed) {
-  int64_t ceiling = options.writeback_retry_backoff_us;
-  if (ceiling <= 0 || options.writeback_retry_backoff_cap_us <= 0) {
-    return 0;
-  }
-  for (int i = 0; i < round && ceiling < options.writeback_retry_backoff_cap_us; ++i) {
+int64_t WritebackBackoffUs(int round, uint64_t seed) {
+  int64_t ceiling = kWritebackBackoffUs;
+  for (int i = 0; i < round && ceiling < kWritebackBackoffCapUs; ++i) {
     ceiling *= 2;
   }
-  ceiling = std::min(ceiling, options.writeback_retry_backoff_cap_us);
+  ceiling = std::min(ceiling, kWritebackBackoffCapUs);
   // splitmix64 over (seed, round): well-mixed and reproducible.
   uint64_t x = seed + 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(round) + 1);
   x ^= x >> 30;
@@ -197,7 +200,7 @@ bool TieredBackend::ProcessTicket(const DrainTicket& ticket) const {
           writeback_bytes_ += bytes;
           continue;
         }
-        if (round < options_.writeback_retry_limit) {
+        if (round < kWritebackRetryLimit) {
           failed.push_back(f);  // stays pending (still rescuable) for the next round
           continue;
         }
@@ -218,7 +221,7 @@ bool TieredBackend::ProcessTicket(const DrainTicket& ticket) const {
                             (static_cast<uint64_t>(k.layer) << 10) ^
                             static_cast<uint64_t>(k.chunk_index);
       std::this_thread::sleep_for(
-          std::chrono::microseconds(WritebackBackoffUs(options_, round, seed)));
+          std::chrono::microseconds(WritebackBackoffUs(round, seed)));
     }
     attempt = std::move(failed);
   }

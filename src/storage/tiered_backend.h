@@ -66,24 +66,17 @@ struct TieredOptions {
              // in the cold tier. Concurrent workloads use kAsync.
   };
   Writeback writeback = Writeback::kAsync;
-
-  // Transient cold-tier write failures (a loaded device, a momentary IO error) are
-  // retried up to this many times with jittered doubling backoff (WritebackBackoffUs)
-  // before the rollback path re-admits the chunks to DRAM. 0 = fail straight to
-  // rollback.
-  int writeback_retry_limit = 3;
-  int64_t writeback_retry_backoff_us = 500;       // round-0 backoff ceiling
-  int64_t writeback_retry_backoff_cap_us = 8000;  // backoff ceiling (bounds shutdown)
 };
 
-// The drainer's retry sleep for round N: equal-jitter exponential backoff. The
-// ceiling doubles from writeback_retry_backoff_us each round, clamps at
-// writeback_retry_backoff_cap_us, and the sleep is drawn from [ceiling/2, ceiling]
-// by a splitmix64 mix of (seed, round) — deterministic (pure in its inputs, no
-// global RNG), so tests can pin exact values, yet drainers retrying against the
-// same overloaded cold tier fan out instead of thundering in lockstep. A
-// non-positive base or cap disables the sleep (returns 0).
-int64_t WritebackBackoffUs(const TieredOptions& options, int round, uint64_t seed);
+// Transient cold-tier write failures (a loaded device, a momentary IO error) are
+// retried 3 times before the rollback path re-admits the chunks to DRAM. This is the
+// drainer's sleep before retry round N: equal-jitter exponential backoff. The ceiling
+// doubles from 500 µs each round, clamps at 8 ms (which bounds shutdown), and the
+// sleep is drawn from [ceiling/2, ceiling] by a splitmix64 mix of (seed, round) —
+// deterministic (pure in its inputs, no global RNG), so tests can pin exact values,
+// yet drainers retrying against the same overloaded cold tier fan out instead of
+// thundering in lockstep.
+int64_t WritebackBackoffUs(int round, uint64_t seed);
 
 class TieredBackend : public StorageBackend {
  public:

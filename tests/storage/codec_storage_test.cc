@@ -1,7 +1,6 @@
 // Storage-plane codec integration: per-codec save/read round trips through the
-// two-stage saver, mixed-version contexts (legacy headerless FP32 chunks next to
-// encoded FP16 chunks), bit-identical decode across File/Memory/Tiered backends, and
-// the steady-state save path's no-allocation guarantee.
+// two-stage saver, bit-identical decode across File/Memory/Tiered backends, and the
+// steady-state save path's no-allocation guarantee.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -149,46 +148,6 @@ TEST_F(CodecStorageTest, CompressionShowsUpInBackendBytes) {
   // Headers keep the ratios slightly under the ideal 2x/4x; they must still be close.
   EXPECT_GT(static_cast<double>(bytes_fp32) / bytes_fp16, 1.9);
   EXPECT_GT(static_cast<double>(bytes_fp32) / bytes_int8, 3.3);
-}
-
-TEST_F(CodecStorageTest, MixedVersionContextReadsBack) {
-  // A context saved by the old code (legacy headerless FP32 chunks) and resumed by the
-  // new code (encoded chunks) must read back as one coherent layer.
-  const int64_t chunk_tokens = 8;
-  MemoryBackend store(kChunkBytes);
-  const Tensor all = RandomTokens(cfg_, 16, 13);
-  // Chunk 0: legacy raw FP32 bytes, written directly (the v0 on-disk format).
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-    store.WriteChunk(ChunkKey{1, layer, 0}, all.data(),
-                     chunk_tokens * cfg_.hidden_dim * static_cast<int64_t>(sizeof(float)));
-  }
-  // Chunks 1+: written by a fresh FP16 writer that resumes at token 8.
-  HiddenStateWriter writer(&store, nullptr, cfg_, 1, chunk_tokens, ChunkCodec::kFp16);
-  {
-    // Skip the writer past the legacy tokens by feeding them; its chunk 0 write
-    // *overwrites* the legacy chunk with an encoded one — emulate the pre-upgrade
-    // state by restoring the legacy bytes afterwards.
-    Feed(&writer, cfg_, all, 16);
-    writer.Seal();
-    for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-      store.WriteChunk(ChunkKey{1, layer, 0}, all.data(),
-                       chunk_tokens * cfg_.hidden_dim * static_cast<int64_t>(sizeof(float)));
-    }
-  }
-  HiddenStateReader reader(&store, cfg_, chunk_tokens);
-  // Completeness is checked under the engine's configured codec (legacy chunks are
-  // always additionally accepted).
-  ASSERT_TRUE(reader.ContextComplete(1, 16, ChunkCodec::kFp16));
-  const Tensor got = reader.ReadLayer(1, 0, 16);
-  for (int64_t r = 0; r < 16; ++r) {
-    for (int64_t c = 0; c < cfg_.hidden_dim; ++c) {
-      if (r < chunk_tokens) {
-        EXPECT_EQ(got.at(r, c), all.at(r, c)) << "legacy half must be bit-exact";
-      } else {
-        EXPECT_LE(std::fabs(got.at(r, c) - all.at(r, c)), Fp16UlpOf(got.at(r, c)));
-      }
-    }
-  }
 }
 
 TEST_F(CodecStorageTest, DecodedBytesBitStableAcrossBackends) {

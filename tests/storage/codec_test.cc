@@ -1,6 +1,6 @@
 // Property tests for the chunk precision codec: FP16 round-trip error within 1 ulp of
 // half precision (RNE is actually ≤ 0.5 ulp), INT8 within RowErrorBound, FP32 bitwise,
-// plus header/legacy-format inspection and rectangular (column-range) decode.
+// plus header inspection and rectangular (column-range) decode.
 #include "src/storage/codec.h"
 
 #include <gtest/gtest.h>
@@ -34,10 +34,9 @@ std::vector<uint8_t> EncodeWholeChunk(ChunkCodec codec, const Tensor& t) {
   return chunk;
 }
 
-Tensor DecodeWholeChunk(const std::vector<uint8_t>& chunk, int64_t legacy_cols) {
+Tensor DecodeWholeChunk(const std::vector<uint8_t>& chunk, int64_t cols) {
   ChunkInfo info;
-  EXPECT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), legacy_cols,
-                           &info));
+  EXPECT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), cols, &info));
   Tensor out({info.rows, info.cols});
   DecodeChunkRange(chunk.data(), static_cast<int64_t>(chunk.size()), info, 0, info.rows, 0,
                    info.cols, out.data(), info.cols);
@@ -132,21 +131,8 @@ TEST(CodecTest, Fp32ChunkRoundTripsBitwise) {
   EXPECT_TRUE(Tensor::BitwiseEqual(back, t));
 }
 
-TEST(CodecTest, LegacyHeaderlessChunkDecodesAsFp32) {
-  const Tensor t = RandomRows(9, 24, 6);
-  std::vector<uint8_t> raw(static_cast<size_t>(t.numel()) * sizeof(float));
-  std::memcpy(raw.data(), t.data(), raw.size());
-  ChunkInfo info;
-  ASSERT_TRUE(InspectChunk(raw.data(), static_cast<int64_t>(raw.size()), 24, &info));
-  EXPECT_EQ(info.header_bytes, 0);
-  EXPECT_EQ(info.codec, ChunkCodec::kFp32);
-  EXPECT_EQ(info.rows, 9);
-  const Tensor back = DecodeWholeChunk(raw, 24);
-  EXPECT_TRUE(Tensor::BitwiseEqual(back, t));
-}
-
 TEST(CodecTest, InspectRejectsGarbage) {
-  std::vector<uint8_t> junk(13, 0xab);  // not a multiple of any row size
+  std::vector<uint8_t> junk(13, 0xab);
   ChunkInfo info;
   EXPECT_FALSE(InspectChunk(junk.data(), static_cast<int64_t>(junk.size()), 24, &info));
   // Truncated encoded chunk: header promises more rows than the bytes hold.
@@ -154,6 +140,41 @@ TEST(CodecTest, InspectRejectsGarbage) {
   auto chunk = EncodeWholeChunk(ChunkCodec::kFp16, t);
   chunk.resize(chunk.size() - 1);
   EXPECT_FALSE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 16, &info));
+}
+
+TEST(CodecTest, InspectAcceptsOnlySealedChunks) {
+  const Tensor t = RandomRows(9, 24, 6);
+  // Raw FP32 rows with no header never parse, whatever their size.
+  std::vector<uint8_t> raw(static_cast<size_t>(t.numel()) * sizeof(float));
+  std::memcpy(raw.data(), t.data(), raw.size());
+  ChunkInfo info;
+  EXPECT_FALSE(InspectChunk(raw.data(), static_cast<int64_t>(raw.size()), 24, &info));
+  EXPECT_FALSE(InspectChunk(raw.data(), static_cast<int64_t>(raw.size()), 0, &info));
+  const auto chunk = EncodeWholeChunk(ChunkCodec::kFp32, t);
+  // The sealed chunk parses at its own width or at "any width" (0), not at another.
+  const int64_t bytes = static_cast<int64_t>(chunk.size());
+  EXPECT_TRUE(InspectChunk(chunk.data(), bytes, 24, &info));
+  EXPECT_TRUE(InspectChunk(chunk.data(), bytes, 0, &info));
+  EXPECT_EQ(info.cols, 24);
+  EXPECT_EQ(info.rows, 9);
+  EXPECT_FALSE(InspectChunk(chunk.data(), bytes, 12, &info));
+  EXPECT_FALSE(InspectChunk(chunk.data(), bytes, 48, &info));
+}
+
+TEST(CodecTest, ParseChunkHeaderIgnoresThePayloadLength) {
+  // fsck's torn-write check: a trusted header over a short payload still parses.
+  const Tensor t = RandomRows(8, 16, 10);
+  auto chunk = EncodeWholeChunk(ChunkCodec::kInt8, t);
+  ChunkInfo info;
+  ASSERT_TRUE(ParseChunkHeader(chunk.data(), static_cast<int64_t>(sizeof(ChunkHeader)), &info));
+  EXPECT_EQ(info.codec, ChunkCodec::kInt8);
+  EXPECT_EQ(info.rows, 8);
+  EXPECT_EQ(info.cols, 16);
+  // Shorter than the header itself, or a header bit flip: no parse.
+  EXPECT_FALSE(ParseChunkHeader(chunk.data(), static_cast<int64_t>(sizeof(ChunkHeader)) - 1,
+                                &info));
+  chunk[9] ^= 0x01;  // rows
+  EXPECT_FALSE(ParseChunkHeader(chunk.data(), static_cast<int64_t>(chunk.size()), &info));
 }
 
 TEST(CodecTest, ColumnRangeDecodeSplitsInterleavedRows) {
@@ -188,9 +209,6 @@ TEST(CodecTest, ChunkSizeCoversRowsAcceptsEveryValidEncoding) {
         EXPECT_TRUE(
             ChunkSizeCoversRows(EncodedChunkBytes(codec, rows, cols), rows, 64, cols, codec))
             << ChunkCodecName(codec) << " rows=" << rows << " cols=" << cols;
-        // Legacy headerless FP32 chunks are accepted under any configured codec.
-        EXPECT_TRUE(ChunkSizeCoversRows(rows * cols * static_cast<int64_t>(sizeof(float)),
-                                        rows, 64, cols, codec));
       }
     }
   }
@@ -207,7 +225,8 @@ TEST(CodecTest, ChunkSizeCoversRowsRejectsShortChunks) {
       EXPECT_FALSE(ChunkSizeCoversRows(short_bytes, 64, 64, cols, codec))
           << ChunkCodecName(codec) << " cols=" << cols;
     }
-    EXPECT_FALSE(ChunkSizeCoversRows(33 * cols * static_cast<int64_t>(sizeof(float)), 64, 64,
+    // Headerless FP32 rows, even a full chunk's worth, are not a chunk.
+    EXPECT_FALSE(ChunkSizeCoversRows(64 * cols * static_cast<int64_t>(sizeof(float)), 64, 64,
                                      cols, ChunkCodec::kFp32));
     // Absent chunk (ChunkSize returns -1) and zero bytes never cover anything.
     EXPECT_FALSE(ChunkSizeCoversRows(-1, 1, 64, cols, ChunkCodec::kFp32));

@@ -16,6 +16,7 @@
 #include "src/storage/codec.h"
 #include "src/storage/distributed_backend.h"
 #include "src/storage/file_backend.h"
+#include "src/storage/hidden_saver.h"
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
@@ -281,6 +282,42 @@ TEST_F(CorruptionTest, RestoreSucceedsVerifiedWhenUndamaged) {
     seq.ReadKv(layer, 0, n, &k_got, &v_got);
     EXPECT_TRUE(Tensor::BitwiseEqual(k_ref, k_got)) << "layer " << layer;
     EXPECT_TRUE(Tensor::BitwiseEqual(v_ref, v_got)) << "layer " << layer;
+  }
+}
+
+TEST_F(CorruptionTest, DamagedMagicNeverDecodes) {
+  // A sealed chunk with one magic bit flipped no longer claims the chunk format, so
+  // the backend passes it on as opaque bytes. The reader must still refuse it rather
+  // than decode the header bytes as rows — through both ReadLayerInto overloads.
+  struct Case {
+    ChunkCodec codec;
+    int64_t cols;
+  };
+  for (const Case c : {Case{ChunkCodec::kInt8, 4}, Case{ChunkCodec::kFp16, 12}}) {
+    std::vector<float> row(static_cast<size_t>(c.cols));
+    for (size_t i = 0; i < row.size(); ++i) {
+      row[i] = static_cast<float>(i + 1);
+    }
+    std::vector<uint8_t> sealed(static_cast<size_t>(EncodedChunkBytes(c.codec, 1, c.cols)));
+    EncodeRowsInto(c.codec, row.data(), c.cols, 1, c.cols, sealed.data() + sizeof(ChunkHeader));
+    WriteChunkHeader(c.codec, 1, c.cols, sealed.data());
+    const int64_t bytes = static_cast<int64_t>(sealed.size());
+    const ChunkGeometry geometry{/*num_layers=*/1, c.cols, /*layer_key_base=*/0};
+    KvBlockPool pool(KvPoolConfig{/*num_blocks=*/1, /*block_tokens=*/4, /*num_layers=*/1,
+                                  /*kv_dim=*/c.cols / 2});
+    for (int bit = 0; bit < 32; ++bit) {
+      SCOPED_TRACE(std::string(ChunkCodecName(c.codec)) + " magic bit " + std::to_string(bit));
+      MemoryBackend store(kChunkBytes);
+      auto damaged = sealed;
+      damaged[static_cast<size_t>(bit / 8)] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_TRUE(store.WriteChunk({1, 0, 0}, damaged.data(), bytes));
+      const HiddenStateReader reader(&store, geometry, /*chunk_tokens=*/1);
+      std::vector<float> dst(static_cast<size_t>(c.cols));
+      EXPECT_FALSE(reader.ReadLayerInto(1, 0, 1, dst.data()));
+      PagedKvSequence seq(&pool);
+      ASSERT_TRUE(seq.EnsureCapacity(1));
+      EXPECT_FALSE(reader.ReadLayerInto(1, 0, 1, &seq));
+    }
   }
 }
 

@@ -115,8 +115,6 @@ TEST(VerifyChunkBytesTest, SealedV2ChunkVerifies) {
 
   ChunkInfo info;
   ASSERT_TRUE(InspectChunk(chunk.data(), bytes, 0, &info));
-  EXPECT_TRUE(info.has_crc);
-  EXPECT_EQ(info.header_bytes, static_cast<int64_t>(sizeof(ChunkHeader)));
   EXPECT_EQ(info.payload_crc32c,
             Crc32c(chunk.data() + sizeof(ChunkHeader), bytes - sizeof(ChunkHeader)));
 
@@ -157,7 +155,7 @@ TEST(VerifyChunkBytesTest, TruncationIsDetected) {
   for (const int64_t keep : {static_cast<int64_t>(chunk.size()) - 1,
                              static_cast<int64_t>(chunk.size()) / 2,
                              static_cast<int64_t>(sizeof(ChunkHeader)),
-                             kChunkHeaderBytesV1, int64_t{5}}) {
+                             int64_t{16}, int64_t{5}}) {
     EXPECT_EQ(VerifyChunkBytes(chunk.data(), keep, nullptr), ChunkVerdict::kCorrupt)
         << "kept " << keep;
   }
@@ -168,19 +166,20 @@ TEST(VerifyChunkBytesTest, OpaqueBytesStayUnverified) {
   // opaque descriptor blobs through the same backends).
   std::vector<uint8_t> blob(512, 0xAB);
   EXPECT_EQ(VerifyChunkBytes(blob.data(), 512, nullptr), ChunkVerdict::kOkUnverified);
-  // Legacy headerless FP32 rows look like this too.
-  std::vector<float> legacy(64, 1.5f);
-  EXPECT_EQ(VerifyChunkBytes(legacy.data(), 64 * 4, nullptr),
-            ChunkVerdict::kOkUnverified);
+  // Headerless FP32 rows are opaque too: delivered as stored, never decoded.
+  std::vector<float> raw(64, 1.5f);
+  EXPECT_EQ(VerifyChunkBytes(raw.data(), 64 * 4, nullptr), ChunkVerdict::kOkUnverified);
+  ChunkInfo info;
+  EXPECT_FALSE(InspectChunk(raw.data(), 64 * 4, 16, &info));
   EXPECT_EQ(VerifyChunkBytes(nullptr, 0, nullptr), ChunkVerdict::kOkUnverified);
 }
 
-TEST(VerifyChunkBytesTest, V1HeaderParsesButStaysUnverified) {
-  // A 16-byte v1 chunk written by an older build: readable, but carries no CRC.
+TEST(VerifyChunkBytesTest, V1HeaderIsCorrupt) {
+  // A 16-byte v1 chunk (magic, no CRC): it claims the chunk format in a version no
+  // reader accepts, so it is a detected corruption, not opaque bytes.
   const int64_t rows = 4, cols = 8;
   const int64_t stride = CodecRowBytes(ChunkCodec::kFp32, cols);
-  std::vector<uint8_t> chunk(static_cast<size_t>(kChunkHeaderBytesV1 + rows * stride),
-                             0x3C);
+  std::vector<uint8_t> chunk(static_cast<size_t>(16 + rows * stride), 0x3C);
   const uint32_t magic = kChunkMagic;
   const uint16_t version = 1;
   const uint8_t codec = 0;  // kFp32
@@ -193,13 +192,13 @@ TEST(VerifyChunkBytesTest, V1HeaderParsesButStaysUnverified) {
   std::memcpy(chunk.data() + 12, &cols32, 4);
 
   ChunkInfo info;
-  ASSERT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 0, &info));
-  EXPECT_FALSE(info.has_crc);
-  EXPECT_EQ(info.header_bytes, kChunkHeaderBytesV1);
-  EXPECT_EQ(info.rows, rows);
-  EXPECT_EQ(info.cols, cols);
+  EXPECT_FALSE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 0, &info));
   EXPECT_EQ(VerifyChunkBytes(chunk.data(), static_cast<int64_t>(chunk.size()), nullptr),
-            ChunkVerdict::kOkUnverified);
+            ChunkVerdict::kCorrupt);
+  std::vector<uint8_t> copy(chunk.size());
+  EXPECT_EQ(VerifyAndCopyChunk(chunk.data(), static_cast<int64_t>(chunk.size()), copy.data(),
+                               nullptr),
+            ChunkVerdict::kCorrupt);
 }
 
 TEST(VerifyChunkBytesTest, VerdictStableAcrossSimdTiers) {

@@ -24,6 +24,9 @@ namespace hcache {
 namespace {
 
 constexpr int64_t kChunkBytes = 1024;
+// Retries the drainer makes before rolling a failed write-back into DRAM (a constant
+// of tiered_backend.cc's write-back schedule).
+constexpr int kWritebackRetries = 3;
 
 TieredOptions AsyncOpts(int num_shards = 1) {
   TieredOptions o;
@@ -173,26 +176,23 @@ TEST(TieredAsyncTest, ColdWriteFailureRollsTheEvictionBack) {
   // charged for the failed eviction, and no write-back bytes are counted.
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
-  TieredOptions opts = AsyncOpts(/*num_shards=*/1);
-  opts.writeback_retry_limit = 2;
-  opts.writeback_retry_backoff_us = 100;  // keep the exhaust-retries path fast
-  TieredBackend tiered(&cold, 2 * kChunkBytes, opts);
+  TieredBackend tiered(&cold, 2 * kChunkBytes, AsyncOpts(/*num_shards=*/1));
 
   const auto v1 = Payload(kChunkBytes, '1');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
   const auto v2 = Payload(kChunkBytes, '2');
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v2.data(), kChunkBytes));
 
-  // One failure per attempt: initial try + 2 retries all fail, forcing rollback.
-  cold.FailNextWrites(opts.writeback_retry_limit + 1);
+  // One failure per attempt: initial try + every retry fail, forcing rollback.
+  cold.FailNextWrites(kWritebackRetries + 1);
   const auto v3 = Payload(kChunkBytes, '3');
   ASSERT_TRUE(tiered.WriteChunk({3, 0, 0}, v3.data(), kChunkBytes));  // evicts ctx 1
   tiered.Quiesce();
 
   StorageStats s = tiered.Stats();
   EXPECT_EQ(s.writeback_failures, 1);
-  EXPECT_EQ(s.writeback_retries, opts.writeback_retry_limit);
-  EXPECT_EQ(cold.injected_write_failures(), opts.writeback_retry_limit + 1);
+  EXPECT_EQ(s.writeback_retries, kWritebackRetries);
+  EXPECT_EQ(cold.injected_write_failures(), kWritebackRetries + 1);
   EXPECT_EQ(s.evicted_contexts, 0);  // the eviction did not stick
   EXPECT_EQ(s.writeback_chunks, 0);
   EXPECT_EQ(s.writeback_bytes, 0);
@@ -229,10 +229,7 @@ TEST(TieredAsyncTest, TransientColdWriteFailureIsAbsorbedByRetry) {
   // rollback, no lost write-back, just retries counted.
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
-  TieredOptions opts = AsyncOpts(/*num_shards=*/1);
-  opts.writeback_retry_limit = 3;
-  opts.writeback_retry_backoff_us = 100;
-  TieredBackend tiered(&cold, 2 * kChunkBytes, opts);
+  TieredBackend tiered(&cold, 2 * kChunkBytes, AsyncOpts(/*num_shards=*/1));
 
   const auto v1 = Payload(kChunkBytes, '1');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
@@ -350,41 +347,27 @@ TEST(TieredAsyncTest, DeleteDuringDrainDoesNotResurrectTheContext) {
 }
 
 TEST(WritebackBackoffTest, EqualJitterStaysInBoundsAndIsDeterministic) {
-  TieredOptions opts;
-  opts.writeback_retry_backoff_us = 500;
-  opts.writeback_retry_backoff_cap_us = 8000;
+  // The constant schedule: the ceiling doubles from 500 µs and clamps at 8 ms.
   for (int round = 0; round < 10; ++round) {
     const int64_t ceiling = std::min<int64_t>(int64_t{500} << round, 8000);
     for (const uint64_t seed : {0ull, 1ull, 42ull, 0xdeadbeefull, ~0ull}) {
-      const int64_t us = WritebackBackoffUs(opts, round, seed);
+      const int64_t us = WritebackBackoffUs(round, seed);
       EXPECT_GE(us, ceiling - ceiling / 2) << "round " << round << " seed " << seed;
       EXPECT_LE(us, ceiling) << "round " << round << " seed " << seed;
-      // Pure in (options, round, seed): the same call returns the same sleep.
-      EXPECT_EQ(us, WritebackBackoffUs(opts, round, seed));
+      // Pure in (round, seed): the same call returns the same sleep.
+      EXPECT_EQ(us, WritebackBackoffUs(round, seed));
     }
   }
 }
 
-TEST(WritebackBackoffTest, SeedsDecorrelateAndDegenerateConfigsSleepZero) {
-  TieredOptions opts;
-  opts.writeback_retry_backoff_us = 4000;
-  opts.writeback_retry_backoff_cap_us = 8000;
+TEST(WritebackBackoffTest, SeedsDecorrelate) {
   // Distinct seeds should not march in lockstep: across a few rounds at least one
   // pair of drainers must disagree on their sleep.
   bool diverged = false;
   for (int round = 0; round < 4 && !diverged; ++round) {
-    diverged = WritebackBackoffUs(opts, round, /*seed=*/1) !=
-               WritebackBackoffUs(opts, round, /*seed=*/2);
+    diverged = WritebackBackoffUs(round, /*seed=*/1) != WritebackBackoffUs(round, /*seed=*/2);
   }
   EXPECT_TRUE(diverged);
-
-  TieredOptions off;
-  off.writeback_retry_backoff_us = 0;
-  EXPECT_EQ(WritebackBackoffUs(off, 0, 7), 0);
-  EXPECT_EQ(WritebackBackoffUs(off, 5, 7), 0);
-  off.writeback_retry_backoff_us = 500;
-  off.writeback_retry_backoff_cap_us = 0;
-  EXPECT_EQ(WritebackBackoffUs(off, 3, 7), 0);
 }
 
 }  // namespace

@@ -161,14 +161,6 @@ TEST_F(WriteAtomicityTest, StartupRecoversIndexAndSweepsOrphanedTemps) {
   }
   // The torn write's CHUNK never became visible: rename was the publish point.
   EXPECT_FALSE(recovered.HasChunk({1, 5, 0}));
-
-  // Opt-out path: recover_index=false starts empty (a scratch store over a dirty
-  // directory), sweep_temp_files=false preserves orphans for fsck to classify.
-  FileBackendOptions no_recover;
-  no_recover.recover_index = false;
-  FileBackend scratch(Dirs(), kChunkBytes, no_recover);
-  EXPECT_EQ(scratch.Stats().chunks_stored, 0);
-  EXPECT_FALSE(scratch.HasChunk({1, 0, 0}));
 }
 
 TEST_F(WriteAtomicityTest, RecoveredChunksStillVerify) {
