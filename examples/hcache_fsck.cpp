@@ -2,9 +2,11 @@
 //
 // Scans a FileBackend's device directories, classifies every chunk
 // (clean / unverified / partial / corrupt) by re-parsing headers and re-computing
-// payload CRC32Cs, reports orphaned temp files from torn writes, and — with
-// --repair — quarantines the damage so the serving read path sees ordinary misses
-// (recompute-from-tokens) instead of per-read CRC failures.
+// payload CRC32Cs, reports torn segment tails from interrupted appends, damaged
+// segments (a bad frame before the last record) and orphaned temp files from
+// interrupted compactions, and — with --repair — quarantines the
+// damage so the serving read path sees ordinary misses (recompute-from-tokens)
+// instead of per-read CRC failures.
 //
 //   hcache-fsck [--repair] [--json] <device_dir> [<device_dir>...]
 //   hcache-fsck --distributed [--replication R] [--repair] [--json] <node_dir>...
@@ -17,9 +19,11 @@
 //
 // Exit status: 0 when the store is healthy (or --repair fixed everything),
 // 1 when damage remains, 2 on usage errors. --selftest builds a throwaway store,
-// injects corruption/truncation/orphans — plus a replicated store with a lost and
-// a rotted copy, plus a content-addressed (dedup) store with an orphaned physical
-// chunk and a vanished one — and checks fsck catches all of it; the CI smoke run.
+// injects corruption/truncation/a torn segment tail/a damaged segment/an orphan —
+// plus a replicated
+// store with a lost and a rotted copy, plus a content-addressed (dedup) store with
+// an orphaned physical chunk and a vanished one — and checks fsck catches all of
+// it; the CI smoke run.
 // (The dedup leg is selftest/library-only: a DedupBackend's logical index lives
 // with the serving process, so there is no directory-only CLI mode for it.)
 #include <cstdio>
@@ -43,8 +47,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The backend needs a chunk capacity >= the largest stored object; derive it from
-// the store itself so fsck needs no knowledge of the writer's configuration.
+// The backend needs a chunk capacity >= the largest stored object; the largest
+// segment bounds it, so fsck needs no knowledge of the writer's configuration.
 int64_t LargestFileUnder(const std::vector<std::string>& dirs) {
   int64_t largest = 0;
   for (const std::string& dir : dirs) {
@@ -129,18 +133,25 @@ int RunSelftest() {
                                         static_cast<int64_t>(payload.size())));
       }
     }
-    // Damage: one payload bit flip, one lost tail, one orphaned temp file.
+    // Damage: one payload bit flip, one lost chunk tail, one append cut short by a
+    // crash (a torn segment tail) and one orphaned compaction temp file.
     SELFTEST_CHECK(chaos.CorruptChunk(ChunkKey{1, 0, 1},
                                       8 * (sizeof(ChunkHeader) + 5) + 2));
     SELFTEST_CHECK(chaos.TruncateChunk(ChunkKey{2, 0, 2},
                                        static_cast<int64_t>(payload.size() / 2)));
-    std::FILE* orphan = std::fopen((root / "d0" / "ctx1" / "L0_C9.bin.tmp").c_str(), "wb");
+    const fs::path segment = root / "d1" / "ctx1.seg";
+    const auto whole = fs::file_size(segment);
+    SELFTEST_CHECK(chaos.WriteChunk(ChunkKey{1, 1, 1}, payload.data(),
+                                    static_cast<int64_t>(payload.size())));
+    fs::resize_file(segment, whole + 100);
+    std::FILE* orphan = std::fopen((root / "d0" / "ctx1.seg.tmp").c_str(), "wb");
     SELFTEST_CHECK(orphan != nullptr);
     std::fputs("torn", orphan);
     std::fclose(orphan);
   }
-  // Fresh process view: recover the index from disk, but keep the orphan in place
-  // (sweep_temp_files=false) so the scanner — not the constructor — finds it.
+  // Fresh process view: recover the index from disk, but keep the torn tail and the
+  // orphan in place (sweep_temp_files=false) so the scanner — not the constructor —
+  // finds them.
   FileBackendOptions opts;
   opts.sweep_temp_files = false;
   FileBackend store(dirs, kChunkBytes, opts);
@@ -151,17 +162,41 @@ int RunSelftest() {
   SELFTEST_CHECK(before.chunks_scanned == 6);
   SELFTEST_CHECK(before.clean == 4);
   SELFTEST_CHECK(before.corrupt == 1);
-  SELFTEST_CHECK(before.partial == 1);
+  SELFTEST_CHECK(before.partial == 2);  // the truncated chunk and the torn tail
   SELFTEST_CHECK(before.orphaned_temp_files == 1);
   SELFTEST_CHECK(!before.Healthy());
   fsck.repair = true;
   FsckReport repaired = RunFsck(&store, fsck);
-  SELFTEST_CHECK(repaired.repaired == 3);
+  SELFTEST_CHECK(repaired.repaired == 4);
   fsck.repair = false;
   FsckReport after = RunFsck(&store, fsck);
   std::printf("%s\n", after.ToJson().c_str());
   SELFTEST_CHECK(after.Healthy());
   SELFTEST_CHECK(after.chunks_scanned == 4 && after.clean == 4);
+
+  // A bad frame with whole records after it is damage, not a torn tail: fsck reports
+  // it and repair leaves the records after it in place.
+  const std::vector<std::string> small_dir = {(root / "d2").string()};
+  const fs::path damaged_segment = root / "d2" / "ctx3.seg";
+  {
+    FileBackend small(small_dir, 4096);
+    const std::vector<char> bytes(2000, 'x');
+    for (int64_t layer = 0; layer < 3; ++layer) {
+      SELFTEST_CHECK(small.WriteChunk(ChunkKey{3, layer, 0}, bytes.data(), 2000));
+    }
+  }
+  const auto damaged_size = fs::file_size(damaged_segment);
+  std::FILE* seg = std::fopen(damaged_segment.c_str(), "r+b");
+  SELFTEST_CHECK(seg != nullptr);
+  std::fseek(seg, 16, SEEK_SET);  // the first frame's layer
+  std::fputc('!', seg);
+  std::fclose(seg);
+  FileBackend damaged_store(small_dir, 4096, opts);
+  fsck.repair = true;
+  const FsckReport damaged = RunFsck(&damaged_store, fsck);
+  SELFTEST_CHECK(damaged.corrupt == 1 && damaged.repaired == 0 && !damaged.Healthy());
+  SELFTEST_CHECK(fs::file_size(damaged_segment) == damaged_size);
+  fsck.repair = false;
   fs::remove_all(root);
 
   // Distributed leg: three file-backed nodes, R=2; lose one copy, rot another.

@@ -1,101 +1,105 @@
 #include "src/storage/file_backend.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <list>
 
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
+#include "src/storage/codec_simd.h"
 #include "src/storage/integrity.h"
 
 namespace hcache {
 
 namespace fs = std::filesystem;
 
-struct FileBackend::FdHolder {
-  explicit FdHolder(int fd_in) : fd(fd_in) {}
-  ~FdHolder() {
-    if (fd >= 0) {
-      ::close(fd);
-    }
-  }
-  FdHolder(const FdHolder&) = delete;
-  FdHolder& operator=(const FdHolder&) = delete;
+struct FileBackend::Fd {
+  explicit Fd(int fd_in) : fd(fd_in) {}
+  ~Fd() { ::close(fd); }
+  Fd(const Fd&) = delete;  // one owner closes the fd
+  const int fd;
+};
 
-  int fd = -1;
+struct FileBackend::Segment {
+  const SegmentId id;
+  const std::string path;
+  // Guarded by mu_. `fd` is null while the segment is closed; FdLocked reopens it.
+  std::shared_ptr<Fd> fd;
+  std::list<Segment*>::iterator lru;  // its entry in open_ while `fd` is set
+  std::mutex append_mu;  // serializes appends and compaction of this segment
+  int64_t end = 0;       // length of the whole records; the next append lands here (append_mu)
+  int64_t live = 0;       // frame + payload bytes of the records the index points at
+  int64_t torn = 0;       // bytes past `end` that an open left in place
+  bool damaged = false;   // those bytes are not a torn last record, or the file would not
+                          // open: appends fail and nothing cuts them
+  bool unlinked = false;  // its file is gone (DeleteContext, or no live record left)
 };
 
 namespace {
 
-// Enough for several concurrent restores' working sets without nearing default
-// RLIMIT_NOFILE budgets (a 32-chunk context touches 32 files).
-constexpr size_t kMaxCachedFds = 128;
+constexpr int64_t kMinKey = std::numeric_limits<int64_t>::min();
+constexpr size_t kMaxOpenFds = 128;  // segments kept open; the rest reopen on use
 
-// Reads exactly [0, size) from `fd` at absolute offsets, retrying EINTR and short
-// reads. pread never moves the fd's file position, so concurrent readers sharing one
-// cached fd cannot interleave.
-bool PreadAll(int fd, void* buf, int64_t size) {
-  char* dst = static_cast<char*>(buf);
-  int64_t off = 0;
-  while (off < size) {
-    const ssize_t got =
-        ::pread(fd, dst + off, static_cast<size_t>(size - off), static_cast<off_t>(off));
-    if (got < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    if (got == 0) {  // file shorter than the index claims
-      return false;
-    }
-    off += got;
-  }
-  return true;
+// The frame in front of every record. The chunk bytes after it are stored exactly as
+// the caller handed them over, so a sealed chunk keeps its own v2 header and CRCs.
+struct Frame {
+  uint32_t magic;
+  uint32_t crc;  // CRC32C of the frame with this field zeroed
+  int64_t context_id;
+  int64_t layer;
+  int64_t chunk_index;
+  int64_t bytes;  // payload bytes that follow; 0 marks a tombstone
+};
+static_assert(sizeof(Frame) == 40, "the frame layout is part of the segment format");
+constexpr uint32_t kFrameMagic = 0x474c4348;  // "HCLG" little-endian
+constexpr int64_t kFrameBytes = sizeof(Frame);
+
+uint32_t FrameCrc(Frame frame) {
+  frame.crc = 0;
+  return Crc32c(&frame, kFrameBytes);
 }
 
-// Writes exactly [0, size) to `fd`, retrying EINTR and short writes.
-bool WriteAll(int fd, const void* buf, int64_t size) {
-  const char* src = static_cast<const char*>(buf);
-  int64_t off = 0;
-  while (off < size) {
-    const ssize_t put = ::write(fd, src + off, static_cast<size_t>(size - off));
-    if (put < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    off += put;
-  }
-  return true;
+std::string SegmentName(int64_t context_id) {
+  return "ctx" + std::to_string(context_id) + ".seg";
 }
 
-// Parses "L<layer>_C<chunk>.bin"; false for anything else (incl. "*.tmp").
-bool ParseChunkFileName(const std::string& name, int64_t* layer, int64_t* chunk) {
-  long long l = 0;
-  long long c = 0;
-  int consumed = 0;
-  if (std::sscanf(name.c_str(), "L%lld_C%lld.bin%n", &l, &c, &consumed) != 2 ||
-      static_cast<size_t>(consumed) != name.size()) {
-    return false;
-  }
-  *layer = l;
-  *chunk = c;
-  return true;
+Frame MakeFrame(const ChunkKey& key, int64_t bytes) {
+  Frame frame{kFrameMagic, 0, key.context_id, key.layer, key.chunk_index, bytes};
+  frame.crc = FrameCrc(frame);
+  return frame;
 }
 
-bool IsTempFileName(const std::string& name) {
-  constexpr const char kSuffix[] = ".tmp";
-  return name.size() > sizeof(kSuffix) - 1 &&
-         name.compare(name.size() - (sizeof(kSuffix) - 1), sizeof(kSuffix) - 1,
-                      kSuffix) == 0;
+// Reads [offset, offset + size) from `fd` in one pread, which never moves the fd's
+// file position, so concurrent readers sharing one fd cannot interleave. A regular
+// file reads short only at its end, i.e. when it is shorter than the index claims.
+bool PreadAll(int fd, void* buf, int64_t size, int64_t offset) {
+  ssize_t got = 0;
+  do {
+    got = ::pread(fd, buf, static_cast<size_t>(size), static_cast<off_t>(offset));
+  } while (got < 0 && errno == EINTR);
+  return got == size;
+}
+
+// Writes `frame` and then `bytes` of `data` at `offset` in one call. A short write
+// (file-size limit, full disk) fails it; the caller cuts what landed.
+bool PwriteRecord(int fd, const Frame& frame, const void* data, int64_t bytes,
+                  int64_t offset) {
+  const iovec iov[2] = {{const_cast<Frame*>(&frame), sizeof(Frame)},
+                        {const_cast<void*>(data), static_cast<size_t>(bytes)}};
+  ssize_t put = 0;
+  do {
+    put = ::pwritev(fd, iov, 2, static_cast<off_t>(offset));
+  } while (put < 0 && errno == EINTR);
+  return put == kFrameBytes + bytes;
 }
 
 }  // namespace
@@ -116,60 +120,67 @@ FileBackend::FileBackend(std::vector<std::string> device_dirs, int64_t chunk_byt
 }
 
 void FileBackend::RecoverFromDisk() {
+  std::lock_guard<std::mutex> lock(mu_);
   for (int device = 0; device < num_devices(); ++device) {
-    const fs::path dev_dir(device_dirs_[static_cast<size_t>(device)]);
     std::error_code ec;
-    for (const auto& ctx_entry : fs::directory_iterator(dev_dir, ec)) {
-      if (!ctx_entry.is_directory()) {
-        continue;
-      }
+    for (const auto& entry :
+         fs::directory_iterator(device_dirs_[static_cast<size_t>(device)], ec)) {
+      const std::string name = entry.path().filename().string();
       long long context_id = 0;
-      int consumed = 0;
-      const std::string ctx_name = ctx_entry.path().filename().string();
-      if (std::sscanf(ctx_name.c_str(), "ctx%lld%n", &context_id, &consumed) != 1 ||
-          static_cast<size_t>(consumed) != ctx_name.size()) {
-        continue;
-      }
-      bool saw_chunk = false;
-      std::error_code ec2;
-      for (const auto& entry : fs::directory_iterator(ctx_entry.path(), ec2)) {
-        if (!entry.is_regular_file()) {
-          continue;
+      if (entry.path().extension() == ".tmp") {
+        // A compaction died before its rename; the segment it was replacing is intact.
+        if (options_.sweep_temp_files) {
+          ::unlink(entry.path().c_str());
         }
-        const std::string name = entry.path().filename().string();
-        if (IsTempFileName(name)) {
-          // A writer died between creating the temp and the rename: the chunk was
-          // never published, so the temp is garbage by construction.
-          if (options_.sweep_temp_files) {
-            std::error_code rm_ec;
-            fs::remove(entry.path(), rm_ec);
-            ++swept_temp_files_;
-          }
-          continue;
-        }
-        int64_t layer = 0;
-        int64_t chunk = 0;
-        if (!ParseChunkFileName(name, &layer, &chunk)) {
-          continue;
-        }
-        const ChunkKey key{context_id, layer, chunk};
-        if (DeviceOf(key) != device) {
-          continue;  // misplaced file (foreign dir contents); never index it
-        }
-        std::error_code sz_ec;
-        const auto size = static_cast<int64_t>(fs::file_size(entry.path(), sz_ec));
-        if (sz_ec || size <= 0 || size > chunk_bytes()) {
-          continue;  // unreadable or impossible size: leave it for fsck
-        }
-        auto& indexed = index_[key];
-        bytes_stored_ += size - indexed;
-        indexed = size;
-        saw_chunk = true;
-      }
-      if (saw_chunk) {
-        context_dirs_.insert({context_id, device});
+      } else if (std::sscanf(name.c_str(), "ctx%lld.seg", &context_id) == 1 &&
+                 name == SegmentName(context_id)) {
+        RecoverSegment({context_id, device}, entry.path().string());
       }
     }
+  }
+}
+
+void FileBackend::RecoverSegment(SegmentId id, const std::string& path) {
+  auto seg = segments_.emplace(id, std::make_shared<Segment>(id, path)).first->second;
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) {
+    // Never treat it as absent: a later append would create the file over it.
+    HCACHE_LOG_ERROR << "cannot open segment " << path << ": " << std::strerror(errno)
+                     << "; its chunks stay unindexed and appends to it fail";
+    seg->damaged = true;
+    return;
+  }
+  const auto file = FdLocked(seg.get(), std::make_shared<Fd>(fd));
+  const int64_t size = std::max<int64_t>(::lseek(fd, 0, SEEK_END), 0);
+  int64_t off = 0;
+  int64_t foreign = 0;
+  for (Frame f{}; off + kFrameBytes <= size && PreadAll(fd, &f, kFrameBytes, off);
+       off += kFrameBytes + f.bytes) {
+    if (f.magic != kFrameMagic || f.crc != FrameCrc(f) || f.bytes < 0 ||
+        off + kFrameBytes + f.bytes > size) {
+      break;
+    }
+    const ChunkKey key{f.context_id, f.layer, f.chunk_index};
+    if (key.context_id == id.first && DeviceOf(key) == id.second && f.bytes <= chunk_bytes()) {
+      PublishLocked(seg.get(), key, off, f.bytes);
+    } else {
+      ++foreign;  // whole, but written under another device count or chunk_bytes
+    }
+  }
+  if (foreign > 0) {
+    HCACHE_LOG_WARN << "segment " << path << ": " << foreign << " records not indexed";
+  }
+  seg->end = off;
+  seg->torn = size - off;
+  // A crash cuts short at most the last record. More than a whole record after a bad
+  // frame is damage: left in place for fsck, and no append may land on top of it.
+  seg->damaged = seg->torn >= kFrameBytes + chunk_bytes();
+  if (seg->damaged) {
+    HCACHE_LOG_ERROR << "segment " << path << ": bad frame at offset " << off << " with "
+                     << seg->torn << " bytes after it; left in place, appends to it fail";
+  } else if (seg->torn > 0 && options_.sweep_temp_files && ::ftruncate(file->fd, off) == 0) {
+    HCACHE_LOG_WARN << "segment " << path << ": cut a torn last record at offset " << off;
+    seg->torn = 0;
   }
 }
 
@@ -177,129 +188,190 @@ int FileBackend::DeviceOf(const ChunkKey& key) const {
   return static_cast<int>(key.chunk_index % static_cast<int64_t>(device_dirs_.size()));
 }
 
-std::string FileBackend::ContextDir(int device, int64_t context_id) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "ctx%lld", static_cast<long long>(context_id));
-  return device_dirs_[static_cast<size_t>(device)] + "/" + name;
-}
-
-std::string FileBackend::PathFor(const ChunkKey& key) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "L%lld_C%lld.bin", static_cast<long long>(key.layer),
-                static_cast<long long>(key.chunk_index));
-  return ContextDir(DeviceOf(key), key.context_id) + "/" + name;
-}
-
-bool FileBackend::EnsureContextDir(int device, int64_t context_id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (context_dirs_.count({context_id, device}) != 0) {
-      return true;
-    }
+std::shared_ptr<FileBackend::Segment> FileBackend::SegmentLocked(SegmentId id, bool create) {
+  const auto it = segments_.find(id);
+  if (it != segments_.end() || !create) {
+    return it != segments_.end() ? it->second : nullptr;
   }
-  std::error_code ec;
-  fs::create_directories(ContextDir(device, context_id), ec);
-  if (ec) {
-    HCACHE_LOG_ERROR << "cannot create context dir for ctx " << context_id << ": "
-                     << ec.message();
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  context_dirs_.insert({context_id, device});
-  return true;
-}
-
-std::shared_ptr<FileBackend::FdHolder> FileBackend::AcquireFd(const ChunkKey& key) const {
-  {
-    std::lock_guard<std::mutex> lock(fd_mu_);
-    const auto it = fd_cache_.find(key);
-    if (it != fd_cache_.end()) {
-      fd_lru_.splice(fd_lru_.begin(), fd_lru_, it->second.second);
-      return it->second.first;
-    }
-  }
-  // Open outside the lock: a slow open (cold dentry, loaded device) must not
-  // serialize every other reader behind it.
-  const int fd = ::open(PathFor(key).c_str(), O_RDONLY);
+  const std::string path = device_dirs_[static_cast<size_t>(id.second)] + "/" +
+                           SegmentName(id.first);
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) {
+    HCACHE_LOG_ERROR << "cannot create segment " << path << ": " << std::strerror(errno);
     return nullptr;
   }
-  auto holder = std::make_shared<FdHolder>(fd);
-  std::lock_guard<std::mutex> lock(fd_mu_);
-  const auto it = fd_cache_.find(key);
-  if (it != fd_cache_.end()) {
-    // Lost the open race; keep the incumbent (ours closes when `holder` dies).
-    fd_lru_.splice(fd_lru_.begin(), fd_lru_, it->second.second);
-    return it->second.first;
-  }
-  fd_lru_.push_front(key);
-  fd_cache_.emplace(key, std::make_pair(holder, fd_lru_.begin()));
-  while (fd_cache_.size() > kMaxCachedFds) {
-    const ChunkKey victim = fd_lru_.back();
-    fd_lru_.pop_back();
-    fd_cache_.erase(victim);  // in-flight readers keep the fd alive via shared_ptr
-  }
-  return holder;
+  auto seg = segments_.emplace(id, std::make_shared<Segment>(id, path)).first->second;
+  FdLocked(seg.get(), std::make_shared<Fd>(fd));
+  return seg;
 }
 
-void FileBackend::DropCachedFd(const ChunkKey& key) {
-  std::lock_guard<std::mutex> lock(fd_mu_);
-  const auto it = fd_cache_.find(key);
-  if (it != fd_cache_.end()) {
-    fd_lru_.erase(it->second.second);
-    fd_cache_.erase(it);
+std::shared_ptr<FileBackend::Fd> FileBackend::FdLocked(Segment* seg,
+                                                       std::shared_ptr<Fd> fd) const {
+  if (fd == nullptr && seg->fd != nullptr) {
+    open_.splice(open_.begin(), open_, seg->lru);
+    return seg->fd;
+  }
+  if (fd == nullptr) {
+    const int raw = ::open(seg->path.c_str(), O_RDWR | O_CLOEXEC);
+    if (raw < 0) {
+      HCACHE_LOG_ERROR << "cannot reopen segment " << seg->path << ": " << std::strerror(errno);
+      return nullptr;
+    }
+    fd = std::make_shared<Fd>(raw);
+  }
+  if (seg->fd != nullptr) {
+    open_.erase(seg->lru);
+  }
+  seg->fd = std::move(fd);
+  seg->lru = open_.insert(open_.begin(), seg);
+  if (open_.size() > kMaxOpenFds) {
+    open_.back()->fd.reset();  // closes once its in-flight readers drop it
+    open_.pop_back();
+  }
+  return seg->fd;
+}
+
+void FileBackend::PublishLocked(Segment* seg, const ChunkKey& key, int64_t offset,
+                                int64_t bytes) {
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
+    seg->live -= kFrameBytes + it->second.bytes;
+    bytes_stored_ -= it->second.bytes;
+    index_.erase(it);
+  }
+  if (bytes > 0) {
+    index_.emplace(key, Location{seg, offset, bytes});
+    seg->live += kFrameBytes + bytes;
+    bytes_stored_ += bytes;
   }
 }
 
-void FileBackend::DropContextFds(int64_t context_id) {
-  std::lock_guard<std::mutex> lock(fd_mu_);
-  for (auto it = fd_cache_.lower_bound(ChunkKey{context_id, 0, 0});
-       it != fd_cache_.end() && it->first.context_id == context_id;) {
-    fd_lru_.erase(it->second.second);
-    it = fd_cache_.erase(it);
+void FileBackend::UnlinkLocked(Segment* seg) {
+  seg->unlinked = true;
+  if (seg->fd != nullptr) {
+    open_.erase(seg->lru);
+    seg->fd.reset();
   }
+  ::unlink(seg->path.c_str());
+  segments_.erase(seg->id);  // may destroy *seg
 }
 
 bool FileBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) {
   CHECK_GT(bytes, 0);
   CHECK_LE(bytes, chunk_bytes());
-  if (!EnsureContextDir(DeviceOf(key), key.context_id)) {
-    return false;
+  return Append(key, data, bytes);
+}
+
+bool FileBackend::Append(const ChunkKey& key, const void* data, int64_t bytes) {
+  for (;;) {
+    std::shared_ptr<Segment> seg;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      seg = SegmentLocked({key.context_id, DeviceOf(key)}, /*create=*/bytes > 0);
+    }
+    if (seg == nullptr) {
+      return false;
+    }
+    std::lock_guard<std::mutex> append_lock(seg->append_mu);
+    int64_t torn = 0;
+    std::shared_ptr<Fd> file;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (seg->unlinked) {
+        continue;  // emptied or deleted while we waited: append to its successor
+      }
+      file = seg->damaged ? nullptr : FdLocked(seg.get());
+      if (file == nullptr) {
+        HCACHE_LOG_ERROR << "append refused: " << seg->path << " is damaged or unopenable";
+        return false;
+      }
+      torn = std::exchange(seg->torn, 0);
+    }
+    const int fd = file->fd;
+    const int64_t offset = seg->end;
+    if (torn > 0) {
+      (void)::ftruncate(fd, offset);  // a tail left anyway reads as torn again
+    }
+    bool ok = PwriteRecord(fd, MakeFrame(key, bytes), data, bytes, offset);
+    if (ok && options_.fsync_writes) {
+      ok = ::fdatasync(fd) == 0;
+    }
+    if (!ok) {
+      HCACHE_LOG_ERROR << "append failed: " << seg->path << ": " << std::strerror(errno);
+      // Cut whatever part of the record landed, so the segment holds whole records only.
+      (void)::ftruncate(fd, offset);
+      return false;
+    }
+    seg->end = offset + kFrameBytes + bytes;
+    bool compact = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      total_writes_ += bytes > 0 ? 1 : 0;
+      if (seg->unlinked) {
+        return true;  // DeleteContext ran during the append: it deletes this write too
+      }
+      PublishLocked(seg.get(), key, offset, bytes);
+      if (seg->live == 0) {
+        UnlinkLocked(seg.get());
+      } else {
+        compact = seg->end - seg->live > seg->live + chunk_bytes();
+      }
+    }
+    if (compact) {
+      Compact(seg.get());
+    }
+    return true;
   }
-  // Write-temp + fsync + atomic rename: the final path either holds the complete
-  // old chunk or the complete new one, never a torn mix — and a failure at any step
-  // (short write, full disk, crash) leaves at worst a `.tmp` the recovery scan
-  // sweeps. The fd is closed on EVERY path (a short write used to short-circuit
-  // past fclose and leak it) and the partial temp is unlinked before returning.
-  const std::string path = PathFor(key);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+}
+
+void FileBackend::Compact(Segment* seg) {
+  std::vector<std::pair<ChunkKey, Location>> records;
+  std::shared_ptr<Fd> from;
+  std::string tmp;  // unique, so a compaction of a deleted incarnation never shares it
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    from = FdLocked(seg);
+    tmp = seg->path + "." + std::to_string(++compactions_) + ".tmp";
+    for (auto it = index_.lower_bound(ChunkKey{seg->id.first, kMinKey, kMinKey});
+         it != index_.end() && it->first.context_id == seg->id.first; ++it) {
+      if (it->second.seg == seg) {
+        records.emplace_back(*it);
+      }
+    }
+  }
+  // Appends to this segment wait on append_mu meanwhile; reads go on against `from`.
+  const int fd =
+      from == nullptr ? -1 : ::open(tmp.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) {
-    HCACHE_LOG_ERROR << "open failed: " << tmp;
-    return false;
+    return;
   }
-  bool ok = WriteAll(fd, data, bytes);
-  if (ok && options_.fsync_writes) {
-    ok = ::fsync(fd) == 0;
+  auto to = std::make_shared<Fd>(fd);
+  std::vector<char> buf;
+  int64_t end = 0;
+  bool ok = true;
+  for (auto& [key, loc] : records) {
+    buf.resize(static_cast<size_t>(loc.bytes));
+    ok = PreadAll(from->fd, buf.data(), loc.bytes, loc.offset + kFrameBytes) &&
+         PwriteRecord(fd, MakeFrame(key, loc.bytes), buf.data(), loc.bytes, end);
+    if (!ok) {
+      break;
+    }
+    loc.offset = end;
+    end += kFrameBytes + loc.bytes;
   }
-  ok = (::close(fd) == 0) && ok;
-  if (ok) {
-    ok = ::rename(tmp.c_str(), path.c_str()) == 0;
-  }
-  if (!ok) {
-    HCACHE_LOG_ERROR << "write failed: " << path << " (" << std::strerror(errno) << ")";
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  // The rename swapped the inode under the final path; a cached fd still maps the
-  // OLD bytes and must be dropped.
-  DropCachedFd(key);
+  ok = ok && (!options_.fsync_writes || ::fdatasync(fd) == 0);
+  // Rename under mu_, as DeleteContext unlinks under it: a compaction never brings
+  // back a segment that was deleted while it copied.
   std::lock_guard<std::mutex> lock(mu_);
-  auto& indexed = index_[key];
-  bytes_stored_ += bytes - indexed;
-  indexed = bytes;
-  ++total_writes_;
-  return true;
+  if (!ok || seg->unlinked || ::rename(tmp.c_str(), seg->path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return;
+  }
+  FdLocked(seg, std::move(to));
+  for (const auto& [key, loc] : records) {
+    index_.find(key)->second.offset = loc.offset;
+  }
+  seg->end = end;
 }
 
 void FileBackend::ReadChunks(std::span<ChunkReadRequest> requests,
@@ -314,9 +386,10 @@ void FileBackend::ReadChunksUnverified(std::span<ChunkReadRequest> requests,
 
 void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
                                  const BatchCompletion& done, bool verify) const {
-  // One index pass resolves every request, then the preads fan out per device.
   struct Job {
     ChunkReadRequest* req;
+    std::shared_ptr<Fd> fd;
+    int64_t offset;  // of the payload
     int64_t size;
   };
   std::vector<std::vector<Job>> per_device(device_dirs_.size());
@@ -325,10 +398,15 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
     for (ChunkReadRequest& req : requests) {
       req.result = -1;
       const auto it = index_.find(req.key);
-      if (it == index_.end() || it->second > req.buf_bytes) {
+      if (it == index_.end() || it->second.bytes > req.buf_bytes) {
         continue;  // absent / short buffer: fails only this request
       }
-      per_device[static_cast<size_t>(DeviceOf(req.key))].push_back(Job{&req, it->second});
+      const Location& loc = it->second;
+      auto fd = FdLocked(loc.seg);
+      if (fd != nullptr) {
+        per_device[static_cast<size_t>(DeviceOf(req.key))].push_back(
+            Job{&req, std::move(fd), loc.offset + kFrameBytes, loc.bytes});
+      }
     }
   }
   // Fan out over the device groups that have work only: a batch touching one
@@ -340,10 +418,6 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
       groups.push_back(&jobs);
     }
   }
-  std::atomic<int64_t> ok_reads{0};
-  std::atomic<int64_t> ok_bytes{0};
-  std::atomic<int64_t> crc_fails{0};
-  std::atomic<int64_t> crc_bytes{0};
   ParallelFor(0, static_cast<int64_t>(groups.size()), 1, [&](int64_t lo, int64_t hi) {
     for (int64_t g = lo; g < hi; ++g) {
       int64_t reads = 0;
@@ -351,8 +425,7 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
       int64_t fails = 0;
       int64_t checked_total = 0;
       for (const Job& job : *groups[static_cast<size_t>(g)]) {
-        const std::shared_ptr<FdHolder> fd = AcquireFd(job.req->key);
-        if (fd == nullptr || !PreadAll(fd->fd, job.req->buf, job.size)) {
+        if (!PreadAll(job.fd->fd, job.req->buf, job.size, job.offset)) {
           continue;
         }
         if (verify) {
@@ -369,20 +442,13 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
         ++reads;
         bytes += job.size;
       }
-      ok_reads.fetch_add(reads, std::memory_order_relaxed);
-      ok_bytes.fetch_add(bytes, std::memory_order_relaxed);
-      crc_fails.fetch_add(fails, std::memory_order_relaxed);
-      crc_bytes.fetch_add(checked_total, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(mu_);  // one stats update per device group
+      total_reads_ += reads;
+      read_bytes_ += bytes;
+      crc_failures_ += fails;
+      crc_checked_bytes_ += checked_total;
     }
   });
-  {
-    // One stats update with the totals of every request in the batch.
-    std::lock_guard<std::mutex> lock(mu_);
-    total_reads_ += ok_reads.load(std::memory_order_relaxed);
-    read_bytes_ += ok_bytes.load(std::memory_order_relaxed);
-    crc_failures_ += crc_fails.load(std::memory_order_relaxed);
-    crc_checked_bytes_ += crc_bytes.load(std::memory_order_relaxed);
-  }
   if (done) {
     done();
   }
@@ -414,57 +480,49 @@ bool FileBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
 int64_t FileBackend::ChunkSize(const ChunkKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  return it == index_.end() ? -1 : it->second;
+  return it == index_.end() ? -1 : it->second.bytes;
 }
 
 std::vector<std::pair<ChunkKey, int64_t>> FileBackend::ListChunks() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<ChunkKey, int64_t>> out;
   out.reserve(index_.size());
-  for (const auto& [key, size] : index_) {
-    out.emplace_back(key, size);
+  for (const auto& [key, loc] : index_) {
+    out.emplace_back(key, loc.bytes);
   }
   return out;
 }
 
 bool FileBackend::DeleteChunk(const ChunkKey& key) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
-      return false;
-    }
-    bytes_stored_ -= it->second;
-    index_.erase(it);
-  }
-  DropCachedFd(key);
-  std::error_code ec;
-  fs::remove(PathFor(key), ec);
-  return true;
+  return ChunkSize(key) >= 0 && Append(key, nullptr, 0);
 }
 
 void FileBackend::DeleteContext(int64_t context_id) {
-  DropContextFds(context_id);
-  std::vector<int> devices;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = index_.lower_bound(ChunkKey{context_id, 0, 0});
-         it != index_.end() && it->first.context_id == context_id;) {
-      bytes_stored_ -= it->second;
-      it = index_.erase(it);
-    }
-    for (auto it = context_dirs_.lower_bound({context_id, 0});
-         it != context_dirs_.end() && it->first == context_id;) {
-      devices.push_back(it->second);
-      it = context_dirs_.erase(it);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = index_.lower_bound(ChunkKey{context_id, kMinKey, kMinKey});
+       it != index_.end() && it->first.context_id == context_id;) {
+    bytes_stored_ -= it->second.bytes;
+    it = index_.erase(it);
+  }
+  for (auto it = segments_.lower_bound({context_id, 0});
+       it != segments_.end() && it->first.first == context_id;) {
+    UnlinkLocked((it++)->second.get());
+  }
+}
+
+std::vector<FileBackend::TornTail> FileBackend::TornTails(bool truncate) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<TornTail> out;
+  for (const auto& [id, seg] : segments_) {
+    // No append has reached such a segment since the open, so `end` holds.
+    if (seg->torn > 0 || seg->damaged) {
+      const auto file = truncate && !seg->damaged ? FdLocked(seg.get()) : nullptr;
+      const bool cut = file != nullptr && ::ftruncate(file->fd, seg->end) == 0;
+      out.push_back(TornTail{seg->path, seg->end, seg->torn, cut, seg->damaged});
+      seg->torn = cut ? 0 : seg->torn;
     }
   }
-  // Unlink the per-context directory on each device — removing the chunks AND the
-  // now-empty directory, so long serving runs don't accumulate thousands of them.
-  for (const int device : devices) {
-    std::error_code ec;
-    fs::remove_all(ContextDir(device, context_id), ec);
-  }
+  return out;
 }
 
 StorageStats FileBackend::Stats() const {

@@ -2,19 +2,31 @@
 //
 // Chunks are fixed-size objects keyed by (context, layer, chunk_index) and striped
 // round-robin across N "devices" (directories — each stands in for one NVMe namespace;
-// pointing them at distinct mounts gives real multi-device striping). One chunk maps to
-// one file under a per-context subdirectory: the paper's design point that chunk
-// allocation is incremental (no reservation at max context length, §4.2.1) falls out
-// naturally, and DeleteContext can unlink the whole directory so long serving runs do
-// not leak empty dirs. Opening a backend over existing device dirs rebuilds the
-// index from the chunk files already there, so a previous process's chunks read back
-// after a crash or restart.
+// pointing them at distinct mounts gives real multi-device striping). Each device holds
+// one append-only log segment per context, `ctx<id>.seg`. A write appends a record: a
+// 40-byte frame {magic, frame CRC, context, layer, chunk, bytes} and then the chunk's
+// bytes unchanged. An in-memory index maps each key to (segment, offset, size), so a
+// write is one positioned write into an open file and allocation stays incremental
+// (no reservation at max context length, §4.2.1). A rewrite appends (the later record
+// wins), DeleteChunk appends a tombstone (bytes == 0), and DeleteContext unlinks the
+// context's segments. Once a segment's dead bytes exceed its live bytes plus one
+// chunk_bytes, its live records are copied into a fresh `<segment>.<n>.tmp`, which is
+// renamed over it; a segment with no live record left is unlinked. At most 128
+// segments keep an fd open; the least recently used is closed and reopened on use.
 //
-// Thread safety: concurrent writers on distinct chunks are safe (the two-stage saver's
-// flush threads rely on this); the in-memory index is mutex-guarded. Reads are
-// positioned pread calls on a small refcounted fd cache — pread never touches the fd's
-// file position, so any number of threads can read the same chunk (even sharing one
-// cached fd) concurrently without seek/read interleaving races.
+// Opening a backend over existing device dirs replays every segment's frames, so a
+// previous process's chunks read back after a crash or restart. The frame CRC covers
+// the frame alone; a sealed chunk's own v2 CRCs cover its bytes on every verified read.
+// Replay stops at the first frame that does not parse or whose bytes run past the end
+// of the file. Less than one whole record after it is a torn tail, which is truncated
+// (see FileBackendOptions::sweep_temp_files); more is damage, which is logged, left in
+// place for fsck and makes appends to that segment fail, as does a segment that will
+// not open.
+//
+// Thread safety: any number of threads may write, read and delete concurrently. A
+// per-segment mutex serializes appends, so the index changes in log order. Reads are
+// pread calls on the segment's refcounted fd, which keeps the inode a reader indexed
+// alive across a compaction or an LRU close.
 #ifndef HCACHE_SRC_STORAGE_FILE_BACKEND_H_
 #define HCACHE_SRC_STORAGE_FILE_BACKEND_H_
 
@@ -23,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,13 +46,13 @@ namespace hcache {
 // Durability knobs. The defaults are the crash-consistent configuration; tests and
 // tools relax them to observe intermediate states.
 struct FileBackendOptions {
-  // fsync the temp file before the rename publishes it. With it, a published chunk
-  // survives power loss; without it, only process crashes (the rename is still
-  // atomic either way). Benches on tmpfs can turn it off — fsync there is ~free but
-  // the syscalls are not.
+  // fdatasync a segment after each append (and a compacted segment before its rename).
+  // With it, a written chunk survives power loss; without it, only process crashes.
+  // Benches on tmpfs or the page cache turn it off.
   bool fsync_writes = true;
-  // Unlink orphaned `*.tmp` files left by a writer that died mid-write. fsck turns
-  // this off so it can classify the orphans instead.
+  // On open, truncate torn segment tails and unlink orphaned `*.tmp` files a
+  // compaction that died left behind. fsck turns this off so it can report them
+  // (see TornTails) instead.
   bool sweep_temp_files = true;
 };
 
@@ -53,9 +64,9 @@ class FileBackend : public StorageBackend {
   FileBackend(std::vector<std::string> device_dirs, int64_t chunk_bytes,
               const FileBackendOptions& options);
 
-  // Publishes via write-temp + fsync + rename(2): a reader (or a crash) never
-  // observes a half-written chunk — at worst an orphaned `<path>.tmp` remains,
-  // which the startup recovery scan (or hcache-fsck) sweeps.
+  // Appends one record. A failed append truncates the segment back to its previous
+  // length, so a reader (or a crash) never observes a half-written record past the
+  // index.
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
   // Batched submission: one index pass resolves every request, then the preads fan
   // out grouped per device so each stripe streams its own queue (the whole point of
@@ -74,8 +85,19 @@ class FileBackend : public StorageBackend {
   StorageStats Stats() const override;
   std::string Name() const override { return "file"; }
 
-  // Orphaned temp files the startup recovery scan removed (0 unless sweep_temp_files).
-  int64_t swept_temp_files() const { return swept_temp_files_; }
+  // A record a crash cut short at the end of a segment, left in place by an open
+  // with sweep_temp_files off until the segment's next append, or a damaged segment.
+  // TornTails lists them and, with `truncate`, cuts the torn ones off as a sweeping
+  // open does.
+  struct TornTail {
+    std::string path;
+    int64_t offset = 0;      // where the torn record starts (the segment's valid length)
+    int64_t bytes = 0;       // bytes past `offset`
+    bool truncated = false;  // cut off by this call
+    bool damaged = false;    // a bad frame with more than one record after it, or a
+                             // segment that would not open: never truncated
+  };
+  std::vector<TornTail> TornTails(bool truncate = false);
 
   // Device a chunk is striped onto (round-robin by chunk index — §4.2.1's bandwidth
   // aggregation scheme).
@@ -85,42 +107,45 @@ class FileBackend : public StorageBackend {
   const std::vector<std::string>& device_dirs() const { return device_dirs_; }
 
  private:
-  std::string ContextDir(int device, int64_t context_id) const;
-  std::string PathFor(const ChunkKey& key) const;
-  // Ensures the per-context directory exists on `device` (memoized; mkdir is not on
-  // the per-write fast path after the first chunk of a context lands on a device).
-  bool EnsureContextDir(int device, int64_t context_id);
-  // Startup pass: re-registers surviving chunk files in the index and (optionally)
-  // sweeps orphaned temp files a crashed writer left behind.
+  struct Fd;       // owns one fd; refcounted so a pread never races its close
+  struct Segment;  // one (context, device) log
+  struct Location {
+    Segment* seg;    // owned by segments_; entries die with their segment
+    int64_t offset;  // of the record's frame
+    int64_t bytes;   // payload bytes after the frame
+  };
+  using SegmentId = std::pair<int64_t, int>;  // (context, device)
+
+  // Returns the segment of (context, device), creating its file when `create`;
+  // nullptr when absent or when the file cannot be opened. Caller holds mu_.
+  std::shared_ptr<Segment> SegmentLocked(SegmentId id, bool create);
+  // Returns `seg`'s open fd, reopening it by path when closed, or installs `fd` as it,
+  // and marks it most recently used; closes the least recently used segment past
+  // kMaxOpenFds. nullptr when the reopen fails. Caller holds mu_.
+  std::shared_ptr<Fd> FdLocked(Segment* seg, std::shared_ptr<Fd> fd = nullptr) const;
+  // Appends a record (a tombstone when bytes == 0) and publishes it in the index.
+  bool Append(const ChunkKey& key, const void* data, int64_t bytes);
+  // Indexes the record at `offset` of `seg` (a tombstone drops `key`). Holds mu_.
+  void PublishLocked(Segment* seg, const ChunkKey& key, int64_t offset, int64_t bytes);
+  // Rewrites `seg`'s live records into a fresh file. Caller holds seg->append_mu.
+  void Compact(Segment* seg);
+  // Drops `seg` from the map and unlinks its file. Caller holds mu_.
+  void UnlinkLocked(Segment* seg);
+  // Startup pass: rebuilds the index from the segments' frames.
   void RecoverFromDisk();
+  void RecoverSegment(SegmentId id, const std::string& path);
   // Shared body of the verified and unverified read paths.
   void ReadChunksImpl(std::span<ChunkReadRequest> requests, const BatchCompletion& done,
                       bool verify) const;
 
-  // Owns one O_RDONLY fd; closes it on destruction. Refcounted so an eviction (or
-  // DeleteContext) never closes an fd another thread is mid-pread on.
-  struct FdHolder;
-  // Returns the cached read fd for `key`, opening (outside any lock) and inserting it
-  // on miss; nullptr when the file cannot be opened. LRU-bounded.
-  std::shared_ptr<FdHolder> AcquireFd(const ChunkKey& key) const;
-  void DropCachedFd(const ChunkKey& key);
-  void DropContextFds(int64_t context_id);
-
   std::vector<std::string> device_dirs_;
   FileBackendOptions options_;
-  int64_t swept_temp_files_ = 0;  // written once during construction
-
-  // fd cache state, guarded separately from the index so preads in flight never
-  // contend with index lookups.
-  mutable std::mutex fd_mu_;
-  mutable std::list<ChunkKey> fd_lru_;  // front = most recently used
-  mutable std::map<ChunkKey,
-                   std::pair<std::shared_ptr<FdHolder>, std::list<ChunkKey>::iterator>>
-      fd_cache_;
 
   mutable std::mutex mu_;
-  std::map<ChunkKey, int64_t> index_;  // key -> stored size
-  std::set<std::pair<int64_t, int>> context_dirs_;  // (context, device) dirs created
+  std::map<ChunkKey, Location> index_;
+  std::map<SegmentId, std::shared_ptr<Segment>> segments_;
+  mutable std::list<Segment*> open_;  // segments with an open fd, most recent first
+  int64_t compactions_ = 0;           // numbers each compaction's temp file
   int64_t bytes_stored_ = 0;           // sum of index_ sizes
   int64_t total_writes_ = 0;
   mutable int64_t total_reads_ = 0;    // successful reads only

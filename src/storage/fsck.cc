@@ -8,6 +8,7 @@
 #include "src/storage/codec.h"
 #include "src/storage/dedup_backend.h"
 #include "src/storage/distributed_backend.h"
+#include "src/storage/file_backend.h"
 #include "src/storage/integrity.h"
 
 namespace hcache {
@@ -103,6 +104,25 @@ namespace {
 // a plain single-store scan.
 void ScanStore(StorageBackend* store, bool repair, int node, FsckReport* report,
                FsckNodeReport* node_report) {
+  // Torn segment tails first: quarantining a chunk below appends to its segment,
+  // which would cut the tail before it was counted.
+  if (auto* file = dynamic_cast<FileBackend*>(store)) {
+    for (const FileBackend::TornTail& tail : file->TornTails(/*truncate=*/repair)) {
+      ++(tail.damaged ? report->corrupt : report->partial);
+      if (node_report != nullptr) {
+        ++node_report->corrupt;
+      }
+      char detail[64];
+      std::snprintf(detail, sizeof(detail), " at offset %lld (%lld bytes)",
+                    static_cast<long long>(tail.offset), static_cast<long long>(tail.bytes));
+      report->findings.push_back(FsckFinding{
+          ChunkKey{}, tail.bytes, tail.damaged ? FsckClass::kCorrupt : FsckClass::kPartial,
+          tail.truncated,
+          (tail.damaged ? "damaged segment: " : "torn segment tail: ") + tail.path + detail,
+          node});
+      report->repaired += tail.truncated ? 1 : 0;
+    }
+  }
   std::vector<uint8_t> buf;
   for (const auto& [key, size] : store->ListChunks()) {
     ++report->chunks_scanned;
@@ -257,8 +277,8 @@ FsckReport RunFsck(StorageBackend* backend, const FsckOptions& options) {
   } else {
     ScanStore(backend, options.repair, /*node=*/-1, &report, nullptr);
   }
-  // Orphan sweep: `*.tmp` under the scan dirs is always residue of a torn write —
-  // the rename that would have published it never happened.
+  // Orphan sweep: `*.tmp` under the scan dirs is always residue of a compaction that
+  // died — the rename that would have replaced its segment never happened.
   for (const std::string& dir : options.scan_dirs) {
     std::error_code ec;
     for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;

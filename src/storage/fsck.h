@@ -34,9 +34,15 @@
 // physical chunk quarantined by the scan is then surfaced as kDedupMissing by the
 // audit in the same run — quarantine composes with the recompute fallback.
 //
+// Against a FileBackend opened with sweep_temp_files off, the scan also counts each
+// torn segment tail — a record a crash cut short at the end of its segment — as one
+// kPartial finding; repair truncates it, which is what a sweeping open does. A damaged
+// segment (a bad frame with more than one record after it, or a file that would not
+// open) is one kCorrupt finding that repair leaves in place.
+//
 // `scan_dirs` additionally sweeps filesystem directories for orphaned `*.tmp` files —
-// the residue of a writer that died between open and rename. These are never valid
-// chunks (the atomic-rename protocol guarantees a published chunk is complete), so
+// the residue of a FileBackend compaction that died before its rename. They never
+// hold the only copy of a chunk (the segment they were replacing is intact), so
 // repair unlinks them.
 //
 // Pure library; examples/hcache_fsck.cpp wraps it in a CLI.
@@ -69,8 +75,9 @@ enum class FsckClass {
 const char* FsckClassName(FsckClass c);
 
 struct FsckOptions {
-  // Quarantine damaged chunks (delete corrupt/partial from the backend) and unlink
-  // orphaned temp files found under scan_dirs. Off = report-only.
+  // Quarantine damaged chunks (delete corrupt/partial from the backend), truncate
+  // torn segment tails and unlink orphaned temp files found under scan_dirs.
+  // Off = report-only.
   bool repair = false;
   // Filesystem directories to sweep for `*.tmp` orphans (a FileBackend's device
   // dirs, typically — pass FileBackend::device_dirs()). Walked recursively.
@@ -79,7 +86,7 @@ struct FsckOptions {
 
 // One damaged (or swept) object, for the report's detail listing.
 struct FsckFinding {
-  ChunkKey key;            // zeroed for orphaned temp files
+  ChunkKey key;            // zeroed for orphaned temp files and torn segment tails
   int64_t bytes = 0;       // stored size
   FsckClass klass = FsckClass::kCorrupt;
   bool repaired = false;   // deleted/unlinked/re-replicated by this run

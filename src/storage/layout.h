@@ -70,10 +70,12 @@ int64_t CodecRowBytes(ChunkCodec codec, int64_t cols);
 //   bytes without the magic are opaque and never decode, and bytes with the magic
 //   but any other version read as corrupt.
 //
-//   Crash consistency: FileBackend publishes a chunk by writing `<path>.tmp`,
-//   fsync-ing it, then rename(2)-ing it over the final path — a reader never
-//   observes a half-written chunk, and a crash leaves at worst an orphaned `.tmp`
-//   the startup recovery scan (or hcache-fsck) sweeps.
+//   Crash consistency: FileBackend appends a chunk's bytes, unchanged, to its
+//   context's log segment behind a private frame {key, length, frame CRC}. The index
+//   publishes a record only once it is wholly written, and a crash mid-append leaves
+//   a torn segment tail that the next open (or hcache-fsck) truncates, so a reader
+//   never observes a half-written chunk. A bad frame followed by more than one
+//   record is damage instead: it is left in place and reported, never truncated.
 struct ChunkHeader {
   uint32_t magic = 0;    // kChunkMagic
   uint16_t version = 0;  // kChunkFormatVersion

@@ -126,14 +126,14 @@ TEST_F(FsckTest, RepairQuarantinesDamageAndSparesUnverified) {
 
 TEST_F(FsckTest, SweepsOrphanedTempFilesUnderScanDirs) {
   // sweep_temp_files=false models inspecting a store that hasn't been reopened
-  // since the writer died — fsck is what finds the residue.
+  // since a compaction died — fsck is what finds the residue.
   FileBackendOptions opts;
   opts.sweep_temp_files = false;
   FileBackend backend({(base_ / "d0").string()}, kChunkBytes, opts);
   const auto sealed = SealedChunk(4, 8, 0x33);
   ASSERT_TRUE(backend.WriteChunk({1, 0, 0}, sealed.data(),
                                  static_cast<int64_t>(sealed.size())));
-  const fs::path orphan = base_ / "d0" / "ctx1" / "L2_C0.bin.tmp";
+  const fs::path orphan = base_ / "d0" / "ctx1.seg.tmp";
   {
     std::FILE* f = std::fopen(orphan.c_str(), "wb");
     ASSERT_NE(f, nullptr);

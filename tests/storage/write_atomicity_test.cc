@@ -1,11 +1,15 @@
 // Write-failure atomicity conformance (satellite of the durability plane): across
 // memory, file, and tiered backends, a failed WriteChunk leaves NO readable partial
-// chunk and does not move bytes_stored. Plus the FileBackend-specific halves:
-// temp+rename publication (no torn chunk is ever visible, orphaned temps are swept
-// at startup), crash recovery of the index, and the write-path fd-leak regression.
+// chunk and does not move bytes_stored. Plus the FileBackend-specific halves: a
+// failed append is rolled back (no torn record is ever visible, torn tails and
+// orphaned compaction temps are swept at startup), crash recovery of the index, and
+// the write-path fd-leak regression.
 #include <gtest/gtest.h>
 #include <dirent.h>
+#include <sys/resource.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include <cstring>
 #include <filesystem>
@@ -93,64 +97,83 @@ TEST_F(WriteAtomicityTest, TieredBackendConformance) {
   ExpectFailedWriteLeavesNoTrace(&backend);
 }
 
-TEST_F(WriteAtomicityTest, NaturalWriteFailureLeavesNoPartialFileAndNoFdLeak) {
-  // A REAL filesystem failure (not injected): squat the chunk's publish path with a
-  // directory so the final rename(2) fails after the temp file was fully written.
+TEST_F(WriteAtomicityTest, NaturalAppendFailureLeavesNoPartialRecordAndNoFdLeak) {
+  // A REAL filesystem failure (not injected): a file-size limit just past the
+  // segment's end lets the kernel take the frame and part of the payload, then
+  // refuses the rest with EFBIG. SIGXFSZ is ignored so the failure is an errno.
   FileBackend backend(Dirs(), kChunkBytes);
   std::vector<char> payload(4096, 'q');
-  // Chunk index 0 on a 1-device store lands at d0/ctx5/L0_C0.bin; a directory
-  // there makes rename fail with EISDIR/ENOTEMPTY.
-  ASSERT_TRUE(backend.WriteChunk({5, 0, 1}, payload.data(), 4096));  // creates ctx dir
-  fs::create_directories(base_ / "d0" / "ctx5" / "L0_C0.bin");
+  ASSERT_TRUE(backend.WriteChunk({5, 0, 1}, payload.data(), 4096));  // creates the segment
+  const fs::path segment = base_ / "d0" / "ctx5.seg";
+  const auto length_before = fs::file_size(segment);
 
   const StorageStats before = backend.Stats();
   const int fds_before = CountOpenFds();
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(length_before + 100);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
   for (int i = 0; i < 32; ++i) {
     EXPECT_FALSE(backend.WriteChunk({5, 0, 0}, payload.data(), 4096));
   }
-  // The fd-leak regression: 32 failed writes must not hold 32 fds open (the old
-  // code's `written == bytes && fclose(f) == 0` short-circuit leaked the stream on
-  // every short write).
-  EXPECT_EQ(CountOpenFds(), fds_before);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
 
+  // The partial record was cut off again: the segment holds whole records only.
+  EXPECT_EQ(fs::file_size(segment), length_before);
+  // The fd-leak regression: 32 failed writes must not hold 32 fds open.
+  EXPECT_EQ(CountOpenFds(), fds_before);
   const StorageStats after = backend.Stats();
   EXPECT_EQ(after.bytes_stored, before.bytes_stored);
+  EXPECT_EQ(after.chunks_stored, before.chunks_stored);
   EXPECT_EQ(after.total_writes, before.total_writes);
   EXPECT_FALSE(backend.HasChunk({5, 0, 0}));
-  // No temp residue either: the failed write unlinked its own temp file.
-  int temp_files = 0;
-  for (const auto& e : fs::recursive_directory_iterator(base_)) {
-    if (e.is_regular_file() && e.path().extension() == ".tmp") {
-      ++temp_files;
-    }
+
+  // Appends after the failure land, and survive a reopen.
+  ASSERT_TRUE(backend.WriteChunk({5, 0, 0}, payload.data(), 4096));
+  ASSERT_TRUE(backend.WriteChunk({5, 1, 0}, payload.data(), 4096));
+  FileBackend reopened(Dirs(), kChunkBytes);
+  EXPECT_EQ(reopened.chunks_stored(), 3);
+  std::vector<char> buf(4096);
+  for (const ChunkKey key : {ChunkKey{5, 0, 0}, ChunkKey{5, 0, 1}, ChunkKey{5, 1, 0}}) {
+    ASSERT_EQ(reopened.ReadChunk(key, buf.data(), 4096), 4096);
+    EXPECT_EQ(std::memcmp(buf.data(), payload.data(), 4096), 0);
   }
-  EXPECT_EQ(temp_files, 0);
 }
 
-TEST_F(WriteAtomicityTest, StartupRecoversIndexAndSweepsOrphanedTemps) {
+TEST_F(WriteAtomicityTest, StartupTruncatesTornTailAndSweepsOrphanedTemps) {
   std::vector<char> payload(2048, 'r');
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<char>(i * 31);
   }
+  const fs::path segment = base_ / "d0" / "ctx1.seg";
+  uintmax_t whole = 0;
   {
     FileBackend writer(Dirs(), kChunkBytes);
     ASSERT_TRUE(writer.WriteChunk({1, 0, 0}, payload.data(), 2048));
     ASSERT_TRUE(writer.WriteChunk({1, 2, 0}, payload.data(), 2048));
     ASSERT_TRUE(writer.WriteChunk({7, 0, 0}, payload.data(), 2048));
+    whole = fs::file_size(segment);
+    ASSERT_TRUE(writer.WriteChunk({1, 5, 0}, payload.data(), 2048));
   }
-  // Simulate a writer that died mid-write: a torn temp file next to a real chunk.
+  // Simulate a writer that died mid-append (the last record lost its tail) and a
+  // compaction that died before its rename.
+  fs::resize_file(segment, whole + 1000);
   {
-    std::FILE* torn = std::fopen((base_ / "d0" / "ctx1" / "L5_C0.bin.tmp").c_str(), "wb");
-    ASSERT_NE(torn, nullptr);
-    std::fputs("half-written", torn);
-    std::fclose(torn);
+    std::FILE* orphan = std::fopen((base_ / "d0" / "ctx1.seg.tmp").c_str(), "wb");
+    ASSERT_NE(orphan, nullptr);
+    std::fputs("half-compacted", orphan);
+    std::fclose(orphan);
   }
 
-  // A fresh process over the same dirs: every published chunk is readable again,
-  // and the orphan is gone.
+  // A fresh process over the same dirs: every whole record is readable again, the
+  // torn tail is cut and the orphan is gone.
   FileBackend recovered(Dirs(), kChunkBytes);
-  EXPECT_EQ(recovered.swept_temp_files(), 1);
-  EXPECT_FALSE(fs::exists(base_ / "d0" / "ctx1" / "L5_C0.bin.tmp"));
+  EXPECT_FALSE(fs::exists(base_ / "d0" / "ctx1.seg.tmp"));
+  EXPECT_EQ(fs::file_size(segment), whole);
+  EXPECT_TRUE(recovered.TornTails().empty());
   const StorageStats s = recovered.Stats();
   EXPECT_EQ(s.chunks_stored, 3);
   EXPECT_EQ(s.bytes_stored, 3 * 2048);
@@ -159,7 +182,7 @@ TEST_F(WriteAtomicityTest, StartupRecoversIndexAndSweepsOrphanedTemps) {
     ASSERT_EQ(recovered.ReadChunk(key, buf.data(), 2048), 2048);
     EXPECT_EQ(std::memcmp(buf.data(), payload.data(), 2048), 0);
   }
-  // The torn write's CHUNK never became visible: rename was the publish point.
+  // The torn record's chunk never became visible.
   EXPECT_FALSE(recovered.HasChunk({1, 5, 0}));
 }
 
@@ -174,20 +197,23 @@ TEST_F(WriteAtomicityTest, RecoveredChunksStillVerify) {
   }
   WriteChunkHeader(ChunkCodec::kFp32, 8, 16, chunk.data());
   const int64_t bytes = static_cast<int64_t>(chunk.size());
+  const fs::path victim = base_ / "d0" / "ctx1.seg";
+  long layer1_payload = 0;  // where layer 1's chunk bytes start in the segment
   {
     FileBackend writer(Dirs(), kChunkBytes);
     ASSERT_TRUE(writer.WriteChunk({1, 0, 0}, chunk.data(), bytes));
+    const auto record = static_cast<long>(fs::file_size(victim));
+    layer1_payload = record + (record - static_cast<long>(bytes));
     ASSERT_TRUE(writer.WriteChunk({1, 1, 0}, chunk.data(), bytes));
   }
-  // Offline bit rot on layer 1's file.
-  const fs::path victim = base_ / "d0" / "ctx1" / "L1_C0.bin";
-  ASSERT_TRUE(fs::exists(victim));
+  // Offline bit rot in layer 1's record.
   {
     std::FILE* f = std::fopen(victim.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    std::fseek(f, static_cast<long>(sizeof(ChunkHeader) + 3), SEEK_SET);
+    const long at = layer1_payload + static_cast<long>(sizeof(ChunkHeader)) + 3;
+    std::fseek(f, at, SEEK_SET);
     int c = std::fgetc(f);
-    std::fseek(f, static_cast<long>(sizeof(ChunkHeader) + 3), SEEK_SET);
+    std::fseek(f, at, SEEK_SET);
     std::fputc(c ^ 0x20, f);
     std::fclose(f);
   }
