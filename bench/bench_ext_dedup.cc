@@ -9,7 +9,7 @@
 //  (1) Dedup sweep (deterministic): sessions drawn from a Zipfian document-popularity
 //      distribution (s = 1.0) are offline-ingested through FunctionalHCache into a
 //      DedupBackend; per row, logical vs physical chunks/bytes. Acceptance: at the
-//      main row, physical bytes <= 0.5x logical bytes (the ROADMAP item 2 bar).
+//      main row, physical bytes <= 0.5x logical bytes.
 //
 //  (2) Bit-identical restores: the SAME trace ingested into a plain (non-dedup) store
 //      and into the dedup store; every session's hidden states are read back from

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/restorer.h"
@@ -674,42 +675,53 @@ void EmitCodecSweepJson() {
   std::vector<int32_t> positions(static_cast<size_t>(n));
   std::iota(positions.begin(), positions.end(), 0);
 
+  // Each row is the median of kSweepReps saves, each into a fresh backend, and of the
+  // read that follows each save. The file rows keep fsync_writes on, so one save's
+  // time follows the disk's mood; the quartiles say how far.
+  constexpr int kSweepReps = 7;
   JsonValue rows = JsonValue::Array();
   std::printf("  %-7s %-7s | %9s %6s | %9s %9s | %9s\n", "backend", "codec", "enc MB",
               "ratio", "save MB/s", "read MB/s", "sim TTFT");
   for (const BackendKind kind : {kFile, kMemory, kTiered}) {
     for (const ChunkCodec codec :
          {ChunkCodec::kFp32, ChunkCodec::kFp16, ChunkCodec::kInt8}) {
-      BackendUnderTest b = MakeBackend(
-          kind, (std::string("sweep_") + BackendKindName(kind) + ChunkCodecName(codec)).c_str(),
-          EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens, cfg.hidden_dim));
-      HiddenStateWriter writer(b.backend.get(), nullptr, cfg, 1, chunk_tokens, codec);
-      const double save_s = Seconds([&] {
-        for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
-          writer.OnLayerInput(layer, batch, positions.data(), n);
-        }
-        writer.Seal();
-      });
-      const int64_t encoded_bytes = b.backend->bytes_stored();
-      HiddenStateReader reader(b.backend.get(), cfg, chunk_tokens);
-      Tensor out({n, cfg.hidden_dim});
-      const double read_s = Seconds([&] {
-        for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
-          reader.ReadLayerInto(1, layer, n, out.data());
-        }
-      });
+      Histogram save, read;  // MB/s
+      int64_t encoded_bytes = 0;
+      for (int rep = 0; rep < kSweepReps; ++rep) {
+        const std::string tag = std::string("sweep_") + BackendKindName(kind) +
+                                ChunkCodecName(codec) + "_" + std::to_string(rep);
+        BackendUnderTest b =
+            MakeBackend(kind, tag.c_str(),
+                        EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens, cfg.hidden_dim));
+        HiddenStateWriter writer(b.backend.get(), nullptr, cfg, 1, chunk_tokens, codec);
+        const double save_s = Seconds([&] {
+          for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
+            writer.OnLayerInput(layer, batch, positions.data(), n);
+          }
+          writer.Seal();
+        });
+        encoded_bytes = b.backend->bytes_stored();
+        HiddenStateReader reader(b.backend.get(), cfg, chunk_tokens);
+        Tensor out({n, cfg.hidden_dim});
+        const double read_s = Seconds([&] {
+          for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
+            reader.ReadLayerInto(1, layer, n, out.data());
+          }
+        });
+        save.Add(static_cast<double>(logical_bytes) / save_s / 1e6);
+        read.Add(static_cast<double>(logical_bytes) / read_s / 1e6);
+        b.backend->DeleteContext(1);
+      }
       // Simulated restore TTFT on the paper's testbed with this codec's byte model.
       const Restorer restorer(Platform::DefaultTestbed(1, 4), ModelConfig::Llama2_7B(),
                               StorageLayout::kLayerChunked, kDefaultChunkTokens, codec);
       const double sim_ttft =
           restorer.Restore(RestoreMethod::kHCache, /*history_tokens=*/2048).total_time;
 
-      const double save_mbps = static_cast<double>(logical_bytes) / save_s / 1e6;
-      const double read_mbps = static_cast<double>(logical_bytes) / read_s / 1e6;
       const double ratio = static_cast<double>(logical_bytes) / encoded_bytes;
       std::printf("  %-7s %-7s | %9.2f %5.2fx | %9.0f %9.0f | %8.2fms\n",
                   BackendKindName(kind), ChunkCodecName(codec), encoded_bytes / 1e6, ratio,
-                  save_mbps, read_mbps, sim_ttft * 1e3);
+                  save.Median(), read.Median(), sim_ttft * 1e3);
       JsonValue row = JsonValue::Object();
       row.Set("backend", BackendKindName(kind))
           .Set("codec", ChunkCodecName(codec))
@@ -719,11 +731,15 @@ void EmitCodecSweepJson() {
           .Set("logical_bytes", logical_bytes)
           .Set("encoded_bytes", encoded_bytes)
           .Set("compression_vs_fp32", ratio)
-          .Set("save_mb_per_s", save_mbps)
-          .Set("read_mb_per_s", read_mbps)
+          .Set("reps", kSweepReps)
+          .Set("save_mb_per_s", save.Median())
+          .Set("save_mb_per_s_q1", save.Percentile(25))
+          .Set("save_mb_per_s_q3", save.Percentile(75))
+          .Set("read_mb_per_s", read.Median())
+          .Set("read_mb_per_s_q1", read.Percentile(25))
+          .Set("read_mb_per_s_q3", read.Percentile(75))
           .Set("sim_restore_ttft_s_llama7b_2048", sim_ttft);
       rows.Push(std::move(row));
-      b.backend->DeleteContext(1);
     }
   }
   JsonValue doc = JsonValue::Object();
@@ -731,8 +747,10 @@ void EmitCodecSweepJson() {
       .Set("note",
            "functional two-stage save + fused-decode read of a 4-layer x 1024-token x "
            "512-dim context per backend per codec; MB/s are FP32-equivalent logical "
-           "rates; sim TTFT is Restorer(kHCache) for Llama2-7B n=2048 on the paper "
-           "testbed under the codec's byte model")
+           "rates, the median [q1, q3] of `reps` saves (each into a fresh backend, "
+           "fsync_writes on for file) and of the read after each; sim TTFT is "
+           "Restorer(kHCache) for Llama2-7B n=2048 on the paper testbed under the "
+           "codec's byte model")
       .Set("simd_detected", SimdTierName(DetectedSimdTier()))
       .Set("simd_active", SimdTierName(ActiveSimdTier()))
       .Set("simd_kernels", EmitSimdKernelSweep())

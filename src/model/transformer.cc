@@ -288,8 +288,7 @@ void Transformer::ProjectKv(int64_t layer, const float* hidden, int64_t n,
               std::min(n, (t + 1) * tile_rows - lead), /*parallel_gemm=*/false);
     }
   };
-  // One reference capture fits std::function's in-place storage: no allocation.
-  ParallelFor(0, tiles, 1, [&run_tiles](int64_t t0, int64_t t1) { run_tiles(t0, t1); });
+  ParallelFor(0, tiles, 1, run_tiles);
 }
 
 float Transformer::AlibiSlope(int64_t head) const {
@@ -382,10 +381,7 @@ Tensor Transformer::Attention(int64_t layer, const Tensor& q, const PagedKvSeque
            std::min(n, (chunk + 1) * kAttentionRowChunk));
     }
   };
-  // One reference capture fits std::function's in-place storage: no allocation.
-  ParallelFor(0, chunks * kv_heads, 1, [&run_items](int64_t w0, int64_t w1) {
-    run_items(w0, w1);
-  });
+  ParallelFor(0, chunks * kv_heads, 1, run_items);
   return out;
 }
 

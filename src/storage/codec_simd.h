@@ -1,4 +1,4 @@
-// Runtime-dispatched SIMD kernels for the chunk precision codec (ROADMAP item 3).
+// Runtime-dispatched SIMD kernels for the chunk precision codec.
 //
 // The codec's convert loops are the storage plane's speed-of-light: restoration is
 // bound by bytes moved per token, and every byte passes through fp16/int8 encode or

@@ -1,4 +1,4 @@
-// Content-addressed deduplication layer under StorageBackend (ROADMAP item 2).
+// Content-addressed deduplication layer under StorageBackend.
 //
 // Millions of users put the same system prompt or retrieved document in front of
 // their contexts, so the hidden-state chunks of those prefix tokens are byte-identical

@@ -7,7 +7,8 @@
 //
 //   MemoryBackend          — DRAM-resident chunks (the paper's host-memory tier,
 //                            §6.2.1; also the fast path for tests).
-//   FileBackend            — one chunk per file, striped round-robin across N device
+//   FileBackend            — one append-only log segment per context and device,
+//                            chunks striped round-robin across N device
 //                            directories (the paper's NVMe array, §4.2.1).
 //   TieredBackend          — DRAM over a cold backend with a capacity budget,
 //                            context-granular LRU eviction and write-back (the

@@ -18,15 +18,15 @@ constexpr int64_t kKc = 256;
 constexpr int64_t kNc = 256;
 constexpr int64_t kMr = 4;
 
-// Below this many multiply-adds a GEMM runs on the calling thread: waking the shared
-// pool costs more than the work. Above it, slabs carry at least kMinSlabWork
+// Below this many multiply-adds a GEMM runs on the calling thread: dispatching to the
+// shared pool costs more than the work. Above it, slabs carry at least kMinSlabWork
 // multiply-adds each, and column slabs are at least kMinSlabCols wide, because each
 // one packs all of A again (at 16 columns, packing A cost as much as the arithmetic).
 // Measured with hcache_serve's chat workload (hidden 256, kv 256, ffn 512, vocab 1024;
-// 4 vCPUs, two pool workers plus the caller): a decode step's one-row GEMMs stream
-// their weights from L3, so splitting even a 256 x 256 GEMV four ways beat running it
-// serially (tpot_p50 2.05 vs 2.28 ms at 1 << 16 / 1 << 15, and 2.55 ms at
-// 1 << 19 / 1 << 18).
+// 4 vCPUs, two spinning pool workers plus the caller; median of 4 alternating runs): a
+// decode step's one-row GEMMs stream their weights from L3, so splitting even a
+// 256 x 256 GEMV four ways beat running it serially (tpot_p50 1.17 ms, against 1.22 ms
+// at 1 << 16 / 1 << 15, and 2.18 ms at 1 << 19 / 1 << 18).
 constexpr int64_t kParallelWorkThreshold = 1 << 15;
 constexpr int64_t kMinSlabWork = 1 << 14;
 constexpr int64_t kMinSlabCols = 4 * kNr;
@@ -189,8 +189,6 @@ void RunPacked(const float* a, int64_t lda, const float* panels, int64_t k, int6
     }
     return;
   }
-  // One reference capture fits std::function's in-place storage, so a dispatch through
-  // the shared pool allocates nothing for the callable.
   const auto slab = [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
     PackedSlab(a, lda, panels, k, c, ldc, r0, r1, c0, c1, accumulate);
   };

@@ -4,12 +4,36 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 namespace hcache {
 namespace {
+
+// Runs `parties` one-element subranges on `pool`, each of which waits until all of
+// them have started, and returns the number of distinct threads that ran one. A
+// subrange gives up after 10 s, so a worker that never wakes fails the caller's
+// expectation instead of hanging the test.
+size_t ThreadsThatJoin(ThreadPool& pool, int parties) {
+  std::atomic<int> arrived{0};
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  pool.ParallelFor(0, parties, 1, [&](int64_t, int64_t) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    }
+    arrived.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < parties && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  return ids.size();
+}
 
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
@@ -154,6 +178,104 @@ TEST(ParallelForTest, SharedPoolResizes) {
   EXPECT_EQ(count.load(), 100);
   ThreadPool::ResizeShared(2);
   EXPECT_EQ(ThreadPool::Shared().num_threads(), 2u);
+}
+
+TEST(ParallelForTest, ConcurrentCallersOnSharedPoolEachCoverTheirRange) {
+  // One caller holds the pool's job slot at a time; the others find it taken and run
+  // their loop inline. Either way every range is covered exactly once per round.
+  ThreadPool::ResizeShared(2);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  constexpr int64_t kN = 515, kGrain = 8;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) {
+    h = std::vector<std::atomic<int>>(kN);
+  }
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([c, &hits] {
+      for (int r = 0; r < kRounds; ++r) {
+        ThreadPool::Shared().ParallelFor(0, kN, kGrain, [&](int64_t lo, int64_t hi) {
+          for (int64_t i = lo; i < hi; ++i) {
+            hits[c][static_cast<size_t>(i)].fetch_add(1);
+          }
+        });
+      }
+    });
+  }
+  for (auto& t : callers) {
+    t.join();
+  }
+  for (int c = 0; c < kCallers; ++c) {
+    for (int64_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[c][static_cast<size_t>(i)].load(), kRounds)
+          << "caller " << c << " index " << i;
+    }
+  }
+}
+
+TEST(ParallelForTest, NestedOnSharedPoolRunsInline) {
+  ThreadPool::ResizeShared(2);
+  // The outer loop holds the job slot, so each inner loop (on a worker or the caller)
+  // runs inline as one call over its whole range.
+  std::atomic<int> inner_calls{0};
+  std::atomic<int> inner_total{0};
+  ParallelFor(0, 4, 1, [&](int64_t, int64_t) {
+    ParallelFor(0, 8, 1, [&](int64_t lo, int64_t hi) {
+      inner_calls.fetch_add(1);
+      inner_total.fetch_add(static_cast<int>(hi - lo));
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 4);
+  EXPECT_EQ(inner_total.load(), 4 * 8);
+}
+
+TEST(ParallelForTest, ExceptionWhileWorkersSpinIsRethrownAndPoolStaysUsable) {
+  ThreadPool::ResizeShared(2);
+  std::atomic<int> ran{0};
+  for (int round = 0; round < 50; ++round) {
+    // Back to back with the previous loop, so the workers are still spinning.
+    ran.store(0);
+    EXPECT_THROW(ParallelFor(0, 32, 1,
+                             [&](int64_t lo, int64_t) {
+                               ran.fetch_add(1);
+                               if (lo == round % 32) {
+                                 throw std::runtime_error("boom");
+                               }
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 32);
+    std::atomic<int> count{0};
+    ParallelFor(0, 100, 10, [&](int64_t lo, int64_t hi) {
+      count.fetch_add(static_cast<int>(hi - lo));
+    });
+    EXPECT_EQ(count.load(), 100);
+  }
+}
+
+TEST(ParallelForTest, ResizeAndDestroyWhileWorkersSpinDoNotHang) {
+  for (int round = 0; round < 20; ++round) {
+    ThreadPool::ResizeShared(2 + round % 2);
+    std::atomic<int> count{0};
+    ParallelFor(0, 64, 4, [&](int64_t lo, int64_t hi) {
+      count.fetch_add(static_cast<int>(hi - lo));
+    });
+    EXPECT_EQ(count.load(), 64);
+    // The next resize destroys this pool while its workers spin on the epoch.
+  }
+  ThreadPool::ResizeShared(2);
+}
+
+TEST(ParallelForTest, IdlePoolWakesForNextJob) {
+  ThreadPool::ResizeShared(2);
+  EXPECT_EQ(ThreadsThatJoin(ThreadPool::Shared(), 3), 3u);
+  // Well past the spin window: the workers have parked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ThreadsThatJoin(ThreadPool::Shared(), 3), 3u);
+  // A dedicated pool's workers park at once.
+  ThreadPool pool(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ThreadsThatJoin(pool, 3), 3u);
 }
 
 TEST(ThreadPoolTest, ConcurrentProducers) {
