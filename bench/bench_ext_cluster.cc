@@ -53,13 +53,11 @@ constexpr int64_t kSharedDramBytes = 6 * kChunkBytes;
 // sweep must not regress below it.
 constexpr double kPr4CommittedScaling4v1 = 3.14;
 
-// Deterministic sweep instrument: one lock stripe + synchronous write-back gives
-// run-to-run identical tier stats (the async drainer's rescue/cold split depends on
-// thread timing, which has no place in the committed sweep).
+// Deterministic sweep instrument: one lock stripe gives run-to-run identical tier
+// stats (the replicas run serially, so no read races a flush).
 TieredOptions SweepTierOptions() {
   TieredOptions o;
   o.num_shards = 1;
-  o.writeback = TieredOptions::Writeback::kSync;
   return o;
 }
 
@@ -97,7 +95,6 @@ JsonValue StorageJson(const ClusterReport& r) {
   storage.Set("evicted_contexts", r.storage.evicted_contexts);
   storage.Set("writeback_bytes", r.storage.writeback_bytes);
   storage.Set("drain_rescued_chunks", r.storage.drain_rescued_chunks);
-  storage.Set("writer_stalls", r.storage.writer_stalls);
   storage.Set("writeback_failures", r.storage.writeback_failures);
   storage.Set("promotions_skipped", r.storage.promotions_skipped);
   return storage;
@@ -176,9 +173,6 @@ int RunDistributedCold() {
       std::max<size_t>(4, ThreadPool::Shared().num_threads());
   ThreadPool::ResizeShared(pool_threads);
 
-  TieredOptions tier_opts;
-  tier_opts.num_shards = 0;
-  tier_opts.writeback = TieredOptions::Writeback::kAsync;
   ClusterOptions cluster_opts;
   cluster_opts.num_replicas = 4;
   cluster_opts.router = RouterPolicy::kLeastLoadedTokens;
@@ -194,7 +188,7 @@ int RunDistributedCold() {
   bool kill_fired = false;
   {
     DistributedColdBackend dist(kDistNodes, kChunkBytes, dist_opts);
-    TieredBackend shared(&dist, kSharedDramBytes, tier_opts);
+    TieredBackend shared(&dist, kSharedDramBytes);
     ClusterEngine cluster(Platform::DefaultTestbed(1, 4), ModelConfig::Llama2_7B(),
                           cluster_opts, &shared);
     constexpr int kVictim = 0;
@@ -254,7 +248,7 @@ int RunDistributedCold() {
   bool drain_fired = false;
   {
     DistributedColdBackend dist(kDistNodes, kChunkBytes, dist_opts);
-    TieredBackend shared(&dist, kSharedDramBytes, tier_opts);
+    TieredBackend shared(&dist, kSharedDramBytes);
     ClusterEngine cluster(Platform::DefaultTestbed(1, 4), ModelConfig::Llama2_7B(),
                           cluster_opts, &shared);
     constexpr int kDrained = 2;

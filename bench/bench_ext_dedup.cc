@@ -234,9 +234,8 @@ int main() {
   const int64_t dram_budget = main_physical_bytes + main_physical_bytes / 4;
   PrintSection("DRAM-hit A/B at equal budget (" + std::to_string(dram_budget >> 10) +
                " KiB): dedup(tiered(file)) vs tiered(file)");
-  TieredOptions tier_opts;  // deterministic single-stripe sync tier for measurement
+  TieredOptions tier_opts;  // deterministic single-stripe tier for measurement
   tier_opts.num_shards = 1;
-  tier_opts.writeback = TieredOptions::Writeback::kSync;
 
   struct AbRow {
     std::string stack;

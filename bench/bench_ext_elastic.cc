@@ -65,12 +65,11 @@ constexpr double kKillTime = 30.0;
 constexpr double kKillLoad = 0.8 * kKillReplicas;  // sessions/s, fleet-wide
 constexpr int64_t kKillSessions = 40 * kKillReplicas;
 
-// Deterministic shared tier: one stripe + synchronous write-back, same instrument
-// configuration as the committed cluster sweep.
+// Deterministic shared tier: one stripe, same instrument configuration as the
+// committed cluster sweep.
 TieredOptions SweepTierOptions() {
   TieredOptions o;
   o.num_shards = 1;
-  o.writeback = TieredOptions::Writeback::kSync;
   return o;
 }
 

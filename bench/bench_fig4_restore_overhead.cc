@@ -143,11 +143,7 @@ bool CheckFp16BitStableAcrossBackends() {
   MemoryBackend memory(1 << 20);
   auto cold = std::make_unique<FileBackend>(
       std::vector<std::string>{(base / "c0").string()}, 1 << 20);
-  // Deterministic tier split for the committed JSON (async rescues would make the
-  // dram/cold attribution schedule-dependent).
-  TieredOptions tiered_opts;
-  tiered_opts.writeback = TieredOptions::Writeback::kSync;
-  TieredBackend tiered(cold.get(), 4096, tiered_opts);
+  TieredBackend tiered(cold.get(), 4096);
   StorageBackend* backends[] = {file.get(), &memory, &tiered};
 
   PartitionScheme s;

@@ -79,11 +79,7 @@ BackendUnderTest MakeBackend(BackendKind kind, const char* tag, int64_t chunk_by
       break;
     case kTiered: {
       b.cold = std::make_unique<FileBackend>(TempDirs(tag, 4), chunk_bytes);
-      // Synchronous write-back: the micro-bench measures the eviction/flush cost
-      // itself, which the async drainer would move off the timed thread.
-      TieredOptions opts;
-      opts.writeback = TieredOptions::Writeback::kSync;
-      b.backend = std::make_unique<TieredBackend>(b.cold.get(), 64 * chunk_bytes, opts);
+      b.backend = std::make_unique<TieredBackend>(b.cold.get(), 64 * chunk_bytes);
       break;
     }
   }
@@ -205,12 +201,9 @@ void BM_TieredEvictionChurn(benchmark::State& state) {
   // round of writes pays context-granular eviction plus write-back to the file tier.
   const int64_t chunk_bytes = 64 * 1024;
   auto cold = std::make_unique<FileBackend>(TempDirs("churn", 4), chunk_bytes);
-  // kSync keeps the flush on the timed thread (the cost this bench exists to
-  // measure) — the async drainer would hide it and DeleteContext would cancel the
-  // still-queued write-backs entirely.
-  TieredOptions churn_opts;
-  churn_opts.writeback = TieredOptions::Writeback::kSync;
-  TieredBackend tiered(cold.get(), 4 * chunk_bytes, churn_opts);
+  // The evicting write flushes on the timed thread: the eviction + write-back cost
+  // is what this bench measures.
+  TieredBackend tiered(cold.get(), 4 * chunk_bytes);
   std::vector<char> payload(static_cast<size_t>(chunk_bytes), 'z');
   int64_t ctx = 0;
   for (auto _ : state) {

@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/model/transformer.h"
@@ -182,12 +183,16 @@ void PreprScalarGemmNT(const float* a, const float* b, float* c, int64_t m, int6
   }
 }
 
-// Best-of-`reps` wall time of `fn` after one warmup run; `setup`, when set, runs
-// untimed before every run.
+// Each row's wall time is the median of kTimedReps runs after one warmup run; the
+// quartiles say how far one run strays from it.
+constexpr int kTimedReps = 7;
+
+// Wall times (s) of kTimedReps runs of `fn` after one warmup run; `setup`, when set,
+// runs untimed before every run.
 template <typename Fn>
-double TimeSeconds(Fn&& fn, const std::function<void()>& setup = {}, int reps = 3) {
-  double best = 1e300;
-  for (int r = 0; r <= reps; ++r) {  // run 0 is the warmup
+Histogram TimeSeconds(Fn&& fn, const std::function<void()>& setup = {}) {
+  Histogram seconds;
+  for (int r = 0; r <= kTimedReps; ++r) {  // run 0 is the warmup
     if (setup) {
       setup();
     }
@@ -196,10 +201,10 @@ double TimeSeconds(Fn&& fn, const std::function<void()>& setup = {}, int reps = 
     const double s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     if (r > 0) {
-      best = std::min(best, s);
+      seconds.Add(s);
     }
   }
-  return best;
+  return seconds;
 }
 
 struct SweepCase {
@@ -271,7 +276,7 @@ void WriteMicroTensorJson() {
                    [&] { PreprScalarGemmNT(lx.data(), lw.data(), lc.data(), 256, 4096,
                                            256); }});
   // Each run appends one token; the context stays within the 64-block pool because
-  // the sweep times a handful of runs per thread count.
+  // the sweep times kTimedReps + 1 runs per thread count.
   cases.push_back({"decode_step", 0.0, 1.0,
                    [&] {
                      const auto token = static_cast<int32_t>(dseq.num_tokens() % 1024);
@@ -299,15 +304,20 @@ void WriteMicroTensorJson() {
     thread_counts.push_back(max_threads);
   }
   for (auto& sc : cases) {
-    const double prepr_seconds = sc.prepr ? TimeSeconds(sc.prepr) : 0.0;
+    double prepr_seconds = 0.0;
     if (sc.prepr) {
+      const Histogram prepr = TimeSeconds(sc.prepr);
+      prepr_seconds = prepr.Median();
       const double gflops = sc.flops > 0 ? sc.flops / prepr_seconds / 1e9 : 0.0;
       std::printf("  %-24s pre-PR scalar %.4f s  %7.2f GFLOP/s\n", sc.name,
                   prepr_seconds, gflops);
       JsonValue row = JsonValue::Object();
       row.Set("name", std::string(sc.name) + "_prepr_scalar")
           .Set("threads", static_cast<int64_t>(1))
+          .Set("reps", kTimedReps)
           .Set("seconds", prepr_seconds)
+          .Set("seconds_q1", prepr.Percentile(25))
+          .Set("seconds_q3", prepr.Percentile(75))
           .Set("gflops", gflops)
           .Set("items_per_s", sc.items / prepr_seconds);
       benches.Push(std::move(row));
@@ -315,7 +325,8 @@ void WriteMicroTensorJson() {
     double serial_seconds = 0.0;
     for (const size_t threads : thread_counts) {
       ThreadPool::ResizeShared(threads);
-      const double s = TimeSeconds(sc.run, sc.setup);
+      const Histogram timed = TimeSeconds(sc.run, sc.setup);
+      const double s = timed.Median();
       if (threads == 1) {
         serial_seconds = s;
       }
@@ -329,7 +340,10 @@ void WriteMicroTensorJson() {
       JsonValue row = JsonValue::Object();
       row.Set("name", sc.name)
           .Set("threads", static_cast<int64_t>(threads))
+          .Set("reps", kTimedReps)
           .Set("seconds", s)
+          .Set("seconds_q1", timed.Percentile(25))
+          .Set("seconds_q3", timed.Percentile(75))
           .Set("gflops", gflops)
           .Set("items_per_s", sc.items / s)
           .Set("speedup_vs_1thread", speedup)
@@ -345,9 +359,10 @@ void WriteMicroTensorJson() {
   doc.Set("bench", "micro_tensor")
       .Set("hardware_concurrency", static_cast<int64_t>(max_threads))
       .Set("note",
-           "speedup_vs_1thread compares the same packed kernel at 1 vs N shared-pool "
-           "threads; speedup_vs_prepr_scalar compares against the pre-PR scalar "
-           "kernels compiled at the same flags (*_prepr_scalar rows)")
+           "seconds is the median [seconds_q1, seconds_q3] of `reps` runs after one "
+           "warmup; speedup_vs_1thread compares the same packed kernel at 1 vs N "
+           "shared-pool threads; speedup_vs_prepr_scalar compares against the pre-PR "
+           "scalar kernels compiled at the same flags (*_prepr_scalar rows)")
       .Set("benchmarks", std::move(benches));
   WriteJsonFile("BENCH_micro_tensor.json", doc);
 }

@@ -547,8 +547,8 @@ ServingReport ServingEngine::RunConversations(double sessions_per_second,
   DriveConversations(fleet, /*router=*/nullptr, workload);
   ServingReport report = FinishExternal();
   if (options_.state_backend != nullptr) {
-    // A tiered backend may still be write-backing evicted state; settle the
-    // background plane so the snapshot below is stable and conserved.
+    // Settle any background plane (a distributed cold tier's repair) so the
+    // snapshot below is stable and conserved.
     options_.state_backend->Quiesce();
     report.storage = options_.state_backend->Stats();
   }
@@ -642,9 +642,8 @@ ClusterReport ClusterEngine::RunConversations(double sessions_per_second,
     report.aggregate.makespan = std::max(report.aggregate.makespan, r.makespan);
   }
   if (shared_backend_ != nullptr) {
-    // Settle asynchronous eviction write-back before snapshotting, so the fleet
-    // counters are conserved (no bytes in flight) and drain depth reads zero unless
-    // the tier failed to keep up.
+    // Settle any background plane before snapshotting, so the fleet counters are
+    // conserved (no bytes in flight).
     shared_backend_->Quiesce();
     report.storage = shared_backend_->Stats();
     report.aggregate.storage = report.storage;

@@ -266,9 +266,8 @@ struct ClusterReport {
   double replica_seconds = 0;
   std::vector<ReplicaSet::UpSample> up_timeline;
 
-  // Shared-backend counters at run end, snapshotted after Quiesce() so an
-  // asynchronously-draining tier is settled (fleet-wide tier hit ratios, plus the
-  // shared tier's concurrency-plane health: drain depth, writer stalls, rollbacks).
+  // Shared-backend counters at run end, snapshotted after Quiesce() (fleet-wide
+  // tier hit ratios, plus the shared tier's write-back health: rescues, rollbacks).
   StorageStats storage;
   std::string router;
 
@@ -278,9 +277,6 @@ struct ClusterReport {
   double ReplicaRoundSkew() const;
   double RoundsPerSecond() const { return aggregate.RoundsPerSecond(); }
   double SharedDramHitByteRatio() const { return storage.DramHitByteRatio(); }
-  // Shared-tier concurrency stalls: writes that blocked on the drain high-water
-  // mark. Zero when the drainer keeps up (or for synchronous tiers).
-  int64_t SharedWriterStalls() const { return storage.writer_stalls; }
   // Replica-seconds an elastic run saved vs holding peak_replicas_up for the whole
   // makespan (0 when the fleet never resized).
   double ReplicaSecondsSavedVsPeak() const {

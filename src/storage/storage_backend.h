@@ -66,8 +66,8 @@ struct ChunkReadRequest {
   int64_t result = -1;
 };
 
-// One write of a batched WriteChunks submission (the tiered drainer's write-back
-// path). `ok` is written by the backend, mirroring WriteChunk's return value.
+// One write of a batched WriteChunks submission (the tiered backend's eviction
+// write-back path). `ok` is written by the backend, mirroring WriteChunk's return value.
 struct ChunkWriteRequest {
   ChunkKey key;
   const void* data = nullptr;
@@ -100,13 +100,11 @@ struct StorageStats {
   int64_t writeback_chunks = 0;   // dirty chunks flushed to the cold tier
   int64_t writeback_bytes = 0;
 
-  // Asynchronous write-back plane (TieredBackend only; zero elsewhere).
-  int64_t drain_pending_bytes = 0;   // evicted bytes still queued for write-back
-  int64_t drain_rescued_chunks = 0;  // reads served from the drain queue (DRAM hits)
-  int64_t writer_stalls = 0;         // writes blocked on the drain high-water mark
+  // Write-back plane (TieredBackend only; zero elsewhere).
+  int64_t drain_rescued_chunks = 0;  // reads of evicted chunks whose flush had not
+                                     // retired, served from DRAM (DRAM hits)
   int64_t writeback_failures = 0;    // evictions rolled back on cold-tier write error
   int64_t promotions_skipped = 0;    // cold reads not admitted (chunk can't fit)
-  int64_t writeback_retries = 0;     // transient cold write failures retried by drain
 
   // Integrity plane (ChunkHeader v2 CRC32C verification on the read paths).
   int64_t crc_failures = 0;       // reads rejected on checksum mismatch (kChunkCorrupt)
@@ -204,7 +202,7 @@ class StorageBackend {
   virtual int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
                                       int64_t buf_bytes) const;
 
-  // Batched write: the drainer's write-back flushes land a whole ticket in one
+  // Batched write: the tiered backend's eviction flushes land a whole ticket in one
   // submission. Each request's `ok` mirrors WriteChunk's return value; failures are
   // per-request. Returns true iff every request succeeded. Same completion-before-
   // return barrier semantics as ReadChunks.
@@ -232,9 +230,9 @@ class StorageBackend {
   virtual StorageStats Stats() const = 0;
   virtual std::string Name() const = 0;
 
-  // Completes background work (asynchronous write-back, deferred flushes). On
+  // Completes background work (e.g. DistributedColdBackend's re-replication). On
   // return every accepted write is durable in its final tier and Stats() is stable.
-  // Single-tier backends have no background plane; the default is a no-op.
+  // Backends with no background plane keep the default no-op.
   virtual void Quiesce() {}
 
   int64_t chunk_bytes() const { return chunk_bytes_; }

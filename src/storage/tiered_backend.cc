@@ -1,7 +1,6 @@
 #include "src/storage/tiered_backend.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -10,12 +9,6 @@ namespace hcache {
 
 namespace {
 
-// Write-back retry schedule (WritebackBackoffUs): retries per flush, the round-0
-// backoff ceiling and the ceiling's cap.
-constexpr int kWritebackRetryLimit = 3;
-constexpr int64_t kWritebackBackoffUs = 500;
-constexpr int64_t kWritebackBackoffCapUs = 8000;
-
 int AutoShards(int64_t capacity_bytes, int64_t chunk_bytes) {
   const int64_t stripes = capacity_bytes / (8 * chunk_bytes);
   return static_cast<int>(std::clamp<int64_t>(stripes, 1, 16));
@@ -23,35 +16,15 @@ int AutoShards(int64_t capacity_bytes, int64_t chunk_bytes) {
 
 }  // namespace
 
-int64_t WritebackBackoffUs(int round, uint64_t seed) {
-  int64_t ceiling = kWritebackBackoffUs;
-  for (int i = 0; i < round && ceiling < kWritebackBackoffCapUs; ++i) {
-    ceiling *= 2;
-  }
-  ceiling = std::min(ceiling, kWritebackBackoffCapUs);
-  // splitmix64 over (seed, round): well-mixed and reproducible.
-  uint64_t x = seed + 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(round) + 1);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  // Equal jitter: keep at least half the ceiling so progress never stalls on an
-  // unlucky near-zero draw, spread the rest to decorrelate concurrent drainers.
-  const int64_t floor = ceiling - ceiling / 2;
-  return floor + static_cast<int64_t>(x % static_cast<uint64_t>(ceiling / 2 + 1));
-}
-
 TieredBackend::TieredBackend(StorageBackend* cold, int64_t dram_capacity_bytes,
                              const TieredOptions& options)
     : StorageBackend(cold->chunk_bytes()),
       cold_(cold),
-      dram_capacity_bytes_(dram_capacity_bytes),
-      options_(options) {
+      dram_capacity_bytes_(dram_capacity_bytes) {
   CHECK(cold != nullptr);
   CHECK_GE(dram_capacity_bytes_, 0);
-  const int num_shards = options_.num_shards > 0
-                             ? options_.num_shards
+  const int num_shards = options.num_shards > 0
+                             ? options.num_shards
                              : AutoShards(dram_capacity_bytes_, chunk_bytes());
   shards_.reserve(static_cast<size_t>(num_shards));
   const int64_t base = dram_capacity_bytes_ / num_shards;
@@ -60,22 +33,6 @@ TieredBackend::TieredBackend(StorageBackend* cold, int64_t dram_capacity_bytes,
     auto shard = std::make_unique<Shard>();
     shard->capacity = base + (i < rem ? 1 : 0);
     shards_.push_back(std::move(shard));
-  }
-  high_water_bytes_ = dram_capacity_bytes_ + 4 * chunk_bytes();
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
-    drainer_ = std::thread(&TieredBackend::DrainLoop, this);
-  }
-}
-
-TieredBackend::~TieredBackend() {
-  if (drainer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      shutting_down_ = true;
-    }
-    drain_cv_.notify_all();
-    drained_cv_.notify_all();
-    drainer_.join();
   }
 }
 
@@ -99,18 +56,17 @@ void TieredBackend::InsertHotLocked(Shard& shard, const ChunkKey& key, const cha
 }
 
 void TieredBackend::EvictToBudgetLocked(Shard& shard,
-                                        std::vector<DrainTicket>* tickets) const {
+                                        std::vector<FlushTicket>* tickets) const {
   while (shard.hot_bytes > shard.capacity && !shard.lru.empty()) {
     const int64_t victim = shard.lru.front();
-    DrainTicket ticket;
+    FlushTicket ticket;
     ticket.context_id = victim;
     ticket.shard = ShardOf(victim);
     ticket.counted_eviction = true;
     // Move the victim's chunks out of the hot tier NOW (the LRU decision stays
     // deterministic and the budget is restored immediately); dirty payloads park in
-    // the pending map until the drainer — or the caller, in kSync mode — writes
-    // them back with no shard lock held. Clean chunks already exist in the cold
-    // tier and are simply dropped.
+    // the pending map until the evicting caller flushes them with no shard lock
+    // held. Clean chunks already exist in the cold tier and are simply dropped.
     bool held_chunks = false;
     auto it = shard.hot.lower_bound(ChunkKey{victim, 0, 0});
     while (it != shard.hot.end() && it->first.context_id == victim) {
@@ -119,13 +75,9 @@ void TieredBackend::EvictToBudgetLocked(Shard& shard,
       if (it->second.dirty) {
         const uint64_t gen = ++evict_gen_;
         auto& pending = shard.pending[it->first];
-        if (pending.data != nullptr) {
-          pending_bytes_ -= static_cast<int64_t>(pending.data->size());
-        }
         pending.data =
             std::make_shared<const std::vector<char>>(std::move(it->second.data));
         pending.gen = gen;
-        pending_bytes_ += bytes;
         ticket.chunks.emplace_back(it->first, gen);
       }
       shard.hot_bytes -= bytes;
@@ -142,205 +94,106 @@ void TieredBackend::EvictToBudgetLocked(Shard& shard,
   }
 }
 
-bool TieredBackend::ProcessTicket(const DrainTicket& ticket) const {
-  Shard& shard = *shards_[ticket.shard];
-  // Snapshot every still-current payload under ONE lock hold, then land the whole
-  // ticket in ONE batched cold-tier submission with no lock held — on a striped file
-  // cold tier the writes fan out per device instead of trickling one fsync at a time.
-  struct Flush {
-    ChunkKey key;
-    uint64_t gen = 0;
-    std::shared_ptr<const std::vector<char>> data;
-  };
-  std::vector<Flush> flushes;
-  flushes.reserve(ticket.chunks.size());
+void TieredBackend::ClaimContext(Shard& shard, std::unique_lock<std::mutex>& lock,
+                                 int64_t context_id) {
+  shard.idle.wait(lock, [&] { return shard.busy.count(context_id) == 0; });
+  shard.busy.insert(context_id);
+}
+
+void TieredBackend::ReleaseContext(Shard& shard, int64_t context_id) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, gen] : ticket.chunks) {
-      const auto it = shard.pending.find(key);
-      if (it == shard.pending.end() || it->second.gen != gen) {
-        continue;  // rescued, superseded by a newer write, or deleted
-      }
-      flushes.push_back(Flush{key, gen, it->second.data});
-    }
+    shard.busy.erase(context_id);
   }
-  bool all_ok = true;
-  // Cold writes are attempted in rounds: each round lands one batched WriteChunks
-  // (no lock held), retires the successes, and retries the failures after a capped,
-  // jittered doubling backoff (WritebackBackoffUs, seeded by the round's first
-  // failed key so concurrent drainers desynchronize) — a transiently overloaded
-  // cold tier absorbs the flush without tripping the rollback. Before every round
-  // each chunk's pending generation is re-checked under the shard lock, so a
-  // rescue/overwrite/delete that happened while we slept drops the chunk from the
-  // retry set.
-  std::vector<Flush> attempt = std::move(flushes);
-  for (int round = 0; !attempt.empty(); ++round) {
+  shard.idle.notify_all();
+}
+
+void TieredBackend::FlushTickets(const std::vector<FlushTicket>& tickets) const {
+  for (const FlushTicket& ticket : tickets) {
+    Shard& shard = *shards_[ticket.shard];
+    // Snapshot every still-current payload under ONE lock hold, then land the whole
+    // ticket in ONE batched cold-tier submission with no lock held — on a striped
+    // file cold tier the writes fan out per device instead of trickling one at a
+    // time. The claim keeps an older flush of these chunks from landing after ours.
+    struct Flush {
+      ChunkKey key;
+      uint64_t gen = 0;
+      std::shared_ptr<const std::vector<char>> data;
+    };
+    std::vector<Flush> flushes;
     std::vector<ChunkWriteRequest> writes;
-    writes.reserve(attempt.size());
-    for (const Flush& f : attempt) {
-      writes.push_back(ChunkWriteRequest{f.key, f.data->data(),
-                                         static_cast<int64_t>(f.data->size()),
-                                         /*ok=*/false});
+    {
+      std::unique_lock<std::mutex> lock(shard.mu);
+      ClaimContext(shard, lock, ticket.context_id);
+      for (const auto& [key, gen] : ticket.chunks) {
+        const auto it = shard.pending.find(key);
+        if (it == shard.pending.end() || it->second.gen != gen) {
+          continue;  // rescued, superseded by a newer write, or deleted
+        }
+        flushes.push_back(Flush{key, gen, it->second.data});
+        writes.push_back(ChunkWriteRequest{key, it->second.data->data(),
+                                           static_cast<int64_t>(it->second.data->size()),
+                                           /*ok=*/false});
+      }
     }
-    cold_->WriteChunks(writes);  // no lock held
-    std::vector<Flush> failed;
+    if (!writes.empty()) {
+      cold_->WriteChunks(writes);  // no lock held
+    }
+    bool all_ok = true;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      for (size_t i = 0; i < attempt.size(); ++i) {
-        const Flush& f = attempt[i];
+      for (size_t i = 0; i < flushes.size(); ++i) {
+        const Flush& f = flushes[i];
         const auto it = shard.pending.find(f.key);
         if (it == shard.pending.end() || it->second.gen != f.gen) {
           continue;  // superseded while the write was in flight; its bytes moved on
         }
+        shard.pending.erase(it);
         const int64_t bytes = static_cast<int64_t>(f.data->size());
         if (writes[i].ok) {
-          shard.pending.erase(it);
-          pending_bytes_ -= bytes;
           ++writeback_chunks_;
           writeback_bytes_ += bytes;
           continue;
         }
-        if (round < kWritebackRetryLimit) {
-          failed.push_back(f);  // stays pending (still rescuable) for the next round
-          continue;
-        }
         all_ok = false;
-        shard.pending.erase(it);
-        pending_bytes_ -= bytes;
         HCACHE_LOG_ERROR << "tiered write-back failed: ctx=" << f.key.context_id
                          << " L=" << f.key.layer << " C=" << f.key.chunk_index
-                         << " after " << round << " retries; re-admitting to DRAM";
+                         << "; re-admitting to DRAM";
         InsertHotLocked(shard, f.key, f.data->data(), bytes, /*dirty=*/true);
         TouchLocked(shard, f.key.context_id);
       }
     }
-    if (!failed.empty()) {
-      writeback_retries_ += static_cast<int64_t>(failed.size());
-      const ChunkKey& k = failed.front().key;
-      const uint64_t seed = (static_cast<uint64_t>(k.context_id) << 20) ^
-                            (static_cast<uint64_t>(k.layer) << 10) ^
-                            static_cast<uint64_t>(k.chunk_index);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(WritebackBackoffUs(round, seed)));
-    }
-    attempt = std::move(failed);
-  }
-  if (!all_ok) {
-    // The context is (at least partially) resident again: the eviction did not
-    // stick, so roll its count back (write-through tickets never counted one) and
-    // surface the failure instead.
-    ++writeback_failures_;
-    if (ticket.counted_eviction) {
-      --evicted_contexts_;
-    }
-  }
-  // One wakeup per ticket: waiter predicates (pending below high water, queue
-  // drained) are monotone across the chunks just retired.
-  SignalDrainProgress();
-  return all_ok;
-}
-
-void TieredBackend::DispatchTickets(std::vector<DrainTicket> tickets) const {
-  if (tickets.empty()) {
-    return;
-  }
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
-    {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      for (auto& t : tickets) {
-        drain_queue_.push_back(std::move(t));
+    ReleaseContext(shard, ticket.context_id);
+    if (!all_ok) {
+      // The context is (at least partially) resident again: the eviction did not
+      // stick, so roll its count back (write-through tickets never counted one) and
+      // surface the failure instead. Its next eviction retries the flush.
+      ++writeback_failures_;
+      if (ticket.counted_eviction) {
+        --evicted_contexts_;
       }
     }
-    drain_cv_.notify_one();
-  } else {
-    for (const DrainTicket& t : tickets) {
-      ProcessTicket(t);
-    }
   }
-}
-
-void TieredBackend::SignalDrainProgress() const {
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-  }
-  drained_cv_.notify_all();
-}
-
-void TieredBackend::MaybeStallWriter() const {
-  if (options_.writeback != TieredOptions::Writeback::kAsync ||
-      pending_bytes_.load() <= high_water_bytes_) {
-    return;
-  }
-  ++writer_stalls_;
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  drained_cv_.wait(lock, [this] {
-    return shutting_down_ || pending_bytes_.load() <= high_water_bytes_;
-  });
-}
-
-void TieredBackend::DrainLoop() {
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  for (;;) {
-    drain_cv_.wait(lock, [this] { return shutting_down_ || !drain_queue_.empty(); });
-    // On shutdown, finish the queue first: WriteChunk returned true for these
-    // bytes, so an un-quiesced destruction must still land every dirty chunk in
-    // the cold tier (the "never drop dirty data" contract).
-    if (drain_queue_.empty()) {
-      if (shutting_down_) {
-        return;
-      }
-      continue;
-    }
-    DrainTicket ticket = std::move(drain_queue_.front());
-    drain_queue_.pop_front();
-    inflight_context_ = ticket.context_id;
-    lock.unlock();
-    ProcessTicket(ticket);
-    lock.lock();
-    inflight_context_ = -1;
-    drained_cv_.notify_all();
-  }
-}
-
-void TieredBackend::Quiesce() {
-  if (options_.writeback != TieredOptions::Writeback::kAsync) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  // pending_bytes_ covers the window where a concurrent caller has parked evicted
-  // chunks in a shard's pending map but not yet enqueued their ticket (eviction
-  // happens under the shard lock, the enqueue after releasing it) — an empty queue
-  // alone does not mean every accepted write is durable yet.
-  drained_cv_.wait(lock, [this] {
-    return drain_queue_.empty() && inflight_context_ == -1 &&
-           pending_bytes_.load() == 0;
-  });
 }
 
 bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) {
   CHECK_GT(bytes, 0);
   CHECK_LE(bytes, chunk_bytes());
   Shard& shard = *shards_[ShardOf(key.context_id)];
-  std::vector<DrainTicket> tickets;
-  bool cancelled_pending = false;
+  std::vector<FlushTicket> tickets;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    // A queued write-back of this chunk is superseded: cancel it so a slow drain
-    // can never clobber the cold tier with stale data after this version's flush.
-    const auto pit = shard.pending.find(key);
-    if (pit != shard.pending.end()) {
-      pending_bytes_ -= static_cast<int64_t>(pit->second.data->size());
-      shard.pending.erase(pit);
-      cancelled_pending = true;
-    }
+    // A pending flush of this chunk is superseded: cancel it (a flush already in
+    // flight lands before this version's, which waits for its context's claim).
+    shard.pending.erase(key);
     auto& indexed = shard.index[key];
     shard.bytes_stored += bytes - indexed.size;
     indexed.size = bytes;
     indexed.gen = ++write_gen_;
     ++total_writes_;
     if (bytes > shard.capacity) {
-      // A chunk that can never be hot-resident within its stripe's share goes
-      // straight to the drain plane (write-through), instead of being admitted and
+      // A chunk that can never be hot-resident within its stripe's share is flushed
+      // straight through (write-through), instead of being admitted and
       // then flushing every other resident of the stripe on its way back out.
       const auto hot_it = shard.hot.find(key);
       if (hot_it != shard.hot.end()) {  // a smaller resident version is superseded
@@ -362,8 +215,7 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
       auto& pending = shard.pending[key];
       pending.data = std::make_shared<const std::vector<char>>(src, src + bytes);
       pending.gen = gen;
-      pending_bytes_ += bytes;
-      DrainTicket ticket;
+      FlushTicket ticket;
       ticket.context_id = key.context_id;
       ticket.shard = ShardOf(key.context_id);
       ticket.chunks.emplace_back(key, gen);
@@ -377,11 +229,7 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
       EvictToBudgetLocked(shard, &tickets);
     }
   }
-  if (cancelled_pending) {
-    SignalDrainProgress();
-  }
-  DispatchTickets(std::move(tickets));
-  MaybeStallWriter();
+  FlushTickets(tickets);
   return true;
 }
 
@@ -396,12 +244,11 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
     req.result = -1;
     by_shard[ShardOf(req.key.context_id)].push_back(&req);
   }
-  // Phase 1 — per shard, under that shard's lock: serve hot hits and drain-queue
+  // Phase 1 — per shard, under that shard's lock: serve hot hits and pending-flush
   // rescues, and snapshot each miss's write generation. Short buffers fail with no
   // side effects.
   std::vector<std::vector<Miss>> miss_by_shard(shards_.size());
   size_t num_misses = 0;
-  bool rescued_pending = false;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (by_shard[s].empty()) {
       continue;
@@ -426,9 +273,9 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       }
       const auto pit = shard.pending.find(key);
       if (pit != shard.pending.end()) {
-        // Rescue: the chunk was evicted but its write-back has not retired — the
-        // payload is still in DRAM, so serve it from the drain queue (a DRAM hit).
-        // Re-admit it (still dirty; its queued flush is cancelled by the erase) only
+        // Rescue: the chunk was evicted but its flush has not retired — the payload
+        // is still in DRAM, so serve it from the pending map (a DRAM hit). Re-admit
+        // it (still dirty; its pending flush is cancelled by the erase) only
         // when it fits the stripe's FREE space: a rescue must never trigger an
         // eviction, or alternating reads of a context bigger than its stripe would
         // cycle rescue→re-admit→evict→re-flush and double the cold-tier write IO.
@@ -443,9 +290,7 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
         dram_hit_bytes_ += size;
         ++drain_rescued_chunks_;
         if (size <= shard.capacity - shard.hot_bytes) {
-          pending_bytes_ -= size;
           shard.pending.erase(pit);
-          rescued_pending = true;
           InsertHotLocked(shard, key, data->data(), size, /*dirty=*/true);
           TouchLocked(shard, key.context_id);
         }
@@ -459,9 +304,6 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       miss_by_shard[s].push_back(Miss{req, iit->second.gen});
       ++num_misses;
     }
-  }
-  if (rescued_pending) {
-    SignalDrainProgress();
   }
   if (num_misses > 0) {
     // Phase 2 — every shard lock released: ONE batched cold round trip for all
@@ -482,10 +324,10 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
     // chunk can never fit its stripe's budget (a 0-budget write-through tier would
     // otherwise evict-and-churn on every read), or when the bytes read are stale: a
     // concurrent write bumps the index generation (even if its own copy has already
-    // drained through to the cold tier), and a delete removes the entry — either way
+    // been flushed to the cold tier), and a delete removes the entry — either way
     // this copy must not be re-admitted over newer durable data. One eviction pass
-    // per shard; tickets dispatched after release.
-    std::vector<DrainTicket> tickets;
+    // per shard; tickets flushed after release.
+    std::vector<FlushTicket> tickets;
     size_t j = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
       if (miss_by_shard[s].empty()) {
@@ -525,7 +367,7 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       }
       EvictToBudgetLocked(shard, &tickets);
     }
-    DispatchTickets(std::move(tickets));
+    FlushTickets(tickets);
   }
   if (done) {
     done();
@@ -541,9 +383,12 @@ int64_t TieredBackend::ChunkSize(const ChunkKey& key) const {
 
 void TieredBackend::DeleteContext(int64_t context_id) {
   Shard& shard = *shards_[ShardOf(context_id)];
-  bool cancelled_pending = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::unique_lock<std::mutex> lock(shard.mu);
+    // The claim waits out an in-flight flush of this context (it would re-create a
+    // chunk in the cold tier after our delete) and holds off later flushes until the
+    // cold delete is done (it would remove their chunks).
+    ClaimContext(shard, lock, context_id);
     for (auto it = shard.hot.lower_bound(ChunkKey{context_id, 0, 0});
          it != shard.hot.end() && it->first.context_id == context_id;) {
       shard.hot_bytes -= static_cast<int64_t>(it->second.data.size());
@@ -551,9 +396,7 @@ void TieredBackend::DeleteContext(int64_t context_id) {
     }
     for (auto it = shard.pending.lower_bound(ChunkKey{context_id, 0, 0});
          it != shard.pending.end() && it->first.context_id == context_id;) {
-      pending_bytes_ -= static_cast<int64_t>(it->second.data->size());
       it = shard.pending.erase(it);
-      cancelled_pending = true;
     }
     const auto ctx_it = shard.contexts.find(context_id);
     if (ctx_it != shard.contexts.end()) {
@@ -566,19 +409,8 @@ void TieredBackend::DeleteContext(int64_t context_id) {
       it = shard.index.erase(it);
     }
   }
-  if (cancelled_pending) {
-    SignalDrainProgress();
-  }
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
-    // An in-flight write-back of this context could re-materialize a chunk in the
-    // cold tier after our delete; wait it out (queued tickets are already inert —
-    // their pending entries are gone).
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drained_cv_.wait(lock, [this, context_id] {
-      return inflight_context_ != context_id;
-    });
-  }
   cold_->DeleteContext(context_id);
+  ReleaseContext(shard, context_id);
 }
 
 std::vector<std::pair<ChunkKey, int64_t>> TieredBackend::ListChunks() const {
@@ -618,21 +450,16 @@ void TieredBackend::ReadChunksUnverified(std::span<ChunkReadRequest> requests,
 
 bool TieredBackend::DeleteChunk(const ChunkKey& key) {
   Shard& shard = *shards_[ShardOf(key.context_id)];
-  bool cancelled_pending = false;
   bool was_indexed = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::unique_lock<std::mutex> lock(shard.mu);
+    ClaimContext(shard, lock, key.context_id);  // same rule as DeleteContext
     const auto hot_it = shard.hot.find(key);
     if (hot_it != shard.hot.end()) {
       shard.hot_bytes -= static_cast<int64_t>(hot_it->second.data.size());
       shard.hot.erase(hot_it);
     }
-    const auto pit = shard.pending.find(key);
-    if (pit != shard.pending.end()) {
-      pending_bytes_ -= static_cast<int64_t>(pit->second.data->size());
-      shard.pending.erase(pit);
-      cancelled_pending = true;
-    }
+    shard.pending.erase(key);
     const auto iit = shard.index.find(key);
     if (iit != shard.index.end()) {
       shard.bytes_stored -= iit->second.size;
@@ -640,16 +467,8 @@ bool TieredBackend::DeleteChunk(const ChunkKey& key) {
       was_indexed = true;
     }
   }
-  if (cancelled_pending) {
-    SignalDrainProgress();
-  }
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
-    // An in-flight write-back of this context could re-materialize the chunk in the
-    // cold tier after our delete; wait it out (same rule as DeleteContext).
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drained_cv_.wait(lock, [this, &key] { return inflight_context_ != key.context_id; });
-  }
   const bool cold_deleted = cold_->DeleteChunk(key);
+  ReleaseContext(shard, key.context_id);
   return was_indexed || cold_deleted;
 }
 
@@ -668,7 +487,7 @@ bool TieredBackend::IsDramResident(const ChunkKey& key) const {
   return shard.hot.count(key) != 0;
 }
 
-bool TieredBackend::IsDrainPending(const ChunkKey& key) const {
+bool TieredBackend::IsFlushPending(const ChunkKey& key) const {
   Shard& shard = *shards_[ShardOf(key.context_id)];
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.pending.count(key) != 0;
@@ -690,12 +509,9 @@ StorageStats TieredBackend::Stats() const {
   s.evicted_contexts = evicted_contexts_.load();
   s.writeback_chunks = writeback_chunks_.load();
   s.writeback_bytes = writeback_bytes_.load();
-  s.drain_pending_bytes = pending_bytes_.load();
   s.drain_rescued_chunks = drain_rescued_chunks_.load();
-  s.writer_stalls = writer_stalls_.load();
   s.writeback_failures = writeback_failures_.load();
   s.promotions_skipped = promotions_skipped_.load();
-  s.writeback_retries = writeback_retries_.load();
   // This tier's crc_failures_ counts the cold rejections it propagated (DRAM bytes
   // are trusted); the cold backend is where payloads are actually CRC-checked, so
   // surface its verified-byte figure as the stack's.

@@ -14,34 +14,39 @@
 //   * The chunk map, the logical index, and the per-context LRU metadata are striped
 //     across K lock shards keyed by context_id, so operations on distinct contexts
 //     never contend on a lock.
-//   * Eviction removes the victim from the hot tier synchronously (deterministic LRU
-//     decisions) but hands its dirty chunks to a drain queue that a background
-//     drainer flushes to the cold tier — the write-back IO leaves the caller's
-//     critical path. Chunks awaiting drain remain readable from DRAM
+//   * Eviction removes the victim from the hot tier under the shard lock
+//     (deterministic LRU decisions) and parks its dirty chunks in the shard's pending
+//     map. The caller whose write or promotion caused the eviction then flushes them
+//     to the cold tier itself, with every shard lock released, before it returns.
+//     Until a flush retires, its chunks stay readable from DRAM
 //     (`drain_rescued_chunks`) and a re-read re-admits them when they fit.
-//   * No lock is ever held across cold-tier IO: promotion reads, drain write-backs,
-//     and write-through flushes all run with every shard lock released (asserted by
-//     the re-entrancy test in tests/storage/tiered_async_test.cc).
-//   * Backpressure: writers stall (`writer_stalls`) only when un-drained evicted
-//     bytes exceed the high-water mark — the budget is otherwise enforced without
-//     ever blocking a reader or writer on another context's IO.
+//   * Cold-tier IO of one context is serialized: a flush or a cold delete first claims
+//     its context in the shard's `busy` set and waits out any claim already held. Two
+//     flushes of one chunk therefore land in eviction order (an older payload never
+//     overwrites a newer one), and a delete never races a flush of its context (a
+//     deleted context is never written back, and a later write's flush is never
+//     deleted).
+//   * No lock is ever held across cold-tier IO: promotion reads, flushes, and cold
+//     deletes all run with every shard lock released (asserted by the re-entrancy
+//     test in tests/storage/tiered_async_test.cc). Only a context's claim spans its
+//     IO, so only that context's next flush or delete waits on it.
 //
-// Failure semantics: a cold-tier write error during drain rolls the affected chunks
-// back into the hot tier dirty (MRU) and un-counts the eviction — the budget degrades
-// to best-effort under cold-tier errors, never a reason to drop dirty data.
+// Failure semantics: a cold-tier write error during a flush rolls the affected chunks
+// back into the hot tier dirty (MRU) and un-counts the eviction; the next eviction of
+// that context retries them. The budget degrades to best-effort under cold-tier
+// errors, never a reason to drop dirty data.
 #ifndef HCACHE_SRC_STORAGE_TIERED_BACKEND_H_
 #define HCACHE_SRC_STORAGE_TIERED_BACKEND_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -55,28 +60,7 @@ struct TieredOptions {
   // tiers stripe so distinct contexts never contend. The budget divides evenly
   // across stripes; a chunk larger than its stripe's share is never hot-admitted.
   int num_shards = 0;
-
-  enum class Writeback {
-    kAsync,  // background drainer flushes evicted dirty chunks (default)
-    kSync,   // flush on the evicting caller, shard lock dropped around IO —
-             // deterministic stats for single-threaded measurement runs.
-             // NOT for concurrent same-key traffic: without the drainer's
-             // single-writer/inflight tracking, an overwrite or delete racing
-             // a caller-thread flush of the same chunk can strand stale bytes
-             // in the cold tier. Concurrent workloads use kAsync.
-  };
-  Writeback writeback = Writeback::kAsync;
 };
-
-// Transient cold-tier write failures (a loaded device, a momentary IO error) are
-// retried 3 times before the rollback path re-admits the chunks to DRAM. This is the
-// drainer's sleep before retry round N: equal-jitter exponential backoff. The ceiling
-// doubles from 500 µs each round, clamps at 8 ms (which bounds shutdown), and the
-// sleep is drawn from [ceiling/2, ceiling] by a splitmix64 mix of (seed, round) —
-// deterministic (pure in its inputs, no global RNG), so tests can pin exact values,
-// yet drainers retrying against the same overloaded cold tier fan out instead of
-// thundering in lockstep.
-int64_t WritebackBackoffUs(int round, uint64_t seed);
 
 class TieredBackend : public StorageBackend {
  public:
@@ -84,17 +68,14 @@ class TieredBackend : public StorageBackend {
   // is the hot-tier budget (0 = write-through: every chunk evicts immediately).
   TieredBackend(StorageBackend* cold, int64_t dram_capacity_bytes,
                 const TieredOptions& options = TieredOptions{});
-  // Drains any still-queued write-backs before stopping the drainer: destruction
-  // without an explicit Quiesce() never drops dirty data on the floor.
-  ~TieredBackend() override;
 
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
   // Batched read in three phases: (1) per shard, under that shard's lock, serve hot
-  // hits and drain-queue rescues and snapshot the misses' write generations; (2) with
+  // hits and pending-flush rescues and snapshot the misses' write generations; (2) with
   // every lock released, ONE batched cold-tier round trip for all misses — a restore
   // that hits cold pays one submission instead of a per-chunk lock/IO/lock cycle;
   // (3) per shard, gen-checked clean promotion under the lock, eviction tickets
-  // dispatched after release. No lock is ever held across cold-tier IO.
+  // flushed after release. No lock is ever held across cold-tier IO.
   void ReadChunks(std::span<ChunkReadRequest> requests,
                   const BatchCompletion& done = {}) const override;
   // A verified ReadChunks first (DRAM bytes are trusted; a cold hit is verified by
@@ -109,18 +90,14 @@ class TieredBackend : public StorageBackend {
   StorageStats Stats() const override;
   std::string Name() const override { return "tiered(" + cold_->Name() + ")"; }
 
-  // Blocks until the drain queue is empty and no write-back is in flight: every
-  // accepted write is durable in its final tier and Stats() is stable.
-  void Quiesce() override;
-
   int64_t dram_capacity_bytes() const { return dram_capacity_bytes_; }
-  int64_t dram_bytes() const;  // hot-tier residency (excludes queued-for-drain bytes)
+  int64_t dram_bytes() const;  // hot-tier residency (excludes pending-flush bytes)
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // True when the chunk currently resides in the hot tier (test/inspection hook).
   bool IsDramResident(const ChunkKey& key) const;
-  // True when the chunk sits in the drain queue awaiting write-back (test hook).
-  bool IsDrainPending(const ChunkKey& key) const;
+  // True when the chunk was evicted and its flush has not retired (test hook).
+  bool IsFlushPending(const ChunkKey& key) const;
 
   StorageBackend* cold() const { return cold_; }
 
@@ -130,8 +107,8 @@ class TieredBackend : public StorageBackend {
     bool dirty = false;  // newer than (or absent from) the cold tier
   };
   struct PendingChunk {
-    // Shared so a concurrent rescue read can serve from the payload while the
-    // drainer writes it out.
+    // Shared so a concurrent rescue read can serve from the payload while a
+    // flush writes it out.
     std::shared_ptr<const std::vector<char>> data;
     uint64_t gen = 0;  // eviction generation; a stale ticket entry is skipped
   };
@@ -147,18 +124,20 @@ class TieredBackend : public StorageBackend {
   };
   struct Shard {
     mutable std::mutex mu;
+    std::condition_variable idle;              // a context left `busy`
     std::map<ChunkKey, HotChunk> hot;          // context-major key order
-    std::map<ChunkKey, PendingChunk> pending;  // evicted, awaiting drain
+    std::map<ChunkKey, PendingChunk> pending;  // evicted, flush not yet retired
     std::map<int64_t, ContextLru> contexts;    // ctx -> LRU handle
     std::list<int64_t> lru;                    // front = coldest context
     std::map<ChunkKey, IndexEntry> index;      // logical contents: key -> size+gen
+    std::set<int64_t> busy;                    // contexts with cold IO in flight
     int64_t capacity = 0;                      // this stripe's budget share
     int64_t hot_bytes = 0;
     int64_t bytes_stored = 0;  // sum of index sizes
   };
   // One evicted context's dirty chunks, in key order. Write-back is per-ticket: a
-  // cold-tier failure rolls the ticket's remaining chunks back into the hot tier.
-  struct DrainTicket {
+  // cold-tier failure rolls the ticket's failed chunks back into the hot tier.
+  struct FlushTicket {
     int64_t context_id = 0;
     size_t shard = 0;
     // True for real evictions (counted in evicted_contexts, un-counted on failure);
@@ -178,50 +157,30 @@ class TieredBackend : public StorageBackend {
   void InsertHotLocked(Shard& shard, const ChunkKey& key, const char* data,
                        int64_t bytes, bool dirty) const;
   // Evicts LRU contexts of this shard until hot_bytes <= capacity, appending one
-  // DrainTicket per victim with dirty chunks to `tickets` (clean chunks are dropped
+  // FlushTicket per victim with dirty chunks to `tickets` (clean chunks are dropped
   // outright — the cold tier already holds them). shard.mu held.
-  void EvictToBudgetLocked(Shard& shard, std::vector<DrainTicket>* tickets) const;
-  // Routes freshly-cut tickets per the writeback mode: enqueue to the drainer
-  // (kAsync) or flush inline with the lock dropped (kSync). No shard lock held.
-  void DispatchTickets(std::vector<DrainTicket> tickets) const;
-  // Flushes one ticket's chunks to the cold tier, taking shard.mu only around map
-  // bookkeeping — never across cold_->WriteChunk. Returns false when any chunk
-  // failed (those chunks are rolled back into the hot tier).
-  bool ProcessTicket(const DrainTicket& ticket) const;
-  // Blocks the caller while queued-for-drain bytes sit above the high-water mark.
-  void MaybeStallWriter() const;
-  // Wakes waiters on the drain plane (stalled writers, Quiesce) after pending bytes
-  // were retired outside the drainer — a cancel on overwrite/delete or a rescue.
-  void SignalDrainProgress() const;
-  void DrainLoop();
+  void EvictToBudgetLocked(Shard& shard, std::vector<FlushTicket>* tickets) const;
+  // Flushes each ticket's chunks to the cold tier, taking shard.mu only around map
+  // bookkeeping — never across cold-tier IO. Chunks that fail are rolled back into
+  // the hot tier. No shard lock held on entry.
+  void FlushTickets(const std::vector<FlushTicket>& tickets) const;
+  // Waits until no cold IO of `context_id` is in flight, then claims it; Release
+  // ends the claim. Claim: `lock` holds shard.mu. Release: no shard lock held.
+  static void ClaimContext(Shard& shard, std::unique_lock<std::mutex>& lock,
+                           int64_t context_id);
+  static void ReleaseContext(Shard& shard, int64_t context_id);
 
   StorageBackend* cold_;
   int64_t dram_capacity_bytes_;
-  TieredOptions options_;
-  // Async backpressure: writers stall once queued-for-drain bytes exceed the DRAM
-  // budget plus 4 chunks (the floor keeps 0-budget write-through tiers from stalling
-  // on every write).
-  int64_t high_water_bytes_ = 0;
 
   // Promotion, rescue, and LRU bookkeeping happen on the (const) read path, so the
   // tier is mutable state guarded per shard.
   mutable std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Drain plane (kAsync): guarded by drain_mu_. The drainer holds drain_mu_ only
-  // around queue pops and state flips, never across cold-tier IO.
-  mutable std::mutex drain_mu_;
-  mutable std::condition_variable drain_cv_;    // wakes the drainer
-  mutable std::condition_variable drained_cv_;  // wakes stalled writers / Quiesce
-  mutable std::deque<DrainTicket> drain_queue_;
-  mutable int64_t inflight_context_ = -1;  // context currently being written back
-  bool shutting_down_ = false;
-  std::thread drainer_;
-
   mutable std::atomic<uint64_t> evict_gen_{0};
-  std::atomic<uint64_t> write_gen_{0};             // stamps IndexEntry::gen
-  mutable std::atomic<int64_t> pending_bytes_{0};  // global queued-for-drain bytes
+  std::atomic<uint64_t> write_gen_{0};  // stamps IndexEntry::gen
 
-  // Counters (atomics: updated from caller threads and the drainer).
+  // Counters (atomics: updated from every caller thread).
   mutable std::atomic<int64_t> total_writes_{0};
   mutable std::atomic<int64_t> total_reads_{0};
   mutable std::atomic<int64_t> dram_hits_{0};
@@ -232,10 +191,8 @@ class TieredBackend : public StorageBackend {
   mutable std::atomic<int64_t> writeback_chunks_{0};
   mutable std::atomic<int64_t> writeback_bytes_{0};
   mutable std::atomic<int64_t> drain_rescued_chunks_{0};
-  mutable std::atomic<int64_t> writer_stalls_{0};
   mutable std::atomic<int64_t> writeback_failures_{0};
   mutable std::atomic<int64_t> promotions_skipped_{0};
-  mutable std::atomic<int64_t> writeback_retries_{0};
   mutable std::atomic<int64_t> crc_failures_{0};  // cold reads rejected as corrupt
 };
 

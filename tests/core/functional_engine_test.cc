@@ -363,10 +363,6 @@ TEST_F(FunctionalEngineTest, RestoreIsBitExactAcrossAllBackends) {
     model_->Forward(prompt, &seq, engine.BeginCapture(ctx));
     engine.SealContext(ctx);
     seq.Evict();
-    // Settle the tiered backend's asynchronous write-back so the restoration below
-    // deterministically reads evicted chunks through the cold tier (instead of
-    // rescuing them from the drain queue, which would be DRAM hits).
-    backend->Quiesce();
     ASSERT_TRUE(engine.RestoreContext(ctx, Scheme(cfg_.num_layers, ComplementMethod::kNone),
                                       {}, &seq));
     ExpectKvEqual(ref, seq);

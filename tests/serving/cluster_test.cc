@@ -231,13 +231,10 @@ TEST(ClusterEngineTest, ReplicaSkewStaysBounded) {
 
 TEST(ClusterEngineTest, SharedTieredBackendSeesFleetWideLocality) {
   // DRAM budget far below the fleet's live state: evictions and cold hits appear, and
-  // the byte-granular tier counters conserve (hits sum to read bytes). Synchronous
-  // write-back pins the dram/cold split (async rescues would blur it; the async tier
-  // is exercised by SharedAsyncTierWithParallelAdvance below).
+  // the byte-granular tier counters conserve (hits sum to read bytes). The replicas
+  // advance serially, so the dram/cold split is deterministic.
   MemoryBackend cold(kChunkBytes);
-  TieredOptions topts;
-  topts.writeback = TieredOptions::Writeback::kSync;
-  TieredBackend shared(&cold, 2 * kChunkBytes, topts);
+  TieredBackend shared(&cold, 2 * kChunkBytes);
   const ClusterReport rep = RunCluster(3, RouterPolicy::kLeastLoadedTokens, &shared, 0.8, 50);
   EXPECT_GT(rep.storage.evicted_contexts, 0);
   EXPECT_GT(rep.storage.cold_hits, 0);
@@ -253,7 +250,8 @@ TEST(ClusterEngineTest, ParallelAdvanceIsByteIdenticalToSerial) {
   // iteration; replica simulation state is disjoint and completions merge in index
   // order, so every simulated quantity must match the serial schedule exactly — the
   // only thing allowed to differ is which tier of the shared backend answered a
-  // read (schedule-dependent under the async drainer), and even that must conserve.
+  // read (a read racing another replica's flush is a rescue), and even that must
+  // conserve.
   auto run = [](bool parallel) {
     struct Result {
       ClusterReport rep;
@@ -262,7 +260,6 @@ TEST(ClusterEngineTest, ParallelAdvanceIsByteIdenticalToSerial) {
     MemoryBackend cold(kChunkBytes);
     TieredOptions topts;
     topts.num_shards = 4;
-    topts.writeback = TieredOptions::Writeback::kAsync;
     TieredBackend shared(&cold, 4 * kChunkBytes, topts);
     ClusterOptions o = Opts(4, RouterPolicy::kPowerOfTwo);
     o.parallel_advance = parallel;
@@ -282,9 +279,8 @@ TEST(ClusterEngineTest, ParallelAdvanceIsByteIdenticalToSerial) {
   EXPECT_EQ(serial.rep.aggregate.ttft.samples(), parallel.rep.aggregate.ttft.samples());
   EXPECT_EQ(serial.rep.aggregate.tbt.samples(), parallel.rep.aggregate.tbt.samples());
   for (const auto* r : {&serial, &parallel}) {
-    // The shared async tier conserves regardless of the advance schedule.
+    // The shared tier conserves regardless of the advance schedule.
     EXPECT_EQ(r->storage.dram_hits + r->storage.cold_hits, r->storage.total_reads);
-    EXPECT_EQ(r->storage.drain_pending_bytes, 0);
     EXPECT_EQ(r->storage.writeback_failures, 0);
   }
   // The same total state flows through the tier on both schedules.

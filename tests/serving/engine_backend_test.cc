@@ -122,14 +122,9 @@ TEST_F(EngineBackendTest, SessionsDeleteTheirStateAtCompletion) {
 
 TEST_F(EngineBackendTest, TieredBackendReportsBothTiersUnderPressure) {
   // A DRAM budget far below the live working set forces evictions and write-backs;
-  // restoration reads then split across tiers. Synchronous write-back pins the
-  // tier attribution (with the async drainer, a read can legitimately rescue an
-  // evicted chunk from the drain queue, which is a DRAM hit — the async split is
-  // covered by tests/storage/tiered_async_test.cc).
+  // restoration reads then split across tiers.
   auto cold = MakeFile();
-  TieredOptions opts;
-  opts.writeback = TieredOptions::Writeback::kSync;
-  TieredBackend tiered(cold.get(), kChunkBytes / 2, opts);
+  TieredBackend tiered(cold.get(), kChunkBytes / 2);
   const ServingReport r = Run(&tiered);
   EXPECT_EQ(r.rounds_completed, r.rounds_submitted);
   EXPECT_GT(r.storage.evicted_contexts, 0);

@@ -117,9 +117,7 @@ TEST_F(CorruptionTest, DistributedColdBackendDetectsDamage) {
 TEST_F(CorruptionTest, TieredBackendDetectsDamageInTheColdTier) {
   MemoryBackend cold_mem(kChunkBytes);
   InstrumentedBackend cold(&cold_mem);
-  TieredOptions opts;
-  opts.writeback = TieredOptions::Writeback::kSync;
-  TieredBackend tiered(&cold, 2 * kChunkBytes, opts);
+  TieredBackend tiered(&cold, 2 * kChunkBytes);
 
   const auto good = SealedChunk(16, 32, 3);
   const int64_t bytes = static_cast<int64_t>(good.size());
@@ -128,7 +126,6 @@ TEST_F(CorruptionTest, TieredBackendDetectsDamageInTheColdTier) {
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, good.data(), bytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, pad.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 1}, pad.data(), kChunkBytes));
-  tiered.Quiesce();
   ASSERT_FALSE(tiered.IsDramResident({1, 0, 0}));
 
   // Rot the at-rest cold copy.

@@ -193,7 +193,6 @@ TEST_F(DedupBackendTest, TieredStackSurfacesDedupFigures) {
   for (int64_t ctx = 0; ctx < 8; ++ctx) {
     ASSERT_TRUE(tiered.WriteChunk({ctx, 0, 0}, data.data(), kChunkBytes));
   }
-  tiered.Quiesce();
   const StorageStats s = tiered.Stats();
   EXPECT_EQ(s.unique_chunks, 1);
   EXPECT_GT(s.dedup_hits, 0);

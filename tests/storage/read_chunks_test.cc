@@ -79,19 +79,15 @@ std::vector<std::shared_ptr<Fixture>> MakeFixtures(const std::string& tag) {
     f->owned.push_back(std::move(file));
     fixtures.push_back(std::move(f));
   }
-  for (const auto mode :
-       {TieredOptions::Writeback::kSync, TieredOptions::Writeback::kAsync}) {
+  {
     auto f = std::make_shared<Fixture>();
-    f->name = mode == TieredOptions::Writeback::kSync ? "tiered_sync" : "tiered_async";
+    f->name = "tiered";
     auto cold = std::make_unique<MemoryBackend>(kChunkBytes);
-    TieredOptions opts;
-    opts.writeback = mode;
     // Budget for ~4 chunks: some of the working set below lives cold, so the batch
     // exercises DRAM hits, cold hits, and promotion in one submission.
-    auto tiered =
-        std::make_unique<TieredBackend>(cold.get(), 4 * kChunkBytes, opts);
+    auto tiered = std::make_unique<TieredBackend>(cold.get(), 4 * kChunkBytes);
     f->backend = tiered.get();
-    f->owned.push_back(std::move(tiered));  // tiered destructs (quiesces) first
+    f->owned.push_back(std::move(tiered));  // tiered destructs before its cold tier
     f->owned.push_back(std::move(cold));
     fixtures.push_back(std::move(f));
   }
@@ -238,61 +234,54 @@ TEST(ReadChunksTest, PerRequestFailuresDoNotPoisonTheBatch) {
 TEST(ReadChunksTest, StatsConservationAcrossHotAndColdTiers) {
   // Tiered specifics: a batch spanning DRAM hits and cold misses must split its hit
   // accounting exactly, and dram_hit_bytes + cold_hit_bytes == bytes delivered.
-  for (const auto mode :
-       {TieredOptions::Writeback::kSync, TieredOptions::Writeback::kAsync}) {
-    SCOPED_TRACE(mode == TieredOptions::Writeback::kSync ? "sync" : "async");
-    MemoryBackend cold(kChunkBytes);
-    TieredOptions opts;
-    opts.writeback = mode;
-    opts.num_shards = 1;
-    TieredBackend tiered(&cold, 4 * kChunkBytes, opts);
-    // Two contexts of 3 chunks each; budget 4 chunks, so writing ctx 1 then ctx 2
-    // evicts ctx 1 to the cold tier.
-    for (int64_t ctx = 1; ctx <= 2; ++ctx) {
-      for (int64_t c = 0; c < 3; ++c) {
-        const ChunkKey key{ctx, 0, c};
-        const auto data = Payload(key, kChunkBytes);
-        ASSERT_TRUE(tiered.WriteChunk(key, data.data(), kChunkBytes));
-      }
+  MemoryBackend cold(kChunkBytes);
+  TieredOptions opts;
+  opts.num_shards = 1;
+  TieredBackend tiered(&cold, 4 * kChunkBytes, opts);
+  // Two contexts of 3 chunks each; budget 4 chunks, so writing ctx 1 then ctx 2
+  // evicts ctx 1 to the cold tier.
+  for (int64_t ctx = 1; ctx <= 2; ++ctx) {
+    for (int64_t c = 0; c < 3; ++c) {
+      const ChunkKey key{ctx, 0, c};
+      const auto data = Payload(key, kChunkBytes);
+      ASSERT_TRUE(tiered.WriteChunk(key, data.data(), kChunkBytes));
     }
-    tiered.Quiesce();
-    ASSERT_FALSE(tiered.IsDramResident(ChunkKey{1, 0, 0}));
-    ASSERT_TRUE(tiered.IsDramResident(ChunkKey{2, 0, 0}));
-
-    std::vector<std::vector<char>> bufs(6, std::vector<char>(kChunkBytes));
-    std::vector<ChunkReadRequest> reqs;
-    for (int64_t ctx = 1; ctx <= 2; ++ctx) {
-      for (int64_t c = 0; c < 3; ++c) {
-        reqs.push_back(ChunkReadRequest{
-            ChunkKey{ctx, 0, c},
-            bufs[static_cast<size_t>((ctx - 1) * 3 + c)].data(), kChunkBytes, -1});
-      }
-    }
-    const StorageStats before = tiered.Stats();
-    tiered.ReadChunks(reqs);
-    const StorageStats after = tiered.Stats();
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      ASSERT_EQ(kChunkBytes, reqs[i].result) << i;
-      const auto want = Payload(reqs[i].key, kChunkBytes);
-      ASSERT_EQ(0, std::memcmp(bufs[i].data(), want.data(),
-                               static_cast<size_t>(kChunkBytes)))
-          << i;
-    }
-    EXPECT_EQ(before.total_reads + 6, after.total_reads);
-    EXPECT_EQ(before.dram_hits + 3, after.dram_hits);
-    EXPECT_EQ(before.cold_hits + 3, after.cold_hits);
-    EXPECT_EQ(before.ReadBytes() + 6 * kChunkBytes, after.ReadBytes());
-    // The cold misses travelled as ONE batched submission, visible in their
-    // promotion back into DRAM (LRU: ctx 1 is now the most recently used).
-    EXPECT_TRUE(tiered.IsDramResident(ChunkKey{1, 0, 0}));
   }
+  ASSERT_FALSE(tiered.IsDramResident(ChunkKey{1, 0, 0}));
+  ASSERT_TRUE(tiered.IsDramResident(ChunkKey{2, 0, 0}));
+
+  std::vector<std::vector<char>> bufs(6, std::vector<char>(kChunkBytes));
+  std::vector<ChunkReadRequest> reqs;
+  for (int64_t ctx = 1; ctx <= 2; ++ctx) {
+    for (int64_t c = 0; c < 3; ++c) {
+      reqs.push_back(ChunkReadRequest{
+          ChunkKey{ctx, 0, c},
+          bufs[static_cast<size_t>((ctx - 1) * 3 + c)].data(), kChunkBytes, -1});
+    }
+  }
+  const StorageStats before = tiered.Stats();
+  tiered.ReadChunks(reqs);
+  const StorageStats after = tiered.Stats();
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_EQ(kChunkBytes, reqs[i].result) << i;
+    const auto want = Payload(reqs[i].key, kChunkBytes);
+    ASSERT_EQ(0, std::memcmp(bufs[i].data(), want.data(),
+                             static_cast<size_t>(kChunkBytes)))
+        << i;
+  }
+  EXPECT_EQ(before.total_reads + 6, after.total_reads);
+  EXPECT_EQ(before.dram_hits + 3, after.dram_hits);
+  EXPECT_EQ(before.cold_hits + 3, after.cold_hits);
+  EXPECT_EQ(before.ReadBytes() + 6 * kChunkBytes, after.ReadBytes());
+  // The cold misses travelled as ONE batched submission, visible in their
+  // promotion back into DRAM (LRU: ctx 1 is now the most recently used).
+  EXPECT_TRUE(tiered.IsDramResident(ChunkKey{1, 0, 0}));
 }
 
 TEST(ReadChunksTest, TieredBatchMakesOneColdRoundTrip) {
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
   TieredOptions opts;
-  opts.writeback = TieredOptions::Writeback::kSync;
   opts.num_shards = 1;
   TieredBackend tiered(&cold, 0, opts);  // 0 budget: everything lives cold
   std::vector<ChunkKey> keys;
@@ -302,7 +291,6 @@ TEST(ReadChunksTest, TieredBatchMakesOneColdRoundTrip) {
     ASSERT_TRUE(tiered.WriteChunk(key, data.data(), 512));
     keys.push_back(key);
   }
-  tiered.Quiesce();
   const int64_t batches_before = cold.read_batches();
   std::vector<std::vector<char>> bufs(keys.size(), std::vector<char>(kChunkBytes));
   std::vector<ChunkReadRequest> reqs;

@@ -67,7 +67,7 @@ class StorageBackendTest : public ::testing::TestWithParam<std::string> {
     }
   }
   void TearDown() override {
-    fx_.backend.reset();  // outermost wrapper (and its drainer) first
+    fx_.backend.reset();  // outermost wrapper first
     fx_.cold.reset();
     fx_.inner.reset();
     std::filesystem::remove_all(base_);

@@ -1,9 +1,9 @@
 // TieredBackend behavior pins: LRU victim choice, write-back volume, promotion,
-// write-through, and cross-tier delete. These tests run the tier in synchronous
-// write-back mode (TieredOptions::Writeback::kSync) with one lock stripe so every
-// stat is deterministic — eviction decisions and flush counts do not depend on a
-// background thread's schedule. The asynchronous drainer, the lock-striping, and
-// the no-lock-across-IO discipline are covered by tiered_async_test.cc.
+// write-through, and cross-tier delete. These tests run single-threaded with one
+// lock stripe, so every stat is deterministic — eviction decisions and flush counts
+// follow from the call sequence alone. Flushes racing other threads, the
+// lock-striping, and the no-lock-across-IO discipline are covered by
+// tiered_async_test.cc.
 #include "src/storage/tiered_backend.h"
 
 #include <gtest/gtest.h>
@@ -22,10 +22,9 @@ namespace {
 
 constexpr int64_t kChunkBytes = 1024;
 
-TieredOptions SyncOpts() {
+TieredOptions OneStripe() {
   TieredOptions o;
   o.num_shards = 1;  // one stripe = the classic global context LRU
-  o.writeback = TieredOptions::Writeback::kSync;
   return o;
 }
 
@@ -57,7 +56,7 @@ class TieredBackendTest : public ::testing::Test {
 };
 
 TEST_F(TieredBackendTest, WritesStayInDramUnderBudget) {
-  TieredBackend tiered(cold_.get(), 8 * kChunkBytes, SyncOpts());
+  TieredBackend tiered(cold_.get(), 8 * kChunkBytes, OneStripe());
   FillContext(tiered, 1, 4);
   EXPECT_EQ(tiered.dram_bytes(), 4 * kChunkBytes);
   EXPECT_TRUE(tiered.IsDramResident({1, 0, 0}));
@@ -74,7 +73,7 @@ TEST_F(TieredBackendTest, WritesStayInDramUnderBudget) {
 
 TEST_F(TieredBackendTest, LruContextEvictedToFileTier) {
   // Budget holds two 4-chunk contexts; the third pushes out the least recently used.
-  TieredBackend tiered(cold_.get(), 8 * kChunkBytes, SyncOpts());
+  TieredBackend tiered(cold_.get(), 8 * kChunkBytes, OneStripe());
   FillContext(tiered, 1, 4);
   FillContext(tiered, 2, 4);
   // Touch ctx 1 so ctx 2 is the LRU victim.
@@ -101,7 +100,7 @@ TEST_F(TieredBackendTest, LruContextEvictedToFileTier) {
 TEST_F(TieredBackendTest, ReadYourWritesAcrossEviction) {
   // Write-back correctness: bytes written before eviction must read back identical
   // after their context has been pushed to the file tier.
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, SyncOpts());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
   std::vector<char> data(kChunkBytes);
   for (int64_t i = 0; i < kChunkBytes; ++i) {
     data[static_cast<size_t>(i)] = static_cast<char>((i * 31 + 7) & 0xff);
@@ -122,7 +121,7 @@ TEST_F(TieredBackendTest, ReadYourWritesAcrossEviction) {
 
 TEST_F(TieredBackendTest, PromotedChunkReEvictsWithoutRewrite) {
   // A chunk promoted clean must not be written to the cold tier again on re-eviction.
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, SyncOpts());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
   FillContext(tiered, 1, 1);
   FillContext(tiered, 2, 2);  // evicts ctx 1 (1 write-back)
   std::vector<char> buf(kChunkBytes);
@@ -136,7 +135,7 @@ TEST_F(TieredBackendTest, PromotedChunkReEvictsWithoutRewrite) {
 }
 
 TEST_F(TieredBackendTest, OverwriteAfterEvictionSupersedesColdCopy) {
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, SyncOpts());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
   const std::vector<char> v1(kChunkBytes, '1');
   const std::vector<char> v2(512, '2');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
@@ -152,7 +151,7 @@ TEST_F(TieredBackendTest, OverwriteAfterEvictionSupersedesColdCopy) {
 }
 
 TEST_F(TieredBackendTest, ZeroBudgetIsWriteThrough) {
-  TieredBackend tiered(cold_.get(), 0, SyncOpts());
+  TieredBackend tiered(cold_.get(), 0, OneStripe());
   const std::vector<char> data(kChunkBytes, 'w');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, data.data(), kChunkBytes));
   EXPECT_EQ(tiered.dram_bytes(), 0);
@@ -168,7 +167,7 @@ TEST_F(TieredBackendTest, WriteThroughReadsNeverChurnTheHotTier) {
   // EVERY read. In write-through mode the hot tier must stay untouched end to end:
   // writes flow straight to the cold tier without phantom "evictions" (nothing was
   // ever resident) and cold-read counts track reads one-to-one.
-  TieredBackend tiered(cold_.get(), 0, SyncOpts());
+  TieredBackend tiered(cold_.get(), 0, OneStripe());
   const std::vector<char> data(kChunkBytes, 'r');
   constexpr int64_t kContexts = 3;
   for (int64_t ctx = 0; ctx < kContexts; ++ctx) {
@@ -194,7 +193,7 @@ TEST_F(TieredBackendTest, WriteThroughReadsNeverChurnTheHotTier) {
 }
 
 TEST_F(TieredBackendTest, DeleteContextClearsBothTiers) {
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, SyncOpts());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
   FillContext(tiered, 1, 2);
   FillContext(tiered, 2, 2);  // evicts ctx 1 to cold
   ASSERT_TRUE(cold_->HasChunk({1, 0, 0}));
@@ -211,7 +210,7 @@ TEST_F(TieredBackendTest, DeleteContextClearsBothTiers) {
 TEST_F(TieredBackendTest, DramHitRatioReflectsSkew) {
   // A hot context re-read repeatedly should trend the DRAM hit ratio upward even as
   // cold contexts cycle through.
-  TieredBackend tiered(cold_.get(), 4 * kChunkBytes, SyncOpts());
+  TieredBackend tiered(cold_.get(), 4 * kChunkBytes, OneStripe());
   FillContext(tiered, 100, 2);  // the hot context
   std::vector<char> buf(kChunkBytes);
   for (int64_t round = 0; round < 10; ++round) {
@@ -229,7 +228,7 @@ TEST_F(TieredBackendTest, DramHitRatioReflectsSkew) {
 TEST_F(TieredBackendTest, WorksOverMemoryColdTier) {
   // The cold tier is itself pluggable — DRAM-over-DRAM still honors the contract.
   MemoryBackend mem_cold(kChunkBytes);
-  TieredBackend tiered(&mem_cold, kChunkBytes, SyncOpts());
+  TieredBackend tiered(&mem_cold, kChunkBytes, OneStripe());
   const std::vector<char> data(kChunkBytes, 'm');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, data.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, data.data(), kChunkBytes));  // evicts ctx 1
@@ -245,7 +244,7 @@ TEST_F(TieredBackendTest, StripesDivideTheBudgetAcrossContexts) {
   // with its share of the budget, so one context's churn cannot evict another
   // stripe's residents.
   MemoryBackend mem_cold(kChunkBytes);
-  TieredOptions o = SyncOpts();
+  TieredOptions o = OneStripe();
   o.num_shards = 2;
   TieredBackend tiered(&mem_cold, 4 * kChunkBytes, o);
   EXPECT_EQ(tiered.num_shards(), 2);
