@@ -206,13 +206,11 @@ int RunSelftest() {
   for (int n = 0; n < 3; ++n) {
     node_dirs.push_back((droot / ("node" + std::to_string(n))).string());
   }
-  DistributedColdOptions dopts;
-  dopts.background_repair = false;
   const auto factory = [&node_dirs](int node, int64_t bytes) {
     return std::make_unique<FileBackend>(
         std::vector<std::string>{node_dirs[static_cast<size_t>(node)]}, bytes);
   };
-  DistributedColdBackend dist(3, kChunkBytes, dopts, factory);
+  DistributedColdBackend dist(3, kChunkBytes, {}, factory);
   std::vector<uint8_t> payload(static_cast<size_t>(EncodedChunkBytes(
       ChunkCodec::kFp32, /*rows=*/16, /*cols=*/32)));
   for (int64_t c = 0; c < 4; ++c) {
@@ -388,7 +386,6 @@ int main(int argc, char** argv) {
     // whatever the node stores hold.
     DistributedColdOptions dopts;
     dopts.replication = replication;
-    dopts.background_repair = false;  // fsck repairs synchronously or not at all
     const auto factory = [&dirs, &opts](int node, int64_t bytes) {
       return std::make_unique<FileBackend>(
           std::vector<std::string>{dirs[static_cast<size_t>(node)]}, bytes, opts);

@@ -34,7 +34,8 @@ DistributedColdBackend::DistributedColdBackend(int num_nodes, int64_t chunk_byte
   // Adopt whatever the node stores already hold (FileBackend nodes recover their
   // on-disk indexes at construction): rebuild the logical index from the physical
   // copies — all at generation 0 — then queue anything under its home replica
-  // count. This is what lets fsck open a distributed store cold.
+  // count. Opening only reads the node stores: fsck opens a distributed store cold
+  // and reports on it without changing it.
   for (const auto& node : nodes_) {
     for (const auto& [key, size] : node->store->ListChunks()) {
       IndexEntry& e = index_[key];
@@ -43,35 +44,17 @@ DistributedColdBackend::DistributedColdBackend(int num_nodes, int64_t chunk_byte
       e.copies[node->id] = e.gen;
     }
   }
-  if (!index_.empty()) {
-    for (const auto& [key, e] : index_) {
-      int have = 0;
-      for (const int n : placement_->ReplicasFor(key, options_.replication)) {
-        auto it = e.copies.find(n);
-        if (it != e.copies.end() && it->second == e.gen) {
-          ++have;
-        }
-      }
-      if (have < DesiredReplication(*placement_)) {
-        repair_queue_.insert(key);
+  for (const auto& [key, e] : index_) {
+    int have = 0;
+    for (const int n : placement_->ReplicasFor(key, options_.replication)) {
+      auto it = e.copies.find(n);
+      if (it != e.copies.end() && it->second == e.gen) {
+        ++have;
       }
     }
-    repair_dirty_ = !repair_queue_.empty();
-  }
-
-  if (options_.background_repair) {
-    repair_worker_ = std::thread([this] { RepairLoop(); });
-  }
-}
-
-DistributedColdBackend::~DistributedColdBackend() {
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    shutting_down_ = true;
-  }
-  repair_cv_.notify_all();
-  if (repair_worker_.joinable()) {
-    repair_worker_.join();
+    if (have < DesiredReplication(*placement_)) {
+      repair_queue_.insert(key);
+    }
   }
 }
 
@@ -137,11 +120,6 @@ std::vector<int> DistributedColdBackend::CandidateHolders(
     }
   }
   return cands;
-}
-
-void DistributedColdBackend::EnqueueRepairLocked(const ChunkKey& key) const {
-  repair_queue_.insert(key);
-  repair_dirty_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -219,7 +197,6 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
   // falls to the redo loop below.
   const int desired = DesiredReplication(*table);
   bool all_ok = true;
-  bool wake = false;
   std::vector<size_t> slow;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
@@ -257,8 +234,7 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
       total_writes_.fetch_add(1, std::memory_order_relaxed);
       if (static_cast<int>(c.landed.size()) < desired) {
         degraded_writes_.fetch_add(1, std::memory_order_relaxed);
-        EnqueueRepairLocked(req.key);
-        wake = true;
+        repair_queue_.insert(req.key);
       } else {
         repair_queue_.erase(req.key);
       }
@@ -300,8 +276,7 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
           total_writes_.fetch_add(1, std::memory_order_relaxed);
           if (static_cast<int>(c.landed.size()) < desired) {
             degraded_writes_.fetch_add(1, std::memory_order_relaxed);
-            EnqueueRepairLocked(req.key);
-            wake = true;
+            repair_queue_.insert(req.key);
           } else {
             repair_queue_.erase(req.key);
           }
@@ -317,9 +292,6 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
     }
   }
 
-  if (wake) {
-    repair_cv_.notify_all();
-  }
   if (done) {
     done();
   }
@@ -448,13 +420,8 @@ void DistributedColdBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests
   }
 
   if (!to_repair.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(index_mu_);
-      for (const ChunkKey& k : to_repair) {
-        EnqueueRepairLocked(k);
-      }
-    }
-    repair_cv_.notify_all();
+    std::lock_guard<std::mutex> lk(index_mu_);
+    repair_queue_.insert(to_repair.begin(), to_repair.end());
   }
   if (done) {
     done();
@@ -598,7 +565,6 @@ bool DistributedColdBackend::RepairChunkInternal(const ChunkKey& key,
   }
 
   bool resolved = false;
-  bool wake = false;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     auto it = index_.find(key);
@@ -619,8 +585,7 @@ bool DistributedColdBackend::RepairChunkInternal(const ChunkKey& key,
             e.copies.erase(cit);
           }
         }
-        EnqueueRepairLocked(key);
-        wake = true;
+        repair_queue_.insert(key);
         resolved = true;  // this generation's repair is moot
       } else {
         for (const int n : valid) {
@@ -641,8 +606,7 @@ bool DistributedColdBackend::RepairChunkInternal(const ChunkKey& key,
         if (resolved) {
           repair_queue_.erase(key);
         } else {
-          EnqueueRepairLocked(key);  // placement moved under us: another pass
-          wake = true;
+          repair_queue_.insert(key);  // placement moved under us: another pass
         }
         if (written > 0) {
           re_replicated_chunks_.fetch_add(written, std::memory_order_relaxed);
@@ -654,74 +618,52 @@ bool DistributedColdBackend::RepairChunkInternal(const ChunkKey& key,
     }
   }
   repaired_cv_.notify_all();  // writers may be waiting for the window to close
-  if (wake) {
-    repair_cv_.notify_all();
-  }
   return resolved;
 }
 
-int64_t DistributedColdBackend::RunRepairPass() {
-  std::vector<ChunkKey> keys;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    keys.assign(repair_queue_.begin(), repair_queue_.end());
-  }
-  int64_t resolved = 0;
-  for (const ChunkKey& key : keys) {
-    if (RepairChunkInternal(key)) {
-      ++resolved;
-    }
-  }
-  return resolved;
-}
-
-void DistributedColdBackend::RepairLoop() {
-  std::unique_lock<std::mutex> lk(index_mu_);
-  while (!shutting_down_) {
-    if (repair_queue_.empty() || !repair_dirty_) {
-      // Empty, or only stalled chunks whose fault state hasn't changed — sleep
-      // rather than spin; every enqueue and fault-state change sets the dirty
-      // flag and notifies.
-      repaired_cv_.notify_all();
-      repair_cv_.wait(lk);
-      continue;
-    }
-    repair_dirty_ = false;
-    repair_inflight_ = true;
-    lk.unlock();
-    RunRepairPass();
-    lk.lock();
-    repair_inflight_ = false;
-    repaired_cv_.notify_all();
-  }
-}
-
-void DistributedColdBackend::RepairToConvergence() {
+bool DistributedColdBackend::RepairToConvergence(int holder) {
+  size_t last_remaining = std::numeric_limits<size_t>::max();
   for (;;) {
+    std::vector<ChunkKey> remaining;
     {
       std::lock_guard<std::mutex> lk(index_mu_);
-      repair_dirty_ = false;
-      if (repair_queue_.empty()) {
-        return;
+      for (const ChunkKey& key : repair_queue_) {
+        if (holder < 0) {
+          remaining.push_back(key);
+          continue;
+        }
+        // Only a CURRENT-generation copy pins a drain. A stale-gen claim means a
+        // writer is mid-flight on this key: its commit replaces the copy set (the
+        // node excluded, it is off the table) without any help from us — and a
+        // repairer could not source that claimed-but-uncommitted generation
+        // anyway, so counting such keys here reads as spurious no-progress.
+        auto it = index_.find(key);
+        if (it == index_.end()) {
+          continue;
+        }
+        const auto cit = it->second.copies.find(holder);
+        if (cit != it->second.copies.end() && cit->second == it->second.gen) {
+          remaining.push_back(key);
+        }
       }
     }
-    if (RunRepairPass() == 0) {
-      return;  // only stalled chunks remain
+    if (remaining.empty()) {
+      return true;
     }
+    int64_t resolved = 0;
+    for (const ChunkKey& key : remaining) {
+      if (RepairChunkInternal(key)) {
+        ++resolved;
+      }
+    }
+    if (resolved == 0 && remaining.size() >= last_remaining) {
+      return false;
+    }
+    last_remaining = remaining.size();
   }
 }
 
-void DistributedColdBackend::Quiesce() {
-  if (options_.background_repair) {
-    std::unique_lock<std::mutex> lk(index_mu_);
-    repair_cv_.notify_all();
-    repaired_cv_.wait(lk, [&] {
-      return !repair_inflight_ && (repair_queue_.empty() || !repair_dirty_);
-    });
-  } else {
-    RepairToConvergence();
-  }
-}
+void DistributedColdBackend::Quiesce() { RepairToConvergence(); }
 
 // ---------------------------------------------------------------------------
 // Fault injection / operator verbs
@@ -739,9 +681,7 @@ bool DistributedColdBackend::SetNodeDown(int node) {
         repair_queue_.insert(key);  // spill copies onto the next walk nodes
       }
     }
-    repair_dirty_ = true;
   }
-  repair_cv_.notify_all();
   return true;
 }
 
@@ -762,9 +702,7 @@ bool DistributedColdBackend::SetNodeUp(int node) {
         repair_queue_.insert(key);  // converge back onto the recovered home
       }
     }
-    repair_dirty_ = true;  // also retries anything stalled on this node being down
   }
-  repair_cv_.notify_all();
   return true;
 }
 
@@ -793,8 +731,9 @@ bool DistributedColdBackend::Drain(int node) {
   // land bytes on the node after the evacuation sweep below.
   { std::unique_lock<std::shared_mutex> flush(write_barrier_); }
 
-  // Queue everything the node holds; it keeps serving reads while the repair
-  // plane re-replicates onto the survivors.
+  // Queue everything the node holds; it keeps serving reads while this thread
+  // re-replicates onto the survivors. If nothing can move (survivors down or
+  // full), leave the node draining but serving; a later Drain can finish.
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     for (const auto& [key, e] : index_) {
@@ -802,45 +741,9 @@ bool DistributedColdBackend::Drain(int node) {
         repair_queue_.insert(key);
       }
     }
-    repair_dirty_ = true;
   }
-  repair_cv_.notify_all();
-
-  // Converge on the caller thread (the background worker, when present, shares
-  // the load; progress is judged on the queue, not on who repaired what).
-  size_t last_remaining = std::numeric_limits<size_t>::max();
-  for (;;) {
-    std::vector<ChunkKey> remaining;
-    {
-      std::lock_guard<std::mutex> lk(index_mu_);
-      for (const auto& [key, e] : index_) {
-        // Only a CURRENT-generation copy pins the drain. A stale-gen claim means
-        // a writer is mid-flight on this key: its commit replaces the copy set
-        // (node excluded, it is off the table) without any help from us — and a
-        // repairer could not source that claimed-but-uncommitted generation
-        // anyway, so counting such keys here reads as spurious no-progress.
-        const auto cit = e.copies.find(node);
-        if (cit != e.copies.end() && cit->second == e.gen &&
-            repair_queue_.count(key) > 0) {
-          remaining.push_back(key);
-        }
-      }
-    }
-    if (remaining.empty()) {
-      break;
-    }
-    int64_t resolved = 0;
-    for (const ChunkKey& key : remaining) {
-      if (RepairChunkInternal(key)) {
-        ++resolved;
-      }
-    }
-    if (resolved == 0 && remaining.size() >= last_remaining) {
-      // Nothing can move (survivors down or full). Leave the node draining but
-      // serving; a later Drain call can finish the evacuation.
-      return false;
-    }
-    last_remaining = remaining.size();
+  if (!RepairToConvergence(node)) {
+    return false;
   }
 
   // Evacuated: drop the node's claims, wipe its store, retire it.
@@ -925,7 +828,6 @@ int64_t DistributedColdBackend::Balance() {
       }
       node->io->DeleteChunk(key);
       ++moves;
-      bool requeue = false;
       {
         std::lock_guard<std::mutex> lk(index_mu_);
         auto it = index_.find(key);
@@ -939,15 +841,11 @@ int64_t DistributedColdBackend::Balance() {
             // A racing write re-landed a copy here between our check and the
             // delete; treat it as lost and let repair restore it.
             it->second.copies.erase(cit);
-            EnqueueRepairLocked(key);
-            requeue = true;
+            repair_queue_.insert(key);
           }
         }
       }
       repaired_cv_.notify_all();
-      if (requeue) {
-        repair_cv_.notify_all();
-      }
     }
   }
   return moves;

@@ -3,13 +3,13 @@
 // (kChunkCorrupt, fsck classification); this backend supplies somewhere to recover
 // FROM: every chunk lives on R nodes (consistent-hash placement, placement.h), a
 // read whose primary is down/missing/corrupt transparently fails over to the next
-// replica, and a background repair worker restores the replication factor after
-// node failure, write degradation, or recovery. Modeled on CERN EOS's mgm/fst
-// split: placement, draining, and balancing are mgm-side decisions here
-// (operator verbs on this class); each fst-style node is an ordinary
-// StorageBackend wrapped in an InstrumentedBackend so tests and benches can make
-// it slow (injected latency), flaky (scheduled write failures), corrupting
-// (bit-flip/truncate at rest), or fail-stop (SetNodeDown).
+// replica, and repair restores the replication factor after node failure, write
+// degradation, or recovery. Modeled on CERN EOS's mgm/fst split: placement,
+// draining, and balancing are mgm-side decisions here (operator verbs on this
+// class); each fst-style node is an ordinary StorageBackend wrapped in an
+// InstrumentedBackend so tests and benches can make it slow (injected latency),
+// flaky (scheduled write failures), corrupting (bit-flip/truncate at rest), or
+// fail-stop (SetNodeDown).
 //
 // Semantics, in contract order:
 //
@@ -25,9 +25,11 @@
 //     the read returns kChunkCorrupt; if nothing valid is reachable it returns
 //     -1 — either way the caller's recompute fallback engages. A read that sees
 //     a corrupt or missing home copy queues the chunk for repair.
-//   * The repair worker (background thread) re-reads a verified copy and rewrites
-//     every home replica that lacks one (`re_replicated_chunks`), converging the
-//     store back to R after failures, degraded writes, or node recovery.
+//   * Repair re-reads a verified copy and rewrites every home replica that lacks
+//     one (`re_replicated_chunks`), converging the store back to R after failures,
+//     degraded writes, or node recovery. Faults and damaged reads only queue keys;
+//     repair runs on the thread that asks for it (Quiesce, Drain, Balance,
+//     RepairChunk), so a single-threaded script replays exactly from its seed.
 //   * Drain(node): evacuate while serving — the node leaves the placement (new
 //     writes skip it), every chunk it homes is re-replicated onto the survivor
 //     set (reads keep failing over to it meanwhile), then its store is emptied
@@ -35,11 +37,12 @@
 //     home replica set — copy the missing, trim the strays — evening fill after
 //     membership or fault churn.
 //
-// Concurrency: membership (the placement table) is copy-on-write behind a shared
-// pointer — readers pin a snapshot, Drain installs a new table; per-chunk state
-// lives in a mutex-guarded logical index. NO lock is held across node IO on any
-// path (reads, writes, repair, drain), so a slow or hung node never wedges
-// operations on other chunks, and fault hooks may re-enter the backend.
+// Concurrency: the backend starts no thread. Membership (the placement table) is
+// copy-on-write behind a shared pointer — readers pin a snapshot, Drain installs a
+// new table; per-chunk state lives in a mutex-guarded logical index. NO lock is
+// held across node IO on any path (reads, writes, repair, drain), so a slow or
+// hung node never wedges operations on other chunks, and fault hooks may re-enter
+// the backend.
 #ifndef HCACHE_SRC_STORAGE_DISTRIBUTED_BACKEND_H_
 #define HCACHE_SRC_STORAGE_DISTRIBUTED_BACKEND_H_
 
@@ -53,7 +56,6 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/storage/instrumented_backend.h"
@@ -65,9 +67,6 @@ namespace hcache {
 struct DistributedColdOptions {
   // Replication factor R: home copies per chunk (clamped to the live node count).
   int replication = 2;
-  // Run the background repair worker. Off = repairs happen only via RepairChunk /
-  // Quiesce / fsck --repair (deterministic single-threaded tests).
-  bool background_repair = true;
 };
 
 // Builds one node's backing store. Default: a MemoryBackend per node. Benches and
@@ -80,7 +79,6 @@ class DistributedColdBackend : public StorageBackend {
   DistributedColdBackend(int num_nodes, int64_t chunk_bytes,
                          const DistributedColdOptions& options = {},
                          const NodeFactory& factory = {});
-  ~DistributedColdBackend() override;
 
   // --- StorageBackend surface ---
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
@@ -101,19 +99,20 @@ class DistributedColdBackend : public StorageBackend {
   bool DeleteChunk(const ChunkKey& key) override;
   StorageStats Stats() const override;
   std::string Name() const override;
-  // Runs the repair queue to convergence (or until only unrepairable chunks —
-  // e.g. all surviving copies on down nodes — remain; those stay queued and
-  // retry on the next fault-state change).
+  // Runs the repair queue to convergence on the calling thread (or until only
+  // unrepairable chunks — e.g. all surviving copies on down nodes — remain; those
+  // stay queued for the next Quiesce).
   void Quiesce() override;
 
   // --- fault injection / operator verbs ---
 
   // Fail-stop: the node serves nothing (reads fail over, writes place around it)
   // until SetNodeUp. Chunks homed on it are queued for re-replication onto spill
-  // nodes further along the walk. Returns false for an unknown/removed node.
+  // nodes further along the walk. Neither verb does node IO, so fault hooks running
+  // inside an IO call may flip node state. Returns false for an unknown/removed node.
   bool SetNodeDown(int node);
   // Recovery: the node serves again, and every chunk homed on it is queued so the
-  // repair worker converges it back to its home copies. Placement never changed
+  // next repair converges it back to its home copies. Placement never changed
   // while it was down (failure is temporary; drain is the permanent exit).
   bool SetNodeUp(int node);
 
@@ -157,6 +156,7 @@ class DistributedColdBackend : public StorageBackend {
     int64_t chunks = 0;  // physical copies resident on the node
     int64_t bytes = 0;
     int64_t capacity_bytes = 0;  // 0 = unlimited
+    bool operator==(const NodeInfo&) const = default;
   };
   std::vector<NodeInfo> NodeTable() const;
 
@@ -227,19 +227,16 @@ class DistributedColdBackend : public StorageBackend {
   void ReadChunksImpl(std::span<ChunkReadRequest> requests, const BatchCompletion& done,
                       bool verify) const;
 
-  // Queues keys for repair and wakes the worker. index_mu_ held by caller.
-  void EnqueueRepairLocked(const ChunkKey& key) const;
-  // One repair pass over a snapshot of the queued keys; returns how many were
-  // fully resolved. Never holds index_mu_ across node IO.
-  int64_t RunRepairPass();
   // Restores `key` toward full home replication; returns true when resolved
   // (fully replicated, superseded, or deleted). `copies_written` (optional)
   // accumulates the number of node copies actually written.
   bool RepairChunkInternal(const ChunkKey& key, int64_t* copies_written = nullptr);
-  void RepairLoop();
-  // Synchronous repair driver (Quiesce without a worker, Drain convergence):
-  // passes until the queue is empty or a pass resolves nothing.
-  void RepairToConvergence();
+  // Repairs queued keys in passes until none is left: every queued key, or with
+  // `holder` >= 0 only those holding a current-generation copy on that node (a
+  // drain's evacuation set). Returns false once a pass resolves nothing and the
+  // set did not shrink — only stalled chunks remain (survivors down or full).
+  // Never holds index_mu_ across node IO.
+  bool RepairToConvergence(int holder = -1);
 
   DistributedColdOptions options_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -256,13 +253,8 @@ class DistributedColdBackend : public StorageBackend {
   // Logical contents + repair plane. Never held across node IO.
   mutable std::mutex index_mu_;
   std::map<ChunkKey, IndexEntry> index_;
-  mutable std::set<ChunkKey> repair_queue_;      // under-replicated, repair pending
-  mutable bool repair_dirty_ = false;            // queue changed since the last pass
-  mutable std::condition_variable repair_cv_;    // wakes the worker
-  mutable std::condition_variable repaired_cv_;  // wakes Quiesce
-  mutable bool repair_inflight_ = false;
-  bool shutting_down_ = false;
-  std::thread repair_worker_;
+  mutable std::set<ChunkKey> repair_queue_;  // under-replicated, repair pending
+  std::condition_variable repaired_cv_;      // a repair window closed (wakes writers)
 
   mutable std::atomic<int64_t> total_writes_{0};
   mutable std::atomic<int64_t> total_reads_{0};

@@ -113,9 +113,9 @@ struct StorageStats {
   // Distributed cold plane (DistributedColdBackend only; zero elsewhere).
   int64_t failover_reads = 0;           // reads served by a non-primary replica
   int64_t nodes_down = 0;               // storage nodes currently marked down
-  int64_t under_replicated_chunks = 0;  // chunks below the replication factor
+  int64_t under_replicated_chunks = 0;  // keys queued for repair (Quiesce runs it)
   int64_t degraded_writes = 0;          // writes that reached >=1 but < R nodes
-  int64_t re_replicated_chunks = 0;     // replica copies restored by the repair worker
+  int64_t re_replicated_chunks = 0;     // replica copies restored by repair
 
   // Content-addressed dedup plane (DedupBackend only; zero elsewhere — TieredBackend
   // surfaces its cold tier's figures when dedup sits below it). `chunks_stored` /
@@ -140,6 +140,8 @@ struct StorageStats {
   }
 
   int64_t ReadBytes() const { return dram_hit_bytes + cold_hit_bytes; }
+
+  bool operator==(const StorageStats&) const = default;
 };
 
 class StorageBackend {
@@ -230,9 +232,10 @@ class StorageBackend {
   virtual StorageStats Stats() const = 0;
   virtual std::string Name() const = 0;
 
-  // Completes background work (e.g. DistributedColdBackend's re-replication). On
-  // return every accepted write is durable in its final tier and Stats() is stable.
-  // Backends with no background plane keep the default no-op.
+  // Runs deferred work on the calling thread (DistributedColdBackend's queued
+  // re-replication). No backend defers work to a thread of its own, so on return
+  // every accepted write is durable in its final tier and, with no concurrent
+  // callers, Stats() is stable. Backends with nothing deferred keep the no-op.
   virtual void Quiesce() {}
 
   int64_t chunk_bytes() const { return chunk_bytes_; }

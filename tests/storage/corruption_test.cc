@@ -108,9 +108,7 @@ TEST_F(CorruptionTest, FileBackendDetectsDamage) {
 // unverified read reaches the nodes through InstrumentedBackend's batched
 // unverified forward; if that forward verified, it would report corruption.
 TEST_F(CorruptionTest, DistributedColdBackendDetectsDamage) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend backend(3, kChunkBytes, opts);
+  DistributedColdBackend backend(3, kChunkBytes);
   ExpectCorruptionDetected(&backend);
 }
 

@@ -1,8 +1,9 @@
-// Fault matrix for the distributed cold plane (ISSUE 8): placement determinism,
-// R-way replication, failover reads, degraded writes + re-replication convergence,
-// node kill mid-batch, drain-while-serving, kill-during-drain, double failure with
-// R=2 (detected miss, never wrong bytes), the per-node capacity model, and cold
-// recovery of the logical index from node stores.
+// Fault matrix for the distributed cold plane: placement determinism, R-way
+// replication, failover reads, degraded writes + re-replication convergence, node
+// kill mid-batch, drain-while-serving, a node flapping under live traffic,
+// kill-during-drain, double failure with R=2 (detected miss, never wrong bytes),
+// the per-node capacity model, cold recovery of the logical index from node
+// stores (opening never mutates them), and exact replay of a seeded fault script.
 #include "src/storage/distributed_backend.h"
 
 #include <gtest/gtest.h>
@@ -12,13 +13,17 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/storage/codec.h"
 #include "src/storage/file_backend.h"
+#include "src/storage/fsck.h"
 #include "src/storage/layout.h"
 #include "src/storage/placement.h"
 
@@ -50,6 +55,22 @@ std::vector<char> SealedPayload(const ChunkKey& key, int64_t rows, int64_t cols)
   }
   WriteChunkHeader(ChunkCodec::kFp32, rows, cols, chunk.data());
   return chunk;
+}
+
+using Listing = std::vector<std::pair<ChunkKey, int64_t>>;
+
+Listing Sorted(Listing chunks) {
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+// Each node store's resident (key, stored bytes) pairs, sorted.
+std::vector<Listing> NodeListings(const DistributedColdBackend& dist) {
+  std::vector<Listing> out;
+  for (int n = 0; n < dist.num_nodes(); ++n) {
+    out.push_back(Sorted(dist.node_store(n)->ListChunks()));
+  }
+  return out;
 }
 
 std::vector<ChunkKey> Keys(int64_t ctx, int count) {
@@ -117,9 +138,7 @@ TEST(PlacementTableTest, RemovingANodeRehomesOnlyItsChunks) {
 // --------------------------------------------------------------------------
 
 TEST(DistributedColdBackendTest, WritesReplicateToRNodes) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(3, kChunkBytes, opts);
+  DistributedColdBackend dist(3, kChunkBytes);
   const auto keys = Keys(1, 16);
   for (const auto& key : keys) {
     const auto data = Payload(key, 1024);
@@ -143,9 +162,7 @@ TEST(DistributedColdBackendTest, WritesReplicateToRNodes) {
 }
 
 TEST(DistributedColdBackendTest, ReadsFailOverFromADownPrimary) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(3, kChunkBytes, opts);
+  DistributedColdBackend dist(3, kChunkBytes);
   const ChunkKey key{1, 0, 0};
   const auto data = Payload(key, 2000);
   ASSERT_TRUE(dist.WriteChunk(key, data.data(), 2000));
@@ -167,9 +184,7 @@ TEST(DistributedColdBackendTest, ReadsFailOverFromADownPrimary) {
 }
 
 TEST(DistributedColdBackendTest, ReadsFailOverFromACorruptCopyAndRepairHealsIt) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(3, kChunkBytes, opts);
+  DistributedColdBackend dist(3, kChunkBytes);
   const ChunkKey key{2, 1, 3};
   const auto data = SealedPayload(key, /*rows=*/16, /*cols=*/32);
   const int64_t bytes = static_cast<int64_t>(data.size());
@@ -187,7 +202,7 @@ TEST(DistributedColdBackendTest, ReadsFailOverFromACorruptCopyAndRepairHealsIt) 
   EXPECT_EQ(dist.Stats().crc_failures, 0) << "a failed-over read is not a read failure";
   EXPECT_GT(dist.Stats().under_replicated_chunks, 0) << "damage must queue a repair";
 
-  dist.Quiesce();  // synchronous repair pass (no background worker)
+  dist.Quiesce();  // repair runs here, on the calling thread
   const auto st = dist.CheckReplication(key);
   EXPECT_TRUE(st.FullyReplicated());
   EXPECT_EQ(st.healthy_copies, 2);
@@ -196,9 +211,7 @@ TEST(DistributedColdBackendTest, ReadsFailOverFromACorruptCopyAndRepairHealsIt) 
 }
 
 TEST(DistributedColdBackendTest, DoubleFailureIsADetectedMissNeverWrongBytes) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(3, kChunkBytes, opts);
+  DistributedColdBackend dist(3, kChunkBytes);
   const ChunkKey key{3, 0, 1};
   const auto data = SealedPayload(key, /*rows=*/9, /*cols=*/32);
   const int64_t bytes = static_cast<int64_t>(data.size());
@@ -232,10 +245,7 @@ TEST(DistributedColdBackendTest, DoubleFailureIsADetectedMissNeverWrongBytes) {
 }
 
 TEST(DistributedColdBackendTest, DegradedWritesConvergeAfterNodeRecovery) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdOptions two_node_opts = opts;
-  DistributedColdBackend dist(2, kChunkBytes, two_node_opts);
+  DistributedColdBackend dist(2, kChunkBytes);
   ASSERT_TRUE(dist.SetNodeDown(1));
 
   const auto keys = Keys(4, 12);
@@ -268,7 +278,7 @@ TEST(DistributedColdBackendTest, DegradedWritesConvergeAfterNodeRecovery) {
 }
 
 TEST(DistributedColdBackendTest, NodeKillMidWriteBatchDegradesButLosesNothing) {
-  DistributedColdBackend dist(3, kChunkBytes);  // background repair ON
+  DistributedColdBackend dist(3, kChunkBytes);
   const auto keys = Keys(5, 32);
   std::vector<std::vector<char>> payloads;
   for (const auto& key : keys) {
@@ -301,7 +311,7 @@ TEST(DistributedColdBackendTest, NodeKillMidWriteBatchDegradesButLosesNothing) {
     ASSERT_EQ(dist.ReadChunk(keys[i], buf.data(), kChunkBytes), 1024);
     ASSERT_EQ(std::memcmp(buf.data(), payloads[i].data(), 1024), 0) << i;
   }
-  // ...and the repair worker restores R once it recovers.
+  // ...and repair restores R once it recovers.
   dist.node_instrument(1)->FailNextWrites(0);
   ASSERT_TRUE(dist.SetNodeUp(1));
   dist.Quiesce();
@@ -312,48 +322,138 @@ TEST(DistributedColdBackendTest, NodeKillMidWriteBatchDegradesButLosesNothing) {
 }
 
 // --------------------------------------------------------------------------
-// Drain / Balance
+// Live traffic: drain and node flaps while serving
 // --------------------------------------------------------------------------
 
-TEST(DistributedColdBackendTest, DrainEvacuatesWhileServing) {
-  DistributedColdBackend dist(3, kChunkBytes);  // background repair ON
-  const auto keys = Keys(6, 48);
-  for (const auto& key : keys) {
-    const auto data = Payload(key, 1024);
-    ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1024));
+constexpr int64_t kStableBytes = 1024;
+constexpr int64_t kHotBytes = 512;
+constexpr int kHotKeys = 8;
+
+// Version `v` of an overwritten key: the version in the first 8 bytes, then bytes
+// derived from key and version, so a reader can tell which write served it and
+// that no two writes were mixed.
+std::vector<char> VersionedPayload(const ChunkKey& key, int64_t v) {
+  std::vector<char> data(static_cast<size_t>(kHotBytes));
+  for (size_t i = sizeof(v); i < data.size(); ++i) {
+    data[i] = static_cast<char>((key.chunk_index * 11 + v * 29 + static_cast<int64_t>(i)) &
+                                0xff);
+  }
+  std::memcpy(data.data(), &v, sizeof(v));
+  return data;
+}
+
+// Two threads of traffic until Stop(): a reader that checks every byte it is
+// served, and a writer that keeps overwriting kHotKeys keys with versioned
+// payloads. A stable key must always read back exactly. A hot key may read as a
+// miss (an overwrite is claimed but not yet committed), but a hit must be a whole
+// version no older than the last write acknowledged before the read began.
+class LiveTraffic {
+ public:
+  LiveTraffic(DistributedColdBackend* dist, std::vector<ChunkKey> stable)
+      : dist_(dist), stable_(std::move(stable)) {
+    reader_ = std::thread([this] { ReadLoop(); });
+    writer_ = std::thread([this] { WriteLoop(); });
+  }
+  ~LiveTraffic() { Stop(); }
+
+  static ChunkKey HotKey(int k) { return ChunkKey{7, 0, k}; }
+
+  // Blocks until the writer has issued `n` more writes.
+  void AwaitWrites(int64_t n) {
+    const int64_t target = writes_.load() + n;
+    while (writes_.load() < target) {
+      std::this_thread::yield();
+    }
   }
 
-  // Readers and a writer hammer the backend throughout the drain.
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> bad_reads{0};
-  std::thread reader([&] {
+  void Stop() {
+    stop_.store(true);
+    if (reader_.joinable()) {
+      reader_.join();
+    }
+    if (writer_.joinable()) {
+      writer_.join();
+    }
+  }
+
+  int64_t bad_reads() const { return bad_reads_.load(); }
+  int64_t failed_writes() const { return failed_writes_.load(); }
+  int64_t acked(int k) const { return acked_[k].load(); }
+
+ private:
+  void ReadLoop() {
     std::vector<char> buf(kChunkBytes);
-    size_t i = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const ChunkKey& key = keys[i++ % keys.size()];
-      const int64_t got = dist.ReadChunk(key, buf.data(), kChunkBytes);
-      if (got != 1024 ||
-          std::memcmp(buf.data(), Payload(key, 1024).data(), 1024) != 0) {
-        bad_reads.fetch_add(1);
+    for (size_t i = 0; !stop_.load(); ++i) {
+      if (i % 2 == 0) {
+        const ChunkKey& key = stable_[(i / 2) % stable_.size()];
+        const int64_t got = dist_->ReadChunk(key, buf.data(), kChunkBytes);
+        if (got != kStableBytes ||
+            std::memcmp(buf.data(), Payload(key, kStableBytes).data(), kStableBytes) != 0) {
+          bad_reads_.fetch_add(1);
+        }
+        continue;
+      }
+      const int k = static_cast<int>((i / 2) % kHotKeys);
+      const int64_t floor = acked_[k].load();
+      const int64_t got = dist_->ReadChunk(HotKey(k), buf.data(), kChunkBytes);
+      if (got == -1) {
+        continue;
+      }
+      int64_t v = 0;
+      std::memcpy(&v, buf.data(), sizeof(v));
+      if (got != kHotBytes || v < floor ||
+          std::memcmp(buf.data(), VersionedPayload(HotKey(k), v).data(), kHotBytes) != 0) {
+        bad_reads_.fetch_add(1);
       }
     }
-  });
-  std::thread writer([&] {
-    int64_t c = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const ChunkKey key{7, 0, c++ % 8};
-      const auto data = Payload(key, 512);
-      dist.WriteChunk(key, data.data(), 512);
-    }
-  });
+  }
 
+  void WriteLoop() {
+    int64_t version[kHotKeys] = {};
+    for (int64_t c = 0; !stop_.load(); ++c) {
+      const int k = static_cast<int>(c % kHotKeys);
+      const int64_t v = ++version[k];
+      const auto data = VersionedPayload(HotKey(k), v);
+      if (dist_->WriteChunk(HotKey(k), data.data(), kHotBytes)) {
+        acked_[k].store(v);
+      } else {
+        failed_writes_.fetch_add(1);
+      }
+      writes_.fetch_add(1);
+    }
+  }
+
+  DistributedColdBackend* dist_;
+  const std::vector<ChunkKey> stable_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int64_t> writes_{0};
+  std::atomic<int64_t> bad_reads_{0};
+  std::atomic<int64_t> failed_writes_{0};
+  std::atomic<int64_t> acked_[kHotKeys] = {};
+  std::thread reader_;
+  std::thread writer_;
+};
+
+std::vector<ChunkKey> WriteStableKeys(DistributedColdBackend& dist) {
+  const auto keys = Keys(6, 48);
+  for (const auto& key : keys) {
+    const auto data = Payload(key, kStableBytes);
+    EXPECT_TRUE(dist.WriteChunk(key, data.data(), kStableBytes));
+  }
+  return keys;
+}
+
+TEST(DistributedColdBackendTest, DrainEvacuatesWhileServing) {
+  DistributedColdBackend dist(3, kChunkBytes);
+  const auto keys = WriteStableKeys(dist);
+
+  LiveTraffic traffic(&dist, keys);
   const bool drained = dist.Drain(1);
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  writer.join();
+  traffic.Stop();
   ASSERT_TRUE(drained);
 
-  EXPECT_EQ(bad_reads.load(), 0) << "a read failed or served wrong bytes mid-drain";
+  EXPECT_EQ(traffic.bad_reads(), 0) << "a read failed or served wrong bytes mid-drain";
+  EXPECT_EQ(traffic.failed_writes(), 0);
   const auto table = dist.NodeTable();
   EXPECT_TRUE(table[1].removed);
   EXPECT_EQ(table[1].chunks, 0) << "drained node must be empty";
@@ -366,8 +466,66 @@ TEST(DistributedColdBackendTest, DrainEvacuatesWhileServing) {
   }
 }
 
+// The calling thread flaps node 1 down and up, running Quiesce's repair between
+// flaps, while the reader and writer keep going (a race test for the tsan label).
+// Jittered node latency stretches each IO so repairs and overwrites of a key
+// overlap.
+TEST(DistributedColdBackendTest, NodeFlappingWithQuiesceWhileServingNeverServesWrongBytes) {
+  DistributedColdBackend dist(3, kChunkBytes);
+  const auto keys = WriteStableKeys(dist);
+  for (int n = 0; n < 3; ++n) {
+    dist.node_instrument(n)->set_io_latency_micros(10);
+    dist.node_instrument(n)->set_io_latency_jitter(30, /*seed=*/0x5eed + n);
+  }
+
+  LiveTraffic traffic(&dist, keys);
+  for (int flap = 0; flap < 20; ++flap) {
+    // Quiesce straight after the flap, while hot keys are still queued, so its
+    // repairs race their overwrites; then let every hot key be written again.
+    ASSERT_TRUE(dist.SetNodeDown(1));
+    dist.Quiesce();
+    traffic.AwaitWrites(kHotKeys);
+    ASSERT_TRUE(dist.SetNodeUp(1));
+    dist.Quiesce();
+    traffic.AwaitWrites(kHotKeys);
+  }
+  traffic.Stop();
+  EXPECT_EQ(traffic.bad_reads(), 0) << "a read served wrong or stale bytes";
+  EXPECT_EQ(traffic.failed_writes(), 0);
+
+  ASSERT_TRUE(dist.SetNodeUp(1));
+  dist.Quiesce();
+  EXPECT_EQ(dist.Stats().under_replicated_chunks, 0);
+  for (const auto& key : keys) {
+    EXPECT_TRUE(dist.CheckReplication(key).FullyReplicated()) << key.chunk_index;
+  }
+  // Every copy the index counts as current — home or stray — holds the last
+  // acknowledged write: a repair's older bytes never land under a newer commit.
+  std::vector<char> buf(kChunkBytes);
+  for (int k = 0; k < kHotKeys; ++k) {
+    const ChunkKey key = LiveTraffic::HotKey(k);
+    const auto want = VersionedPayload(key, traffic.acked(k));
+    const auto st = dist.CheckReplication(key);
+    EXPECT_TRUE(st.FullyReplicated()) << k;
+    std::vector<int> holders = st.home;
+    holders.insert(holders.end(), st.stray.begin(), st.stray.end());
+    for (const int n : holders) {
+      ASSERT_EQ(dist.node_store(n)->ReadChunk(key, buf.data(), kChunkBytes), kHotBytes);
+      EXPECT_EQ(std::memcmp(buf.data(), want.data(), kHotBytes), 0)
+          << "hot key " << k << ": node " << n << " holds a stale copy";
+    }
+    ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), kHotBytes) << k;
+    EXPECT_EQ(std::memcmp(buf.data(), want.data(), kHotBytes), 0)
+        << "hot key " << k << " lost its last acknowledged write";
+  }
+}
+
+// --------------------------------------------------------------------------
+// Drain / Balance
+// --------------------------------------------------------------------------
+
 TEST(DistributedColdBackendTest, NodeKillDuringDrainStillConverges) {
-  DistributedColdBackend dist(4, kChunkBytes);  // background repair ON
+  DistributedColdBackend dist(4, kChunkBytes);
   const auto keys = Keys(8, 40);
   for (const auto& key : keys) {
     const auto data = Payload(key, 900);
@@ -395,9 +553,7 @@ TEST(DistributedColdBackendTest, NodeKillDuringDrainStillConverges) {
 }
 
 TEST(DistributedColdBackendTest, DrainRefusesTheLastNodeAndDownNodes) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(2, kChunkBytes, opts);
+  DistributedColdBackend dist(2, kChunkBytes);
   const ChunkKey key{1, 0, 0};
   const auto data = Payload(key, 700);
   ASSERT_TRUE(dist.WriteChunk(key, data.data(), 700));
@@ -409,15 +565,13 @@ TEST(DistributedColdBackendTest, DrainRefusesTheLastNodeAndDownNodes) {
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), 700);
 
-  DistributedColdBackend dist2(3, kChunkBytes, opts);
+  DistributedColdBackend dist2(3, kChunkBytes);
   ASSERT_TRUE(dist2.SetNodeDown(1));
   EXPECT_FALSE(dist2.Drain(1)) << "a down node cannot be drained (nothing to read)";
 }
 
 TEST(DistributedColdBackendTest, BalanceTrimsStraySpillCopies) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(3, kChunkBytes, opts);
+  DistributedColdBackend dist(3, kChunkBytes);
   const auto keys = Keys(9, 24);
   // With node 0 down, chunks homed on it spill to their next walk node.
   ASSERT_TRUE(dist.SetNodeDown(0));
@@ -452,9 +606,7 @@ TEST(DistributedColdBackendTest, BalanceTrimsStraySpillCopies) {
 }
 
 TEST(DistributedColdBackendTest, CapacityModelPlacesAroundFullNodes) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(3, kChunkBytes, opts);
+  DistributedColdBackend dist(3, kChunkBytes);
   // Node 0 can hold only two 1 KiB copies; the walk places around it once full.
   dist.set_node_capacity(0, 2048);
   const auto keys = Keys(10, 30);
@@ -487,11 +639,9 @@ TEST(DistributedColdBackendTest, RecoversLogicalIndexFromFileBackendNodes) {
         std::vector<std::string>{(base / ("node" + std::to_string(node_id))).string()},
         chunk_bytes);
   };
-  DistributedColdOptions opts;
-  opts.background_repair = false;
   const auto keys = Keys(11, 10);
   {
-    DistributedColdBackend dist(3, kChunkBytes, opts, factory);
+    DistributedColdBackend dist(3, kChunkBytes, {}, factory);
     for (const auto& key : keys) {
       const auto data = Payload(key, 1300);
       ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1300));
@@ -500,7 +650,7 @@ TEST(DistributedColdBackendTest, RecoversLogicalIndexFromFileBackendNodes) {
   {
     // A fresh process over the same node directories: chunks readable again,
     // replication intact — the fsck-opens-a-store-cold path.
-    DistributedColdBackend dist(3, kChunkBytes, opts, factory);
+    DistributedColdBackend dist(3, kChunkBytes, {}, factory);
     EXPECT_EQ(dist.Stats().chunks_stored, static_cast<int64_t>(keys.size()));
     EXPECT_EQ(dist.Stats().under_replicated_chunks, 0);
     for (const auto& key : keys) {
@@ -514,18 +664,198 @@ TEST(DistributedColdBackendTest, RecoversLogicalIndexFromFileBackendNodes) {
     }
   }
   // Lose one node's directory wholesale: the rebuilt index must flag every chunk
-  // that lived there as under-replicated, and repair must restore them.
+  // that lived there as under-replicated, and repair must restore them — but only
+  // when asked. Opening, Stats, CheckReplication and a report-only fsck leave every
+  // node store as it was on disk (hcache-fsck's report mode relies on this).
   fs::remove_all(base / "node1");
+  std::vector<Listing> on_disk;
+  for (int n = 0; n < 3; ++n) {
+    on_disk.push_back(Sorted(factory(n, kChunkBytes)->ListChunks()));
+  }
+  ASSERT_TRUE(on_disk[1].empty());
   {
-    DistributedColdBackend dist(3, kChunkBytes, opts, factory);
+    DistributedColdBackend dist(3, kChunkBytes, {}, factory);
+    EXPECT_EQ(NodeListings(dist), on_disk) << "opening the store changed a node";
     EXPECT_GT(dist.Stats().under_replicated_chunks, 0);
+    for (const auto& key : keys) {
+      dist.CheckReplication(key);
+    }
+    const FsckReport report = RunFsck(&dist);
+    EXPECT_FALSE(report.Healthy());
+    EXPECT_EQ(report.repaired, 0);
+    EXPECT_EQ(NodeListings(dist), on_disk) << "a report-only pass changed a node";
     dist.Quiesce();
+    EXPECT_NE(NodeListings(dist)[1], on_disk[1]) << "Quiesce must restore node1's copies";
     EXPECT_EQ(dist.Stats().under_replicated_chunks, 0);
     for (const auto& key : keys) {
       EXPECT_TRUE(dist.CheckReplication(key).FullyReplicated()) << key.chunk_index;
     }
   }
   fs::remove_all(base);
+}
+
+// --------------------------------------------------------------------------
+// Seeded fault script: oracle-checked, and replays exactly from its seed
+// --------------------------------------------------------------------------
+
+// Where a script run leaves the store: compared field for field across replays.
+struct ScriptEnd {
+  StorageStats stats;
+  std::vector<DistributedColdBackend::NodeInfo> nodes;
+  std::vector<Listing> listings;
+  int64_t hits = 0;
+  int64_t misses = 0;
+  int64_t corrupt = 0;
+};
+
+// Runs `steps` seeded operations on a 4-node, R=2 backend: writes of varied sizes,
+// verified reads, DeleteContext, node down/up (at most two down, so a write always
+// reaches two nodes), at-rest bit flips, Quiesce and Balance. An oracle map holds
+// what each live key must read back; every read must return exactly those bytes,
+// a miss or kChunkCorrupt — never other bytes, and never bytes for a deleted key.
+ScriptEnd RunSeededScript(uint64_t seed, int steps) {
+  DistributedColdBackend dist(4, kChunkBytes);
+  Rng rng(seed);
+  std::map<ChunkKey, std::vector<char>> oracle;
+  std::set<int> down;
+  ScriptEnd end;
+  const auto random_key = [&rng] {
+    return ChunkKey{static_cast<int64_t>(rng.NextBounded(5)),
+                    static_cast<int64_t>(rng.NextBounded(2)),
+                    static_cast<int64_t>(rng.NextBounded(4))};
+  };
+  // A live key (when there is one) two times in three, else any key.
+  const auto pick_key = [&]() -> ChunkKey {
+    if (oracle.empty() || rng.NextBounded(3) == 0) {
+      return random_key();
+    }
+    auto it = oracle.begin();
+    std::advance(it, static_cast<long>(rng.NextBounded(oracle.size())));
+    return it->first;
+  };
+  std::vector<char> buf(kChunkBytes);
+  const auto check_read = [&](const ChunkKey& key) {
+    buf.assign(buf.size(), '\x5a');
+    const int64_t got = dist.ReadChunk(key, buf.data(), kChunkBytes);
+    const auto it = oracle.find(key);
+    if (it == oracle.end()) {
+      EXPECT_EQ(got, -1) << "a deleted or never-written key read as present";
+      return;
+    }
+    if (got == -1) {
+      ++end.misses;
+    } else if (got == kChunkCorrupt) {
+      ++end.corrupt;
+    } else {
+      ++end.hits;
+      ASSERT_EQ(got, static_cast<int64_t>(it->second.size()));
+      EXPECT_EQ(std::memcmp(buf.data(), it->second.data(), it->second.size()), 0)
+          << "wrong bytes served for chunk " << key.context_id << "/" << key.layer << "/"
+          << key.chunk_index;
+    }
+  };
+
+  for (int step = 0; step < steps; ++step) {
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 35) {
+      const ChunkKey key = random_key();
+      const int64_t rows = 1 + static_cast<int64_t>(rng.NextBounded(24));
+      std::vector<char> data(
+          static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, 32)));
+      const uint64_t salt = rng.Next();
+      for (size_t i = sizeof(ChunkHeader); i < data.size(); ++i) {
+        data[i] = static_cast<char>((salt >> (i % 57)) + i);
+      }
+      WriteChunkHeader(ChunkCodec::kFp32, rows, 32, data.data());
+      EXPECT_TRUE(dist.WriteChunk(key, data.data(), static_cast<int64_t>(data.size())));
+      oracle[key] = std::move(data);
+    } else if (op < 70) {
+      check_read(pick_key());
+    } else if (op < 73) {
+      const int64_t ctx = static_cast<int64_t>(rng.NextBounded(5));
+      dist.DeleteContext(ctx);
+      std::erase_if(oracle, [ctx](const auto& kv) { return kv.first.context_id == ctx; });
+    } else if (op < 78) {
+      const int node = static_cast<int>(rng.NextBounded(4));
+      if (down.size() < 2 && down.insert(node).second) {
+        EXPECT_TRUE(dist.SetNodeDown(node));
+      }
+    } else if (op < 84) {
+      if (!down.empty()) {
+        auto it = down.begin();
+        std::advance(it, static_cast<long>(rng.NextBounded(down.size())));
+        EXPECT_TRUE(dist.SetNodeUp(*it));
+        down.erase(it);
+      }
+    } else if (op < 94) {
+      // Flip a payload bit in one node's at-rest copy (current or stale).
+      if (!oracle.empty()) {
+        auto it = oracle.begin();
+        std::advance(it, static_cast<long>(rng.NextBounded(oracle.size())));
+        std::vector<int> holders;
+        for (int n = 0; n < 4; ++n) {
+          if (dist.node_store(n)->HasChunk(it->first)) {
+            holders.push_back(n);
+          }
+        }
+        const int node = holders[rng.NextBounded(holders.size())];
+        const int64_t payload = static_cast<int64_t>(it->second.size() - sizeof(ChunkHeader));
+        const int64_t byte =
+            static_cast<int64_t>(sizeof(ChunkHeader)) +
+            static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(payload)));
+        EXPECT_TRUE(dist.node_instrument(node)->CorruptChunk(it->first, 8 * byte));
+      }
+    } else if (op < 98) {
+      dist.Quiesce();
+    } else {
+      dist.Balance();
+    }
+  }
+
+  // Every node back up and repaired: each live key now reads its bytes or, if no
+  // clean copy survived the bit flips, kChunkCorrupt; deleted keys stay absent.
+  for (const int node : down) {
+    EXPECT_TRUE(dist.SetNodeUp(node));
+  }
+  dist.Quiesce();
+  for (int64_t ctx = 0; ctx < 5; ++ctx) {
+    for (int64_t layer = 0; layer < 2; ++layer) {
+      for (int64_t c = 0; c < 4; ++c) {
+        const ChunkKey key{ctx, layer, c};
+        const int64_t misses = end.misses;
+        check_read(key);
+        EXPECT_EQ(end.misses, misses) << "a live key missed with every node up";
+      }
+    }
+  }
+  end.stats = dist.Stats();
+  end.nodes = dist.NodeTable();
+  end.listings = NodeListings(dist);
+  return end;
+}
+
+TEST(DistributedColdBackendTest, SeededFaultScriptMatchesTheOracleAndReplaysExactly) {
+  constexpr uint64_t kSeed = 20260301;
+  constexpr int kSteps = 600;
+  const ScriptEnd first = RunSeededScript(kSeed, kSteps);
+  const ScriptEnd second = RunSeededScript(kSeed, kSteps);
+
+  // The script exercised what it claims to: hits, misses, failovers, reads with
+  // no clean copy left, and repair traffic all happened.
+  EXPECT_GT(first.hits, 0);
+  EXPECT_GT(first.misses, 0);
+  EXPECT_GT(first.corrupt, 0);
+  EXPECT_EQ(first.stats.crc_failures, first.corrupt);
+  EXPECT_GT(first.stats.failover_reads, 0);
+  EXPECT_GT(first.stats.re_replicated_chunks, 0);
+
+  // Exact replay: no thread of the backend's own races the script.
+  EXPECT_TRUE(first.stats == second.stats) << "Stats() diverged between replays";
+  EXPECT_EQ(first.nodes, second.nodes);
+  EXPECT_EQ(first.listings, second.listings);
+  EXPECT_EQ(first.hits, second.hits);
+  EXPECT_EQ(first.misses, second.misses);
+  EXPECT_EQ(first.corrupt, second.corrupt);
 }
 
 }  // namespace

@@ -183,9 +183,7 @@ TEST_F(FsckTest, JsonReportCarriesTheCountsAndFindings) {
 }
 
 TEST_F(FsckTest, DistributedScanFindsAndRepairsUnderReplication) {
-  DistributedColdOptions opts;
-  opts.background_repair = false;
-  DistributedColdBackend dist(3, kChunkBytes, opts);
+  DistributedColdBackend dist(3, kChunkBytes);
   const auto sealed = SealedChunk(8, 16, 0x55);
   const int64_t bytes = static_cast<int64_t>(sealed.size());
   for (int64_t c = 0; c < 6; ++c) {
