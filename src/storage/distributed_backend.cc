@@ -33,9 +33,9 @@ DistributedColdBackend::DistributedColdBackend(int num_nodes, int64_t chunk_byte
 
   // Adopt whatever the node stores already hold (FileBackend nodes recover their
   // on-disk indexes at construction): rebuild the logical index from the physical
-  // copies — all at generation 0 — then queue anything under its home replica
-  // count. Opening only reads the node stores: fsck opens a distributed store cold
-  // and reports on it without changing it.
+  // copies — all at generation 0 — then queue anything not at home. Opening only
+  // reads the node stores: fsck opens a distributed store cold and reports on it
+  // without changing it.
   for (const auto& node : nodes_) {
     for (const auto& [key, size] : node->store->ListChunks()) {
       IndexEntry& e = index_[key];
@@ -44,18 +44,7 @@ DistributedColdBackend::DistributedColdBackend(int num_nodes, int64_t chunk_byte
       e.copies[node->id] = e.gen;
     }
   }
-  for (const auto& [key, e] : index_) {
-    int have = 0;
-    for (const int n : placement_->ReplicasFor(key, options_.replication)) {
-      auto it = e.copies.find(n);
-      if (it != e.copies.end() && it->second == e.gen) {
-        ++have;
-      }
-    }
-    if (have < DesiredReplication(*placement_)) {
-      repair_queue_.insert(key);
-    }
-  }
+  QueueOffHome();
 }
 
 std::shared_ptr<const PlacementTable> DistributedColdBackend::placement() const {
@@ -82,12 +71,22 @@ bool DistributedColdBackend::NodeHasCapacity(int node, int64_t bytes) const {
   return n.store->Stats().bytes_stored + bytes <= cap;
 }
 
+namespace {
+bool HoldsCurrent(const std::map<int, uint64_t>& copies, uint64_t gen, int node) {
+  auto it = copies.find(node);
+  return it != copies.end() && it->second == gen;
+}
+}  // namespace
+
 std::vector<int> DistributedColdBackend::WriteTargets(const ChunkKey& key,
                                                       const PlacementTable& table,
-                                                      int64_t bytes) const {
+                                                      int64_t bytes,
+                                                      const IndexEntry* held) const {
   std::vector<int> targets;
   for (const int n : table.WalkOrder(key)) {
-    if (!NodeWritable(n) || !NodeHasCapacity(n, bytes)) {
+    if (!NodeWritable(n) ||
+        (!NodeHasCapacity(n, bytes) &&
+         (held == nullptr || !HoldsCurrent(held->copies, held->gen, n)))) {
       continue;
     }
     targets.push_back(n);
@@ -102,14 +101,31 @@ int DistributedColdBackend::DesiredReplication(const PlacementTable& table) cons
   return std::min(options_.replication, table.num_nodes());
 }
 
+bool DistributedColdBackend::AtHomeLocked(const ChunkKey& key, const IndexEntry& e,
+                                          const PlacementTable& table) const {
+  const std::vector<int> home = WriteTargets(key, table, e.size, &e);
+  return static_cast<int>(home.size()) >= DesiredReplication(table) &&
+         std::all_of(home.begin(), home.end(),
+                     [&e](int n) { return HoldsCurrent(e.copies, e.gen, n); });
+}
+
+void DistributedColdBackend::QueueOffHome() {
+  const auto table = placement();
+  std::lock_guard<std::mutex> lk(index_mu_);
+  for (const auto& [key, e] : index_) {
+    if (e.committed && !AtHomeLocked(key, e, *table)) {
+      repair_queue_.insert(key);
+    }
+  }
+}
+
 std::vector<int> DistributedColdBackend::CandidateHolders(
     const ChunkKey& key, const PlacementTable& table, uint64_t gen,
     const std::map<int, uint64_t>& copies) const {
   std::vector<int> cands;
   cands.reserve(copies.size());
   for (const int n : table.WalkOrder(key)) {
-    auto it = copies.find(n);
-    if (it != copies.end() && it->second == gen) {
+    if (HoldsCurrent(copies, gen, n)) {
       cands.push_back(n);
     }
   }
@@ -195,7 +211,6 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
   // Commit. The fast path lands every request under one lock; a request whose
   // claim→commit window overlapped a repair (or Balance trim) of the same key
   // falls to the redo loop below.
-  const int desired = DesiredReplication(*table);
   bool all_ok = true;
   std::vector<size_t> slow;
   {
@@ -218,6 +233,8 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
       if (c.landed.empty()) {
         if (c.created) {
           index_.erase(it);  // failed first write: the key stays absent
+        } else {
+          repair_queue_.insert(req.key);  // failed overwrite: no current copy left
         }
         continue;
       }
@@ -225,19 +242,7 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
         slow.push_back(i);
         continue;
       }
-      e.size = req.bytes;
-      e.committed = true;
-      e.copies.clear();
-      for (const int n : c.landed) {
-        e.copies[n] = c.gen;
-      }
-      total_writes_.fetch_add(1, std::memory_order_relaxed);
-      if (static_cast<int>(c.landed.size()) < desired) {
-        degraded_writes_.fetch_add(1, std::memory_order_relaxed);
-        repair_queue_.insert(req.key);
-      } else {
-        repair_queue_.erase(req.key);
-      }
+      CommitLocked(req.key, e, req.bytes, c.landed);
     }
   }
 
@@ -265,24 +270,11 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
           total_writes_.fetch_add(1, std::memory_order_relaxed);
           break;
         }
-        IndexEntry& e = it->second;
-        if (e.repair_epoch == c.epoch) {
-          e.size = req.bytes;
-          e.committed = true;
-          e.copies.clear();
-          for (const int n : c.landed) {
-            e.copies[n] = c.gen;
-          }
-          total_writes_.fetch_add(1, std::memory_order_relaxed);
-          if (static_cast<int>(c.landed.size()) < desired) {
-            degraded_writes_.fetch_add(1, std::memory_order_relaxed);
-            repair_queue_.insert(req.key);
-          } else {
-            repair_queue_.erase(req.key);
-          }
+        if (it->second.repair_epoch == c.epoch) {
+          CommitLocked(req.key, it->second, req.bytes, c.landed);
           break;
         }
-        c.epoch = e.repair_epoch;
+        c.epoch = it->second.repair_epoch;
       }
       // A repair touched this key while our writes were in flight; its bytes may
       // have landed after ours on some node. Rewrite our copies, then recheck.
@@ -296,6 +288,25 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
     done();
   }
   return all_ok;
+}
+
+void DistributedColdBackend::CommitLocked(const ChunkKey& key, IndexEntry& e,
+                                          int64_t bytes, const std::vector<int>& landed) {
+  e.size = bytes;
+  e.committed = true;
+  e.copies.clear();
+  for (const int n : landed) {
+    e.copies[n] = e.gen;
+  }
+  total_writes_.fetch_add(1, std::memory_order_relaxed);
+  // The current table, not the write's snapshot: the home set is judged now.
+  const auto table = placement();
+  if (static_cast<int>(landed.size()) < DesiredReplication(*table)) {
+    degraded_writes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (!AtHomeLocked(key, e, *table)) {
+    repair_queue_.insert(key);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -494,9 +505,7 @@ std::vector<std::pair<ChunkKey, int64_t>> DistributedColdBackend::ListChunks() c
 
 bool DistributedColdBackend::RepairChunkInternal(const ChunkKey& key,
                                                  int64_t* copies_written) {
-  int64_t size = 0;
-  uint64_t gen = 0;
-  std::map<int, uint64_t> copies;
+  IndexEntry snap;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     auto it = index_.find(key);
@@ -504,19 +513,20 @@ bool DistributedColdBackend::RepairChunkInternal(const ChunkKey& key,
       repair_queue_.erase(key);  // deleted or never landed: nothing to restore
       return true;
     }
-    size = it->second.size;
-    gen = it->second.gen;
-    copies = it->second.copies;
+    snap = it->second;
   }
+  const int64_t size = snap.size;
+  const uint64_t gen = snap.gen;
 
   const auto table = placement();
-  const std::vector<int> targets = WriteTargets(key, *table, size);
+  const std::vector<int> targets = WriteTargets(key, *table, size, &snap);
 
   // Source a verified current-generation copy.
   std::vector<uint8_t> scratch(static_cast<size_t>(size));
+  std::vector<uint8_t> check(static_cast<size_t>(size));
   bool sourced = false;
   std::set<int> valid;
-  for (const int n : CandidateHolders(key, *table, gen, copies)) {
+  for (const int n : CandidateHolders(key, *table, gen, snap.copies)) {
     if (!NodeReadable(n)) {
       continue;
     }
@@ -541,80 +551,68 @@ bool DistributedColdBackend::RepairChunkInternal(const ChunkKey& key,
     ++it->second.repairs_inflight;
   }
 
-  int64_t written = 0;
   std::vector<int> wrote_to;
+  std::vector<int> lost;  // claimed copies that failed verification and a rewrite
   for (const int n : targets) {
     if (valid.count(n)) {
       continue;
     }
     InstrumentedBackend* io = nodes_[static_cast<size_t>(n)]->io.get();
-    auto cit = copies.find(n);
-    if (cit != copies.end() && cit->second == gen) {
-      // The node claims a current copy — verify before rewriting.
-      std::vector<uint8_t> check(static_cast<size_t>(size));
-      if (io->ReadChunk(key, check.data(), size) == size) {
-        valid.insert(n);
-        continue;
-      }
+    // A node that claims a current copy is verified before it is rewritten.
+    const bool claimed = HoldsCurrent(snap.copies, gen, n);
+    if (claimed && io->ReadChunk(key, check.data(), size) == size) {
+      valid.insert(n);
+      continue;
     }
     if (io->WriteChunk(key, scratch.data(), size)) {
       valid.insert(n);
       wrote_to.push_back(n);
-      ++written;
+    } else if (claimed) {
+      lost.push_back(n);
     }
   }
 
-  bool resolved = false;
+  bool resolved = true;  // deleted mid-repair: our writes left ghosts Balance trims
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     auto it = index_.find(key);
-    if (it == index_.end()) {
-      // Deleted mid-repair: our writes left ghosts Balance will trim.
-      resolved = true;
-    } else {
+    if (it != index_.end()) {
       IndexEntry& e = it->second;
       ++e.repair_epoch;
       --e.repairs_inflight;
-      if (e.gen != gen) {
+      const bool moot = e.gen != gen;
+      if (moot) {
         // A writer overlapped. It redoes its own copies on seeing our epoch
         // bump, but any node WE wrote may hold our stale bytes under its
         // commit — drop those claims and let the next pass re-verify them.
         for (const int n : wrote_to) {
-          auto cit = e.copies.find(n);
-          if (cit != e.copies.end() && cit->second == e.gen) {
-            e.copies.erase(cit);
+          if (HoldsCurrent(e.copies, e.gen, n)) {
+            e.copies.erase(n);
           }
         }
-        repair_queue_.insert(key);
-        resolved = true;  // this generation's repair is moot
       } else {
         for (const int n : valid) {
           e.copies[n] = gen;
         }
-        // Re-validate against the CURRENT table and node flags, not the snapshot
-        // this repair planned with: if a node came back up (or a drain swapped
-        // the table) mid-repair, the placement we satisfied may no longer be the
-        // placement the key needs — resolving on the stale view would erase a
-        // re-enqueue (e.g. SetNodeUp's) and strand the key off its home nodes.
-        const auto now = placement();
-        const std::vector<int> now_targets = WriteTargets(key, *now, size);
-        const int now_desired = DesiredReplication(*now);
-        resolved = static_cast<int>(now_targets.size()) >= now_desired;
-        for (const int n : now_targets) {
-          resolved = resolved && valid.count(n) > 0;
+        for (const int n : lost) {
+          e.copies.erase(n);
         }
-        if (resolved) {
-          repair_queue_.erase(key);
-        } else {
-          repair_queue_.insert(key);  // placement moved under us: another pass
-        }
-        if (written > 0) {
-          re_replicated_chunks_.fetch_add(written, std::memory_order_relaxed);
-          if (copies_written != nullptr) {
-            *copies_written += written;
-          }
+        const auto written = static_cast<int64_t>(wrote_to.size());
+        re_replicated_chunks_.fetch_add(written, std::memory_order_relaxed);
+        if (copies_written != nullptr) {
+          *copies_written += written;
         }
       }
+      // Judge against the CURRENT table and node flags, not the snapshot this
+      // repair planned with: a node may have come back up (or a drain swapped the
+      // table) mid-repair.
+      const bool at_home = AtHomeLocked(key, e, *placement());
+      if (at_home) {
+        repair_queue_.erase(key);
+      } else {
+        repair_queue_.insert(key);
+      }
+      resolved = moot || at_home;
     }
   }
   repaired_cv_.notify_all();  // writers may be waiting for the window to close
@@ -638,11 +636,7 @@ bool DistributedColdBackend::RepairToConvergence(int holder) {
         // repairer could not source that claimed-but-uncommitted generation
         // anyway, so counting such keys here reads as spurious no-progress.
         auto it = index_.find(key);
-        if (it == index_.end()) {
-          continue;
-        }
-        const auto cit = it->second.copies.find(holder);
-        if (cit != it->second.copies.end() && cit->second == it->second.gen) {
+        if (it != index_.end() && HoldsCurrent(it->second.copies, it->second.gen, holder)) {
           remaining.push_back(key);
         }
       }
@@ -669,40 +663,16 @@ void DistributedColdBackend::Quiesce() { RepairToConvergence(); }
 // Fault injection / operator verbs
 // ---------------------------------------------------------------------------
 
-bool DistributedColdBackend::SetNodeDown(int node) {
-  if (node < 0 || node >= num_nodes() || nodes_[static_cast<size_t>(node)]->removed.load()) {
-    return false;
-  }
-  nodes_[static_cast<size_t>(node)]->down.store(true);
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    for (const auto& [key, e] : index_) {
-      if (e.copies.count(node) > 0) {
-        repair_queue_.insert(key);  // spill copies onto the next walk nodes
-      }
-    }
-  }
-  return true;
-}
+bool DistributedColdBackend::SetNodeDown(int node) { return SetNodeState(node, true); }
 
-bool DistributedColdBackend::SetNodeUp(int node) {
+bool DistributedColdBackend::SetNodeUp(int node) { return SetNodeState(node, false); }
+
+bool DistributedColdBackend::SetNodeState(int node, bool down) {
   if (node < 0 || node >= num_nodes() || nodes_[static_cast<size_t>(node)]->removed.load()) {
     return false;
   }
-  nodes_[static_cast<size_t>(node)]->down.store(false);
-  const auto table = placement();
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    for (const auto& [key, e] : index_) {
-      if (!e.committed || !table->IsHome(key, node, options_.replication)) {
-        continue;
-      }
-      auto cit = e.copies.find(node);
-      if (cit == e.copies.end() || cit->second != e.gen) {
-        repair_queue_.insert(key);  // converge back onto the recovered home
-      }
-    }
-  }
+  nodes_[static_cast<size_t>(node)]->down.store(down);
+  QueueOffHome();
   return true;
 }
 
@@ -731,17 +701,11 @@ bool DistributedColdBackend::Drain(int node) {
   // land bytes on the node after the evacuation sweep below.
   { std::unique_lock<std::shared_mutex> flush(write_barrier_); }
 
-  // Queue everything the node holds; it keeps serving reads while this thread
-  // re-replicates onto the survivors. If nothing can move (survivors down or
-  // full), leave the node draining but serving; a later Drain can finish.
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    for (const auto& [key, e] : index_) {
-      if (e.copies.count(node) > 0) {
-        repair_queue_.insert(key);
-      }
-    }
-  }
+  // The node has left every home set: queue what that moved, while the node keeps
+  // serving reads as this thread re-replicates onto the survivors. If nothing can
+  // move (survivors down or full), leave the node draining but serving; a later
+  // Drain can finish.
+  QueueOffHome();
   if (!RepairToConvergence(node)) {
     return false;
   }
@@ -787,7 +751,7 @@ int64_t DistributedColdBackend::Balance() {
   }
 
   // 2) Trim strays: stale generations, ghosts the index never committed, and
-  //    spill copies on non-home nodes once every home target holds a copy.
+  //    copies outside the home set of a key that is at home.
   for (const auto& node : nodes_) {
     if (node->removed.load() || node->down.load()) {
       continue;
@@ -801,18 +765,13 @@ int64_t DistributedColdBackend::Balance() {
           trim_it = true;  // ghost of a failed or superseded write
         } else if (it->second.committed) {
           IndexEntry& e = it->second;
-          auto cit = e.copies.find(node->id);
-          if (cit == e.copies.end() || cit->second != e.gen) {
+          if (!HoldsCurrent(e.copies, e.gen, node->id)) {
             trim_it = true;  // stale or unrecorded copy
-          } else if (!table->IsHome(key, node->id, options_.replication)) {
-            const std::vector<int> targets = WriteTargets(key, *table, e.size);
-            bool home_full = static_cast<int>(targets.size()) >= DesiredReplication(*table);
-            for (const int t : targets) {
-              auto tit = e.copies.find(t);
-              home_full = home_full && tit != e.copies.end() && tit->second == e.gen;
-            }
-            if (home_full) {
-              e.copies.erase(cit);
+          } else {
+            const std::vector<int> home = WriteTargets(key, *table, e.size, &e);
+            if (std::find(home.begin(), home.end(), node->id) == home.end() &&
+                AtHomeLocked(key, e, *table)) {
+              e.copies.erase(node->id);
               trim_it = true;
             }
           }
@@ -836,11 +795,9 @@ int64_t DistributedColdBackend::Balance() {
             ++it->second.repair_epoch;
             --it->second.repairs_inflight;
           }
-          auto cit = it->second.copies.find(node->id);
-          if (cit != it->second.copies.end()) {
-            // A racing write re-landed a copy here between our check and the
-            // delete; treat it as lost and let repair restore it.
-            it->second.copies.erase(cit);
+          // A racing write re-landed a copy here between our check and the
+          // delete; treat it as lost and let repair restore it.
+          if (it->second.copies.erase(node->id) > 0) {
             repair_queue_.insert(key);
           }
         }
@@ -858,32 +815,26 @@ int64_t DistributedColdBackend::Balance() {
 DistributedColdBackend::ReplicationStatus DistributedColdBackend::CheckReplication(
     const ChunkKey& key) const {
   ReplicationStatus st;
-  int64_t size = 0;
-  uint64_t gen = 0;
-  std::map<int, uint64_t> copies;
+  IndexEntry snap;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     auto it = index_.find(key);
     if (it == index_.end() || !it->second.committed) {
       return st;
     }
-    size = it->second.size;
-    gen = it->second.gen;
-    copies = it->second.copies;
+    snap = it->second;
   }
   const auto table = placement();
   st.home = table->ReplicasFor(key, options_.replication);
-  std::vector<uint8_t> scratch(static_cast<size_t>(size));
+  std::vector<uint8_t> scratch(static_cast<size_t>(snap.size));
   for (const int n : st.home) {
-    auto cit = copies.find(n);
-    const bool claims = cit != copies.end() && cit->second == gen;
-    if (!claims || !NodeReadable(n)) {
+    if (!HoldsCurrent(snap.copies, snap.gen, n) || !NodeReadable(n)) {
       ++st.missing_copies;  // no current copy, or the node can't serve it
       continue;
     }
     const int64_t got =
-        nodes_[static_cast<size_t>(n)]->io->ReadChunk(key, scratch.data(), size);
-    if (got == size) {
+        nodes_[static_cast<size_t>(n)]->io->ReadChunk(key, scratch.data(), snap.size);
+    if (got == snap.size) {
       ++st.healthy_copies;
     } else if (got == kChunkCorrupt) {
       ++st.corrupt_copies;
@@ -891,13 +842,18 @@ DistributedColdBackend::ReplicationStatus DistributedColdBackend::CheckReplicati
       ++st.missing_copies;
     }
   }
-  for (const auto& [n, g] : copies) {
-    if (g == gen &&
+  for (const auto& [n, g] : snap.copies) {
+    if (g == snap.gen &&
         std::find(st.home.begin(), st.home.end(), n) == st.home.end()) {
       st.stray.push_back(n);
     }
   }
   return st;
+}
+
+bool DistributedColdBackend::RepairQueued(const ChunkKey& key) const {
+  std::lock_guard<std::mutex> lk(index_mu_);
+  return repair_queue_.count(key) > 0;
 }
 
 bool DistributedColdBackend::RepairChunk(const ChunkKey& key) {

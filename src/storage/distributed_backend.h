@@ -13,10 +13,14 @@
 //
 // Semantics, in contract order:
 //
-//   * Writes replicate to the chunk's home replica set (first R up nodes on the
-//     placement walk, skipping down/draining/full nodes). >=1 copy landed =>
-//     success; < R copies => success DEGRADED (`degraded_writes`), and the chunk
-//     is queued for re-replication. 0 copies => false.
+//   * A chunk's home set is the first R writable nodes on its placement walk
+//     under the current table and node flags: down, draining and removed nodes are
+//     skipped, and so is a full node unless it already holds the chunk's current
+//     copy. The home set moves while a node is down; placement does not. A chunk is
+//     at home when its home set has min(R, member nodes) nodes and each holds a
+//     current-generation copy. Every chunk that is not at home is queued for repair.
+//   * Writes replicate to the chunk's home set. >=1 copy landed => success;
+//     < R copies => success DEGRADED (`degraded_writes`). 0 copies => false.
 //   * Reads consult the logical index first (absent => -1, short buffer => -1
 //     with no side effects — the uniform ReadChunks contract), then walk the
 //     replicas: a down node is skipped, a miss or CRC-corrupt copy falls through
@@ -25,16 +29,17 @@
 //     the read returns kChunkCorrupt; if nothing valid is reachable it returns
 //     -1 — either way the caller's recompute fallback engages. A read that sees
 //     a corrupt or missing home copy queues the chunk for repair.
-//   * Repair re-reads a verified copy and rewrites every home replica that lacks
+//   * Repair re-reads a verified copy and rewrites every home node that lacks
 //     one (`re_replicated_chunks`), converging the store back to R after failures,
-//     degraded writes, or node recovery. Faults and damaged reads only queue keys;
-//     repair runs on the thread that asks for it (Quiesce, Drain, Balance,
-//     RepairChunk), so a single-threaded script replays exactly from its seed.
+//     degraded writes, or node recovery. Writes, faults and damaged reads only queue
+//     keys; only deletes and repair dequeue them. Repair runs on the thread that
+//     asks for it (Quiesce, Drain, Balance, RepairChunk), so a single-threaded
+//     script replays exactly from its seed.
 //   * Drain(node): evacuate while serving — the node leaves the placement (new
 //     writes skip it), every chunk it homes is re-replicated onto the survivor
 //     set (reads keep failing over to it meanwhile), then its store is emptied
 //     and the node removed. Balance(): converge every chunk onto exactly its
-//     home replica set — copy the missing, trim the strays — evening fill after
+//     home set — copy the missing, trim the strays — evening fill after
 //     membership or fault churn.
 //
 // Concurrency: the backend starts no thread. Membership (the placement table) is
@@ -107,13 +112,12 @@ class DistributedColdBackend : public StorageBackend {
   // --- fault injection / operator verbs ---
 
   // Fail-stop: the node serves nothing (reads fail over, writes place around it)
-  // until SetNodeUp. Chunks homed on it are queued for re-replication onto spill
-  // nodes further along the walk. Neither verb does node IO, so fault hooks running
-  // inside an IO call may flip node state. Returns false for an unknown/removed node.
+  // until SetNodeUp. Both verbs queue every chunk the flip moves off its home set:
+  // down spills home copies onto the next walk nodes, up converges them back.
+  // Placement never changes (failure is temporary; drain is the permanent exit).
+  // Neither verb does node IO, so fault hooks running inside an IO call may flip
+  // node state. Returns false for an unknown/removed node.
   bool SetNodeDown(int node);
-  // Recovery: the node serves again, and every chunk homed on it is queued so the
-  // next repair converges it back to its home copies. Placement never changed
-  // while it was down (failure is temporary; drain is the permanent exit).
   bool SetNodeUp(int node);
 
   // Evacuate `node` while serving, then remove it from placement. Blocks the
@@ -123,16 +127,20 @@ class DistributedColdBackend : public StorageBackend {
   // not be re-replicated (the node is then left draining but still serving).
   bool Drain(int node);
 
-  // Converges every chunk onto exactly its home replica set: copies missing home
-  // replicas, deletes stray copies on non-home nodes (fill evens out after
-  // drains, recoveries, and degraded intervals). Returns the number of chunk
-  // copies moved or trimmed.
+  // Converges every chunk onto exactly its home set: copies missing home copies,
+  // deletes stray copies outside the home set of a chunk that is at home (fill
+  // evens out after drains, recoveries, and degraded intervals). Returns the
+  // number of chunk copies moved or trimmed.
   int64_t Balance();
 
   // --- inspection (tests, fsck, bench) ---
 
+  // Placement-only report: `home` is the first R nodes of the walk, whatever their
+  // flags. While one of them is down it differs from the repair's home set, so a
+  // chunk correctly spilled past a down node reports missing_copies > 0 and is
+  // still not queued.
   struct ReplicationStatus {
-    std::vector<int> home;      // the chunk's home replica set (placement order)
+    std::vector<int> home;      // first R nodes of the placement walk
     int healthy_copies = 0;     // home copies that verify clean
     int missing_copies = 0;     // home nodes without the chunk (or down)
     int corrupt_copies = 0;     // home copies that exist but fail verification
@@ -142,6 +150,8 @@ class DistributedColdBackend : public StorageBackend {
   // Inspects every home replica of `key` (verified reads; down nodes count as
   // missing). Keys absent from the logical index report empty home.
   ReplicationStatus CheckReplication(const ChunkKey& key) const;
+  // Whether `key` is in the repair queue. Reads only the index; no node IO.
+  bool RepairQueued(const ChunkKey& key) const;
 
   // Synchronously restores `key` to full replication from a healthy verified
   // copy (re-writing corrupt home copies too). Returns true when the chunk is at
@@ -207,12 +217,25 @@ class DistributedColdBackend : public StorageBackend {
   // Snapshot of the current placement (copy-on-write; Drain installs a new one).
   std::shared_ptr<const PlacementTable> placement() const;
   // Effective replica targets for a write of `bytes`: the first `replication`
-  // nodes on the walk that are up, not draining, not removed, and have capacity.
-  // May return fewer than R (degraded write).
+  // nodes on the walk that are up, not draining, not removed, and have capacity
+  // (or, given `held`, already hold its current copy). May return fewer than R
+  // (degraded write). With `held` this is the entry's home set.
   std::vector<int> WriteTargets(const ChunkKey& key, const PlacementTable& table,
-                                int64_t bytes) const;
+                                int64_t bytes, const IndexEntry* held = nullptr) const;
   // The replication factor currently achievable: min(R, member nodes).
   int DesiredReplication(const PlacementTable& table) const;
+  // The one "at home" rule (see Semantics): the home set has DesiredReplication
+  // nodes and each holds a current-generation copy. Caller holds index_mu_.
+  bool AtHomeLocked(const ChunkKey& key, const IndexEntry& e,
+                    const PlacementTable& table) const;
+  // Queues every committed key that is not at home under the current placement.
+  void QueueOffHome();
+  // Flips a node's down flag, then queues what the flip moved off its home set.
+  bool SetNodeState(int node, bool down);
+  // Lands a write of `bytes` on `landed` at the entry's current generation, and
+  // queues the key unless it is at home. Never dequeues. Caller holds index_mu_.
+  void CommitLocked(const ChunkKey& key, IndexEntry& e, int64_t bytes,
+                    const std::vector<int>& landed);
   bool NodeWritable(int node) const;
   bool NodeReadable(int node) const;
   bool NodeHasCapacity(int node, int64_t bytes) const;
@@ -253,7 +276,13 @@ class DistributedColdBackend : public StorageBackend {
   // Logical contents + repair plane. Never held across node IO.
   mutable std::mutex index_mu_;
   std::map<ChunkKey, IndexEntry> index_;
-  mutable std::set<ChunkKey> repair_queue_;  // under-replicated, repair pending
+  // Invariant: every committed key that is not at home (AtHomeLocked) is queued.
+  // Anything that changes a key's copies or home set re-checks and inserts; only
+  // DeleteContext, DeleteChunk and the repair pass erase, the repair pass only
+  // once the key is at home under the current placement. Node capacity is the
+  // one input outside it: a node that frees room pulls keys back onto itself at
+  // the next Balance.
+  mutable std::set<ChunkKey> repair_queue_;
   std::condition_variable repaired_cv_;      // a repair window closed (wakes writers)
 
   mutable std::atomic<int64_t> total_writes_{0};

@@ -79,11 +79,6 @@ std::vector<int> PlacementTable::ReplicasFor(const ChunkKey& key, int r) const {
   return order;
 }
 
-bool PlacementTable::IsHome(const ChunkKey& key, int node, int r) const {
-  const std::vector<int> replicas = ReplicasFor(key, r);
-  return std::find(replicas.begin(), replicas.end(), node) != replicas.end();
-}
-
 bool PlacementTable::HasNode(int node) const {
   return std::binary_search(node_ids_.begin(), node_ids_.end(), node);
 }

@@ -40,9 +40,6 @@ class PlacementTable {
   // First min(r, num_nodes()) entries of WalkOrder — the home replica set.
   std::vector<int> ReplicasFor(const ChunkKey& key, int r) const;
 
-  // True when `node` is in the home replica set of `key` at replication `r`.
-  bool IsHome(const ChunkKey& key, int node, int r) const;
-
   // A new table with `node` removed (drain) — same vnode layout for survivors,
   // so only the drained node's chunks re-home.
   PlacementTable Without(int node) const;

@@ -14,7 +14,7 @@
 //                            context-granular LRU eviction and write-back (the
 //                            DRAM→SSD hierarchy the storage manager assumes).
 //   DistributedColdBackend — chunks replicated across N storage nodes, with
-//                            failover reads and background re-replication.
+//                            failover reads and re-replication on the caller.
 //   DedupBackend           — content-addressed single-instancing over any backend.
 //   InstrumentedBackend    — a forwarding wrapper that injects latency, failures
 //                            and corruption for tests and benches.

@@ -2,8 +2,11 @@
 // replication, failover reads, degraded writes + re-replication convergence, node
 // kill mid-batch, drain-while-serving, a node flapping under live traffic,
 // kill-during-drain, double failure with R=2 (detected miss, never wrong bytes),
-// the per-node capacity model, cold recovery of the logical index from node
-// stores (opening never mutates them), and exact replay of a seeded fault script.
+// the repair queue's home-set rule (a key off its home set stays queued, and
+// Balance never trims a copy standing in for a down node), the per-node capacity
+// model, cold recovery of the logical index from node stores (opening never
+// mutates them), and seeded fault scripts with node flips fired from inside node
+// IO: each replays exactly and keeps the queue invariant after every step.
 #include "src/storage/distributed_backend.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -605,6 +609,80 @@ TEST(DistributedColdBackendTest, BalanceTrimsStraySpillCopies) {
   }
 }
 
+// --------------------------------------------------------------------------
+// The repair queue's home-set rule
+// --------------------------------------------------------------------------
+
+// An overwrite placed while the key's primary is down lands on the next two walk
+// nodes; a write hook on the first of them brings the primary back mid-write. The
+// commit must leave the key queued, so Quiesce converges it back onto the primary.
+TEST(DistributedColdBackendTest, OverwriteRacingANodeRecoveryStaysQueuedUntilHome) {
+  DistributedColdBackend dist(3, kChunkBytes);
+  const ChunkKey key{12, 0, 0};
+  const auto walk = PlacementTable({0, 1, 2}).WalkOrder(key);
+  const auto v1 = Payload(key, 1000);
+  ASSERT_TRUE(dist.WriteChunk(key, v1.data(), 1000));
+  ASSERT_TRUE(dist.SetNodeDown(walk[0]));
+  bool armed = true;
+  dist.node_instrument(walk[1])->set_write_hook([&](const ChunkKey&) {
+    if (std::exchange(armed, false)) {
+      dist.SetNodeUp(walk[0]);
+    }
+  });
+  const auto v2 = Payload(ChunkKey{99, 0, 0}, 1000);
+  ASSERT_TRUE(dist.WriteChunk(key, v2.data(), 1000));
+  ASSERT_FALSE(armed);
+  EXPECT_EQ(dist.Stats().under_replicated_chunks, 1) << "the primary lacks the overwrite";
+
+  dist.Quiesce();
+  EXPECT_TRUE(dist.CheckReplication(key).FullyReplicated());
+  EXPECT_EQ(dist.Stats().under_replicated_chunks, 0);
+  std::vector<char> buf(kChunkBytes);
+  ASSERT_EQ(dist.node_store(walk[0])->ReadChunk(key, buf.data(), kChunkBytes), 1000);
+  EXPECT_EQ(std::memcmp(buf.data(), v2.data(), 1000), 0);
+}
+
+// With the key's primary down, its copies live on the next two walk nodes. Both
+// are its home set while the primary is down, so Balance keeps both, and a second
+// failure still leaves a copy to read.
+TEST(DistributedColdBackendTest, BalanceKeepsTheSpillCopyThatStandsInForADownHome) {
+  DistributedColdBackend dist(3, kChunkBytes);
+  const ChunkKey key{13, 0, 0};
+  const auto walk = PlacementTable({0, 1, 2}).WalkOrder(key);
+  ASSERT_TRUE(dist.SetNodeDown(walk[0]));
+  const auto data = Payload(key, 1000);
+  ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1000));
+  EXPECT_EQ(dist.Stats().under_replicated_chunks, 0);
+
+  dist.Balance();
+  EXPECT_TRUE(dist.node_store(walk[1])->HasChunk(key));
+  EXPECT_TRUE(dist.node_store(walk[2])->HasChunk(key)) << "Balance trimmed a home copy";
+  ASSERT_TRUE(dist.SetNodeDown(walk[1]));
+  std::vector<char> buf(kChunkBytes);
+  ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), 1000);
+  EXPECT_EQ(std::memcmp(buf.data(), data.data(), 1000), 0);
+}
+
+// Walk a b c d with a and c down: the key lands on b and d. When c recovers it
+// joins the home set (b, c) although placement's first two nodes are a and b, so
+// the key must be queued and Quiesce must copy it onto c.
+TEST(DistributedColdBackendTest, RecoveryOfANodeThatJoinsTheHomeSetQueuesTheKey) {
+  DistributedColdBackend dist(4, kChunkBytes);
+  const ChunkKey key{14, 0, 0};
+  const auto walk = PlacementTable({0, 1, 2, 3}).WalkOrder(key);
+  ASSERT_TRUE(dist.SetNodeDown(walk[0]));
+  ASSERT_TRUE(dist.SetNodeDown(walk[2]));
+  const auto data = Payload(key, 1000);
+  ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1000));
+  EXPECT_EQ(dist.Stats().under_replicated_chunks, 0);
+
+  ASSERT_TRUE(dist.SetNodeUp(walk[2]));
+  EXPECT_EQ(dist.Stats().under_replicated_chunks, 1);
+  dist.Quiesce();
+  EXPECT_EQ(dist.Stats().under_replicated_chunks, 0);
+  EXPECT_TRUE(dist.node_store(walk[2])->HasChunk(key)) << "the recovered home never got its copy";
+}
+
 TEST(DistributedColdBackendTest, CapacityModelPlacesAroundFullNodes) {
   DistributedColdBackend dist(3, kChunkBytes);
   // Node 0 can hold only two 1 KiB copies; the walk places around it once full.
@@ -706,19 +784,90 @@ struct ScriptEnd {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t corrupt = 0;
+  int64_t in_io_flips = 0;  // hooks that fired inside node IO
 };
 
 // Runs `steps` seeded operations on a 4-node, R=2 backend: writes of varied sizes,
 // verified reads, DeleteContext, node down/up (at most two down, so a write always
-// reaches two nodes), at-rest bit flips, Quiesce and Balance. An oracle map holds
-// what each live key must read back; every read must return exactly those bytes,
-// a miss or kChunkCorrupt — never other bytes, and never bytes for a deleted key.
-ScriptEnd RunSeededScript(uint64_t seed, int steps) {
+// reaches two nodes), with `in_io_faults` one-shot hooks that flip a node down or
+// up from inside a node's next read or write, at-rest bit flips, Quiesce and
+// Balance. An oracle map holds what each live key must read back; every read must
+// return exactly those bytes, a miss or kChunkCorrupt — never other bytes, and
+// never bytes for a deleted key. After every step, every live key that is not at
+// home must be queued for repair; "at home" is worked out here from placement,
+// the script's own down set and the node stores' bytes, not from the backend's
+// predicate.
+ScriptEnd RunSeededScript(uint64_t seed, int steps, bool in_io_faults = false) {
   DistributedColdBackend dist(4, kChunkBytes);
+  const PlacementTable table({0, 1, 2, 3});
   Rng rng(seed);
   std::map<ChunkKey, std::vector<char>> oracle;
   std::set<int> down;
   ScriptEnd end;
+
+  const auto flip_random_node = [&] {
+    const int node = static_cast<int>(rng.NextBounded(4));
+    if (down.erase(node) > 0) {
+      EXPECT_TRUE(dist.SetNodeUp(node));
+    } else if (down.size() < 2) {
+      down.insert(node);
+      EXPECT_TRUE(dist.SetNodeDown(node));
+    }
+  };
+  // Per node: 0 = no hook armed, 1 = its next read flips a node, 2 = its next write.
+  std::vector<int> armed(4, 0);
+  for (int n = 0; n < 4; ++n) {
+    const auto fire = [&, n](int kind) {
+      if (armed[static_cast<size_t>(n)] == kind) {
+        armed[static_cast<size_t>(n)] = 0;
+        ++end.in_io_flips;
+        flip_random_node();
+      }
+    };
+    dist.node_instrument(n)->set_read_hook([fire](const ChunkKey&) { fire(1); });
+    dist.node_instrument(n)->set_write_hook([fire](const ChunkKey&) { fire(2); });
+  }
+
+  // Bits the script flipped in each (node, key) copy since the copy was last clean.
+  std::map<std::pair<int, ChunkKey>, std::vector<int64_t>> flipped;
+  std::vector<char> copy(kChunkBytes);
+  // Whether `node` stores `want` for `key`, clean or (with `undo_flips`) damaged
+  // only by the script's own bit flips. node_store sits under the hooks.
+  const auto holds = [&](int node, const ChunkKey& key, const std::vector<char>& want,
+                         bool undo_flips) {
+    const int64_t got = dist.node_store(node)->ReadChunkUnverified(key, copy.data(), kChunkBytes);
+    if (got != static_cast<int64_t>(want.size())) {
+      return false;
+    }
+    if (std::memcmp(copy.data(), want.data(), want.size()) == 0) {
+      return true;
+    }
+    if (!undo_flips) {
+      return false;
+    }
+    for (const int64_t bit : flipped[{node, key}]) {
+      copy[static_cast<size_t>(bit / 8)] ^= static_cast<char>(1u << (bit % 8));
+    }
+    return std::memcmp(copy.data(), want.data(), want.size()) == 0;
+  };
+  // A key that is not queued must be at home: every node of its home set (the
+  // first two nodes of its walk that the script has not downed) holds it.
+  const auto check_queue_invariant = [&](int step) {
+    for (const auto& [key, want] : oracle) {
+      if (dist.RepairQueued(key)) {
+        continue;
+      }
+      size_t home = 0;
+      for (const int n : table.WalkOrder(key)) {
+        if (home < 2 && down.count(n) == 0) {
+          ++home;
+          EXPECT_TRUE(holds(n, key, want, /*undo_flips=*/true))
+              << "step " << step << ": chunk " << key.context_id << "/" << key.layer << "/"
+              << key.chunk_index << " is not queued, yet its home node " << n << " lacks it";
+        }
+      }
+    }
+  };
   const auto random_key = [&rng] {
     return ChunkKey{static_cast<int64_t>(rng.NextBounded(5)),
                     static_cast<int64_t>(rng.NextBounded(2)),
@@ -770,7 +919,11 @@ ScriptEnd RunSeededScript(uint64_t seed, int steps) {
       EXPECT_TRUE(dist.WriteChunk(key, data.data(), static_cast<int64_t>(data.size())));
       oracle[key] = std::move(data);
     } else if (op < 70) {
-      check_read(pick_key());
+      if (in_io_faults && op >= 66) {
+        armed[rng.NextBounded(4)] = 1 + static_cast<int>(rng.NextBounded(2));
+      } else {
+        check_read(pick_key());
+      }
     } else if (op < 73) {
       const int64_t ctx = static_cast<int64_t>(rng.NextBounded(5));
       dist.DeleteContext(ctx);
@@ -803,14 +956,23 @@ ScriptEnd RunSeededScript(uint64_t seed, int steps) {
         const int64_t byte =
             static_cast<int64_t>(sizeof(ChunkHeader)) +
             static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(payload)));
+        if (holds(node, it->first, it->second, /*undo_flips=*/false)) {
+          flipped.erase({node, it->first});  // the copy was rewritten clean
+        }
         EXPECT_TRUE(dist.node_instrument(node)->CorruptChunk(it->first, 8 * byte));
+        flipped[{node, it->first}].push_back(8 * byte);
       }
     } else if (op < 98) {
       dist.Quiesce();
     } else {
       dist.Balance();
     }
+    check_queue_invariant(step);
+    if (::testing::Test::HasFailure()) {
+      return end;
+    }
   }
+  armed.assign(4, 0);  // no flips during the end check, which needs every node up
 
   // Every node back up and repaired: each live key now reads its bytes or, if no
   // clean copy survived the bit flips, kChunkCorrupt; deleted keys stay absent.
@@ -832,6 +994,15 @@ ScriptEnd RunSeededScript(uint64_t seed, int steps) {
   end.nodes = dist.NodeTable();
   end.listings = NodeListings(dist);
   return end;
+}
+
+TEST(DistributedColdBackendTest, SeededFaultScriptsKeepEveryKeyOffHomeQueued) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ScriptEnd end = RunSeededScript(seed, 600, /*in_io_faults=*/true);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    EXPECT_GT(end.in_io_flips, 0);
+  }
 }
 
 TEST(DistributedColdBackendTest, SeededFaultScriptMatchesTheOracleAndReplaysExactly) {
