@@ -5,10 +5,10 @@
 //
 // Besides the google-benchmark table, main() runs a thread-scaling sweep over the
 // acceptance-gate shapes (1024^3 GemmNN, the 256-token KV projection through a packed
-// [W_k; W_v], the large-k GemmNT point, one decode step of the serving model, and its
-// attention-heavy 7-token prefill and decode step at a 283-token context) and records
-// ops/s, thread count, and speedup vs 1 thread in BENCH_micro_tensor.json — the repo's
-// persisted perf trajectory.
+// [W_k; W_v], the large-k GemmNT point, one decode step of the serving model, its
+// attention-heavy 7-token prefill and decode step at a 283-token context, and its
+// 20-token prefill at a 350-token context) and records ops/s, thread count, and speedup
+// vs 1 thread in BENCH_micro_tensor.json — the repo's persisted perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -244,8 +244,10 @@ void WriteMicroTensorJson() {
   const int64_t dprompt_tokens = dseq.num_tokens();
 
   // The serving model's attention-heavy steps at the rag workload's 283-token context:
-  // a 7-token prefill onto 276 cached tokens and one decode step onto 282. Each run
-  // starts from a freshly prefilled sequence, built untimed.
+  // a 7-token prefill onto 276 cached tokens and one decode step onto 282; and a
+  // rag-shaped 20-token prefill onto 350 cached tokens, whose K/V rows start 14 rows
+  // into a 16-token block. Each run starts from a freshly prefilled sequence, built
+  // untimed.
   KvBlockPool apool(KvPoolConfig::ForModel(dcfg, 32, 16));
   std::optional<PagedKvSequence> aseq;
   const auto cached_context = [&](int64_t tokens) {
@@ -296,6 +298,14 @@ void WriteMicroTensorJson() {
                      benchmark::DoNotOptimize(out.data());
                    },
                    {}, [&] { cached_context(282); }});
+  std::vector<int32_t> rag_prompt(20);
+  std::iota(rag_prompt.begin(), rag_prompt.end(), 1);
+  cases.push_back({"prefill_20_at_350", 0.0, 20.0,
+                   [&] {
+                     Tensor out = dmodel.Forward(rag_prompt, &*aseq);
+                     benchmark::DoNotOptimize(out.data());
+                   },
+                   {}, [&] { cached_context(350); }});
 
   JsonValue benches = JsonValue::Array();
   PrintSection("thread scaling (JSON sweep)");

@@ -17,6 +17,7 @@
 #ifndef HCACHE_SRC_COMMON_THREAD_POOL_H_
 #define HCACHE_SRC_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -126,6 +127,23 @@ class ThreadPool {
   const bool shared_;
   std::vector<std::thread> workers_;
 };
+
+// Threads a ParallelFor called here runs at once: the shared pool's workers plus the
+// caller, but no more than the machine has hardware threads, or 1 where loops run
+// inline (a 1-thread pool, a dedicated pool's worker). Kernels size their subranges
+// from it so that a short loop gives every participant an equal share. The cap
+// matters for a pool as large as the machine (the default): one subrange more than
+// the cores can run would take a second round.
+inline int64_t ParallelParticipants() {
+  const int64_t workers = ThreadPool::OnDedicatedWorker()
+                              ? 0
+                              : static_cast<int64_t>(ThreadPool::Shared().num_threads());
+  if (workers <= 1) {
+    return 1;
+  }
+  static const int64_t hardware = std::thread::hardware_concurrency();
+  return hardware > 0 ? std::min(workers + 1, hardware) : workers + 1;
+}
 
 // Shorthand used by the tensor/model kernels and the storage plane: work-share
 // [begin, end) on the shared pool. See ThreadPool::ParallelFor for the contract. A

@@ -278,7 +278,10 @@ void Transformer::ProjectKv(int64_t layer, const float* hidden, int64_t n,
       std::memcpy(v_dst, v, static_cast<size_t>(kv_dim) * sizeof(float));
     }
   };
-  if (tiles == 1) {
+  // A tile larger than an even share of the rows for the pool's participants leaves
+  // the others idle while it runs: project every row in one GEMM that splits its
+  // columns instead.
+  if (tile_rows * ParallelParticipants() > n) {
     project(0, n, /*parallel_gemm=*/true);
     return;
   }

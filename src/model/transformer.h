@@ -145,7 +145,9 @@ class Transformer {
   // per tile it pre-norms the tile's rows into per-thread scratch, runs one GEMM over
   // the packed [W_k; W_v] and, in the epilogue, adds the biases, rotates K from the
   // RoPE table and stores row i through dest(i), which returns its {K row, V row}.
-  // Tiles work-share on the pool; a lone tile work-shares its GEMM's columns instead.
+  // Tiles work-share on the pool. A call with fewer than tile_rows rows per pool
+  // participant (a decode step, a short prefill) runs all its rows as one GEMM that
+  // work-shares its columns instead.
   template <typename Dest>
   void ProjectKv(int64_t layer, const float* hidden, int64_t n, const int32_t* positions,
                  int64_t tile_rows, const Dest& dest) const;

@@ -169,7 +169,8 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
 
   // Claim a generation per request BEFORE any node IO: concurrent repairers of
   // the old generation see the bump and stand down, and the key reads as absent
-  // (not half-written) until the commit below.
+  // (not half-written) until the commit below, or until a write that landed no
+  // copy hands the key back to its previous generation.
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -234,7 +235,17 @@ bool DistributedColdBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
         if (c.created) {
           index_.erase(it);  // failed first write: the key stays absent
         } else {
-          repair_queue_.insert(req.key);  // failed overwrite: no current copy left
+          // Failed overwrite: the generation returns to that of the copies the key
+          // still has, so the previous bytes stay readable.
+          if (!e.copies.empty()) {
+            e.gen = 0;
+            for (const auto& [n, gen] : e.copies) {
+              e.gen = std::max(e.gen, gen);
+            }
+          }
+          if (e.committed && !AtHomeLocked(req.key, e, *placement())) {
+            repair_queue_.insert(req.key);
+          }
         }
         continue;
       }

@@ -20,7 +20,8 @@
 //     at home when its home set has min(R, member nodes) nodes and each holds a
 //     current-generation copy. Every chunk that is not at home is queued for repair.
 //   * Writes replicate to the chunk's home set. >=1 copy landed => success;
-//     < R copies => success DEGRADED (`degraded_writes`). 0 copies => false.
+//     < R copies => success DEGRADED (`degraded_writes`). 0 copies => false, and
+//     the key is left as it was (see StorageBackend::WriteChunk).
 //   * Reads consult the logical index first (absent => -1, short buffer => -1
 //     with no side effects — the uniform ReadChunks contract), then walk the
 //     replicas: a down node is skipped, a miss or CRC-corrupt copy falls through

@@ -153,7 +153,9 @@ class StorageBackend {
   StorageBackend& operator=(const StorageBackend&) = delete;
 
   // Durably stores a chunk (<= chunk_bytes). Overwrites any existing chunk at `key`.
-  // Returns false on IO failure. Concurrent writers on distinct chunks are safe.
+  // Returns false on IO failure. A failed write leaves the key as it was: a first
+  // write leaves it absent, and a failed overwrite leaves the previous bytes readable
+  // wherever they still were. Concurrent writers on distinct chunks are safe.
   virtual bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) = 0;
 
   // Batched read: one submission for a whole layer's (or batch's) chunks. This is

@@ -19,14 +19,17 @@ constexpr int64_t kNc = 256;
 constexpr int64_t kMr = 4;
 
 // Below this many multiply-adds a GEMM runs on the calling thread: dispatching to the
-// shared pool costs more than the work. Above it, slabs carry at least kMinSlabWork
-// multiply-adds each, and column slabs are at least kMinSlabCols wide, because each
-// one packs all of A again (at 16 columns, packing A cost as much as the arithmetic).
-// Measured with hcache_serve's chat workload (hidden 256, kv 256, ffn 512, vocab 1024;
-// 4 vCPUs, two spinning pool workers plus the caller; median of 4 alternating runs): a
-// decode step's one-row GEMMs stream their weights from L3, so splitting even a
-// 256 x 256 GEMV four ways beat running it serially (tpot_p50 1.17 ms, against 1.22 ms
-// at 1 << 16 / 1 << 15, and 2.18 ms at 1 << 19 / 1 << 18).
+// shared pool costs more than the work. Measured with hcache_serve's chat workload
+// (hidden 256, kv 256, ffn 512, vocab 1024; 4 vCPUs, two spinning pool workers plus
+// the caller; median of 4 alternating runs): a decode step's one-row GEMMs stream
+// their weights from L3, so splitting even a 256 x 256 GEMV beat running it serially
+// (tpot_p50 1.17 ms, against 1.22 ms with this threshold and kMinSlabWork at
+// 1 << 16 / 1 << 15, and 2.18 ms at 1 << 19 / 1 << 18).
+//
+// Above it, RunPacked splits the GEMM over the pool's participants (see there). A
+// column slab carries at least kMinSlabWork multiply-adds and kMinSlabCols columns,
+// because each one packs all of A again (at 16 columns, packing A cost as much as the
+// arithmetic); with a handful of participants the even split is wider than both.
 constexpr int64_t kParallelWorkThreshold = 1 << 15;
 constexpr int64_t kMinSlabWork = 1 << 14;
 constexpr int64_t kMinSlabCols = 4 * kNr;
@@ -172,8 +175,11 @@ void PackedSlab(const float* a, int64_t lda, const float* panels, int64_t k, flo
 }
 
 // C[m, n] = A * W^T (+ C) over W's panels. With `parallel`, a GEMM past
-// kParallelWorkThreshold work-shares row slabs (kMc rows) or column slabs (kNr-aligned,
-// sized as above), whichever dimension splits into more.
+// kParallelWorkThreshold work-shares row slabs (kMc rows) or column slabs, whichever
+// dimension splits into more. Column slabs split n evenly (kNr-aligned) over the
+// pool's participants, one slab each unless the floors above make them wider, so a
+// GEMM with fewer row slabs than participants (a prefill of up to a few dozen rows, a
+// decode GEMV) gives every participant an equal share of its columns.
 // The slab boundaries never affect per-element reduction order, so any thread count
 // produces bit-identical output.
 void RunPacked(const float* a, int64_t lda, const float* panels, int64_t k, int64_t n,
@@ -192,12 +198,15 @@ void RunPacked(const float* a, int64_t lda, const float* panels, int64_t k, int6
   const auto slab = [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
     PackedSlab(a, lda, panels, k, c, ldc, r0, r1, c0, c1, accumulate);
   };
-  if (!parallel || m * n * k < kParallelWorkThreshold) {
+  const int64_t participants =
+      parallel && m * n * k >= kParallelWorkThreshold ? ParallelParticipants() : 1;
+  if (participants == 1) {
     slab(0, m, 0, n);
     return;
   }
   const int64_t col_grain =
-      std::clamp(CeilDiv(CeilDiv(kMinSlabWork, m * k), kNr) * kNr, kMinSlabCols, kNc);
+      kNr * std::max({CeilDiv(CeilDiv(n, kNr), participants),
+                      CeilDiv(kMinSlabWork, m * k * kNr), kMinSlabCols / kNr});
   if (CeilDiv(m, kMc) >= CeilDiv(n, col_grain)) {
     ParallelFor(0, m, kMc, [&slab, n](int64_t r0, int64_t r1) { slab(r0, r1, 0, n); });
   } else {

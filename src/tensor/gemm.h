@@ -131,7 +131,9 @@ class PackedWeight {
 
 // C[m,n] = A[m,k] * W^T; A row-major with leading dimension lda, C with ldc,
 // n = w.rows(). Work-shares row or column slabs on the shared pool once the GEMM is
-// large enough to pay for the dispatch.
+// large enough to pay for the dispatch; a GEMM with fewer row slabs than the pool has
+// participants (a short prefill, a decode GEMV) gives each one an equal share of its
+// columns.
 void GemmPacked(const float* a, int64_t lda, const PackedWeight& w, float* c, int64_t ldc,
                 int64_t m);
 

@@ -683,6 +683,28 @@ TEST(DistributedColdBackendTest, RecoveryOfANodeThatJoinsTheHomeSetQueuesTheKey)
   EXPECT_TRUE(dist.node_store(walk[2])->HasChunk(key)) << "the recovered home never got its copy";
 }
 
+// An overwrite that lands no copy fails and leaves the key as it was: the previous
+// bytes read back, and since they are still at home nothing is queued.
+TEST(DistributedColdBackendTest, FailedOverwriteKeepsThePreviousBytes) {
+  DistributedColdBackend dist(3, kChunkBytes);
+  const ChunkKey key{15, 0, 0};
+  const auto v1 = Payload(key, 1000);
+  ASSERT_TRUE(dist.WriteChunk(key, v1.data(), 1000));
+  for (int n = 0; n < dist.num_nodes(); ++n) {
+    dist.node_instrument(n)->FailNextWrites(1);
+  }
+  const auto v2 = Payload(ChunkKey{99, 0, 0}, 800);
+  EXPECT_FALSE(dist.WriteChunk(key, v2.data(), 800));
+
+  EXPECT_EQ(dist.ChunkSize(key), 1000);
+  std::vector<char> buf(kChunkBytes);
+  ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), 1000);
+  EXPECT_EQ(std::memcmp(buf.data(), v1.data(), 1000), 0);
+  dist.Quiesce();
+  EXPECT_FALSE(dist.RepairQueued(key));
+  EXPECT_TRUE(dist.CheckReplication(key).FullyReplicated());
+}
+
 TEST(DistributedColdBackendTest, CapacityModelPlacesAroundFullNodes) {
   DistributedColdBackend dist(3, kChunkBytes);
   // Node 0 can hold only two 1 KiB copies; the walk places around it once full.

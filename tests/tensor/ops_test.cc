@@ -4,8 +4,24 @@
 
 #include <cmath>
 
+#include "src/common/rng.h"
+#include "src/common/thread_pool.h"
+
 namespace hcache {
 namespace {
+
+// Element counts on both sides of the transcendental ops' 512-element floor, split
+// evenly or not over 1 to 5 pool participants, up to a 20 x 512 prefill's gate.
+constexpr int64_t kElementCounts[] = {1, 512, 513, 1023, 1024, 1025, 3584, 10240};
+
+Tensor Normal(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  Tensor t({n});
+  for (int64_t i = 0; i < n; ++i) {
+    t.at(i) = static_cast<float>(rng.NextNormal(0, 3));
+  }
+  return t;
+}
 
 TEST(OpsTest, SoftmaxSumsToOne) {
   Tensor t = Tensor::FromData({2, 4}, {1, 2, 3, 4, -1, 0, 1, 2});
@@ -107,6 +123,24 @@ TEST(OpsTest, Gelu) {
   EXPECT_NEAR(t.at(0), 0.0f, 1e-6f);
   EXPECT_NEAR(t.at(1), 5.0f, 1e-3f);
   EXPECT_NEAR(t.at(2), 0.0f, 1e-3f);
+}
+
+TEST(OpsTest, SiluAndGeluBitExactAcrossPoolSizes) {
+  for (void (*op)(Tensor&) : {&SiluInPlace, &GeluInPlace}) {
+    for (const int64_t n : kElementCounts) {
+      const Tensor x = Normal(n, 30 + n);
+      ThreadPool::ResizeShared(1);
+      Tensor serial = x.Clone();
+      op(serial);
+      for (size_t threads = 2; threads <= 4; ++threads) {
+        ThreadPool::ResizeShared(threads);
+        Tensor pooled = x.Clone();
+        op(pooled);
+        EXPECT_TRUE(Tensor::BitwiseEqual(serial, pooled))
+            << (op == &SiluInPlace ? "SiLU " : "GELU ") << n << " at " << threads;
+      }
+    }
+  }
 }
 
 TEST(OpsTest, Relu) {

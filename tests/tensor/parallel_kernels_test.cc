@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -149,6 +151,126 @@ TEST(ParallelKernelsTest, PackedGemmBitExactAcrossThreadCountsAndRowSplits) {
     }
   }
   ThreadPool::ResizeShared(kParallelThreads);
+}
+
+TEST(ParallelKernelsTest, PackedGemmAtServingShapesBitExactAcrossPoolSizes) {
+  // The serving model's projections (hidden 256, kv 256 stacked to 512, ffn 512, vocab
+  // 1024) at decode, chat-prefill, rag-prefill and two-block row counts: the slab split
+  // follows the pool's participant count, the bits must not.
+  const int64_t kn[][2] = {{256, 256}, {256, 512}, {512, 256}, {256, 1024}};
+  uint64_t seed = 800;
+  for (const int64_t m : {1, 7, 20, 33}) {
+    for (const auto& [k, n] : kn) {
+      SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+      const Tensor x = RandomMatrix(m, k, seed++);
+      const PackedWeight w(RandomMatrix(n, k, seed++));
+      ThreadPool::ResizeShared(1);
+      const Tensor serial = MatMulTransposedB(x, w);
+      for (size_t threads = 2; threads <= kParallelThreads; ++threads) {
+        ThreadPool::ResizeShared(threads);
+        EXPECT_TRUE(Tensor::BitwiseEqual(serial, MatMulTransposedB(x, w))) << threads;
+      }
+    }
+  }
+  ThreadPool::ResizeShared(kParallelThreads);
+}
+
+// Captures each layer's input rows at their positions.
+class LayerInputs : public HiddenStateSink {
+ public:
+  LayerInputs(int64_t layers, int64_t tokens, int64_t dim) {
+    for (int64_t l = 0; l < layers; ++l) {
+      rows.emplace_back(Tensor({tokens, dim}));
+    }
+  }
+  void OnLayerInput(int64_t layer, const Tensor& hidden, const int32_t* positions,
+                    int64_t n) override {
+    Tensor& dst = rows[static_cast<size_t>(layer)];
+    for (int64_t i = 0; i < n; ++i) {
+      std::copy(hidden.row(i), hidden.row(i) + hidden.dim(1), dst.row(positions[i]));
+    }
+  }
+  std::vector<Tensor> rows;
+};
+
+TEST(ParallelKernelsTest, RagPrefillBitExactAcrossPoolSizesAndEqualsRestore) {
+  // A rag-shaped prefill: 20 tokens appended at position 350 with 16-token blocks, so
+  // its K/V rows span a 2-row tail, a whole block and a 2-row head (a 14-row lead).
+  // Its output and K/V must be the same bits at every pool size, and equal what a
+  // full 370-row restore of the same layer inputs writes, which runs block tiles.
+  ModelConfig cfg = ModelConfig::TinyLlama(2, 256, 4);
+  cfg.vocab_size = 1024;
+  const ModelWeights weights = ModelWeights::Random(cfg, 901);
+  Transformer model(&weights);
+  constexpr int64_t kContext = 350, kPrefill = 20, kTotal = kContext + kPrefill;
+  KvBlockPool pool(KvPoolConfig::ForModel(cfg, 64, 16));
+  LayerInputs inputs(cfg.num_layers, kTotal, cfg.hidden_dim);
+  std::vector<int32_t> tokens(kTotal);
+  for (int64_t i = 0; i < kTotal; ++i) {
+    tokens[static_cast<size_t>(i)] = static_cast<int32_t>((i * 37 + 5) % cfg.vocab_size);
+  }
+  const std::vector<int32_t> context(tokens.begin(), tokens.begin() + kContext);
+  const std::vector<int32_t> prompt(tokens.begin() + kContext, tokens.end());
+  ThreadPool::ResizeShared(kParallelThreads);
+  PagedKvSequence cached(&pool);
+  model.Forward(context, &cached, &inputs);
+  std::vector<Tensor> cached_k(static_cast<size_t>(cfg.num_layers)), cached_v(cached_k.size());
+  for (int64_t l = 0; l < cfg.num_layers; ++l) {
+    cached.ReadKv(l, 0, kContext, &cached_k[static_cast<size_t>(l)],
+                  &cached_v[static_cast<size_t>(l)]);
+  }
+
+  // The prefill's output followed by every layer's K and V rows for its tokens.
+  const auto prefill = [&](HiddenStateSink* sink) {
+    PagedKvSequence seq(&pool);
+    EXPECT_TRUE(seq.EnsureCapacity(kContext));
+    for (int64_t l = 0; l < cfg.num_layers; ++l) {
+      seq.WriteKv(l, 0, cached_k[static_cast<size_t>(l)], cached_v[static_cast<size_t>(l)]);
+    }
+    seq.CommitTokens(kContext);
+    std::vector<float> all;
+    const Tensor out = model.Forward(prompt, &seq, sink);
+    all.insert(all.end(), out.data(), out.data() + out.numel());
+    for (int64_t l = 0; l < cfg.num_layers; ++l) {
+      Tensor k, v;
+      seq.ReadKv(l, kContext, kPrefill, &k, &v);
+      all.insert(all.end(), k.data(), k.data() + k.numel());
+      all.insert(all.end(), v.data(), v.data() + v.numel());
+    }
+    return all;
+  };
+  ThreadPool::ResizeShared(1);
+  const std::vector<float> serial = prefill(&inputs);
+  for (size_t threads = 2; threads <= kParallelThreads; ++threads) {
+    ThreadPool::ResizeShared(threads);
+    const std::vector<float> pooled = prefill(nullptr);
+    ASSERT_EQ(pooled.size(), serial.size());
+    EXPECT_EQ(std::memcmp(pooled.data(), serial.data(), serial.size() * sizeof(float)), 0)
+        << threads << " threads";
+  }
+
+  std::vector<int32_t> positions(kTotal);
+  std::iota(positions.begin(), positions.end(), 0);
+  const int64_t out_floats = kPrefill * cfg.hidden_dim;
+  const int64_t kv_floats = kPrefill * cfg.kv_dim();
+  for (const size_t threads : {size_t{1}, kParallelThreads}) {
+    ThreadPool::ResizeShared(threads);
+    PagedKvSequence restored(&pool);
+    ASSERT_TRUE(restored.EnsureCapacity(kTotal));
+    for (int64_t l = 0; l < cfg.num_layers; ++l) {
+      model.RestoreLayerKv(l, inputs.rows[static_cast<size_t>(l)], positions.data(),
+                           &restored);
+    }
+    restored.CommitTokens(kTotal);
+    for (int64_t l = 0; l < cfg.num_layers; ++l) {
+      Tensor k, v;
+      restored.ReadKv(l, kContext, kPrefill, &k, &v);
+      const float* want = serial.data() + out_floats + 2 * l * kv_floats;
+      EXPECT_EQ(std::memcmp(k.data(), want, kv_floats * sizeof(float)), 0) << "K, layer " << l;
+      EXPECT_EQ(std::memcmp(v.data(), want + kv_floats, kv_floats * sizeof(float)), 0)
+          << "V, layer " << l;
+    }
+  }
 }
 
 TEST(ParallelKernelsTest, RopeBitExactAcrossThreadCounts) {
