@@ -22,7 +22,8 @@ constexpr int64_t kTensorTileRows = 16;
 constexpr int64_t kAttentionRowChunk = 8;
 
 // (row, head) pairs that share one pass over a packed K tile (independent q.k chains
-// that hide the add latency, as the GEMM microkernel's four rows do) or over V's rows.
+// that hide part of the add latency, as the GEMM microkernel's accumulators do) or over
+// V's rows.
 constexpr int64_t kTilePairs = 4;
 
 // One query row and head of an attention work item.

@@ -460,12 +460,21 @@ int64_t DistributedColdBackend::ChunkSize(const ChunkKey& key) const {
   return (it != index_.end() && it->second.committed) ? it->second.size : -1;
 }
 
+bool DistributedColdBackend::AnyCapped(const std::map<int, uint64_t>& copies) const {
+  return std::any_of(copies.begin(), copies.end(), [this](const auto& copy) {
+    return nodes_[static_cast<size_t>(copy.first)]->capacity_bytes.load(
+               std::memory_order_relaxed) > 0;
+  });
+}
+
 void DistributedColdBackend::DeleteContext(int64_t context_id) {
+  bool freed_capped = false;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     auto it = index_.lower_bound(ChunkKey{context_id, std::numeric_limits<int64_t>::min(),
                                           std::numeric_limits<int64_t>::min()});
     while (it != index_.end() && it->first.context_id == context_id) {
+      freed_capped |= AnyCapped(it->second.copies);
       repair_queue_.erase(it->first);
       it = index_.erase(it);
     }
@@ -476,15 +485,20 @@ void DistributedColdBackend::DeleteContext(int64_t context_id) {
     }
     node->io->DeleteContext(context_id);
   }
+  if (freed_capped) {
+    QueueOffHome();  // the freed room may move other keys' home sets back
+  }
 }
 
 bool DistributedColdBackend::DeleteChunk(const ChunkKey& key) {
   bool existed = false;
+  bool freed_capped = false;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
       existed = it->second.committed;
+      freed_capped = AnyCapped(it->second.copies);
       index_.erase(it);
     }
     repair_queue_.erase(key);
@@ -494,6 +508,9 @@ bool DistributedColdBackend::DeleteChunk(const ChunkKey& key) {
       continue;
     }
     node->io->DeleteChunk(key);
+  }
+  if (freed_capped) {
+    QueueOffHome();  // the freed room may move other keys' home sets back
   }
   return existed;
 }
@@ -918,8 +935,11 @@ StorageBackend* DistributedColdBackend::node_store(int node) const {
 
 void DistributedColdBackend::set_node_capacity(int node, int64_t bytes) {
   CHECK(node >= 0 && node < num_nodes());
-  nodes_[static_cast<size_t>(node)]->capacity_bytes.store(bytes,
-                                                          std::memory_order_relaxed);
+  const int64_t old = nodes_[static_cast<size_t>(node)]->capacity_bytes.exchange(
+      bytes, std::memory_order_relaxed);
+  if (old != bytes) {
+    QueueOffHome();  // the node gained or lost room: home sets may move
+  }
 }
 
 StorageStats DistributedColdBackend::Stats() const {

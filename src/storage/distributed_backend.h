@@ -179,7 +179,8 @@ class DistributedColdBackend : public StorageBackend {
   InstrumentedBackend* node_instrument(int node) const;
   // The node's raw store (under the instrumentation).
   StorageBackend* node_store(int node) const;
-  // Per-node capacity override (0 = unlimited); tests shape skewed fills with it.
+  // Per-node capacity override (0 = unlimited); tests shape skewed fills with it. A
+  // change queues every key whose home set it moves.
   void set_node_capacity(int node, int64_t bytes);
   const DistributedColdOptions& options() const { return options_; }
 
@@ -240,6 +241,9 @@ class DistributedColdBackend : public StorageBackend {
   bool NodeWritable(int node) const;
   bool NodeReadable(int node) const;
   bool NodeHasCapacity(int node, int64_t bytes) const;
+  // True when a node holding one of `copies` has a capacity set, so deleting them
+  // may move other keys' home sets back onto it.
+  bool AnyCapped(const std::map<int, uint64_t>& copies) const;
 
   // Current-generation copy holders of a snapshot entry, best first: placement
   // walk order, then holders outside the table (a draining node still serving).
@@ -280,9 +284,9 @@ class DistributedColdBackend : public StorageBackend {
   // Invariant: every committed key that is not at home (AtHomeLocked) is queued.
   // Anything that changes a key's copies or home set re-checks and inserts; only
   // DeleteContext, DeleteChunk and the repair pass erase, the repair pass only
-  // once the key is at home under the current placement. Node capacity is the
-  // one input outside it: a node that frees room pulls keys back onto itself at
-  // the next Balance.
+  // once the key is at home under the current placement. Node capacity is part of
+  // the home set too: set_node_capacity, and a delete that frees room on a node
+  // with a capacity, re-check every key.
   mutable std::set<ChunkKey> repair_queue_;
   std::condition_variable repaired_cv_;      // a repair window closed (wakes writers)
 

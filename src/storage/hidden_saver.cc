@@ -176,18 +176,17 @@ bool HiddenStateReader::ReadChunksThen(int64_t context_id, int64_t layer, int64_
   const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
   // FP32 is the widest encoding, so its chunk size bounds every stored form.
   const int64_t chunk_cap = EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens_, cols);
-  // Per-thread scratch reused across restores. A fresh multi-MB allocation here would
-  // dominate the layer read: large mallocs are mmap-backed, so every call would repay
-  // soft page faults across the whole staging buffer. It grows once per high-water mark
-  // and is never zero-filled, so the tail of each chunk's slot that a narrower codec
-  // leaves unread never becomes resident.
-  static thread_local std::unique_ptr<uint8_t[]> scratch;
-  static thread_local int64_t scratch_bytes = 0;
-  if (scratch_bytes < num_chunks * chunk_cap) {
-    scratch_bytes = num_chunks * chunk_cap;
-    scratch.reset(new uint8_t[static_cast<size_t>(scratch_bytes)]);
+  // The reader's scratch, reused across calls whichever thread makes them. A fresh
+  // multi-MB allocation here would dominate the layer read: large mallocs are
+  // mmap-backed, so every call would repay soft page faults across the whole staging
+  // buffer. It grows once per high-water mark and is never zero-filled, so the tail of
+  // each chunk's slot that a narrower codec leaves unread never becomes resident.
+  std::lock_guard<std::mutex> lock(scratch_mu_);
+  if (scratch_bytes_ < num_chunks * chunk_cap) {
+    scratch_bytes_ = num_chunks * chunk_cap;
+    scratch_.reset(new uint8_t[static_cast<size_t>(scratch_bytes_)]);
   }
-  uint8_t* const buf = scratch.get();
+  uint8_t* const buf = scratch_.get();
   // One batched submission for the whole layer: the backend overlaps the chunk
   // fetches (per-device pread fan-out, or one cold round trip on a tiered store)
   // instead of paying num_chunks serial round trips.

@@ -180,6 +180,11 @@ class HiddenStateReader {
   ChunkGeometry geometry_;
   int64_t chunk_tokens_;
   bool verify_;
+  // ReadChunksThen's staging for one layer's chunks, kept across calls; the mutex
+  // serializes the calls that share it.
+  mutable std::mutex scratch_mu_;
+  mutable std::unique_ptr<uint8_t[]> scratch_;
+  mutable int64_t scratch_bytes_ = 0;
 };
 
 }  // namespace hcache

@@ -1,7 +1,9 @@
 #include "src/tensor/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -11,12 +13,30 @@ namespace hcache {
 namespace {
 
 // BLIS-style cache blocking: a kKc x kNc B-panel (~256 KiB) stays L2-resident while a
-// kMc x kKc A-block (~64 KiB) streams through L1. The register tile is kMr x kNr
-// (4 x 16 floats = one 4x16 accumulator block the compiler keeps in vector registers).
+// kMc x kKc A-block (~64 KiB) streams through L1.
 constexpr int64_t kMc = 64;
 constexpr int64_t kKc = 256;
 constexpr int64_t kNc = 256;
+
+// The register tile: kMr rows by kTilePanels adjacent kNr-column panels, one vector
+// accumulator per (row, panel) and so kMr * kTilePanels independent multiply-add
+// chains. A chain waits on its own previous multiply-add, so the tile needs
+// latency x issue ports chains to keep every FMA port busy (Low et al., "Analytical
+// Modeling Is Enough for High-Performance BLIS", TOMS 2016): with AVX-512 a VecNr is
+// one zmm register, and two FMA ports at 4-cycle latency want 8 chains or more, so
+// the tile is 8 x 32 (16 accumulators, 2 B loads and 8 broadcasts per 16 FMAs; an
+// 8 x 16 tile was load-bound and 4 x 32 in between). Elsewhere a VecNr spans several
+// narrower registers and 4 x 16 already holds enough chains (8 ymm with AVX2).
+#if defined(__AVX512F__)
+constexpr int64_t kMr = 8;
+constexpr int64_t kTilePanels = 2;
+#else
 constexpr int64_t kMr = 4;
+constexpr int64_t kTilePanels = 1;
+#endif
+constexpr int64_t kTileCols = kTilePanels * kNr;
+static_assert(kMc % kMr == 0 && kNc % kTileCols == 0, "blocks hold whole tiles");
+static_assert(kMr <= kNr, "PackA transposes a strip as the top rows of a kNr block");
 
 // Below this many multiply-adds a GEMM runs on the calling thread: dispatching to the
 // shared pool costs more than the work. Measured with hcache_serve's chat workload
@@ -55,12 +75,26 @@ void PackColumns(const float* b, int64_t k, int64_t n, float* out) {
 
 // Packs the mc x kc block of A starting at `a` (row-major, leading dimension lda) into
 // kMr-row strips: ap[strip][p * kMr + r] = A[strip * kMr + r][p]. Rows past mc are
-// zero-filled so the microkernel always runs a full kMr x kNr tile; the padded rows'
-// outputs are simply never stored.
+// zero-filled; the microkernel reads only a strip's live rows. Whole kNr-deep blocks
+// transpose in registers, as PackRows does, with the strip's rows as the block's first
+// kMr rows; the tail past the last whole block is gathered one element at a time.
 void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* ap) {
   for (int64_t i0 = 0; i0 < mc; i0 += kMr) {
     const int64_t rows = std::min(kMr, mc - i0);
-    for (int64_t p = 0; p < kc; ++p) {
+    int64_t p = 0;
+    for (; p + kNr <= kc; p += kNr) {
+      VecNr block[kNr] = {};
+      for (int64_t r = 0; r < kMr; ++r) {
+        if (r < rows) {
+          std::memcpy(&block[r], a + (i0 + r) * lda + p, sizeof(VecNr));
+        }
+      }
+      TransposeNr(block);
+      for (int64_t j = 0; j < kNr; ++j) {
+        std::memcpy(ap + (p + j) * kMr, &block[j], kMr * sizeof(float));
+      }
+    }
+    for (; p < kc; ++p) {
       for (int64_t r = 0; r < rows; ++r) {
         ap[p * kMr + r] = a[(i0 + r) * lda + p];
       }
@@ -72,30 +106,20 @@ void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* ap) {
   }
 }
 
-// Register-tiled inner kernel: accumulates a full kMr x kNr tile over kc in four
-// vector accumulators (four independent fma streams over kNr lanes), then stores the
-// mr x nr valid region.
-// `assign` overwrites C (first k-block of a non-accumulating GEMM); otherwise the tile
-// sum is added — so per element C[i][j] receives its k-partial sums in a fixed order
-// that depends only on the k blocking, never on the m/n partitioning or thread count.
-static_assert(kMr == 4, "the microkernel unrolls up to four A rows");
-
-// Overwrites (assign) or adds into c_row the first nr lanes of one accumulator.
+// Overwrites (assign) or adds into c_row the first nr lanes of one accumulator. Lane
+// j of the vector add is exactly the scalar c_row[j] + acc[j].
 inline void StoreRow(const VecNr& acc, float* c_row, int64_t nr, bool assign) {
-  float lanes[kNr];
-  std::memcpy(lanes, &acc, sizeof(lanes));
-  if (nr == kNr) {  // full-width tile: fixed-bound stores
-    if (assign) {
-      for (int64_t j = 0; j < kNr; ++j) {
-        c_row[j] = lanes[j];
-      }
-    } else {
-      for (int64_t j = 0; j < kNr; ++j) {
-        c_row[j] += lanes[j];
-      }
+  if (nr == kNr) {  // full-width tile: one vector store
+    VecNr out = acc;
+    if (!assign) {
+      std::memcpy(&out, c_row, sizeof(out));
+      out += acc;
     }
+    std::memcpy(c_row, &out, sizeof(out));
     return;
   }
+  float lanes[kNr];
+  std::memcpy(lanes, &acc, sizeof(lanes));
   if (assign) {
     for (int64_t j = 0; j < nr; ++j) {
       c_row[j] = lanes[j];
@@ -107,46 +131,61 @@ inline void StoreRow(const VecNr& acc, float* c_row, int64_t nr, bool assign) {
   }
 }
 
-// MR is the number of live A rows in the tile (1..kMr); rows past MR are the zero
-// padding PackA added and their accumulators are never materialized, so a 1-row GEMM
-// (decode, GEMV shape) does 1/4 of the tile work. Each surviving lane's chain
-// `acc_r[j] += a_r * b_j` is textually identical in every instantiation, keeping the
-// result bit-independent of which MR the tile geometry selects.
-template <int MR>
-void MicroKernelImpl(const float* ap, const float* bp, int64_t kc, float* c, int64_t ldc,
-                     int64_t mr, int64_t nr, bool assign) {
-  VecNr acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
+// Register-tiled inner kernel: accumulates MR rows (1..kMr) of A against NP adjacent
+// panels (1..kTilePanels; `panel_stride` floats apart) over kc, then stores the
+// MR x nr valid region, nr <= NP * kNr. Rows past MR are the zero padding PackA added
+// and get no accumulator, so a 1-row GEMM (decode, GEMV shape) does only its own row's
+// work. `assign` overwrites C (first k-block of a non-accumulating GEMM); otherwise the
+// tile sum is added — so per element C[i][j] receives its k-partial sums in a fixed
+// order that depends only on the k blocking. Each lane's chain `acc[r][q][j] +=
+// a_r * b_q[j]` is textually identical in every instantiation, so an element's bits
+// never depend on which tile shape covers it, nor on the m/n partitioning or thread
+// count.
+template <int MR, int NP>
+void MicroKernelImpl(const float* ap, const float* bp, int64_t panel_stride, int64_t kc,
+                     float* c, int64_t ldc, int64_t nr, bool assign) {
+  VecNr acc[MR][NP] = {};
   for (int64_t p = 0; p < kc; ++p) {
     const float* a_col = ap + p * kMr;
-    VecNr b;
-    std::memcpy(&b, bp + p * kNr, sizeof(b));
-    acc0 += a_col[0] * b;
-    if constexpr (MR > 1) acc1 += a_col[1] * b;
-    if constexpr (MR > 2) acc2 += a_col[2] * b;
-    if constexpr (MR > 3) acc3 += a_col[3] * b;
+    VecNr b[NP];
+    for (int q = 0; q < NP; ++q) {
+      std::memcpy(&b[q], bp + q * panel_stride + p * kNr, sizeof(VecNr));
+    }
+    for (int r = 0; r < MR; ++r) {
+      for (int q = 0; q < NP; ++q) {
+        acc[r][q] += a_col[r] * b[q];
+      }
+    }
   }
-  const VecNr* rows[kMr] = {&acc0, &acc1, &acc2, &acc3};
-  for (int64_t r = 0; r < mr; ++r) {
-    StoreRow(*rows[r], c + r * ldc, nr, assign);
+  for (int r = 0; r < MR; ++r) {
+    for (int q = 0; q < NP; ++q) {
+      StoreRow(acc[r][q], c + r * ldc + q * kNr, std::min(kNr, nr - q * kNr), assign);
+    }
   }
 }
 
-void MicroKernel(const float* ap, const float* bp, int64_t kc, float* c, int64_t ldc,
-                 int64_t mr, int64_t nr, bool assign) {
-  switch (mr) {
-    case 1: MicroKernelImpl<1>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-    case 2: MicroKernelImpl<2>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-    case 3: MicroKernelImpl<3>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-    default: MicroKernelImpl<4>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-  }
+using MicroKernelFn = void (*)(const float* ap, const float* bp, int64_t panel_stride,
+                               int64_t kc, float* c, int64_t ldc, int64_t nr, bool assign);
+
+// kMicroKernels[np - 1][mr - 1] is the MR = mr, NP = np instantiation.
+template <int NP, size_t... R>
+constexpr std::array<MicroKernelFn, kMr> MicroKernelRow(std::index_sequence<R...>) {
+  return {&MicroKernelImpl<static_cast<int>(R) + 1, NP>...};
 }
+template <size_t... P>
+constexpr std::array<std::array<MicroKernelFn, kMr>, kTilePanels> MicroKernelTable(
+    std::index_sequence<P...>) {
+  return {MicroKernelRow<static_cast<int>(P) + 1>(std::make_index_sequence<kMr>())...};
+}
+constexpr auto kMicroKernels = MicroKernelTable(std::make_index_sequence<kTilePanels>());
 
 // Computes rows [r0, r1) x cols [c0, c1) of C = A * W^T (+ C when accumulate) from
 // W's panels, serially; c0 is a multiple of kNr. Each output element's reduction runs
 // over k in kKc blocks in ascending order with a fixed intra-block order, so results
 // are bitwise identical no matter how the row/column ranges are partitioned across
 // calls. A kKc x kNc block of the panels (~256 KiB) stays L2-resident while kMc-row
-// blocks of A stream through it.
+// blocks of A stream through it. Tiles walk kTilePanels panels at a time from c0; a
+// slab whose columns end on a partial tile runs it with fewer panels.
 void PackedSlab(const float* a, int64_t lda, const float* panels, int64_t k, float* c,
                 int64_t ldc, int64_t r0, int64_t r1, int64_t c0, int64_t c1,
                 bool accumulate) {
@@ -161,12 +200,14 @@ void PackedSlab(const float* a, int64_t lda, const float* panels, int64_t k, flo
       for (int64_t ic = r0; ic < r1; ic += kMc) {
         const int64_t mc = std::min(kMc, r1 - ic);
         PackA(a + ic * lda + pc, lda, mc, kc, a_pack.data());
-        for (int64_t jr = 0; jr < nc; jr += kNr) {
+        for (int64_t jr = 0; jr < nc; jr += kTileCols) {
           const float* bp = panels + ((jc + jr) / kNr) * k * kNr + pc * kNr;
+          const int64_t nr = std::min(kTileCols, nc - jr);
+          const auto& kernels = kMicroKernels[static_cast<size_t>(CeilDiv(nr, kNr) - 1)];
           for (int64_t ir = 0; ir < mc; ir += kMr) {
-            MicroKernel(a_pack.data() + (ir / kMr) * kc * kMr, bp, kc,
-                        c + (ic + ir) * ldc + jc + jr, ldc, std::min(kMr, mc - ir),
-                        std::min(kNr, nc - jr), assign);
+            kernels[static_cast<size_t>(std::min(kMr, mc - ir) - 1)](
+                a_pack.data() + (ir / kMr) * kc * kMr, bp, k * kNr, kc,
+                c + (ic + ir) * ldc + jc + jr, ldc, nr, assign);
           }
         }
       }
@@ -176,8 +217,9 @@ void PackedSlab(const float* a, int64_t lda, const float* panels, int64_t k, flo
 
 // C[m, n] = A * W^T (+ C) over W's panels. With `parallel`, a GEMM past
 // kParallelWorkThreshold work-shares row slabs (kMc rows) or column slabs, whichever
-// dimension splits into more. Column slabs split n evenly (kNr-aligned) over the
-// pool's participants, one slab each unless the floors above make them wider, so a
+// dimension splits into more. Column slabs split n evenly over the pool's
+// participants, aligned to the register tile's width so no slab ends on a narrow tile
+// where a wide one fits, one slab each unless the floors above make them wider, so a
 // GEMM with fewer row slabs than participants (a prefill of up to a few dozen rows, a
 // decode GEMV) gives every participant an equal share of its columns.
 // The slab boundaries never affect per-element reduction order, so any thread count
@@ -205,8 +247,9 @@ void RunPacked(const float* a, int64_t lda, const float* panels, int64_t k, int6
     return;
   }
   const int64_t col_grain =
-      kNr * std::max({CeilDiv(CeilDiv(n, kNr), participants),
-                      CeilDiv(kMinSlabWork, m * k * kNr), kMinSlabCols / kNr});
+      kTileCols * std::max({CeilDiv(CeilDiv(n, kTileCols), participants),
+                            CeilDiv(kMinSlabWork, m * k * kTileCols),
+                            CeilDiv(kMinSlabCols, kTileCols)});
   if (CeilDiv(m, kMc) >= CeilDiv(n, col_grain)) {
     ParallelFor(0, m, kMc, [&slab, n](int64_t r0, int64_t r1) { slab(r0, r1, 0, n); });
   } else {

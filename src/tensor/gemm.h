@@ -26,8 +26,9 @@
 
 namespace hcache {
 
-// The microkernel's register-tile width: weights are packed in kNr-column panels, and
-// attention packs its keys in kNr-key tiles of the same form.
+// The panel width: weights are packed in kNr-column panels, and attention packs its
+// keys in kNr-key tiles of the same form. The GEMM's register tile spans one panel, or
+// two adjacent ones where a VecNr is one vector register (see gemm.cc).
 inline constexpr int64_t kNr = 16;
 
 // kNr floats as one GCC vector value, so the microkernels' accumulators stay in vector

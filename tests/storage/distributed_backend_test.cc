@@ -4,7 +4,7 @@
 // kill-during-drain, double failure with R=2 (detected miss, never wrong bytes),
 // the repair queue's home-set rule (a key off its home set stays queued, and
 // Balance never trims a copy standing in for a down node), the per-node capacity
-// model, cold recovery of the logical index from node stores (opening never
+// model (freeing room on a full node queues the keys homed there), cold recovery of the logical index from node stores (opening never
 // mutates them), and seeded fault scripts with node flips fired from inside node
 // IO: each replays exactly and keeps the queue invariant after every step.
 #include "src/storage/distributed_backend.h"
@@ -724,6 +724,46 @@ TEST(DistributedColdBackendTest, CapacityModelPlacesAroundFullNodes) {
     EXPECT_EQ(copies, 2) << key.chunk_index;
   }
   EXPECT_EQ(dist.Stats().degraded_writes, 0);
+}
+
+// A key whose primary is full spills to the next node on its walk. Freeing room on
+// the primary moves the key's home set back onto it, so each way of freeing it (a
+// chunk delete, a context delete, a larger capacity) must queue the key, and
+// Quiesce must copy it onto its primary.
+TEST(DistributedColdBackendTest, FreeingRoomOnAFullNodeQueuesTheKeysHomedThere) {
+  for (const char* how : {"DeleteChunk", "DeleteContext", "set_node_capacity"}) {
+    SCOPED_TRACE(how);
+    DistributedColdBackend dist(3, kChunkBytes);
+    const PlacementTable table({0, 1, 2});
+    const ChunkKey filler{16, 0, 0};
+    const int primary = table.WalkOrder(filler)[0];
+    ChunkKey key{17, 0, 0};
+    while (table.WalkOrder(key)[0] != primary) {
+      ++key.chunk_index;
+    }
+    dist.set_node_capacity(primary, 1000);
+    const auto fill = Payload(filler, 1000);
+    ASSERT_TRUE(dist.WriteChunk(filler, fill.data(), 1000));
+    ASSERT_TRUE(dist.node_store(primary)->HasChunk(filler));
+    const auto data = Payload(key, 1000);
+    ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1000));
+    ASSERT_FALSE(dist.node_store(primary)->HasChunk(key)) << "the full primary took it";
+    dist.Quiesce();
+    ASSERT_FALSE(dist.RepairQueued(key)) << "at home on the spill nodes while full";
+
+    if (std::string(how) == "DeleteChunk") {
+      ASSERT_TRUE(dist.DeleteChunk(filler));
+    } else if (std::string(how) == "DeleteContext") {
+      dist.DeleteContext(filler.context_id);
+    } else {
+      dist.set_node_capacity(primary, 2000);
+    }
+    EXPECT_TRUE(dist.RepairQueued(key));
+    dist.Quiesce();
+    EXPECT_TRUE(dist.node_store(primary)->HasChunk(key)) << "the primary never got its copy";
+    EXPECT_FALSE(dist.RepairQueued(key));
+    EXPECT_TRUE(dist.CheckReplication(key).FullyReplicated());
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 
 namespace hcache {
 namespace {
@@ -195,6 +197,63 @@ TEST(GemmTest, PackedHonorsLeadingDimensions) {
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < ldc; ++j) {
       EXPECT_EQ(c.at(i, j), j < n ? want.at(i, j) : -7.0f) << i << "," << j;
+    }
+  }
+}
+
+// The register tile's contract: an element's bits depend on its row of A, its column
+// of W and k, never on which tile shape covers it. So every element of a packed GEMM
+// equals the 1-row GEMM of its own row against its own 16-column panel, the narrowest
+// tile, in both the assign and the accumulate mode. m and n cover partial row strips
+// and partial, odd and paired panels, k one and several 256-deep k blocks; pools of
+// 1-4 workers make column slabs end on half tiles.
+TEST(GemmTest, EveryElementEqualsItsOneRowOnePanelGemm) {
+  Rng rng(8);
+  std::vector<int64_t> ms;
+  for (int64_t m = 1; m <= 17; ++m) {
+    ms.push_back(m);
+  }
+  ms.push_back(33);
+  ms.push_back(350);
+  for (const int64_t k : {7, 256, 257, 513}) {
+    const Tensor a = RandomMatrix(350, k, rng);
+    for (const int64_t n : {1, 15, 16, 17, 31, 32, 33, 47, 48, 300, 512}) {
+      const Tensor w = RandomMatrix(n, k, rng);
+      const Tensor init = RandomMatrix(350, n, rng);  // C before an accumulating GEMM
+      const PackedWeight pw(w);
+      // ref[accumulate][i][j]: row i of A against the panel holding column j.
+      Tensor ref[2] = {Tensor({350, n}), Tensor({350, n})};
+      ThreadPool::ResizeShared(1);
+      for (const bool accumulate : {false, true}) {
+        for (int64_t i = 0; i < 350; ++i) {
+          for (int64_t j0 = 0; j0 < n; j0 += kNr) {
+            const int64_t cols = std::min(kNr, n - j0);
+            float* out = ref[accumulate].row(i) + j0;
+            std::copy(init.row(i) + j0, init.row(i) + j0 + cols, out);
+            std::vector<float> c(out, out + cols);
+            GemmNT(a.row(i), w.row(j0), c.data(), 1, k, cols, accumulate);
+            std::copy(c.begin(), c.end(), out);
+          }
+        }
+      }
+      for (const size_t workers : {1, 2, 3, 4}) {
+        ThreadPool::ResizeShared(workers);
+        for (const int64_t m : ms) {
+          SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n << ", " << workers
+                                          << " workers");
+          Tensor assigned({m, n});
+          GemmPacked(a.data(), k, pw, assigned.data(), n, m);
+          Tensor accumulated({m, n});
+          std::copy(init.data(), init.data() + m * n, accumulated.data());
+          GemmNT(a.data(), w.data(), accumulated.data(), m, k, n, /*accumulate=*/true);
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+              ASSERT_EQ(assigned.at(i, j), ref[0].at(i, j)) << i << "," << j;
+              ASSERT_EQ(accumulated.at(i, j), ref[1].at(i, j)) << i << "," << j;
+            }
+          }
+        }
+      }
     }
   }
 }

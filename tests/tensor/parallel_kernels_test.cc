@@ -1,6 +1,6 @@
 // Property tests for the threaded functional-plane kernels: every parallel kernel must
 // produce BIT-IDENTICAL output to its serial (1-thread) execution, across shapes that
-// straddle the GEMM block sizes (64/256), the register tile (4x16), and degenerate
+// straddle the GEMM block sizes (64/256), the register tile (4x16 or 8x32), and degenerate
 // 1xN / Nx1 cases. The lossless-restoration guarantee depends on this: a KV projection
 // computed during prefill on T threads must equal the same projection recomputed at
 // restore time on any other thread count.
@@ -44,7 +44,7 @@ std::pair<Tensor, Tensor> SerialVsParallel(Fn&& fn) {
 }
 
 // Shapes chosen to be hostile to the blocking: not multiples of Mc=64/Kc=256/Nc=256 or
-// of the 4x16 register tile, plus row and column vectors.
+// of the register tile, plus row and column vectors.
 const int64_t kShapes[][3] = {
     {1, 1, 1},     {1, 257, 1},   {3, 5, 513},   {65, 129, 31}, {1, 1024, 9},
     {127, 300, 63}, {64, 256, 256}, {5, 31, 1},    {2, 4096, 17}, {130, 70, 258},
