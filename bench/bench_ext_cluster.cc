@@ -54,14 +54,6 @@ constexpr int64_t kSharedDramBytes = 6 * kChunkBytes;
 // sweep must not regress below it.
 constexpr double kPr4CommittedScaling4v1 = 3.14;
 
-// Deterministic sweep instrument: one lock stripe gives run-to-run identical tier
-// stats (the replicas run serially, so no read races a flush).
-TieredOptions SweepTierOptions() {
-  TieredOptions o;
-  o.num_shards = 1;
-  return o;
-}
-
 struct Row {
   int replicas = 0;
   RouterPolicy policy = RouterPolicy::kRoundRobin;
@@ -73,7 +65,7 @@ Row RunConfig(int replicas, RouterPolicy policy) {
   row.replicas = replicas;
   row.policy = policy;
   MemoryBackend cold(kChunkBytes);
-  TieredBackend shared(&cold, kSharedDramBytes, SweepTierOptions());
+  TieredBackend shared(&cold, kSharedDramBytes);
   ClusterOptions o;
   o.num_replicas = replicas;
   o.router = policy;

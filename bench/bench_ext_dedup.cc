@@ -234,8 +234,6 @@ int main() {
   const int64_t dram_budget = main_physical_bytes + main_physical_bytes / 4;
   PrintSection("DRAM-hit A/B at equal budget (" + std::to_string(dram_budget >> 10) +
                " KiB): dedup(tiered(file)) vs tiered(file)");
-  TieredOptions tier_opts;  // deterministic single-stripe tier for measurement
-  tier_opts.num_shards = 1;
 
   struct AbRow {
     std::string stack;
@@ -247,7 +245,7 @@ int main() {
   for (const bool with_dedup : {false, true}) {
     const auto leg_dir = dir / (with_dedup ? "dedup" : "plain");
     FileBackend disk({leg_dir.string()}, 1 << 20);
-    TieredBackend tier(&disk, dram_budget, tier_opts);
+    TieredBackend tier(&disk, dram_budget);
     DedupBackend dedup(&tier);
     StorageBackend* store = with_dedup ? static_cast<StorageBackend*>(&dedup)
                                        : static_cast<StorageBackend*>(&tier);

@@ -65,14 +65,6 @@ constexpr double kKillTime = 30.0;
 constexpr double kKillLoad = 0.8 * kKillReplicas;  // sessions/s, fleet-wide
 constexpr int64_t kKillSessions = 40 * kKillReplicas;
 
-// Deterministic shared tier: one stripe, same instrument configuration as the
-// committed cluster sweep.
-TieredOptions SweepTierOptions() {
-  TieredOptions o;
-  o.num_shards = 1;
-  return o;
-}
-
 DiurnalShape DiurnalDay() {
   DiurnalShape d;
   d.period_s = kDiurnalPeriod;
@@ -83,7 +75,7 @@ DiurnalShape DiurnalDay() {
 
 ClusterReport RunLeg(const ClusterOptions& options, double rate, int64_t sessions) {
   MemoryBackend cold(kChunkBytes);
-  TieredBackend shared(&cold, kSharedDramBytes, SweepTierOptions());
+  TieredBackend shared(&cold, kSharedDramBytes);
   ClusterEngine cluster(Platform::DefaultTestbed(1, 4), ModelConfig::Llama2_7B(),
                         options, &shared);
   return cluster.RunConversations(rate, sessions, kRoundInterval, kSeed);

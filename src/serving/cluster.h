@@ -205,8 +205,9 @@ struct ConversationDriveResult {
 // and completion handling stay serial, and completions are merged in replica-id
 // order, so the simulated results are byte-identical to the serial schedule — only
 // the *wall-clock* behavior changes: the replicas' state save/restore traffic hits
-// the shared StorageBackend concurrently, which is exactly the access pattern the
-// sharded tiered backend exists for (and what bench_ext_cluster measures).
+// the shared StorageBackend concurrently — the access pattern a shared
+// TieredBackend serves by holding no lock across cold-tier IO (and what
+// bench_ext_cluster measures).
 ConversationDriveResult DriveConversations(ReplicaSet& fleet, SessionRouter* router,
                                            const ConversationWorkload& workload,
                                            const std::vector<FleetEvent>& events = {},

@@ -11,25 +11,25 @@
 //
 // Concurrency model:
 //
-//   * The chunk map, the logical index, and the per-context LRU metadata are striped
-//     across K lock shards keyed by context_id, so operations on distinct contexts
-//     never contend on a lock.
-//   * Eviction removes the victim from the hot tier under the shard lock
-//     (deterministic LRU decisions) and parks its dirty chunks in the shard's pending
-//     map. The caller whose write or promotion caused the eviction then flushes them
-//     to the cold tier itself, with every shard lock released, before it returns.
-//     Until a flush retires, its chunks stay readable from DRAM
-//     (`drain_rescued_chunks`) and a re-read re-admits them when they fit.
+//   * One mutex guards the whole tier: the chunk map, the logical index, the one
+//     context LRU over the whole budget, and the counters (so Stats() is one
+//     consistent snapshot). It is held only for map bookkeeping and memcpy.
+//   * Eviction removes the victim from the hot tier under the lock (deterministic
+//     LRU decisions) and parks its dirty chunks in the pending map. The caller whose
+//     write or promotion caused the eviction then flushes them to the cold tier
+//     itself, with the lock released, before it returns. Until a flush retires, its
+//     chunks stay readable from DRAM (`drain_rescued_chunks`) and a re-read re-admits
+//     them when they fit.
 //   * Cold-tier IO of one context is serialized: a flush or a cold delete first claims
-//     its context in the shard's `busy` set and waits out any claim already held. Two
+//     its context in the `busy` set and waits out any claim already held. Two
 //     flushes of one chunk therefore land in eviction order (an older payload never
 //     overwrites a newer one), and a delete never races a flush of its context (a
 //     deleted context is never written back, and a later write's flush is never
 //     deleted).
 //   * No lock is ever held across cold-tier IO: promotion reads, flushes, and cold
-//     deletes all run with every shard lock released (asserted by the re-entrancy
-//     test in tests/storage/tiered_async_test.cc). Only a context's claim spans its
-//     IO, so only that context's next flush or delete waits on it.
+//     deletes all run with the lock released (asserted by the re-entrancy test in
+//     tests/storage/tiered_async_test.cc). Only a context's claim spans its IO, so
+//     only that context's next flush or delete waits on it.
 //
 // Failure semantics: a cold-tier write error during a flush rolls the affected chunks
 // back into the hot tier dirty (MRU) and un-counts the eviction; the next eviction of
@@ -38,7 +38,6 @@
 #ifndef HCACHE_SRC_STORAGE_TIERED_BACKEND_H_
 #define HCACHE_SRC_STORAGE_TIERED_BACKEND_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -54,28 +53,19 @@
 
 namespace hcache {
 
-struct TieredOptions {
-  // Lock stripes over context_id. 0 = auto: one stripe per 8 chunks of DRAM budget,
-  // clamped to [1, 16] — tiny tiers keep one stripe (and thus one global LRU), big
-  // tiers stripe so distinct contexts never contend. The budget divides evenly
-  // across stripes; a chunk larger than its stripe's share is never hot-admitted.
-  int num_shards = 0;
-};
-
 class TieredBackend : public StorageBackend {
  public:
   // `cold` must outlive the backend; it defines chunk_bytes. `dram_capacity_bytes`
   // is the hot-tier budget (0 = write-through: every chunk evicts immediately).
-  TieredBackend(StorageBackend* cold, int64_t dram_capacity_bytes,
-                const TieredOptions& options = TieredOptions{});
+  TieredBackend(StorageBackend* cold, int64_t dram_capacity_bytes);
 
   bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  // Batched read in three phases: (1) per shard, under that shard's lock, serve hot
-  // hits and pending-flush rescues and snapshot the misses' write generations; (2) with
-  // every lock released, ONE batched cold-tier round trip for all misses — a restore
-  // that hits cold pays one submission instead of a per-chunk lock/IO/lock cycle;
-  // (3) per shard, gen-checked clean promotion under the lock, eviction tickets
-  // flushed after release. No lock is ever held across cold-tier IO.
+  // Batched read in three phases: (1) under the lock, serve hot hits and pending-flush
+  // rescues and snapshot the misses' write generations; (2) with the lock released,
+  // ONE batched cold-tier round trip for all misses — a restore that hits cold pays
+  // one submission instead of a per-chunk lock/IO/lock cycle; (3) under the lock,
+  // gen-checked clean promotion, eviction tickets flushed after release. No lock is
+  // ever held across cold-tier IO.
   void ReadChunks(std::span<ChunkReadRequest> requests,
                   const BatchCompletion& done = {}) const override;
   // A verified ReadChunks first (DRAM bytes are trusted; a cold hit is verified by
@@ -92,7 +82,6 @@ class TieredBackend : public StorageBackend {
 
   int64_t dram_capacity_bytes() const { return dram_capacity_bytes_; }
   int64_t dram_bytes() const;  // hot-tier residency (excludes pending-flush bytes)
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // True when the chunk currently resides in the hot tier (test/inspection hook).
   bool IsDramResident(const ChunkKey& key) const;
@@ -112,88 +101,62 @@ class TieredBackend : public StorageBackend {
     std::shared_ptr<const std::vector<char>> data;
     uint64_t gen = 0;  // eviction generation; a stale ticket entry is skipped
   };
-  struct ContextLru {
-    std::list<int64_t>::iterator lru_pos;
-  };
   struct IndexEntry {
     int64_t size = 0;
-    // Monotonic write generation (global counter): a promotion admits its cold copy
-    // only when the generation it snapshotted before the unlocked cold read is still
-    // current — otherwise a concurrent write superseded the bytes it holds.
+    // Monotonic write generation: a promotion admits its cold copy only when the
+    // generation it snapshotted before the unlocked cold read is still current —
+    // otherwise a concurrent write superseded the bytes it holds.
     uint64_t gen = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable idle;              // a context left `busy`
-    std::map<ChunkKey, HotChunk> hot;          // context-major key order
-    std::map<ChunkKey, PendingChunk> pending;  // evicted, flush not yet retired
-    std::map<int64_t, ContextLru> contexts;    // ctx -> LRU handle
-    std::list<int64_t> lru;                    // front = coldest context
-    std::map<ChunkKey, IndexEntry> index;      // logical contents: key -> size+gen
-    std::set<int64_t> busy;                    // contexts with cold IO in flight
-    int64_t capacity = 0;                      // this stripe's budget share
-    int64_t hot_bytes = 0;
-    int64_t bytes_stored = 0;  // sum of index sizes
   };
   // One evicted context's dirty chunks, in key order. Write-back is per-ticket: a
   // cold-tier failure rolls the ticket's failed chunks back into the hot tier.
   struct FlushTicket {
     int64_t context_id = 0;
-    size_t shard = 0;
     // True for real evictions (counted in evicted_contexts, un-counted on failure);
     // false for oversized write-through chunks that were never hot-resident.
     bool counted_eviction = false;
     std::vector<std::pair<ChunkKey, uint64_t>> chunks;  // (key, eviction gen)
   };
 
-  size_t ShardOf(int64_t context_id) const {
-    return static_cast<size_t>(static_cast<uint64_t>(context_id) % shards_.size());
-  }
-
-  // Moves `context_id` to the MRU end of its shard's LRU, creating the entry if new.
-  // shard.mu held.
-  void TouchLocked(Shard& shard, int64_t context_id) const;
-  // Inserts a chunk into the hot tier, adjusting byte accounting. shard.mu held.
-  void InsertHotLocked(Shard& shard, const ChunkKey& key, const char* data,
-                       int64_t bytes, bool dirty) const;
-  // Evicts LRU contexts of this shard until hot_bytes <= capacity, appending one
+  // Moves `context_id` to the MRU end of the LRU, creating the entry if new. mu_ held.
+  void TouchLocked(int64_t context_id) const;
+  // Drops `context_id` from the LRU if it has an entry. mu_ held.
+  void ForgetLocked(int64_t context_id) const;
+  // Inserts a chunk into the hot tier, adjusting byte accounting. mu_ held.
+  void InsertHotLocked(const ChunkKey& key, const char* data, int64_t bytes,
+                       bool dirty) const;
+  // Evicts LRU contexts until hot_bytes_ <= dram_capacity_bytes_, appending one
   // FlushTicket per victim with dirty chunks to `tickets` (clean chunks are dropped
-  // outright — the cold tier already holds them). shard.mu held.
-  void EvictToBudgetLocked(Shard& shard, std::vector<FlushTicket>* tickets) const;
-  // Flushes each ticket's chunks to the cold tier, taking shard.mu only around map
+  // outright — the cold tier already holds them). mu_ held.
+  void EvictToBudgetLocked(std::vector<FlushTicket>* tickets) const;
+  // Flushes each ticket's chunks to the cold tier, taking mu_ only around map
   // bookkeeping — never across cold-tier IO. Chunks that fail are rolled back into
-  // the hot tier. No shard lock held on entry.
+  // the hot tier. mu_ not held on entry.
   void FlushTickets(const std::vector<FlushTicket>& tickets) const;
   // Waits until no cold IO of `context_id` is in flight, then claims it; Release
-  // ends the claim. Claim: `lock` holds shard.mu. Release: no shard lock held.
-  static void ClaimContext(Shard& shard, std::unique_lock<std::mutex>& lock,
-                           int64_t context_id);
-  static void ReleaseContext(Shard& shard, int64_t context_id);
+  // ends the claim. Claim: `lock` holds mu_. Release: mu_ not held.
+  void ClaimContext(std::unique_lock<std::mutex>& lock, int64_t context_id) const;
+  void ReleaseContext(int64_t context_id) const;
 
   StorageBackend* cold_;
-  int64_t dram_capacity_bytes_;
+  const int64_t dram_capacity_bytes_;
 
   // Promotion, rescue, and LRU bookkeeping happen on the (const) read path, so the
-  // tier is mutable state guarded per shard.
-  mutable std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::atomic<uint64_t> evict_gen_{0};
-  std::atomic<uint64_t> write_gen_{0};  // stamps IndexEntry::gen
-
-  // Counters (atomics: updated from every caller thread).
-  mutable std::atomic<int64_t> total_writes_{0};
-  mutable std::atomic<int64_t> total_reads_{0};
-  mutable std::atomic<int64_t> dram_hits_{0};
-  mutable std::atomic<int64_t> cold_hits_{0};
-  mutable std::atomic<int64_t> dram_hit_bytes_{0};
-  mutable std::atomic<int64_t> cold_hit_bytes_{0};
-  mutable std::atomic<int64_t> evicted_contexts_{0};
-  mutable std::atomic<int64_t> writeback_chunks_{0};
-  mutable std::atomic<int64_t> writeback_bytes_{0};
-  mutable std::atomic<int64_t> drain_rescued_chunks_{0};
-  mutable std::atomic<int64_t> writeback_failures_{0};
-  mutable std::atomic<int64_t> promotions_skipped_{0};
-  mutable std::atomic<int64_t> crc_failures_{0};  // cold reads rejected as corrupt
+  // tier is mutable state, all of it guarded by mu_.
+  mutable std::mutex mu_;
+  mutable std::condition_variable idle_;  // a context left `busy_`
+  mutable std::map<ChunkKey, HotChunk> hot_;          // context-major key order
+  mutable std::map<ChunkKey, PendingChunk> pending_;  // evicted, flush not yet retired
+  mutable std::map<int64_t, std::list<int64_t>::iterator> lru_pos_;  // ctx -> in lru_
+  mutable std::list<int64_t> lru_;                    // front = coldest context
+  std::map<ChunkKey, IndexEntry> index_;              // logical contents: size + gen
+  mutable std::set<int64_t> busy_;                    // contexts with cold IO in flight
+  mutable int64_t hot_bytes_ = 0;
+  mutable uint64_t evict_gen_ = 0;
+  uint64_t write_gen_ = 0;  // stamps IndexEntry::gen
+  // Every counter Stats() reports that this tier owns, bytes_stored included (the sum
+  // of index sizes); chunks_stored and the cold-derived fields are filled in by Stats().
+  mutable StorageStats stats_;
 };
 
 }  // namespace hcache

@@ -258,9 +258,7 @@ TEST(ClusterEngineTest, ParallelAdvanceIsByteIdenticalToSerial) {
       StorageStats storage;
     };
     MemoryBackend cold(kChunkBytes);
-    TieredOptions topts;
-    topts.num_shards = 4;
-    TieredBackend shared(&cold, 4 * kChunkBytes, topts);
+    TieredBackend shared(&cold, 4 * kChunkBytes);
     ClusterOptions o = Opts(4, RouterPolicy::kPowerOfTwo);
     o.parallel_advance = parallel;
     ClusterEngine cluster(Platform::DefaultTestbed(1, 4), ModelConfig::Llama2_7B(), o,

@@ -81,9 +81,27 @@ void Hammer(StorageBackend* backend, int tid, ThreadTally* tally,
   }
 }
 
+// Runs kThreads workers plus one sampler thread that reads Stats() until the workers
+// finish and checks the tier-hit conservation law on every snapshot: it must hold
+// under any interleaving, not only once the threads have joined.
 void RunHammer(StorageBackend* backend, std::vector<ThreadTally>* tallies,
                int ops_per_thread = kOpsPerThread) {
   tallies->assign(kThreads, ThreadTally{});
+  std::atomic<bool> workers_done{false};
+  int64_t samples = 0;
+  std::thread sampler([&] {
+    do {
+      const StorageStats s = backend->Stats();
+      ++samples;
+      if (s.dram_hits + s.cold_hits != s.total_reads) {
+        ADD_FAILURE() << "snapshot " << samples << ": dram_hits " << s.dram_hits
+                      << " + cold_hits " << s.cold_hits << " != total_reads "
+                      << s.total_reads;
+        return;
+      }
+      std::this_thread::yield();
+    } while (!workers_done.load());
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -93,6 +111,9 @@ void RunHammer(StorageBackend* backend, std::vector<ThreadTally>* tallies,
   for (auto& t : threads) {
     t.join();
   }
+  workers_done.store(true);
+  sampler.join();
+  EXPECT_GT(samples, 1);
   backend->Quiesce();  // settle any background plane so the stats snapshot is exact
 }
 
@@ -162,19 +183,15 @@ TEST(BackendConcurrencyTest, TieredBackendWithAmpleBudgetStaysHot) {
   ExpectDrainsClean(&backend);
 }
 
-TEST(BackendConcurrencyTest, ShardedTierSurvivesTheHammerWithSlowColdIO) {
-  // The sharded tier under fire: lock-striped hot tier, caller-side eviction
-  // flushes, and a cold tier with injected latency (each cold op sleeps, standing in
-  // for NVMe service time) — so flushes of one context serialize behind each other
-  // and reads race in-flight write-backs. Every byte must still be accounted and no
-  // payload torn. Runs under TSan in CI.
+TEST(BackendConcurrencyTest, TieredBackendSurvivesTheHammerWithSlowColdIO) {
+  // The tier under fire: caller-side eviction flushes and a cold tier with injected
+  // latency (each cold op sleeps, standing in for NVMe service time) — so flushes of
+  // one context serialize behind each other and reads race in-flight write-backs.
+  // Every byte must still be accounted and no payload torn. Runs under TSan in CI.
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
   cold.set_io_latency_micros(200);
-  TieredOptions opts;
-  opts.num_shards = 8;
-  TieredBackend backend(&cold, 8 * kChunkBytes, opts);
-  EXPECT_EQ(backend.num_shards(), 8);
+  TieredBackend backend(&cold, 8 * kChunkBytes);
   std::vector<ThreadTally> tallies;
   RunHammer(&backend, &tallies, /*ops_per_thread=*/600);
   ExpectStatsConserved(backend, tallies);

@@ -235,9 +235,7 @@ TEST(ReadChunksTest, StatsConservationAcrossHotAndColdTiers) {
   // Tiered specifics: a batch spanning DRAM hits and cold misses must split its hit
   // accounting exactly, and dram_hit_bytes + cold_hit_bytes == bytes delivered.
   MemoryBackend cold(kChunkBytes);
-  TieredOptions opts;
-  opts.num_shards = 1;
-  TieredBackend tiered(&cold, 4 * kChunkBytes, opts);
+  TieredBackend tiered(&cold, 4 * kChunkBytes);
   // Two contexts of 3 chunks each; budget 4 chunks, so writing ctx 1 then ctx 2
   // evicts ctx 1 to the cold tier.
   for (int64_t ctx = 1; ctx <= 2; ++ctx) {
@@ -281,9 +279,7 @@ TEST(ReadChunksTest, StatsConservationAcrossHotAndColdTiers) {
 TEST(ReadChunksTest, TieredBatchMakesOneColdRoundTrip) {
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
-  TieredOptions opts;
-  opts.num_shards = 1;
-  TieredBackend tiered(&cold, 0, opts);  // 0 budget: everything lives cold
+  TieredBackend tiered(&cold, 0);  // 0 budget: everything lives cold
   std::vector<ChunkKey> keys;
   for (int64_t c = 0; c < 8; ++c) {
     const ChunkKey key{1, 0, c};

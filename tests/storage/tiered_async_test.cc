@@ -27,12 +27,6 @@ namespace {
 
 constexpr int64_t kChunkBytes = 1024;
 
-TieredOptions OneStripe() {
-  TieredOptions o;
-  o.num_shards = 1;
-  return o;
-}
-
 std::vector<char> Payload(int64_t size, char fill) {
   return std::vector<char>(size, fill);
 }
@@ -86,7 +80,7 @@ void LetOtherThreadsRun() { std::this_thread::sleep_for(std::chrono::millisecond
 TEST(TieredAsyncTest, EvictionLeavesTheHotTierBeforeItsFlushLands) {
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
-  TieredBackend tiered(&cold, 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(&cold, 2 * kChunkBytes);
 
   // Observed from inside the flush's cold write: the eviction decision is already
   // made (ctx 1 left the hot tier, the budget is restored) while its bytes are
@@ -123,7 +117,7 @@ TEST(TieredAsyncTest, ReadOnAnotherThreadRescuesAChunkWhoseFlushIsInFlight) {
   InstrumentedBackend cold(&mem);
   FlushGate gate(/*ctx=*/1);
   cold.set_write_hook([&](const ChunkKey& key) { gate.OnWrite(key); });
-  TieredBackend tiered(&cold, 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(&cold, 2 * kChunkBytes);
 
   const auto v1 = Payload(kChunkBytes, 'x');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
@@ -135,7 +129,7 @@ TEST(TieredAsyncTest, ReadOnAnotherThreadRescuesAChunkWhoseFlushIsInFlight) {
   gate.WaitEntered();
 
   // While the flush sits in the cold tier, the payload is still in DRAM: the read
-  // is served from the pending map (a DRAM hit). The stripe is full (ctx 2 holds
+  // is served from the pending map (a DRAM hit). The budget is full (ctx 2 holds
   // both chunks), so the rescue does NOT re-admit — a rescue never displaces a
   // resident context.
   ASSERT_FALSE(tiered.IsDramResident({1, 0, 0}));
@@ -146,7 +140,7 @@ TEST(TieredAsyncTest, ReadOnAnotherThreadRescuesAChunkWhoseFlushIsInFlight) {
   EXPECT_FALSE(tiered.IsDramResident({1, 0, 0}));
   EXPECT_TRUE(tiered.IsFlushPending({1, 0, 0}));
 
-  // Free the stripe: the next rescue re-admits the chunk into the free space and
+  // Free the budget: the next rescue re-admits the chunk into the free space and
   // cancels its pending flush.
   tiered.DeleteContext(2);
   ASSERT_EQ(tiered.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), kChunkBytes);
@@ -167,11 +161,11 @@ TEST(TieredAsyncTest, ReadOnAnotherThreadRescuesAChunkWhoseFlushIsInFlight) {
 TEST(TieredAsyncTest, NoLockIsHeldAcrossColdTierIO) {
   // The acceptance probe: from INSIDE a cold-tier read/write (i.e., while the old
   // design would have been holding the tier's mutex), another thread re-enters the
-  // tier on the SAME lock stripe (num_shards = 1) and must make progress. A lock
+  // tier (which has one lock) and must make progress. A lock
   // held across cold IO deadlocks this test.
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
-  TieredBackend tiered(&cold, 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(&cold, 2 * kChunkBytes);
 
   constexpr int64_t kProbeCtx = 77;
   const auto probe_payload = Payload(256, 'p');
@@ -234,7 +228,7 @@ TEST(TieredAsyncTest, ColdWriteFailureRollsTheEvictionBack) {
   // charged for the failed eviction, and no write-back bytes are counted.
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
-  TieredBackend tiered(&cold, 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(&cold, 2 * kChunkBytes);
 
   const auto v1 = Payload(kChunkBytes, '1');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
@@ -282,7 +276,7 @@ TEST(TieredAsyncTest, FailedFlushRollsBackAndTheNextEvictionLandsItBitExact) {
   // the context's next eviction writes them down — bit-exact, counted once.
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
-  TieredBackend tiered(&cold, 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(&cold, 2 * kChunkBytes);
 
   const auto v1 = Versioned(1, 0);
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
@@ -428,7 +422,7 @@ TEST(TieredAsyncTest, RacingOverwritesAndDeletesNeverLeaveStaleBytes) {
   InstrumentedBackend cold(&mem);
   cold.set_io_latency_micros(300);
   cold.set_io_latency_jitter(/*jitter_micros=*/250, /*seed=*/7);
-  TieredBackend tiered(&cold, 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(&cold, 2 * kChunkBytes);
 
   struct Op {
     ChunkKey key;

@@ -1,9 +1,8 @@
 // TieredBackend behavior pins: LRU victim choice, write-back volume, promotion,
-// write-through, and cross-tier delete. These tests run single-threaded with one
-// lock stripe, so every stat is deterministic — eviction decisions and flush counts
-// follow from the call sequence alone. Flushes racing other threads, the
-// lock-striping, and the no-lock-across-IO discipline are covered by
-// tiered_async_test.cc.
+// write-through, and cross-tier delete. These tests run single-threaded over the
+// tier's one context LRU, so every stat is deterministic — eviction decisions and
+// flush counts follow from the call sequence alone. Flushes racing other threads and
+// the no-lock-across-IO discipline are covered by tiered_async_test.cc.
 #include "src/storage/tiered_backend.h"
 
 #include <gtest/gtest.h>
@@ -21,12 +20,6 @@ namespace hcache {
 namespace {
 
 constexpr int64_t kChunkBytes = 1024;
-
-TieredOptions OneStripe() {
-  TieredOptions o;
-  o.num_shards = 1;  // one stripe = the classic global context LRU
-  return o;
-}
 
 class TieredBackendTest : public ::testing::Test {
  protected:
@@ -56,7 +49,7 @@ class TieredBackendTest : public ::testing::Test {
 };
 
 TEST_F(TieredBackendTest, WritesStayInDramUnderBudget) {
-  TieredBackend tiered(cold_.get(), 8 * kChunkBytes, OneStripe());
+  TieredBackend tiered(cold_.get(), 8 * kChunkBytes);
   FillContext(tiered, 1, 4);
   EXPECT_EQ(tiered.dram_bytes(), 4 * kChunkBytes);
   EXPECT_TRUE(tiered.IsDramResident({1, 0, 0}));
@@ -73,7 +66,7 @@ TEST_F(TieredBackendTest, WritesStayInDramUnderBudget) {
 
 TEST_F(TieredBackendTest, LruContextEvictedToFileTier) {
   // Budget holds two 4-chunk contexts; the third pushes out the least recently used.
-  TieredBackend tiered(cold_.get(), 8 * kChunkBytes, OneStripe());
+  TieredBackend tiered(cold_.get(), 8 * kChunkBytes);
   FillContext(tiered, 1, 4);
   FillContext(tiered, 2, 4);
   // Touch ctx 1 so ctx 2 is the LRU victim.
@@ -100,7 +93,7 @@ TEST_F(TieredBackendTest, LruContextEvictedToFileTier) {
 TEST_F(TieredBackendTest, ReadYourWritesAcrossEviction) {
   // Write-back correctness: bytes written before eviction must read back identical
   // after their context has been pushed to the file tier.
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes);
   std::vector<char> data(kChunkBytes);
   for (int64_t i = 0; i < kChunkBytes; ++i) {
     data[static_cast<size_t>(i)] = static_cast<char>((i * 31 + 7) & 0xff);
@@ -121,7 +114,7 @@ TEST_F(TieredBackendTest, ReadYourWritesAcrossEviction) {
 
 TEST_F(TieredBackendTest, PromotedChunkReEvictsWithoutRewrite) {
   // A chunk promoted clean must not be written to the cold tier again on re-eviction.
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes);
   FillContext(tiered, 1, 1);
   FillContext(tiered, 2, 2);  // evicts ctx 1 (1 write-back)
   std::vector<char> buf(kChunkBytes);
@@ -135,7 +128,7 @@ TEST_F(TieredBackendTest, PromotedChunkReEvictsWithoutRewrite) {
 }
 
 TEST_F(TieredBackendTest, OverwriteAfterEvictionSupersedesColdCopy) {
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes);
   const std::vector<char> v1(kChunkBytes, '1');
   const std::vector<char> v2(512, '2');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
@@ -151,7 +144,7 @@ TEST_F(TieredBackendTest, OverwriteAfterEvictionSupersedesColdCopy) {
 }
 
 TEST_F(TieredBackendTest, ZeroBudgetIsWriteThrough) {
-  TieredBackend tiered(cold_.get(), 0, OneStripe());
+  TieredBackend tiered(cold_.get(), 0);
   const std::vector<char> data(kChunkBytes, 'w');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, data.data(), kChunkBytes));
   EXPECT_EQ(tiered.dram_bytes(), 0);
@@ -167,7 +160,7 @@ TEST_F(TieredBackendTest, WriteThroughReadsNeverChurnTheHotTier) {
   // EVERY read. In write-through mode the hot tier must stay untouched end to end:
   // writes flow straight to the cold tier without phantom "evictions" (nothing was
   // ever resident) and cold-read counts track reads one-to-one.
-  TieredBackend tiered(cold_.get(), 0, OneStripe());
+  TieredBackend tiered(cold_.get(), 0);
   const std::vector<char> data(kChunkBytes, 'r');
   constexpr int64_t kContexts = 3;
   for (int64_t ctx = 0; ctx < kContexts; ++ctx) {
@@ -193,7 +186,7 @@ TEST_F(TieredBackendTest, WriteThroughReadsNeverChurnTheHotTier) {
 }
 
 TEST_F(TieredBackendTest, DeleteContextClearsBothTiers) {
-  TieredBackend tiered(cold_.get(), 2 * kChunkBytes, OneStripe());
+  TieredBackend tiered(cold_.get(), 2 * kChunkBytes);
   FillContext(tiered, 1, 2);
   FillContext(tiered, 2, 2);  // evicts ctx 1 to cold
   ASSERT_TRUE(cold_->HasChunk({1, 0, 0}));
@@ -210,7 +203,7 @@ TEST_F(TieredBackendTest, DeleteContextClearsBothTiers) {
 TEST_F(TieredBackendTest, DramHitRatioReflectsSkew) {
   // A hot context re-read repeatedly should trend the DRAM hit ratio upward even as
   // cold contexts cycle through.
-  TieredBackend tiered(cold_.get(), 4 * kChunkBytes, OneStripe());
+  TieredBackend tiered(cold_.get(), 4 * kChunkBytes);
   FillContext(tiered, 100, 2);  // the hot context
   std::vector<char> buf(kChunkBytes);
   for (int64_t round = 0; round < 10; ++round) {
@@ -228,7 +221,7 @@ TEST_F(TieredBackendTest, DramHitRatioReflectsSkew) {
 TEST_F(TieredBackendTest, WorksOverMemoryColdTier) {
   // The cold tier is itself pluggable — DRAM-over-DRAM still honors the contract.
   MemoryBackend mem_cold(kChunkBytes);
-  TieredBackend tiered(&mem_cold, kChunkBytes, OneStripe());
+  TieredBackend tiered(&mem_cold, kChunkBytes);
   const std::vector<char> data(kChunkBytes, 'm');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, data.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, data.data(), kChunkBytes));  // evicts ctx 1
@@ -239,24 +232,36 @@ TEST_F(TieredBackendTest, WorksOverMemoryColdTier) {
   EXPECT_EQ(tiered.Name(), "tiered(memory)");
 }
 
-TEST_F(TieredBackendTest, StripesDivideTheBudgetAcrossContexts) {
-  // Explicit striping: contexts land on num_shards independent LRU domains, each
-  // with its share of the budget, so one context's churn cannot evict another
-  // stripe's residents.
+TEST_F(TieredBackendTest, EvictsTheGloballyLeastRecentContext) {
+  // One LRU spans the whole budget: a run of contexts whose ids share a residue
+  // (here all even) competes for the whole budget with every other context, and an
+  // overflow evicts the least recent context overall, whatever its id.
   MemoryBackend mem_cold(kChunkBytes);
-  TieredOptions o = OneStripe();
-  o.num_shards = 2;
-  TieredBackend tiered(&mem_cold, 4 * kChunkBytes, o);
-  EXPECT_EQ(tiered.num_shards(), 2);
-  // Contexts 0/2 share stripe 0; contexts 1/3 share stripe 1 (keyed by context_id).
-  FillContext(tiered, 0, 2);
-  FillContext(tiered, 1, 2);
-  // Stripe 0 churn: ctx 2 displaces ctx 0 (its stripe holds 2 chunks)...
-  FillContext(tiered, 2, 2);
-  EXPECT_FALSE(tiered.IsDramResident({0, 0, 0}));
-  EXPECT_TRUE(tiered.IsDramResident({2, 0, 0}));
-  // ...while stripe 1's resident is untouched.
-  EXPECT_TRUE(tiered.IsDramResident({1, 0, 0}));
+  TieredBackend tiered(&mem_cold, 16 * kChunkBytes);
+  FillContext(tiered, 0, 4);
+  for (int64_t ctx = 2; ctx <= 18; ctx += 2) {
+    FillContext(tiered, ctx, 1);
+  }
+  // 13 chunks under a 16-chunk budget: all ten contexts stay hot.
+  for (int64_t ctx = 0; ctx <= 18; ctx += 2) {
+    EXPECT_TRUE(tiered.IsDramResident({ctx, 0, 0})) << "ctx " << ctx;
+  }
+  EXPECT_EQ(tiered.Stats().evicted_contexts, 0);
+  EXPECT_EQ(mem_cold.total_writes(), 0);
+  // Touch ctx 0, so ctx 2 becomes the least recent context, then overflow the budget
+  // by one chunk with an odd-id context.
+  std::vector<char> buf(kChunkBytes);
+  ASSERT_EQ(tiered.ReadChunk({0, 0, 0}, buf.data(), kChunkBytes), kChunkBytes);
+  FillContext(tiered, 1, 4);
+  EXPECT_FALSE(tiered.IsDramResident({2, 0, 0}));
+  EXPECT_TRUE(mem_cold.HasChunk({2, 0, 0}));
+  for (int64_t ctx : {0, 1, 4, 6, 8, 10, 12, 14, 16, 18}) {
+    EXPECT_TRUE(tiered.IsDramResident({ctx, 0, 0})) << "ctx " << ctx;
+  }
+  const StorageStats s = tiered.Stats();
+  EXPECT_EQ(s.evicted_contexts, 1);
+  EXPECT_EQ(s.writeback_chunks, 1);
+  EXPECT_EQ(tiered.dram_bytes(), 16 * kChunkBytes);
 }
 
 }  // namespace
