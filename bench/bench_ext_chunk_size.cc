@@ -22,7 +22,7 @@ int main() {
   std::printf("  %8s | %10s %12s | %12s %14s\n", "chunk", "chunk size", "layer read",
               "HCache speed", "staging/layer");
   for (const int64_t chunk : {4, 16, 64, 256, 1024}) {
-    Restorer r(platform, cfg, StorageLayout::kLayerChunked, chunk);
+    Restorer r(platform, cfg, chunk);
     const RestoreResult res = r.Restore(RestoreMethod::kHCache, 1024);
     const double layer_read =
         io.HiddenLayerReadTime(cfg, 1024, StorageLayout::kLayerChunked, chunk);

@@ -119,8 +119,7 @@ int main() {
     int i = 0;
     for (const ChunkCodec codec :
          {ChunkCodec::kFp32, ChunkCodec::kFp16, ChunkCodec::kInt8}) {
-      const Restorer r(c.platform, c.cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
-                       codec);
+      const Restorer r(c.platform, c.cfg, kDefaultChunkTokens, codec);
       const PartitionScheme s = SolveLayerWise(r.Profile(1024), c.cfg.num_layers);
       speed[i] = 1024.0 / s.predicted_time / 1e3;
       JsonValue row = JsonValue::Object();

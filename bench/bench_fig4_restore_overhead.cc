@@ -77,8 +77,7 @@ void RunModel(const ModelConfig& cfg, const Platform& platform, JsonValue& rows,
     const ServingReport rep = engine.RunLongContextSerial(trace);
     const double mean = rep.ttft.Mean();
     // Transmission bytes per restoration, averaged over the trace.
-    Restorer restorer(platform, cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
-                      codec);
+    Restorer restorer(platform, cfg, kDefaultChunkTokens, codec);
     double bytes = 0, hidden_bytes = 0;
     for (const auto& req : trace) {
       bytes += restorer.Restore(RestoreMethod::kHCache, req.context_tokens).bytes_read;

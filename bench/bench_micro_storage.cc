@@ -733,7 +733,7 @@ void EmitCodecSweepJson() {
       }
       // Simulated restore TTFT on the paper's testbed with this codec's byte model.
       const Restorer restorer(Platform::DefaultTestbed(1, 4), ModelConfig::Llama2_7B(),
-                              StorageLayout::kLayerChunked, kDefaultChunkTokens, codec);
+                              kDefaultChunkTokens, codec);
       const double sim_ttft =
           restorer.Restore(RestoreMethod::kHCache, /*history_tokens=*/2048).total_time;
 

@@ -172,8 +172,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(sessions), load, interval);
 
   if (o.method == RestoreMethod::kHCache) {
-    Restorer r(platform, cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
-               o.state_codec);
+    Restorer r(platform, cfg, kDefaultChunkTokens, o.state_codec);
     std::printf("restoration schedule @2.5K history: %s\n\n",
                 r.Schedule(2500).ToString().c_str());
   }

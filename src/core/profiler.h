@@ -34,10 +34,9 @@ struct LayerProfile {
 double AllGatherTime(double total_bytes, int num_gpus, double link_bw);
 
 // Profiles one transformer layer for a history of `n` tokens on `platform`.
-// `layout`/`chunk_tokens`/`codec` select the on-storage format (they set the IO
+// `chunk_tokens`/`codec` select the layer-chunked on-storage format (they set the IO
 // sizes; `codec` scales hidden-state transmission — kFp16 is the paper's transport).
 LayerProfile ProfileLayer(const Platform& platform, const ModelConfig& cfg, int64_t n,
-                          StorageLayout layout = StorageLayout::kLayerChunked,
                           int64_t chunk_tokens = kDefaultChunkTokens,
                           ChunkCodec codec = ChunkCodec::kFp16);
 

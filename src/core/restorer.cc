@@ -1,14 +1,13 @@
 #include "src/core/restorer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
 #include "src/model/cost_model.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/gpu_timing.h"
-#include "src/sim/resource.h"
 #include "src/storage/io_timing.h"
 
 namespace hcache {
@@ -49,16 +48,12 @@ std::string RestoreResult::ToString() const {
   return buf;
 }
 
-Restorer::Restorer(const Platform& platform, const ModelConfig& cfg, StorageLayout layout,
-                   int64_t chunk_tokens, ChunkCodec codec)
-    : platform_(platform),
-      cfg_(cfg),
-      layout_(layout),
-      chunk_tokens_(chunk_tokens),
-      codec_(codec) {}
+Restorer::Restorer(const Platform& platform, const ModelConfig& cfg, int64_t chunk_tokens,
+                   ChunkCodec codec)
+    : platform_(platform), cfg_(cfg), chunk_tokens_(chunk_tokens), codec_(codec) {}
 
 LayerProfile Restorer::Profile(int64_t history_tokens) const {
-  return ProfileLayer(platform_, cfg_, history_tokens, layout_, chunk_tokens_, codec_);
+  return ProfileLayer(platform_, cfg_, history_tokens, chunk_tokens_, codec_);
 }
 
 PartitionScheme Restorer::Schedule(int64_t history_tokens) const {
@@ -72,26 +67,33 @@ double Restorer::PipelineFillLatency() const {
 void Restorer::RunPipeline(const std::vector<double>& pre_compute,
                            const std::vector<std::pair<double, double>>& io_tasks,
                            RestoreResult* r) const {
-  Simulator sim;
-  SerialResource compute(&sim, "compute");
-  SerialResource io(&sim, "io");
+  // Two-stage flow shop: each stream's `*_free` is the time it next goes idle.
+  double compute_free = 0.0;
+  double compute_busy = 0.0;
   for (double d : pre_compute) {
-    compute.Enqueue(d);
+    CHECK_GE(d, 0.0);
+    compute_free += d;
+    compute_busy += d;
   }
+  double io_free = 0.0;
+  double io_busy = 0.0;
   bool first = true;
   for (const auto& [io_dur, compute_dur] : io_tasks) {
     const double dur = io_dur + (first ? PipelineFillLatency() : 0.0);
     first = false;
-    const double cd = compute_dur;
-    io.Enqueue(dur, cd > 0 ? Simulator::Callback([&compute, cd] { compute.Enqueue(cd); })
-                           : Simulator::Callback());
+    CHECK_GE(dur, 0.0);
+    io_free += dur;
+    io_busy += dur;
+    if (compute_dur > 0) {
+      compute_free = std::max(io_free, compute_free) + compute_dur;
+      compute_busy += compute_dur;
+    }
   }
-  sim.Run();
-  r->total_time = std::max(compute.next_free(), io.next_free());
-  r->compute_busy = compute.total_busy();
-  r->io_busy = io.total_busy();
-  r->compute_bubble = r->total_time - r->compute_busy;
-  r->io_bubble = r->total_time - r->io_busy;
+  r->total_time = std::max(compute_free, io_free);
+  r->compute_busy = compute_busy;
+  r->io_busy = io_busy;
+  r->compute_bubble = r->total_time - compute_busy;
+  r->io_bubble = r->total_time - io_busy;
 }
 
 RestoreResult Restorer::Restore(RestoreMethod method, int64_t history_tokens) const {
@@ -181,7 +183,7 @@ RestoreResult Restorer::RestorePipelineParallel(RestoreMethod method, int64_t hi
   ModelConfig stage_cfg = cfg_;
   stage_cfg.num_layers = (cfg_.num_layers + num_stages - 1) / num_stages;
 
-  const Restorer stage(stage_platform, stage_cfg, layout_, chunk_tokens_, codec_);
+  const Restorer stage(stage_platform, stage_cfg, chunk_tokens_, codec_);
   RestoreResult r = stage.Restore(method, history_tokens);
   const double g = static_cast<double>(num_stages);
   r.bytes_read *= g;

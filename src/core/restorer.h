@@ -1,13 +1,14 @@
 // State-restoration executors (the systems half of the paper).
 //
-// Each method replays its restoration schedule on the discrete-event simulator using
-// two serial resources per GPU — the compute stream and the transmission stream —
-// exactly mirroring the paper's dedicated-CUDA-stream implementation (§5). The result
-// records the makespan plus per-stream busy/bubble accounting, bytes moved, and FLOPs
-// spent, which the benches turn into the paper's figures.
+// Each method times its restoration schedule on two serial streams per GPU — the
+// transmission stream and the compute stream — mirroring the paper's dedicated CUDA
+// streams (§5). The two form a flow shop: each layer's compute starts once its read has
+// landed and the compute stream is free. The result records the makespan plus
+// per-stream busy/bubble accounting, bytes moved, and FLOPs spent, which the benches
+// turn into the paper's figures.
 //
 // Every layer-wise method is a set of per-source layer counts (recompute / hidden / KV)
-// that PlanRestore orders — the same plan FunctionalHCache runs — and the DES times:
+// that PlanRestore orders — the same plan FunctionalHCache runs — and the pipeline times:
 //   kRecompute   — DeepSpeed-MII baseline: every layer recomputed from tokens
 //                  (compute only).
 //   kKvOffload   — AttentionStore baseline: every layer's KV streamed in (IO only).
@@ -73,15 +74,13 @@ class Restorer {
   // the default kFp16 matches the paper's FP16 transport (KV offload always moves
   // FP16 KV, independent of the hidden codec).
   Restorer(const Platform& platform, const ModelConfig& cfg,
-           StorageLayout layout = StorageLayout::kLayerChunked,
-           int64_t chunk_tokens = kDefaultChunkTokens,
-           ChunkCodec codec = ChunkCodec::kFp16);
+           int64_t chunk_tokens = kDefaultChunkTokens, ChunkCodec codec = ChunkCodec::kFp16);
 
   // Profiles and solves the bubble-free partition for this history length.
   LayerProfile Profile(int64_t history_tokens) const;
   PartitionScheme Schedule(int64_t history_tokens) const;
 
-  // Executes `method` on the DES for a history of `history_tokens`.
+  // Times `method` for a history of `history_tokens`.
   RestoreResult Restore(RestoreMethod method, int64_t history_tokens) const;
 
   // Fig 13 ablation: token-wise partitioned restoration (optionally tile-rounded).
@@ -99,10 +98,11 @@ class Restorer {
   ChunkCodec codec() const { return codec_; }
 
  private:
-  // Runs a layer-granular pipeline: `pre_compute` tasks start immediately on the
-  // compute stream; each of `io_tasks` occupies the transmission stream in order and,
-  // if its paired compute duration is positive, enqueues that compute task at IO
-  // completion. Fills `r`'s makespan and per-stream busy/bubble accounting.
+  // Times a layer-granular pipeline: `pre_compute` tasks run back to back on the compute
+  // stream from t=0; `io_tasks` run back to back on the transmission stream, the first
+  // paying the pipeline-fill latency, and a positive paired compute duration starts
+  // once that IO has landed and the compute stream is free. Fills `r`'s makespan and
+  // per-stream busy/bubble accounting.
   void RunPipeline(const std::vector<double>& pre_compute,
                    const std::vector<std::pair<double, double>>& io_tasks,
                    RestoreResult* r) const;
@@ -111,7 +111,6 @@ class Restorer {
 
   Platform platform_;
   ModelConfig cfg_;
-  StorageLayout layout_;
   int64_t chunk_tokens_;
   ChunkCodec codec_;
 };

@@ -48,8 +48,7 @@ ServingEngine::ServingEngine(const Platform& platform, const ModelConfig& cfg,
       cfg_(cfg),
       options_(options),
       gpu_(platform.gpu, platform.num_gpus),
-      restorer_(platform, cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
-                options.state_codec) {
+      restorer_(platform, cfg, kDefaultChunkTokens, options.state_codec) {
   if (options_.kv_capacity_tokens == 0) {
     options_.kv_capacity_tokens = DeriveKvCapacityTokens();
   }

@@ -11,7 +11,7 @@
 //      (0.66 by calibration against the paper's Table 3 schedules).
 //
 // With tensor parallelism each GPU holds 1/tp of every projection, so per-GPU GEMM
-// work divides by tp (communication is handled by core/multi_gpu).
+// work divides by tp (the all-gather over NVLink is AllGatherTime in core/profiler.h).
 #ifndef HCACHE_SRC_SIM_GPU_TIMING_H_
 #define HCACHE_SRC_SIM_GPU_TIMING_H_
 

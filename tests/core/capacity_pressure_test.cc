@@ -4,7 +4,6 @@
 // hidden states when a session's turn comes back. Every session's outputs must match
 // a reference conversation served with unlimited memory.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -14,6 +13,7 @@
 #include "src/core/functional_engine.h"
 #include "src/common/rng.h"
 #include "src/storage/file_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -22,8 +22,6 @@ class CapacityPressureTest : public ::testing::Test {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(3, 32, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_pressure_" + std::to_string(::getpid()));
     store_ = std::make_unique<FileBackend>(
         std::vector<std::string>{(base_ / "d0").string(), (base_ / "d1").string()},
         1 << 20);
@@ -34,11 +32,10 @@ class CapacityPressureTest : public ::testing::Test {
   }
   void TearDown() override {
     engine_.reset();
-    std::filesystem::remove_all(base_);
   }
 
   ModelConfig cfg_;
-  std::filesystem::path base_;
+  TestDir base_{"pressure"};
   std::unique_ptr<FileBackend> store_;
   std::unique_ptr<ModelWeights> weights_;
   std::unique_ptr<Transformer> model_;

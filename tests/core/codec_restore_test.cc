@@ -5,7 +5,6 @@
 // states (the codec is the ONLY source of difference vs lossless restoration), and
 // (c) stay within the codec's analytic error bound at the hidden-state level.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
@@ -18,6 +17,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -26,9 +26,6 @@ class CodecRestoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(4, 32, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_codec_restore_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     weights_ = std::make_unique<ModelWeights>(ModelWeights::Random(cfg_, 77));
     model_ = std::make_unique<Transformer>(weights_.get());
     pool_ = std::make_unique<KvBlockPool>(KvPoolConfig::ForModel(cfg_, 64, 12));
@@ -36,7 +33,6 @@ class CodecRestoreTest : public ::testing::Test {
   }
   void TearDown() override {
     flush_pool_.reset();
-    std::filesystem::remove_all(base_);
   }
 
   std::vector<int32_t> RandomTokens(int64_t n, uint64_t seed) {
@@ -65,7 +61,7 @@ class CodecRestoreTest : public ::testing::Test {
   }
 
   ModelConfig cfg_;
-  std::filesystem::path base_;
+  TestDir base_{"codec_restore"};
   std::unique_ptr<ModelWeights> weights_;
   std::unique_ptr<Transformer> model_;
   std::unique_ptr<KvBlockPool> pool_;

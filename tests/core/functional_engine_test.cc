@@ -4,7 +4,6 @@
 #include "src/core/functional_engine.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 
@@ -13,6 +12,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -21,9 +21,6 @@ class FunctionalEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(4, 32, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_engine_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     store_ = std::make_unique<FileBackend>(
         std::vector<std::string>{(base_ / "d0").string(), (base_ / "d1").string()},
         /*chunk_bytes=*/1 << 20);
@@ -39,7 +36,6 @@ class FunctionalEngineTest : public ::testing::Test {
     // directories disappear.
     engine_.reset();
     flush_pool_.reset();
-    std::filesystem::remove_all(base_);
   }
 
   std::vector<int32_t> RandomTokens(int64_t n, uint64_t seed) {
@@ -79,7 +75,7 @@ class FunctionalEngineTest : public ::testing::Test {
   }
 
   ModelConfig cfg_;
-  std::filesystem::path base_;
+  TestDir base_{"engine"};
   std::unique_ptr<FileBackend> store_;
   std::unique_ptr<ModelWeights> weights_;
   std::unique_ptr<Transformer> model_;

@@ -5,7 +5,6 @@
 // and to the never-evicted reference — including when a missing or corrupt chunk
 // forces the fallback-to-recompute path.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -19,6 +18,7 @@
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -27,9 +27,6 @@ class RestorePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(4, 32, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_pipeline_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     weights_ = std::make_unique<ModelWeights>(ModelWeights::Random(cfg_, 31));
     model_ = std::make_unique<Transformer>(weights_.get());
     pool_ = std::make_unique<KvBlockPool>(KvPoolConfig::ForModel(cfg_, 64, 12));
@@ -37,7 +34,6 @@ class RestorePipelineTest : public ::testing::Test {
   }
   void TearDown() override {
     flush_pool_.reset();
-    std::filesystem::remove_all(base_);
   }
 
   std::vector<int32_t> RandomTokens(int64_t n, uint64_t seed) {
@@ -154,7 +150,7 @@ class RestorePipelineTest : public ::testing::Test {
   }
 
   ModelConfig cfg_;
-  std::filesystem::path base_;
+  TestDir base_{"pipeline"};
   std::unique_ptr<ModelWeights> weights_;
   std::unique_ptr<Transformer> model_;
   std::unique_ptr<KvBlockPool> pool_;

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/storage/io_timing.h"
+
 namespace hcache {
 namespace {
 
@@ -61,8 +63,7 @@ std::vector<SweepCase> GoldenSweep() {
              {ChunkCodec::kFp16, ChunkCodec::kFp32, ChunkCodec::kInt8}) {
           const std::string prefix = cfg.name + " " + platform_name + " n=" +
                                      std::to_string(n) + " " + ChunkCodecName(codec) + " ";
-          const Restorer r(platform, cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
-                           codec);
+          const Restorer r(platform, cfg, kDefaultChunkTokens, codec);
           for (const RestoreMethod m : methods) {
             out.push_back({prefix + RestoreMethodName(m), r.Restore(m, n)});
           }
@@ -70,8 +71,7 @@ std::vector<SweepCase> GoldenSweep() {
           out.push_back({prefix + "token-wise+round", r.RestoreTokenWise(n, true)});
           Platform four_gpus = platform;
           four_gpus.num_gpus = 4;
-          const Restorer pp(four_gpus, cfg, StorageLayout::kLayerChunked, kDefaultChunkTokens,
-                            codec);
+          const Restorer pp(four_gpus, cfg, kDefaultChunkTokens, codec);
           for (const int stages : {1, 2, 4}) {
             out.push_back({prefix + "pp" + std::to_string(stages),
                            pp.RestorePipelineParallel(RestoreMethod::kHCache, n, stages)});
@@ -334,6 +334,20 @@ TEST(RestorerTest, PipelineParallelAccountingSumsStages) {
   // shift layers to a complement here).
   EXPECT_NEAR(two.bytes_read, one.bytes_read, one.bytes_read * 0.05);
   EXPECT_LT(two.total_time, one.total_time);
+}
+
+TEST(RestorerTest, HCacheOnlyMakespanIsFirstReadPlusBottleneckStages) {
+  // A two-stage pipeline of N layers: the first read (plus the one-time fill latency)
+  // lands before anything computes, then the slower stage runs N times back to back.
+  // HCache-O on the IO-sufficient box is compute-bound.
+  const ModelConfig cfg = ModelConfig::Llama2_7B();
+  const Restorer r(Platform::IoSufficient(), cfg);
+  const LayerProfile p = r.Profile(kHistory);
+  ASSERT_GT(p.c_hidden, p.io_hidden);
+  const double fill = StorageIoModel(r.platform()).DeviceLatency();
+  const RestoreResult res = r.Restore(RestoreMethod::kHCacheOnly, kHistory);
+  EXPECT_NEAR(res.total_time,
+              p.io_hidden + fill + static_cast<double>(cfg.num_layers) * p.c_hidden, 1e-12);
 }
 
 TEST(RestorerTest, ResultAccountingConsistent) {

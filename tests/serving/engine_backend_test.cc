@@ -2,7 +2,6 @@
 // against file, DRAM, and tiered backends selected through ServingOptions, and the
 // report surfaces what the storage layer saw (per-tier hit ratios, write-back volume).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -13,6 +12,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -22,11 +22,7 @@ constexpr int64_t kChunkBytes = 64 * 1024;
 class EngineBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_engine_backend_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
   }
-  void TearDown() override { std::filesystem::remove_all(base_); }
 
   std::unique_ptr<FileBackend> MakeFile() {
     return std::make_unique<FileBackend>(
@@ -42,7 +38,7 @@ class EngineBackendTest : public ::testing::Test {
     return engine.RunConversations(0.3, 24, 5.0, seed);
   }
 
-  std::filesystem::path base_;
+  TestDir base_{"engine_backend"};
 };
 
 TEST_F(EngineBackendTest, RunsAgainstAllThreeBackends) {

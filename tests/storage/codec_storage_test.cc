@@ -2,7 +2,6 @@
 // two-stage saver, bit-identical decode across File/Memory/Tiered backends, and the
 // steady-state save path's no-allocation guarantee.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
@@ -19,6 +18,7 @@
 #include "src/storage/hidden_saver.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 // --- global allocation counter (used by SteadyStateSavePathDoesNotAllocate) ---
 //
@@ -81,11 +81,7 @@ class CodecStorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(2, 32, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_codec_storage_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
   }
-  void TearDown() override { std::filesystem::remove_all(base_); }
 
   std::unique_ptr<FileBackend> MakeFile(const char* tag) {
     return std::make_unique<FileBackend>(
@@ -94,7 +90,7 @@ class CodecStorageTest : public ::testing::Test {
   }
 
   ModelConfig cfg_;
-  std::filesystem::path base_;
+  TestDir base_{"codec_storage"};
 };
 
 TEST_F(CodecStorageTest, PerCodecRoundTripWithinBounds) {

@@ -3,7 +3,6 @@
 // (distinct kChunkCorrupt status, crc_failures accounting), and the restore path
 // falls back to recomputation that lands bit-identical KV.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -20,6 +19,7 @@
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -40,17 +40,13 @@ std::vector<uint8_t> SealedChunk(int64_t rows, int64_t cols, uint8_t salt) {
 class CorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_corruption_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
   }
-  void TearDown() override { std::filesystem::remove_all(base_); }
 
   std::vector<std::string> Dirs() {
     return {(base_ / "d0").string(), (base_ / "d1").string()};
   }
 
-  std::filesystem::path base_;
+  TestDir base_{"corruption"};
 };
 
 // Shared conformance body: a bit-flipped chunk reads back kChunkCorrupt (not -1,

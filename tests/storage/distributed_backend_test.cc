@@ -10,7 +10,6 @@
 #include "src/storage/distributed_backend.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -30,6 +29,7 @@
 #include "src/storage/fsck.h"
 #include "src/storage/layout.h"
 #include "src/storage/placement.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -771,9 +771,7 @@ TEST(DistributedColdBackendTest, FreeingRoomOnAFullNodeQueuesTheKeysHomedThere) 
 // --------------------------------------------------------------------------
 
 TEST(DistributedColdBackendTest, RecoversLogicalIndexFromFileBackendNodes) {
-  const fs::path base = fs::temp_directory_path() /
-                        ("hcache_dist_recover_" + std::to_string(::getpid()));
-  fs::remove_all(base);
+  const TestDir base("dist_recover");
   const auto factory = [&base](int node_id, int64_t chunk_bytes) {
     return std::make_unique<FileBackend>(
         std::vector<std::string>{(base / ("node" + std::to_string(node_id))).string()},
@@ -831,7 +829,6 @@ TEST(DistributedColdBackendTest, RecoversLogicalIndexFromFileBackendNodes) {
       EXPECT_TRUE(dist.CheckReplication(key).FullyReplicated()) << key.chunk_index;
     }
   }
-  fs::remove_all(base);
 }
 
 // --------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "src/storage/file_backend.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
@@ -13,6 +12,7 @@
 #include "src/storage/codec.h"
 #include "src/storage/fsck.h"
 #include "src/storage/instrumented_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -22,12 +22,8 @@ namespace fs = std::filesystem;
 class FileBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_store_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     dirs_ = {base_ / "dev0", base_ / "dev1", base_ / "dev2"};
   }
-  void TearDown() override { std::filesystem::remove_all(base_); }
 
   std::vector<std::string> DirStrings() const {
     return {dirs_[0].string(), dirs_[1].string(), dirs_[2].string()};
@@ -42,7 +38,7 @@ class FileBackendTest : public ::testing::Test {
     return count;
   }
 
-  std::filesystem::path base_;
+  TestDir base_{"store"};
   std::vector<std::filesystem::path> dirs_;
 };
 

@@ -3,7 +3,6 @@
 #include "src/storage/fsck.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -34,15 +34,7 @@ std::vector<uint8_t> SealedChunk(int64_t rows, int64_t cols, uint8_t fill) {
 
 class FsckTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    base_ = fs::temp_directory_path() /
-            ("hcache_fsck_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::create_directories(base_);
-  }
-  void TearDown() override { fs::remove_all(base_); }
-
-  std::filesystem::path base_;
+  TestDir base_{"fsck"};
 };
 
 TEST_F(FsckTest, ClassifiesEveryDamageClass) {

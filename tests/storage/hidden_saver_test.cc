@@ -1,7 +1,6 @@
 #include "src/storage/hidden_saver.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <numeric>
@@ -9,6 +8,7 @@
 #include "src/common/rng.h"
 #include "src/storage/file_backend.h"
 #include "src/common/thread_pool.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -17,14 +17,10 @@ class HiddenSaverTest : public ::testing::Test {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(3, 16, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_saver_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     store_ = std::make_unique<FileBackend>(
         std::vector<std::string>{(base_ / "d0").string(), (base_ / "d1").string()},
         /*chunk_bytes=*/1 << 20);
   }
-  void TearDown() override { std::filesystem::remove_all(base_); }
 
   // Feeds `total` tokens through the sink in steps of `step`, all layers.
   Tensor FeedTokens(HiddenStateSink* sink, int64_t total, int64_t step, uint64_t seed) {
@@ -49,7 +45,7 @@ class HiddenSaverTest : public ::testing::Test {
   }
 
   ModelConfig cfg_;
-  std::filesystem::path base_;
+  TestDir base_{"saver"};
   std::unique_ptr<FileBackend> store_;
 };
 

@@ -21,6 +21,7 @@
 #include "src/storage/memory_backend.h"
 #include "src/storage/storage_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -347,8 +348,7 @@ TEST(ReadChunksTest, FileBackendConcurrentReadsOfSameChunkAreRaceFree) {
   // pread on a shared cached fd has no file position to race on: hammer one chunk
   // from several threads (serial and batched mixed) and require every read to come
   // back complete and correct.
-  const fs::path dir = fs::temp_directory_path() / "read_chunks_pread_race";
-  fs::remove_all(dir);
+  const TestDir dir("read_chunks");
   {
     FileBackend file({(dir / "d0").string()}, kChunkBytes);
     const ChunkKey key{7, 3, 1};
@@ -387,12 +387,10 @@ TEST(ReadChunksTest, FileBackendConcurrentReadsOfSameChunkAreRaceFree) {
     EXPECT_EQ(static_cast<int64_t>(kThreads) * kIters, stats.total_reads);
     EXPECT_EQ(static_cast<int64_t>(kThreads) * kIters * kChunkBytes, stats.ReadBytes());
   }
-  fs::remove_all(dir);
 }
 
 TEST(ReadChunksTest, FileBackendFdCacheSurvivesOverwriteAndDelete) {
-  const fs::path dir = fs::temp_directory_path() / "read_chunks_fd_inval";
-  fs::remove_all(dir);
+  const TestDir dir("read_chunks");
   {
     FileBackend file({(dir / "d0").string()}, kChunkBytes);
     const ChunkKey key{1, 0, 0};
@@ -410,7 +408,6 @@ TEST(ReadChunksTest, FileBackendFdCacheSurvivesOverwriteAndDelete) {
     EXPECT_EQ(-1, file.ReadChunk(key, buf.data(), kChunkBytes));
     EXPECT_FALSE(fs::exists(dir / "d0" / "ctx1"));
   }
-  fs::remove_all(dir);
 }
 
 TEST(ReadChunksTest, BaseForwardsServeABackendThatOnlyImplementsReadChunks) {

@@ -2,7 +2,6 @@
 // size, token count, and append granularity must reproduce the exact bytes, including
 // partial tail chunks and resumed (seal-then-append) sessions.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <numeric>
@@ -11,6 +10,7 @@
 #include "src/common/rng.h"
 #include "src/storage/file_backend.h"
 #include "src/storage/hidden_saver.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -22,19 +22,12 @@ class SaverRoundTripSweep : public ::testing::TestWithParam<SweepParam> {
  protected:
   void SetUp() override {
     cfg_ = ModelConfig::TinyLlama(2, 16, 2);
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_saver_sweep_" + std::to_string(::getpid()) + "_" +
-             std::to_string(reinterpret_cast<uintptr_t>(this)));
     store_ = std::make_unique<FileBackend>(std::vector<std::string>{(base_ / "d").string()},
                                           1 << 20);
   }
-  void TearDown() override {
-    store_.reset();
-    std::filesystem::remove_all(base_);
-  }
 
   ModelConfig cfg_;
-  std::filesystem::path base_;
+  TestDir base_{"saver_sweep"};
   std::unique_ptr<FileBackend> store_;
 };
 

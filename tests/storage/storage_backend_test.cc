@@ -4,7 +4,6 @@
 #include "src/storage/storage_backend.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
@@ -18,6 +17,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -33,9 +33,6 @@ struct BackendFixture {
 class StorageBackendTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_backend_" + std::to_string(::getpid()) + "_" + GetParam() + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     const std::vector<std::string> dirs = {(base_ / "d0").string(), (base_ / "d1").string()};
     if (GetParam() == "file") {
       fx_.backend = std::make_unique<FileBackend>(dirs, kChunkBytes);
@@ -70,12 +67,11 @@ class StorageBackendTest : public ::testing::TestWithParam<std::string> {
     fx_.backend.reset();  // outermost wrapper first
     fx_.cold.reset();
     fx_.inner.reset();
-    std::filesystem::remove_all(base_);
   }
 
   StorageBackend& backend() { return *fx_.backend; }
 
-  std::filesystem::path base_;
+  TestDir base_{"backend"};
   BackendFixture fx_;
 };
 

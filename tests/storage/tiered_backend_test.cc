@@ -6,7 +6,6 @@
 #include "src/storage/tiered_backend.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -15,6 +14,7 @@
 
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -24,16 +24,9 @@ constexpr int64_t kChunkBytes = 1024;
 class TieredBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = std::filesystem::temp_directory_path() /
-            ("hcache_tiered_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     cold_ = std::make_unique<FileBackend>(
         std::vector<std::string>{(base_ / "d0").string(), (base_ / "d1").string()},
         kChunkBytes);
-  }
-  void TearDown() override {
-    cold_.reset();
-    std::filesystem::remove_all(base_);
   }
 
   // Writes `chunks` full chunks for `ctx`, filled with a context-distinct byte.
@@ -44,7 +37,7 @@ class TieredBackendTest : public ::testing::Test {
     }
   }
 
-  std::filesystem::path base_;
+  TestDir base_{"tiered"};
   std::unique_ptr<FileBackend> cold_;
 };
 

@@ -21,6 +21,7 @@
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -45,15 +46,11 @@ int CountOpenFds() {
 class WriteAtomicityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = fs::temp_directory_path() /
-            ("hcache_atomicity_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
   }
-  void TearDown() override { fs::remove_all(base_); }
 
   std::vector<std::string> Dirs() { return {(base_ / "d0").string()}; }
 
-  std::filesystem::path base_;
+  TestDir base_{"atomicity"};
 };
 
 // Conformance body: inject a write failure in front of `backend`, confirm nothing
