@@ -101,9 +101,6 @@ class PowerOfTwoRouter : public SessionRouter {
 // the state lives in the SHARED tier, so any survivor can restore it.
 class StickyRouter : public SessionRouter {
  public:
-  explicit StickyRouter(int64_t spill_margin_tokens)
-      : spill_margin_tokens_(spill_margin_tokens) {}
-
   int Route(const RoundTask&, int home, const std::vector<ReplicaCandidate>& live) override {
     const int least = ArgMinTokens(live);
     const int home_pos = home >= 0 ? FindCandidate(live, home) : -1;
@@ -112,14 +109,11 @@ class StickyRouter : public SessionRouter {
     }
     const int64_t gap = live[static_cast<size_t>(home_pos)].load.queued_tokens -
                         live[static_cast<size_t>(least)].load.queued_tokens;
-    return gap > spill_margin_tokens_ ? least : home_pos;
+    return gap > kStickySpillMarginTokens ? least : home_pos;
   }
   std::string Name() const override {
     return RouterPolicyName(RouterPolicy::kStickyWithSpill);
   }
-
- private:
-  int64_t spill_margin_tokens_;
 };
 
 // Resolves a FleetEvent target: an explicit id must still be serving (kUp or
@@ -147,8 +141,7 @@ int ResolveVictim(const ReplicaSet& fleet, int requested) {
 
 }  // namespace
 
-std::unique_ptr<SessionRouter> MakeRouter(RouterPolicy policy, uint64_t seed,
-                                          int64_t sticky_spill_margin_tokens) {
+std::unique_ptr<SessionRouter> MakeRouter(RouterPolicy policy, uint64_t seed) {
   switch (policy) {
     case RouterPolicy::kRoundRobin:
       return std::make_unique<RoundRobinRouter>();
@@ -157,7 +150,7 @@ std::unique_ptr<SessionRouter> MakeRouter(RouterPolicy policy, uint64_t seed,
     case RouterPolicy::kPowerOfTwo:
       return std::make_unique<PowerOfTwoRouter>(seed);
     case RouterPolicy::kStickyWithSpill:
-      return std::make_unique<StickyRouter>(sticky_spill_margin_tokens);
+      return std::make_unique<StickyRouter>();
   }
   return std::make_unique<RoundRobinRouter>();
 }

@@ -58,15 +58,12 @@ class SessionRouter {
 
 // Seed of the cluster's router (only kPowerOfTwo draws from it).
 inline constexpr uint64_t kRouterSeed = 0x5e5510f;
-// The cluster's kStickyWithSpill margin: roughly one whale context's worth of work.
+// kStickyWithSpill's margin, roughly one whale context's worth of work: the home
+// replica is abandoned for this round when its queued token demand exceeds the
+// least-loaded replica's by more than this.
 inline constexpr int64_t kStickySpillMarginTokens = 16384;
 
-// `sticky_spill_margin_tokens` only affects kStickyWithSpill: the home replica is
-// abandoned for this round when its queued token demand exceeds the least-loaded
-// replica's by more than the margin.
-std::unique_ptr<SessionRouter> MakeRouter(RouterPolicy policy, uint64_t seed,
-                                          int64_t sticky_spill_margin_tokens =
-                                              kStickySpillMarginTokens);
+std::unique_ptr<SessionRouter> MakeRouter(RouterPolicy policy, uint64_t seed);
 
 // A scripted fleet transition fired at a simulation time: fail-stop a replica
 // (kKill), gracefully retire one (kDrain), or revive a down one (kScaleUp).

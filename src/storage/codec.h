@@ -14,7 +14,7 @@
 //                 chunk tensor is ever materialized.
 //
 // The element loops dispatch through codec_simd.h's runtime-selected kernel table
-// (scalar reference, or hand-written AVX2/AVX-512 paths — HCACHE_SIMD overrides),
+// (scalar reference, or hand-written AVX2 paths — HCACHE_SIMD=scalar forces scalar),
 // and they thread across rows via ThreadPool::ParallelFor once the chunk is large
 // enough to amortize dispatch. All conversions are deterministic AND bit-identical
 // across ISA tiers (pinned by tests/storage/codec_matrix_test.cc): the same input
@@ -40,7 +40,7 @@ uint16_t Fp32ToFp16Bits(float f);
 float Fp16BitsToFp32(uint16_t bits);
 
 // The 65536-entry half->float table the scalar decode tier reads (built once,
-// thread-safe). Exposed so the matrix test can assert the vector tiers' vcvtph2ps
+// thread-safe). Exposed so the matrix test can assert the vector tier's vcvtph2ps
 // output is LUT-equivalent for every half pattern. Decode quiets signaling half
 // NaNs (payload | 0x200), matching the hardware conversion exactly.
 const float* Fp16DecodeTable();

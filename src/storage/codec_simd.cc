@@ -15,12 +15,6 @@
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #define HCACHE_CODEC_X86 1
-// GCC 12's avx512 intrinsic wrappers pass an intentionally-undefined merge operand
-// (_mm_undefined_si128) to the masked builtins, which -Wmaybe-uninitialized flags
-// when they inline into our kernels. Known false positive (GCC PR105593).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
 #else
 #define HCACHE_CODEC_X86 0
@@ -30,7 +24,7 @@ namespace hcache {
 
 namespace {
 
-// --- scalar tier: the reference kernels every vector tier must match bit-for-bit ---
+// --- scalar tier: the reference kernels the vector tier must match bit-for-bit ---
 
 void Fp16EncodeScalar(const float* src, uint16_t* dst, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -57,7 +51,7 @@ float MaxAbsScalar(const float* src, int64_t n) {
 void Int8QuantizeScalar(const float* src, float inv_scale, int8_t* dst, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     const float v = std::round(src[i] * inv_scale);
-    // NaN falls through both comparisons to 127 — the vector tiers replicate this
+    // NaN falls through both comparisons to 127 — the vector tier replicates this
     // via the min/max NaN operand rules.
     dst[i] = static_cast<int8_t>(std::max(-127.0f, std::min(127.0f, v)));
   }
@@ -105,7 +99,7 @@ uint32_t Crc32cCopyScalar(uint32_t crc, const void* src, void* dst, int64_t n) {
 
 // ================================== kAvx2 =======================================
 //
-// AVX2 + F16C + SSE4.2, the floor of every vector tier. Every kernel below runs its
+// AVX2 + F16C + SSE4.2, the one vector tier. Every kernel below runs its
 // full vectors and then hands the ragged tail (fewer elements than one vector step)
 // to its scalar kernel, so each element rule lives once, in the scalar tier.
 //
@@ -249,106 +243,11 @@ __attribute__((target("avx2"))) void Int8DequantizeAvx2(const int8_t* src, float
   Int8DequantizeScalar(src + i, scale, dst + i, n - i);
 }
 
-// ================================= kAvx512 ======================================
-//
-// 16-lane conversions with mask registers replacing the pack/blend fixup dance.
-// Requires F+BW+VL (BW+VL for the 16-bit masked blend on the encode side). The
-// fixups are the AVX2 tier's, and the ragged tails again run the scalar kernels.
-
-__attribute__((target("avx512f,avx512bw,avx512vl,f16c"))) void Fp16EncodeAvx512(
-    const float* src, uint16_t* dst, int64_t n) {
-  const __m512i abs_mask = _mm512_set1_epi32(0x7fffffff);
-  const __m512 overflow_at = _mm512_set1_ps(65520.0f);
-  const __m512 max_finite = _mm512_set1_ps(65504.0f);
-  const __m512 inf = _mm512_set1_ps(std::numeric_limits<float>::infinity());
-  const __m256i sign_half = _mm256_set1_epi16(static_cast<short>(0x8000));
-  const __m256i nan_half = _mm256_set1_epi16(0x7e00);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 x = _mm512_loadu_ps(src + i);
-    const __m512i xi = _mm512_castps_si512(x);
-    const __m512 abs = _mm512_castsi512_ps(_mm512_and_epi32(xi, abs_mask));
-    const __m512i sign = _mm512_andnot_epi32(abs_mask, xi);
-    const __mmask16 finite_ovf = _mm512_cmp_ps_mask(abs, overflow_at, _CMP_GE_OQ) &
-                                 ~_mm512_cmp_ps_mask(abs, inf, _CMP_EQ_OQ);
-    const __m512 clamped = _mm512_mask_mov_ps(abs, finite_ovf, max_finite);
-    const __m512 signed_x =
-        _mm512_castsi512_ps(_mm512_or_epi32(_mm512_castps_si512(clamped), sign));
-    __m256i h = _mm512_cvtps_ph(signed_x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    const __mmask16 unord = _mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q);
-    const __m256i canon = _mm256_or_si256(_mm256_and_si256(h, sign_half), nan_half);
-    h = _mm256_mask_blend_epi16(unord, h, canon);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
-  }
-  Fp16EncodeScalar(src + i, dst + i, n - i);
-}
-
-// No 512-bit decode kernel: vcvtph2ps is convert-port-bound, and on double-pumped
-// AVX-512 implementations the zmm form measures ~30% SLOWER than streaming ymm
-// converts (24 vs 35 GB/s on the reference box). The avx512 tier therefore reuses
-// the 16-per-iteration 256-bit decode; every other avx512 kernel measures faster
-// than its 256-bit counterpart and stays 512-bit.
-
-__attribute__((target("avx512f"))) float MaxAbsAvx512(const float* src, int64_t n) {
-  const __m512i abs_mask = _mm512_set1_epi32(0x7fffffff);
-  __m512 acc = _mm512_setzero_ps();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    // Fresh lanes first: vmaxps keeps the accumulator on NaN (see MaxAbsAvx).
-    const __m512i xi = _mm512_castps_si512(_mm512_loadu_ps(src + i));
-    acc = _mm512_max_ps(_mm512_castsi512_ps(_mm512_and_epi32(xi, abs_mask)), acc);
-  }
-  return std::max(_mm512_reduce_max_ps(acc), MaxAbsScalar(src + i, n - i));
-}
-
-__attribute__((target("avx512f"))) void Int8QuantizeAvx512(const float* src,
-                                                           float inv_scale, int8_t* dst,
-                                                           int64_t n) {
-  const __m512 vinv = _mm512_set1_ps(inv_scale);
-  const __m512 half = _mm512_set1_ps(0.5f);
-  const __m512 neg_half = _mm512_set1_ps(-0.5f);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 hi = _mm512_set1_ps(127.0f);
-  const __m512 lo = _mm512_set1_ps(-127.0f);
-  const __m512 zero = _mm512_setzero_ps();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 x = _mm512_mul_ps(_mm512_loadu_ps(src + i), vinv);
-    // Round-to-nearest-even with exceptions suppressed (imm 0x08), then the same
-    // exact tie fixup as the AVX2 tier, on mask registers.
-    const __m512 r = _mm512_roundscale_ps(x, 0x08);
-    const __m512 t = _mm512_sub_ps(x, r);
-    const __mmask16 fix_up = _mm512_cmp_ps_mask(t, half, _CMP_EQ_OQ) &
-                             _mm512_cmp_ps_mask(x, zero, _CMP_GT_OQ);
-    const __mmask16 fix_dn = _mm512_cmp_ps_mask(t, neg_half, _CMP_EQ_OQ) &
-                             _mm512_cmp_ps_mask(x, zero, _CMP_LT_OQ);
-    __m512 v = _mm512_mask_add_ps(r, fix_up, r, one);
-    v = _mm512_mask_sub_ps(v, fix_dn, v, one);
-    v = _mm512_max_ps(_mm512_min_ps(v, hi), lo);
-    const __m512i vi = _mm512_cvtps_epi32(v);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm512_cvtsepi32_epi8(vi));
-  }
-  Int8QuantizeScalar(src + i, inv_scale, dst + i, n - i);
-}
-
-__attribute__((target("avx512f"))) void Int8DequantizeAvx512(const int8_t* src,
-                                                             float scale, float* dst,
-                                                             int64_t n) {
-  const __m512 vscale = _mm512_set1_ps(scale);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i d = _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i)));
-    _mm512_storeu_ps(dst + i, _mm512_mul_ps(_mm512_cvtepi32_ps(d), vscale));
-  }
-  Int8DequantizeScalar(src + i, scale, dst + i, n - i);
-}
-
 // ================================== crc32c ======================================
 //
-// One hardware kernel shared by every vector tier: the crc32q instruction is SSE4.2
-// (part of the AVX2 + F16C + SSE4.2 floor DetectTier requires for any vector tier),
-// and nothing wider helps. What DOES help is breaking the dependency chain:
+// The vector tier's hardware kernel: the crc32q instruction is SSE4.2 (part of the
+// AVX2 + F16C + SSE4.2 set DetectTier requires for the vector tier), and nothing
+// wider helps. What DOES help is breaking the dependency chain:
 // crc32q retires 1/cycle but has 3-cycle latency, so a single chained loop runs at a
 // third of peak. Large buffers are split into three independent streams checksummed
 // in one interleaved loop, then recombined.
@@ -517,68 +416,43 @@ constexpr CodecKernels kScalarKernels = {Fp16EncodeScalar, Fp16DecodeScalar, Max
 constexpr CodecKernels kAvx2Kernels = {Fp16EncodeAvx2, Fp16DecodeAvx2, MaxAbsAvx,
                                        Int8QuantizeAvx2, Int8DequantizeAvx2, Crc32cSse42,
                                        Crc32cCopySse42};
-constexpr CodecKernels kAvx512Kernels = {Fp16EncodeAvx512, Fp16DecodeAvx2, MaxAbsAvx512,
-                                         Int8QuantizeAvx512, Int8DequantizeAvx512,
-                                         Crc32cSse42, Crc32cCopySse42};
 #else
 constexpr CodecKernels kAvx2Kernels = kScalarKernels;
-constexpr CodecKernels kAvx512Kernels = kScalarKernels;
 #endif
 
-constexpr CodecKernels kKernelTables[kNumSimdTiers] = {kScalarKernels, kAvx2Kernels,
-                                                       kAvx512Kernels};
+constexpr CodecKernels kKernelTables[kNumSimdTiers] = {kScalarKernels, kAvx2Kernels};
 
 SimdTier DetectTier() {
 #if HCACHE_CODEC_X86
   __builtin_cpu_init();
-  // Every vector tier runs AVX2 integer ops, converts through F16C and checksums
+  // The vector tier runs AVX2 integer ops, converts through F16C and checksums
   // through the SSE4.2 crc32 instruction; without all three only scalar is usable.
-  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("f16c") ||
-      !__builtin_cpu_supports("sse4.2")) {
-    return SimdTier::kScalar;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c") &&
+      __builtin_cpu_supports("sse4.2")) {
+    return SimdTier::kAvx2;
   }
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return SimdTier::kAvx512;
-  }
-  return SimdTier::kAvx2;
-#else
-  return SimdTier::kScalar;
 #endif
+  return SimdTier::kScalar;
 }
 
-// Returns the tier named by HCACHE_SIMD, or -1 when unset / unrecognized (the
-// latter logs once and falls back to full dispatch).
-int ParseEnvTier() {
+// HCACHE_SIMD=scalar forces the reference kernels. Unset keeps the detected tier, and
+// so does any other value, after one warning.
+SimdTier InitialTier() {
+  const SimdTier detected = DetectTier();
   const char* env = std::getenv("HCACHE_SIMD");
   if (env == nullptr || *env == '\0') {
-    return -1;
+    return detected;
   }
   std::string s(env);
   for (char& c : s) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  if (s == "scalar") return static_cast<int>(SimdTier::kScalar);
-  if (s == "avx2") return static_cast<int>(SimdTier::kAvx2);
-  if (s == "avx512") return static_cast<int>(SimdTier::kAvx512);
+  if (s == "scalar") {
+    return SimdTier::kScalar;
+  }
   HCACHE_LOG_WARN << "HCACHE_SIMD=" << env
-                  << " not recognized (want scalar|avx2|avx512); using detected tier";
-  return -1;
-}
-
-SimdTier InitialTier() {
-  const SimdTier detected = DetectTier();
-  const int requested = ParseEnvTier();
-  if (requested < 0) {
-    return detected;
-  }
-  if (requested > static_cast<int>(detected)) {
-    HCACHE_LOG_WARN << "HCACHE_SIMD requests " << SimdTierName(static_cast<SimdTier>(requested))
-                    << " but this CPU tops out at " << SimdTierName(detected)
-                    << "; clamping";
-    return detected;
-  }
-  return static_cast<SimdTier>(requested);
+                  << " not recognized (want scalar); using detected tier";
+  return detected;
 }
 
 std::atomic<int>& ActiveTierCell() {
@@ -594,8 +468,6 @@ const char* SimdTierName(SimdTier tier) {
       return "scalar";
     case SimdTier::kAvx2:
       return "avx2";
-    case SimdTier::kAvx512:
-      return "avx512";
   }
   return "?";
 }
@@ -631,6 +503,3 @@ uint32_t Crc32c(const void* data, int64_t n) {
 
 }  // namespace hcache
 
-#if HCACHE_CODEC_X86
-#pragma GCC diagnostic pop
-#endif

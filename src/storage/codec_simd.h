@@ -6,13 +6,12 @@
 // hand-written kernels behind a cached function-pointer table:
 //
 //   kScalar — the portable reference loops (bit manipulation for FP16, 256 KiB LUT
-//             decode). Always available, always correct; every other tier must be
+//             decode). Always available, always correct; the vector tier must be
 //             bit-identical to it (pinned by tests/storage/codec_matrix_test.cc).
-//   kAvx2   — AVX2 + F16C + SSE4.2, the floor of every vector tier: vcvtps2ph /
-//             vcvtph2ps for FP16 (16 lanes per step, one 256-bit blend for the NaN
-//             fixup), 256-bit float math and widening loads for INT8, crc32q for
-//             CRC32C. A CPU without AVX2 runs the scalar tier.
-//   kAvx512 — AVX-512 F+BW+VL: 16-lane conversions with mask-register fixups.
+//   kAvx2   — AVX2 + F16C + SSE4.2, the one vector tier: vcvtps2ph / vcvtph2ps for
+//             FP16 (16 lanes per step, one 256-bit blend for the NaN fixup), 256-bit
+//             float math and widening loads for INT8, crc32q for CRC32C. AVX-512
+//             hosts run it too; a CPU without AVX2 runs the scalar tier.
 //
 // Each scalar kernel is the one home of its element rule: every vector kernel runs
 // whole vectors and hands its ragged tail to the scalar kernel.
@@ -25,9 +24,8 @@
 // std::max/std::min chain). Restored state therefore stays bit-stable across ISAs,
 // thread counts, and backends.
 //
-// Dispatch: the active tier is chosen once from CPUID, clamped by the HCACHE_SIMD
-// environment variable (scalar|avx2|avx512 — requests above what the CPU supports
-// clamp down with a warning; any other value warns and keeps the detected tier).
+// Dispatch: the active tier is chosen once from CPUID. HCACHE_SIMD=scalar forces the
+// reference kernels; any other value warns and keeps the detected tier.
 // ForceSimdTier() overrides it in-process so the bit-exactness matrix test and the
 // per-ISA bench rows can iterate every tier the machine can execute.
 #ifndef HCACHE_SRC_STORAGE_CODEC_SIMD_H_
@@ -37,17 +35,17 @@
 
 namespace hcache {
 
-enum class SimdTier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class SimdTier : int { kScalar = 0, kAvx2 = 1 };
 
-inline constexpr int kNumSimdTiers = 3;
+inline constexpr int kNumSimdTiers = 2;
 
 const char* SimdTierName(SimdTier tier);
 
 // Best tier this CPU can execute (CPUID, cached after the first call).
 SimdTier DetectedSimdTier();
 
-// Tier the codec currently dispatches to: DetectedSimdTier() clamped by HCACHE_SIMD
-// (read once), or whatever ForceSimdTier() last installed.
+// Tier the codec currently dispatches to: DetectedSimdTier(), or kScalar under
+// HCACHE_SIMD=scalar (read once), or whatever ForceSimdTier() last installed.
 SimdTier ActiveSimdTier();
 
 // Installs `tier` (clamped to DetectedSimdTier() — requesting an ISA the CPU lacks
@@ -73,7 +71,7 @@ struct CodecKernels {
   void (*int8_dequantize)(const int8_t* src, float scale, float* dst, int64_t n);
   // CRC32C (Castagnoli) over n bytes, chainable: takes and returns the RAW shift
   // register state (no ~ applied). Callers wanting the conventional checksum use
-  // Crc32c() below. The vector tiers run the SSE4.2 crc32 instruction; the scalar
+  // Crc32c() below. The vector tier runs the SSE4.2 crc32 instruction; the scalar
   // tier a byte-wise table — identical results by construction.
   uint32_t (*crc32c)(uint32_t crc, const void* data, int64_t n);
   // memcpy(dst, src, n) fused with the same chainable CRC over the bytes moved —

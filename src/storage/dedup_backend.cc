@@ -53,11 +53,13 @@ ContentHash HashChunkContent(const void* data, int64_t bytes) {
 
 ChunkKey DedupBackend::PhysicalKey(const PhysId& id) {
   // The wrapped backend's whole key namespace is ours; spread the 128 hash bits over
-  // (context_id, layer) and keep the collision-chain slot in chunk_index. The sign
-  // bit is masked off both fields — file-backed stores turn context ids into
-  // directory names and negative ids would be needlessly ugly there.
-  return ChunkKey{static_cast<int64_t>(id.hash.hi & 0x7fffffffffffffffull),
-                  static_cast<int64_t>(id.hash.lo & 0x7fffffffffffffffull), id.chain};
+  // (context_id, chunk_index) and keep the collision-chain slot in layer. Hash bits in
+  // chunk_index stripe physical chunks across a FileBackend's devices (it places a
+  // chunk on device chunk_index % devices; the chain slot is 0 for nearly every
+  // chunk). The sign bit is masked off both hash fields — file-backed stores name
+  // segments after context ids, and negative ids would be needlessly ugly there.
+  return ChunkKey{static_cast<int64_t>(id.hash.hi & 0x7fffffffffffffffull), id.chain,
+                  static_cast<int64_t>(id.hash.lo & 0x7fffffffffffffffull)};
 }
 
 DedupBackend::DedupBackend(StorageBackend* base)

@@ -77,13 +77,13 @@ TEST(SessionRouterTest, PowerOfTwoNeverPicksTheHeavierOfItsPair) {
 }
 
 TEST(SessionRouterTest, StickyFollowsHomeUntilSpill) {
-  auto r = MakeRouter(RouterPolicy::kStickyWithSpill, 1, /*spill_margin=*/1000);
+  auto r = MakeRouter(RouterPolicy::kStickyWithSpill, 1);
   std::vector<ReplicaCandidate> live = FullFleet(2);
   RoundTask t;
-  live[0].load.queued_tokens = 800;
+  live[0].load.queued_tokens = kStickySpillMarginTokens;
   live[1].load.queued_tokens = 0;
   EXPECT_EQ(r->Route(t, /*home=*/0, live), 0);  // within margin: stay home
-  live[0].load.queued_tokens = 1200;
+  live[0].load.queued_tokens = kStickySpillMarginTokens + 1;
   EXPECT_EQ(r->Route(t, /*home=*/0, live), 1);  // beyond margin: spill
   EXPECT_EQ(r->Route(t, /*home=*/-1, live), 1);  // first round: least-loaded
 }
@@ -92,7 +92,7 @@ TEST(SessionRouterTest, StickyReRoutesWhenHomeLeftTheLiveSet) {
   // Elastic fleets shrink: when the home replica is gone (drained/killed), the
   // candidate list no longer contains its id and sticky must pick a survivor — the
   // session's state is in the SHARED tier, so any live replica can restore it.
-  auto r = MakeRouter(RouterPolicy::kStickyWithSpill, 1, /*spill_margin=*/1000);
+  auto r = MakeRouter(RouterPolicy::kStickyWithSpill, 1);
   std::vector<ReplicaCandidate> live(2);
   live[0].id = 1;  // replica 0 is down: live set is {1, 3}
   live[1].id = 3;
@@ -102,7 +102,7 @@ TEST(SessionRouterTest, StickyReRoutesWhenHomeLeftTheLiveSet) {
   EXPECT_EQ(r->Route(t, /*home=*/0, live), 1);  // home gone: least-loaded survivor
   // Home id 3 sits at candidate POSITION 1 — sticky must match by id, not index.
   EXPECT_EQ(r->Route(t, /*home=*/3, live), 1);
-  live[1].load.queued_tokens = 5000;  // home overloaded beyond the margin
+  live[1].load.queued_tokens = 700 + kStickySpillMarginTokens + 1;  // beyond the margin
   EXPECT_EQ(r->Route(t, /*home=*/3, live), 0);
 }
 

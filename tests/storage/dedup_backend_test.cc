@@ -8,13 +8,16 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/test_dir.h"
 
 namespace hcache {
 namespace {
@@ -197,6 +200,40 @@ TEST_F(DedupBackendTest, TieredStackSurfacesDedupFigures) {
   EXPECT_EQ(s.unique_chunks, 1);
   EXPECT_GT(s.dedup_hits, 0);
   EXPECT_GT(s.dedup_bytes_saved, 0);
+}
+
+TEST(DedupOverFileTest, PhysicalChunksStripeAcrossDevices) {
+  // FileBackend places a chunk on device chunk_index % devices, so the physical key
+  // must carry hash bits there: a collision-chain slot (0 for every chunk here)
+  // would put every physical chunk on device 0.
+  TestDir dir("dedup");
+  const std::vector<std::filesystem::path> devices = {dir / "dev0", dir / "dev1"};
+  FileBackendOptions options;
+  options.fsync_writes = false;
+  FileBackend file({devices[0].string(), devices[1].string()}, kChunkBytes, options);
+  DedupBackend dedup(&file);
+  constexpr int kChunks = 200;
+  for (int i = 0; i < kChunks; ++i) {
+    std::vector<char> data = Payload(256, 'd');
+    std::memcpy(data.data(), &i, sizeof(i));
+    ASSERT_TRUE(dedup.WriteChunk({1, 0, i}, data.data(), 256));
+  }
+  ASSERT_EQ(dedup.Stats().unique_chunks, kChunks);
+  int total = 0;
+  std::vector<int> segments;
+  for (const auto& device : devices) {
+    int count = 0;
+    for (const auto& e : std::filesystem::directory_iterator(device)) {
+      count += e.path().extension() == ".seg" ? 1 : 0;
+    }
+    segments.push_back(count);
+    total += count;
+  }
+  ASSERT_EQ(total, kChunks);  // one segment per physical chunk
+  for (size_t d = 0; d < devices.size(); ++d) {
+    EXPECT_GE(3 * segments[d], total) << "device " << d << " holds " << segments[d];
+    EXPECT_LE(3 * segments[d], 2 * total) << "device " << d << " holds " << segments[d];
+  }
 }
 
 TEST_F(DedupBackendTest, RefcountConservationHammer) {
