@@ -37,10 +37,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Every base directory TempDirs handed out; main removes them before it returns.
+std::vector<fs::path>& TempBases() {
+  static std::vector<fs::path> bases;
+  return bases;
+}
+
 std::vector<std::string> TempDirs(const char* tag, int n) {
   std::vector<std::string> dirs;
   const auto base = fs::temp_directory_path() /
                     ("hcache_bench_" + std::to_string(::getpid()) + "_" + tag);
+  TempBases().push_back(base);
   for (int i = 0; i < n; ++i) {
     dirs.push_back((base / ("d" + std::to_string(i))).string());
   }
@@ -791,5 +798,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   hcache::EmitCodecSweepJson();
+  for (const auto& base : hcache::TempBases()) {
+    std::error_code ec;
+    std::filesystem::remove_all(base, ec);
+  }
   return 0;
 }

@@ -187,6 +187,19 @@ void ThreadPool::JoinJob(uint64_t epoch) {
   }
 }
 
+void ThreadPool::Assist(void* done, Poll poll) {
+  uint64_t seen = 0;  // epoch 0 is never a job's
+  while (!poll(done)) {
+    const uint64_t epoch = epoch_.load();
+    if (epoch % 2 == 1 && epoch != seen) {
+      seen = epoch;
+      JoinJob(epoch);
+    } else {
+      CpuRelax();
+    }
+  }
+}
+
 ThreadPool& ThreadPool::Shared() {
   if (ThreadPool* pool = g_shared.load(std::memory_order_acquire)) {
     return *pool;

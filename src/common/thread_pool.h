@@ -11,9 +11,14 @@
 // bumps an atomic epoch; the workers and the caller then pull grain-sized subranges
 // off the job's atomic cursor. The compute pool's workers spin on the epoch for a short
 // window after each job before they park, so the back-to-back operators of a forward
-// pass cost no allocation, no mutex and no syscall. Dedicated pools never spin (a
-// spinning flush thread would take a core from the projection); their workers park at
-// once and serve Submit's FIFO queue as well as the job slot.
+// pass cost no allocation, no mutex and no syscall. Dedicated pools' workers never
+// spin between tasks (a spinning flush thread would take a core from the projection);
+// they park at once and serve Submit's FIFO queue as well as the job slot.
+//
+// Assist. A thread outside the compute pool can join its jobs through AssistUntil,
+// spinning between them. The restore's transmission task does so on a flush-pool
+// thread, and only when the compute pool leaves a hardware thread spare, so the spin
+// never takes a core from a participant.
 #ifndef HCACHE_SRC_COMMON_THREAD_POOL_H_
 #define HCACHE_SRC_COMMON_THREAD_POOL_H_
 
@@ -73,6 +78,20 @@ class ThreadPool {
         [](void* f, int64_t lo, int64_t hi) { (*static_cast<F*>(f))(lo, hi); });
   }
 
+  // Joins this pool's loops from a thread outside it until `done()` holds: takes
+  // subranges of the open ParallelFor, and of each one opened after it, exactly as a
+  // worker does (a loop that closes first runs nothing here), and spins between loops
+  // without parking. A throwing subrange is rethrown on that loop's caller. `done` is
+  // polled between loops, never copied, so a call allocates nothing. The helper is
+  // not counted by ParallelParticipants(): every loop keeps the subranges it would
+  // have had without it. Must not race with the pool's destruction (ResizeShared).
+  template <typename Pred>
+  void AssistUntil(Pred&& done) {
+    using P = std::remove_reference_t<Pred>;
+    Assist(const_cast<void*>(static_cast<const void*>(std::addressof(done))),
+           [](void* p) { return static_cast<bool>((*static_cast<P*>(p))()); });
+  }
+
   size_t num_threads() const { return workers_.size(); }
   size_t pending() const;
 
@@ -90,6 +109,7 @@ class ThreadPool {
 
  private:
   using Invoke = void (*)(void* fn, int64_t lo, int64_t hi);
+  using Poll = bool (*)(void* done);
 
   // The job slot: written by the caller that holds `busy_`, read by every participant.
   struct Job {
@@ -108,6 +128,7 @@ class ThreadPool {
   void Run(int64_t begin, int64_t end, int64_t grain, void* fn, Invoke invoke);
   void RunChunks();
   void JoinJob(uint64_t epoch);
+  void Assist(void* done, Poll poll);
   void WorkerLoop();
 
   Job job_;

@@ -1,10 +1,12 @@
 #include "src/core/functional_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -15,6 +17,15 @@ namespace {
 // FP32 hidden rows the transmission stream may stage ahead of the projections (at least
 // one layer). Tuned on hcache-serve: all of chat's hidden layers, rag's peak RSS kept.
 constexpr int64_t kRunAheadBytes = int64_t{1536} << 10;
+
+// True when the compute pool's workers and a restore's caller leave a hardware thread
+// spare: the transmission stream then projects beside them whenever it has nothing to
+// read. A pool with a worker per hardware thread (the default) has none to spare, and a
+// spinning stream there would take a core from the projection.
+bool StreamCanAssist() {
+  static const unsigned hardware = std::thread::hardware_concurrency();
+  return ThreadPool::Shared().num_threads() + 2 <= hardware;
+}
 
 const ModelConfig& ConfigOf(const Transformer* model) {
   CHECK(model != nullptr);
@@ -101,8 +112,11 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   // One flush-pool task (transmission) loads every stored step in plan order, starting
   // before ForwardPartial: hidden layers decode into staging slots, whose count bounds
   // how far reads run ahead of the projections; KV-offloaded layers decode straight
-  // into their pool pages. Without a flush pool the caller loads each step just before
-  // using it; the bytes and math are identical either way.
+  // into their pool pages. Where a hardware thread is spare (StreamCanAssist), the
+  // transmission task joins the compute pool's loops instead of idling, both while it
+  // waits for a free slot and after its last read, until the caller has stopped
+  // projecting. Without a flush pool the caller loads each step just before using it;
+  // the bytes and math are identical either way.
   const LayerSources sources = scheme.Sources();
   std::vector<RestoreStep> steps = PlanRestore(sources, cfg.num_layers);
   steps.erase(steps.begin(), steps.begin() + sources.recompute);  // stored steps only
@@ -137,10 +151,14 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   // when its layer loads; the stream then stops and the restore unwinds below.
   std::mutex mu;
   std::condition_variable cv;
-  size_t loaded = 0;     // steps whose rows have landed
-  size_t projected = 0;  // hidden steps the caller has projected (their slots are free)
+  size_t loaded = 0;  // steps whose rows have landed
+  // Hidden steps the caller has projected (their slots are free). Written under mu,
+  // read without it by an assisting stream.
+  std::atomic<size_t> projected{0};
+  std::atomic<bool> projecting{true};  // cleared when the caller's loop ends, failed or not
   bool failed = false;
   bool stream_done = flush_pool_ == nullptr;
+  const bool assist = flush_pool_ != nullptr && StreamCanAssist();
   auto load = [&](size_t i) {
     const RestoreStep& step = steps[i];
     const bool ok = step.source == LayerSource::kHidden
@@ -153,6 +171,9 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   };
   auto stream = [&] {
     for (size_t i = 0; i < steps.size(); ++i) {
+      if (assist && i >= slots && i < hidden) {
+        ThreadPool::Shared().AssistUntil([&] { return i < projected.load() + slots; });
+      }
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return failed || i >= hidden || i < projected + slots; });
       if (failed) {
@@ -160,6 +181,9 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
       }
       lock.unlock();
       load(i);
+    }
+    if (assist) {
+      ThreadPool::Shared().AssistUntil([&] { return !projecting.load(); });
     }
     std::lock_guard<std::mutex> lock(mu);
     stream_done = true;
@@ -195,6 +219,7 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   }
   // Every read in flight may still be writing pool pages or a slot: wait the stream out
   // before the pages can be released or the frame unwinds.
+  projecting.store(false);
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return stream_done; });
   if (failed) {

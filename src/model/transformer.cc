@@ -250,14 +250,13 @@ void Transformer::ProjectKv(int64_t layer, const float* hidden, int64_t n,
     kv_tile.resize(static_cast<size_t>(rows * 2 * kv_dim));
     // The paper's K = W_k * H elides the (cheap, per-row) pre-norm; including it here is
     // required for exactness and is covered by the epsilon term of §3.2's cost analysis.
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* in = hidden + (r0 + r) * dim;
-      float* out = x_tile.data() + r * dim;
-      if (cfg.norm == NormKind::kRmsNorm) {
-        RmsNormRow(in, lw.attn_norm_weight.data(), cfg.norm_eps, dim, out);
-      } else {
-        LayerNormRow(in, lw.attn_norm_weight.data(), lw.attn_norm_bias.data(), cfg.norm_eps,
-                     dim, out);
+    if (cfg.norm == NormKind::kRmsNorm) {
+      RmsNormRows(hidden + r0 * dim, lw.attn_norm_weight.data(), cfg.norm_eps, dim, rows,
+                  x_tile.data());
+    } else {
+      for (int64_t r = 0; r < rows; ++r) {
+        LayerNormRow(hidden + (r0 + r) * dim, lw.attn_norm_weight.data(),
+                     lw.attn_norm_bias.data(), cfg.norm_eps, dim, x_tile.data() + r * dim);
       }
     }
     if (parallel_gemm) {

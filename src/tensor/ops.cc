@@ -35,6 +35,16 @@ int64_t TranscendentalGrain(int64_t numel) {
   return std::max((numel + participants - 1) / participants, kMinTranscendentalGrain);
 }
 
+// The tail of RmsNormRow once a row's sum of squares is known.
+void RmsScaleRow(const float* in, const float* weight, float eps, int64_t dim, double ssq,
+                 float* out) {
+  const float scale =
+      1.0f / std::sqrt(static_cast<float>(ssq / static_cast<double>(dim)) + eps);
+  for (int64_t i = 0; i < dim; ++i) {
+    out[i] = in[i] * scale * weight[i];
+  }
+}
+
 }  // namespace
 
 void SoftmaxRow(float* row, int64_t n) {
@@ -71,10 +81,29 @@ void RmsNormRow(const float* in, const float* weight, float eps, int64_t dim, fl
   for (int64_t i = 0; i < dim; ++i) {
     ssq += static_cast<double>(in[i]) * in[i];
   }
-  const float scale =
-      1.0f / std::sqrt(static_cast<float>(ssq / static_cast<double>(dim)) + eps);
-  for (int64_t i = 0; i < dim; ++i) {
-    out[i] = in[i] * scale * weight[i];
+  RmsScaleRow(in, weight, eps, dim, ssq, out);
+}
+
+// A float squared is exact in double (24 + 24 significand bits), so an FMA contraction
+// of `ssq + x * x` rounds once, as the separate add does, and cannot move a bit.
+void RmsNormRows(const float* in, const float* weight, float eps, int64_t dim, int64_t rows,
+                 float* out) {
+  constexpr int64_t kBlock = 8;
+  int64_t r = 0;
+  for (; r + kBlock <= rows; r += kBlock) {
+    const float* x = in + r * dim;
+    double ssq[kBlock] = {};
+    for (int64_t i = 0; i < dim; ++i) {
+      for (int64_t j = 0; j < kBlock; ++j) {
+        ssq[j] += static_cast<double>(x[j * dim + i]) * x[j * dim + i];
+      }
+    }
+    for (int64_t j = 0; j < kBlock; ++j) {
+      RmsScaleRow(x + j * dim, weight, eps, dim, ssq[j], out + (r + j) * dim);
+    }
+  }
+  for (; r < rows; ++r) {
+    RmsNormRow(in + r * dim, weight, eps, dim, out + r * dim);
   }
 }
 
@@ -102,9 +131,7 @@ void RmsNorm(const Tensor& x, const float* weight, float eps, Tensor& out) {
   CHECK(x.shape() == out.shape());
   const int64_t dim = x.dim(1);
   ParallelFor(0, x.dim(0), RowGrain(dim), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      RmsNormRow(x.row(r), weight, eps, dim, out.row(r));
-    }
+    RmsNormRows(x.row(r0), weight, eps, dim, r1 - r0, out.row(r0));
   });
 }
 

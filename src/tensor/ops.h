@@ -31,6 +31,12 @@ void RmsNormRow(const float* in, const float* weight, float eps, int64_t dim, fl
 void LayerNormRow(const float* in, const float* weight, const float* bias, float eps,
                   int64_t dim, float* out);
 
+// RmsNormRow over `rows` contiguous rows of `dim` floats, bit for bit: each row keeps
+// its own sum of squares in RmsNormRow's order, but 8 rows accumulate side by side, so
+// their chains overlap instead of running one after another.
+void RmsNormRows(const float* in, const float* weight, float eps, int64_t dim, int64_t rows,
+                 float* out);
+
 // SiLU (x * sigmoid(x)), in place.
 void SiluInPlace(Tensor& t);
 

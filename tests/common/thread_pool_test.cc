@@ -35,6 +35,43 @@ size_t ThreadsThatJoin(ThreadPool& pool, int parties) {
   return ids.size();
 }
 
+// An outside thread that assists `pool` (AssistUntil) from construction until
+// destruction.
+class Assistant {
+ public:
+  explicit Assistant(ThreadPool& pool)
+      : thread_([this, &pool] {
+          started_.store(true);
+          pool.AssistUntil([this] { return done_.load(); });
+        }) {
+    while (!started_.load()) {
+      std::this_thread::yield();
+    }
+  }
+  ~Assistant() {
+    done_.store(true);
+    thread_.join();
+  }
+  Assistant(const Assistant&) = delete;
+  Assistant& operator=(const Assistant&) = delete;
+
+  std::thread::id id() const { return thread_.get_id(); }
+
+ private:
+  std::atomic<bool> started_{false};
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+// Holds a subrange until `flag` is set, for at most 10 s, so the pool's own threads
+// cannot finish a loop before an assisting thread has taken part.
+void WaitFor(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
@@ -276,6 +313,73 @@ TEST(ParallelForTest, IdlePoolWakesForNextJob) {
   ThreadPool pool(2);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(ThreadsThatJoin(pool, 3), 3u);
+}
+
+TEST(AssistUntilTest, OutsideThreadRunsSubrangesAndEachIndexOnce) {
+  ThreadPool::ResizeShared(2);
+  ThreadPool dedicated(2);
+  for (ThreadPool* pool : {&ThreadPool::Shared(), &dedicated}) {
+    Assistant helper(*pool);
+    const std::thread::id helper_id = helper.id();
+    constexpr int64_t kN = 64;
+    std::vector<std::atomic<int>> hits(kN);
+    std::atomic<bool> helper_ran{false};
+    pool->ParallelFor(0, kN, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        hits[static_cast<size_t>(i)].fetch_add(1);
+      }
+      if (std::this_thread::get_id() == helper_id) {
+        helper_ran.store(true);
+      }
+      WaitFor(helper_ran);
+    });
+    EXPECT_TRUE(helper_ran.load());
+    for (int64_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+    }
+  }
+}
+
+TEST(AssistUntilTest, ThrowOnHelperIsRethrownOnCaller) {
+  ThreadPool pool(2);
+  Assistant helper(pool);
+  const std::thread::id helper_id = helper.id();
+  std::atomic<bool> helper_ran{false};
+  std::atomic<int> ran{0};
+  try {
+    pool.ParallelFor(0, 64, 1, [&](int64_t, int64_t) {
+      ran.fetch_add(1);
+      if (std::this_thread::get_id() == helper_id && !helper_ran.exchange(true)) {
+        throw std::runtime_error("thrown on the helper");
+      }
+      WaitFor(helper_ran);
+    });
+    ADD_FAILURE() << "the helper's exception was not rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "thrown on the helper");
+  }
+  EXPECT_EQ(ran.load(), 64);
+  // The pool and its helper go on to serve the next loop.
+  std::atomic<int> count{0};
+  pool.ParallelFor(0, 100, 10, [&](int64_t lo, int64_t hi) {
+    count.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(AssistUntilTest, ReturnsOncePredicateHoldsWithNoLoopOpened) {
+  ThreadPool::ResizeShared(2);
+  int polls = 0;
+  ThreadPool::Shared().AssistUntil([&] { return ++polls == 3; });
+  EXPECT_EQ(polls, 3);
+  std::atomic<bool> done{false};
+  std::thread setter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    done.store(true);
+  });
+  ThreadPool::Shared().AssistUntil([&] { return done.load(); });
+  setter.join();
+  EXPECT_TRUE(done.load());
 }
 
 TEST(ThreadPoolTest, ConcurrentProducers) {

@@ -3,13 +3,18 @@
 // pool pages) must be invisible in the bits: for every StorageBackend and codec,
 // RestoreContext with a flush pool lands KV identical to the serial engine (no pool)
 // and to the never-evicted reference — including when a missing or corrupt chunk
-// forces the fallback-to-recompute path.
+// forces the fallback-to-recompute path. Every check runs twice: with the shared pool
+// as configured, and with it at 2 workers, which on a host of 4 or more hardware
+// threads leaves one spare, so the transmission stream also projects.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <thread>
 
 #include "src/common/rng.h"
 #include "src/core/functional_engine.h"
@@ -23,9 +28,20 @@
 namespace hcache {
 namespace {
 
-class RestorePipelineTest : public ::testing::Test {
+// The parameter: resize the shared pool to 2 workers for the test.
+class RestorePipelineTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
+    if (GetParam()) {
+      const unsigned hardware = std::thread::hardware_concurrency();
+      if (hardware < 4) {
+        GTEST_SKIP() << "a 2-worker pool leaves the transmission stream a hardware thread "
+                        "only on hosts with 4 or more; this one has "
+                     << hardware;
+      }
+      configured_threads_ = ThreadPool::Shared().num_threads();
+      ThreadPool::ResizeShared(2);
+    }
     cfg_ = ModelConfig::TinyLlama(4, 32, 2);
     weights_ = std::make_unique<ModelWeights>(ModelWeights::Random(cfg_, 31));
     model_ = std::make_unique<Transformer>(weights_.get());
@@ -34,6 +50,54 @@ class RestorePipelineTest : public ::testing::Test {
   }
   void TearDown() override {
     flush_pool_.reset();
+    if (configured_threads_ > 0) {
+      ThreadPool::ResizeShared(configured_threads_);
+    }
+  }
+
+  // 6400 rows of 32 floats are 800 KiB a layer in FP32, over half the restore's 1.5 MiB
+  // run-ahead: one staging slot, so the stream waits for a free slot before every
+  // hidden layer after the first.
+  static constexpr int64_t kLongTokens = 6400;
+  static constexpr int64_t kLongChunkTokens = 256;
+
+  // A model like model_ whose positions reach kLongTokens, with a pool for two
+  // sequences of that length.
+  void MakeLongModel() {
+    ModelConfig cfg = cfg_;
+    cfg.max_position = kLongTokens;
+    long_weights_ = std::make_unique<ModelWeights>(ModelWeights::Random(cfg, 32));
+    long_model_ = std::make_unique<Transformer>(long_weights_.get());
+    long_pool_ =
+        std::make_unique<KvBlockPool>(KvPoolConfig::ForModel(cfg, 2 * kLongTokens / 16));
+  }
+
+  // Stores kLongTokens random hidden rows per layer of long_model_ as context `ctx`,
+  // with no forward pass (a restore of hidden layers only projects them).
+  void CaptureLongContext(FunctionalHCache& engine, int64_t ctx) {
+    Rng rng(static_cast<uint64_t>(ctx));
+    std::vector<int32_t> positions(static_cast<size_t>(kLongTokens));
+    std::iota(positions.begin(), positions.end(), 0);
+    Tensor rows({kLongTokens, cfg_.hidden_dim});
+    HiddenStateSink* sink = engine.BeginCapture(ctx);
+    for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
+      for (int64_t i = 0; i < rows.numel(); ++i) {
+        rows.at(i) = static_cast<float>(rng.NextNormal());
+      }
+      sink->OnLayerInput(layer, rows, positions.data(), kLongTokens);
+    }
+    engine.SealContext(ctx);
+  }
+
+  // Restores every layer of long context `ctx` from hidden states through `engine`.
+  bool RestoreLong(FunctionalHCache& engine, int64_t ctx, PagedKvSequence* seq) {
+    if (!seq->EnsureCapacity(kLongTokens)) {
+      return false;
+    }
+    seq->CommitTokens(kLongTokens);
+    seq->Evict();
+    return engine.RestoreContext(ctx, Scheme(cfg_.num_layers, ComplementMethod::kRecompute),
+                                 {}, seq);
   }
 
   std::vector<int32_t> RandomTokens(int64_t n, uint64_t seed) {
@@ -85,56 +149,62 @@ class RestorePipelineTest : public ::testing::Test {
     DecodeChunkRange(chunk.data(), bytes, info, 0, n, kv, 2 * kv, v->data(), kv);
   }
 
-  // Restores `scheme` with the chunk `rot` corrupted at rest, with and without a flush
-  // pool: the restore must fail after reading exactly `want_read` (key layers, in
-  // order, then nothing more) and unwind — sequence evicted, history intact, every
-  // block back in the pool — so that a recompute from tokens matches Forward.
+  // Restores `scheme` with the chunk `rot` corrupted at rest, on every backend, with
+  // and without a flush pool: the restore must fail after reading exactly `want_read`
+  // (key layers, in order, then nothing more) and unwind — sequence evicted, history
+  // intact, every block back in the pool — so that a recompute from tokens matches
+  // Forward.
   void ExpectCorruptionUnwinds(const PartitionScheme& scheme,
                                const std::vector<int64_t>& kv_layers, const ChunkKey& rot,
                                const std::vector<int64_t>& want_read) {
     const auto prompt = RandomTokens(30, 5);
     PagedKvSequence ref(pool_.get());
     model_->Forward(prompt, &ref);
-    for (ThreadPool* flush_pool : {flush_pool_.get(), static_cast<ThreadPool*>(nullptr)}) {
-      SCOPED_TRACE(flush_pool != nullptr ? "flush pool" : "serial");
-      MemoryBackend memory(/*chunk_bytes=*/1 << 20);
-      InstrumentedBackend store(&memory);
-      FunctionalHCache engine(model_.get(), &store, flush_pool, /*chunk_tokens=*/8);
-      PagedKvSequence seq(pool_.get());
-      model_->Forward(prompt, &seq, engine.BeginCapture(1));
-      engine.SealContext(1);
-      engine.SaveKvLayers(1, seq, kv_layers);
-      seq.Evict();
-      ASSERT_TRUE(store.CorruptChunk(rot, 8 * (sizeof(ChunkHeader) + 5)));
+    for (int which = 0; which < 3; ++which) {
+      for (ThreadPool* flush_pool : {flush_pool_.get(), static_cast<ThreadPool*>(nullptr)}) {
+        auto inner = MakeBackend(which);
+        SCOPED_TRACE(inner->Name() + (flush_pool != nullptr ? ", flush pool" : ", serial"));
+        InstrumentedBackend store(inner.get());
+        FunctionalHCache engine(model_.get(), &store, flush_pool, /*chunk_tokens=*/8);
+        PagedKvSequence seq(pool_.get());
+        model_->Forward(prompt, &seq, engine.BeginCapture(1));
+        engine.SealContext(1);
+        engine.SaveKvLayers(1, seq, kv_layers);
+        seq.Evict();
+        // Bytes rot at rest: a tiered store keeps them on its cold tier.
+        InstrumentedBackend at_rest(which == 2 ? cold_.get() : inner.get());
+        ASSERT_TRUE(at_rest.CorruptChunk(rot, 8 * (sizeof(ChunkHeader) + 5)));
 
-      std::mutex mu;
-      std::vector<int64_t> read;  // key layer of each batched read, in order
-      store.set_read_hook([&](const ChunkKey& key) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (read.empty() || read.back() != key.layer) {
-          read.push_back(key.layer);
-        }
-      });
-      const int64_t free_blocks = pool_->num_free();
-      EXPECT_FALSE(engine.RestoreContext(1, scheme, prompt, &seq));
-      EXPECT_FALSE(seq.has_kv());
-      EXPECT_EQ(seq.num_tokens(), 30);
-      EXPECT_EQ(pool_->num_free(), free_blocks);
-      store.set_read_hook(nullptr);
-      EXPECT_EQ(read, want_read);
+        std::mutex mu;
+        std::vector<int64_t> read;  // key layer of each batched read, in order
+        store.set_read_hook([&](const ChunkKey& key) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (read.empty() || read.back() != key.layer) {
+            read.push_back(key.layer);
+          }
+        });
+        const int64_t free_blocks = pool_->num_free();
+        EXPECT_FALSE(engine.RestoreContext(1, scheme, prompt, &seq));
+        EXPECT_FALSE(seq.has_kv());
+        EXPECT_EQ(seq.num_tokens(), 30);
+        EXPECT_EQ(pool_->num_free(), free_blocks);
+        store.set_read_hook(nullptr);
+        EXPECT_EQ(read, want_read);
 
-      ASSERT_TRUE(engine.RestoreContext(1, Scheme(0, ComplementMethod::kRecompute), prompt,
-                                        &seq));
-      ExpectKvEqual(ref, seq);
-      seq.Evict();
+        ASSERT_TRUE(engine.RestoreContext(1, Scheme(0, ComplementMethod::kRecompute), prompt,
+                                          &seq));
+        ExpectKvEqual(ref, seq);
+        seq.Evict();
+      }
     }
   }
 
-  // Builds each backend fresh; index 0 = file, 1 = memory, 2 = tiered-over-file.
+  // Builds each backend fresh, on directories no earlier one used; index 0 = file,
+  // 1 = memory, 2 = tiered-over-file.
   std::unique_ptr<StorageBackend> MakeBackend(int which) {
-    const auto dirs = std::vector<std::string>{
-        (base_ / ("d" + std::to_string(which) + "a")).string(),
-        (base_ / ("d" + std::to_string(which) + "b")).string()};
+    const std::string made = std::to_string(backends_made_++);
+    const auto dirs = std::vector<std::string>{(base_ / ("d" + made + "a")).string(),
+                                               (base_ / ("d" + made + "b")).string()};
     switch (which) {
       case 0:
         return std::make_unique<FileBackend>(dirs, /*chunk_bytes=*/1 << 20);
@@ -156,9 +226,14 @@ class RestorePipelineTest : public ::testing::Test {
   std::unique_ptr<KvBlockPool> pool_;
   std::unique_ptr<ThreadPool> flush_pool_;
   std::unique_ptr<FileBackend> cold_;
+  int backends_made_ = 0;
+  std::unique_ptr<ModelWeights> long_weights_;
+  std::unique_ptr<Transformer> long_model_;
+  std::unique_ptr<KvBlockPool> long_pool_;
+  size_t configured_threads_ = 0;  // the shared pool's size before a resize
 };
 
-TEST_F(RestorePipelineTest, PipelinedRestoreMatchesSerialEngineOnEveryBackend) {
+TEST_P(RestorePipelineTest, PipelinedRestoreMatchesSerialEngineOnEveryBackend) {
   const auto prompt = RandomTokens(26, 1);
   PagedKvSequence ref(pool_.get());
   model_->Forward(prompt, &ref);
@@ -196,7 +271,7 @@ TEST_F(RestorePipelineTest, PipelinedRestoreMatchesSerialEngineOnEveryBackend) {
   }
 }
 
-TEST_F(RestorePipelineTest, PipelinedRecomputeComplementMatchesReference) {
+TEST_P(RestorePipelineTest, PipelinedRecomputeComplementMatchesReference) {
   const auto prompt = RandomTokens(19, 2);
   PagedKvSequence ref(pool_.get());
   model_->Forward(prompt, &ref);
@@ -213,7 +288,7 @@ TEST_F(RestorePipelineTest, PipelinedRecomputeComplementMatchesReference) {
   ExpectKvEqual(ref, seq);
 }
 
-TEST_F(RestorePipelineTest, MissingKvChunkFallsBackToRecomputeOnEveryBackend) {
+TEST_P(RestorePipelineTest, MissingKvChunkFallsBackToRecomputeOnEveryBackend) {
   const auto prompt = RandomTokens(22, 3);
   PagedKvSequence ref(pool_.get());
   model_->Forward(prompt, &ref);
@@ -248,7 +323,7 @@ TEST_F(RestorePipelineTest, MissingKvChunkFallsBackToRecomputeOnEveryBackend) {
 // KV-offloaded layers decode from chunks straight into pool pages, one block's run of
 // rows at a time. Chunks of 7 rows against blocks of 1, 5 and 16 tokens, over 37
 // tokens (a multiple of neither), split chunks across blocks and blocks across chunks.
-TEST_F(RestorePipelineTest, KvDecodedIntoPagesAtMisalignedBoundaries) {
+TEST_P(RestorePipelineTest, KvDecodedIntoPagesAtMisalignedBoundaries) {
   const int64_t n = 37;
   const auto prompt = RandomTokens(n, 4);
   const std::vector<int64_t> kv_layers = {2, 3};
@@ -302,7 +377,7 @@ TEST_F(RestorePipelineTest, KvDecodedIntoPagesAtMisalignedBoundaries) {
 // The first hidden layer is corrupt while ForwardPartial runs and the later hidden
 // reads are admitted behind it: the stream stops at the failing layer and reads
 // nothing after it.
-TEST_F(RestorePipelineTest, CorruptFirstHiddenLayerStopsReadsAndUnwinds) {
+TEST_P(RestorePipelineTest, CorruptFirstHiddenLayerStopsReadsAndUnwinds) {
   // 1 RE + 3 H: layer 1 is the first hidden read; its last chunk (tokens 24..29) rots.
   ExpectCorruptionUnwinds(Scheme(3, ComplementMethod::kRecompute), {}, ChunkKey{1, 1, 3},
                           {1});
@@ -310,11 +385,63 @@ TEST_F(RestorePipelineTest, CorruptFirstHiddenLayerStopsReadsAndUnwinds) {
 
 // The last KV layer is corrupt after the earlier KV layers were decoded into pool
 // pages: those pages are released with the rest of the sequence.
-TEST_F(RestorePipelineTest, CorruptLastKvLayerUnwindsWrittenPages) {
+TEST_P(RestorePipelineTest, CorruptLastKvLayerUnwindsWrittenPages) {
   ExpectCorruptionUnwinds(Scheme(1, ComplementMethod::kKvOffload), {1, 2, 3},
                           ChunkKey{1, kKvLayerBase + 3, 3},
                           {0, kKvLayerBase + 1, kKvLayerBase + 2, kKvLayerBase + 3});
 }
+
+// Restores of a long context through the flush pool while another thread saves (its
+// forward passes on the shared pool, its chunk flushes on the same flush pool, its
+// deletes on the same store): every restore lands the serial engine's bits. Every
+// hidden layer after the first waits for the one staging slot, so with a spare
+// hardware thread the stream projects in that wait as well as after its last read.
+TEST_P(RestorePipelineTest, RestoresRaceSavesOnOneFlushPoolOnEveryBackend) {
+  MakeLongModel();
+  const auto prompt = RandomTokens(26, 6);
+  for (int which = 0; which < 3; ++which) {
+    auto store = MakeBackend(which);
+    SCOPED_TRACE(store->Name());
+    FunctionalHCache piped(long_model_.get(), store.get(), flush_pool_.get(),
+                           kLongChunkTokens);
+    FunctionalHCache serial(long_model_.get(), store.get(), /*flush_pool=*/nullptr,
+                            kLongChunkTokens);
+    CaptureLongContext(piped, 1);
+    PagedKvSequence want(long_pool_.get());
+    ASSERT_TRUE(RestoreLong(serial, 1, &want));
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> saves{0};
+    std::thread saver([&] {
+      FunctionalHCache engine(model_.get(), store.get(), flush_pool_.get(),
+                              /*chunk_tokens=*/8);
+      for (int64_t ctx = 100; !stop.load(); ++ctx) {
+        PagedKvSequence seq(pool_.get());
+        model_->Forward(prompt, &seq, engine.BeginCapture(ctx));
+        engine.SealContext(ctx);
+        engine.DropContext(ctx);
+        saves.fetch_add(1);
+      }
+    });
+    while (saves.load() == 0) {
+      std::this_thread::yield();
+    }
+    for (int rep = 0; rep < 3; ++rep) {
+      PagedKvSequence got(long_pool_.get());
+      EXPECT_TRUE(RestoreLong(piped, 1, &got));
+      if (got.has_kv()) {
+        ExpectKvEqual(want, got);
+      }
+    }
+    stop.store(true);
+    saver.join();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedPool, RestorePipelineTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "TwoWorkers" : "AsConfigured";
+                         });
 
 }  // namespace
 }  // namespace hcache

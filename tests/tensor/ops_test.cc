@@ -80,6 +80,24 @@ TEST(OpsTest, RmsNormAppliesWeight) {
   EXPECT_NEAR(out.at(0, 1), 4.0f / rms * 0.5f, 1e-5f);
 }
 
+// Blocks of 8 rows, a partial tail, and neither, at the hidden widths the models use
+// and at widths that are no multiple of a vector.
+TEST(OpsTest, RmsNormRowsEqualRowByRow) {
+  for (const int64_t dim : {256, 88, 40, 7}) {
+    const Tensor w = Normal(dim, dim);
+    for (int64_t rows = 1; rows <= 40; ++rows) {
+      const Tensor x = Normal(rows * dim, 1000 * dim + rows);
+      Tensor want({rows * dim});
+      for (int64_t r = 0; r < rows; ++r) {
+        RmsNormRow(x.data() + r * dim, w.data(), 1e-5f, dim, want.data() + r * dim);
+      }
+      Tensor got({rows * dim});
+      RmsNormRows(x.data(), w.data(), 1e-5f, dim, rows, got.data());
+      EXPECT_TRUE(Tensor::BitwiseEqual(want, got)) << "dim " << dim << " rows " << rows;
+    }
+  }
+}
+
 TEST(OpsTest, LayerNormZeroMeanUnitVar) {
   Tensor x = Tensor::FromData({1, 4}, {1, 2, 3, 4});
   Tensor w = Tensor::FromData({4}, {1, 1, 1, 1});
