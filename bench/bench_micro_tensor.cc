@@ -6,9 +6,10 @@
 // Besides the google-benchmark table, main() runs a thread-scaling sweep over the
 // acceptance-gate shapes (1024^3 GemmNN, the 256-token KV projection through a packed
 // [W_k; W_v], the large-k GemmNT point, one decode step of the serving model, its
-// attention-heavy 7-token prefill and decode step at a 283-token context, and its
-// 20-token prefill at a 350-token context) and records ops/s, thread count, and speedup
-// vs 1 thread in BENCH_micro_tensor.json — the repo's persisted perf trajectory.
+// attention-heavy 7-token prefill and decode step at a 283-token context, one rag
+// layer's softmax rows, and its 20-token prefill at a 350-token context) and records
+// ops/s, thread count, and speedup vs 1 thread in BENCH_micro_tensor.json — the repo's
+// persisted perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -298,6 +299,13 @@ void WriteMicroTensorJson() {
                      benchmark::DoNotOptimize(out.data());
                    },
                    {}, [&] { cached_context(282); }});
+  // One rag layer's softmax rows: a 20-token prefill at ~370 keys over 4 heads. Each run
+  // starts from the same scores, copied in untimed.
+  const Tensor soft_in = RandomTensor(80, 370, 29);
+  Tensor soft({80, 370});
+  cases.push_back({"softmax_80x370", 0.0, 80.0, [&] { SoftmaxLastDim(soft); }, {}, [&] {
+                     std::memcpy(soft.data(), soft_in.data(), sizeof(float) * soft_in.numel());
+                   }});
   std::vector<int32_t> rag_prompt(20);
   std::iota(rag_prompt.begin(), rag_prompt.end(), 1);
   cases.push_back({"prefill_20_at_350", 0.0, 20.0,

@@ -46,16 +46,4 @@ double ExactFfnFlopsPerLayer(const ModelConfig& cfg, double n) {
   return mats * 2.0 * n * D(cfg) * static_cast<double>(cfg.ffn_dim);
 }
 
-double ExactRecomputeFlopsPerLayer(const ModelConfig& cfg, double n) {
-  // QKV projections (Q at hidden width, K/V at kv width), attention score+value, out
-  // projection, and the exact FFN.
-  const double d = D(cfg);
-  const double kv = static_cast<double>(cfg.kv_dim());
-  const double proj = 2.0 * n * d * d          // Q
-                      + 2.0 * 2.0 * n * d * kv  // K, V
-                      + 2.0 * n * d * d;        // out
-  const double attn = n * n * d;  // paper's aggregate score+weighted-average term
-  return proj + attn + ExactFfnFlopsPerLayer(cfg, n);
-}
-
 }  // namespace hcache

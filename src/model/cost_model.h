@@ -57,9 +57,6 @@ double ExactHiddenToKvFlopsPerLayer(const ModelConfig& cfg, double n);
 // FFN with the model's true ffn_dim (3 matrices for SwiGLU, 2 otherwise).
 double ExactFfnFlopsPerLayer(const ModelConfig& cfg, double n);
 
-// Full prefill recompute with exact shapes.
-double ExactRecomputeFlopsPerLayer(const ModelConfig& cfg, double n);
-
 }  // namespace hcache
 
 #endif  // HCACHE_SRC_MODEL_COST_MODEL_H_

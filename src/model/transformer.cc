@@ -391,13 +391,16 @@ Tensor Transformer::Attention(int64_t layer, const Tensor& q, const PagedKvSeque
 Tensor Transformer::Ffn(const LayerWeights& lw, const Tensor& x) const {
   const ModelConfig& cfg = config();
   if (cfg.activation == ActivationKind::kSwiGlu) {
-    Tensor gate = MatMulTransposedB(x, lw.w_gate);
-    Tensor up = MatMulTransposedB(x, lw.w_up);
-    SiluInPlace(gate);
-    MulInPlace(gate, up);
-    return MatMulTransposedB(gate, lw.w_down);
+    Tensor gate_up = MatMulTransposedB(x, lw.w_gate_up);
+    SwiGluInPlace(gate_up);
+    // W_down reads the gated values where the gate columns were: the first ffn_dim
+    // floats of each 2 * ffn_dim row.
+    Tensor out({x.dim(0), cfg.hidden_dim});
+    GemmPacked(gate_up.data(), gate_up.dim(1), lw.w_down, out.data(), cfg.hidden_dim,
+               x.dim(0));
+    return out;
   }
-  Tensor mid = MatMulTransposedB(x, lw.w_up);
+  Tensor mid = MatMulTransposedB(x, lw.w_gate_up);
   AddBiasRows(mid, lw.b_up);
   if (cfg.activation == ActivationKind::kGelu) {
     GeluInPlace(mid);

@@ -5,7 +5,10 @@
 // restoring KV from hidden states is checked against this implementation bit-for-bit.
 // Determinism contract: all kernels accumulate in a fixed, batch-size-independent order
 // per output row, so computing K/V for a token during prefill and recomputing it later
-// from the saved layer input produces *identical* floats.
+// from the saved layer input produces *identical* floats. Softmax and SwiGLU take e^x
+// from one vector kernel of this repo (ExpRow in ops.h), not from libm, so no forward
+// bit depends on which expf variant the host's glibc picks; the RoPE table (powf,
+// sincosf) and GELU (tanhf) still come from libm.
 //
 // Structure (pre-norm, as in Llama2 and OPT):
 //   h_L  --(capture: this is HCache's hidden state for layer L)-->
@@ -13,7 +16,7 @@
 //   q,k,v = x W{q,k,v}^T (+bias)     k,q get RoPE for Llama-family models
 //   KV  -> paged cache
 //   h   = h_L + (MHA(q, KV) W_o^T)
-//   h_{L+1} = h + FFN(Norm2(h))
+//   h_{L+1} = h + FFN(Norm2(h))      SwiGLU: one GEMM over [W_gate; W_up]
 //
 // The K/V step is one fused call shared by the forward pass and restoration: per row
 // tile aligned to the pool's blocks it normalizes h_L into per-thread scratch, runs

@@ -34,9 +34,9 @@ struct RawProjections {
 bool Packable(const Tensor& t) { return t.rank() == 0 || t.rank() == 2; }
 
 // Packs `raw` into `lw`. False (leaving `lw` untouched) when the shapes cannot form
-// packed weights: a projection that is neither absent nor a matrix, or W_k and W_v
-// that do not stack.
-bool PackProjections(const RawProjections& raw, LayerWeights* lw) {
+// packed weights: a projection that is neither absent nor a matrix, W_k and W_v that do
+// not stack, or a W_gate that is present without SwiGLU or does not stack on W_up.
+bool PackProjections(const RawProjections& raw, bool swiglu, LayerWeights* lw) {
   for (const Tensor* t : {&raw.wq, &raw.wo, &raw.w_gate, &raw.w_up, &raw.w_down}) {
     if (!Packable(*t)) {
       return false;
@@ -45,16 +45,19 @@ bool PackProjections(const RawProjections& raw, LayerWeights* lw) {
   if (raw.wk.shape() != raw.wv.shape() || !Packable(raw.wk)) {
     return false;
   }
+  if (swiglu ? raw.w_gate.shape() != raw.w_up.shape() : raw.w_gate.rank() != 0) {
+    return false;
+  }
   lw->wq = PackedWeight(raw.wq);
   lw->wkv = raw.wk.rank() == 0 ? PackedWeight() : PackedWeight::Stack(raw.wk, raw.wv);
   lw->wo = PackedWeight(raw.wo);
-  lw->w_gate = PackedWeight(raw.w_gate);
-  lw->w_up = PackedWeight(raw.w_up);
+  lw->w_gate_up = swiglu && raw.w_up.rank() != 0 ? PackedWeight::Stack(raw.w_gate, raw.w_up)
+                                                   : PackedWeight(raw.w_up);
   lw->w_down = PackedWeight(raw.w_down);
   return true;
 }
 
-RawProjections UnpackProjections(const LayerWeights& lw) {
+RawProjections UnpackProjections(const LayerWeights& lw, bool swiglu) {
   RawProjections raw;
   raw.wq = lw.wq.Unpack();
   if (!lw.wkv.empty()) {
@@ -63,8 +66,13 @@ RawProjections UnpackProjections(const LayerWeights& lw) {
     raw.wv = lw.wkv.UnpackRows(kv_dim, lw.wkv.rows());
   }
   raw.wo = lw.wo.Unpack();
-  raw.w_gate = lw.w_gate.Unpack();
-  raw.w_up = lw.w_up.Unpack();
+  if (swiglu && !lw.w_gate_up.empty()) {
+    const int64_t ffn = lw.w_gate_up.rows() / 2;
+    raw.w_gate = lw.w_gate_up.UnpackRows(0, ffn);
+    raw.w_up = lw.w_gate_up.UnpackRows(ffn, lw.w_gate_up.rows());
+  } else {
+    raw.w_up = lw.w_gate_up.Unpack();
+  }
   raw.w_down = lw.w_down.Unpack();
   return raw;
 }
@@ -120,7 +128,7 @@ ModelWeights ModelWeights::Random(const ModelConfig& config, uint64_t seed) {
       lw.b_up = Tensor({config.ffn_dim});
       lw.b_down = Tensor({config.hidden_dim});
     }
-    CHECK(PackProjections(raw, &lw));
+    CHECK(PackProjections(raw, swiglu, &lw));
     w.layers.push_back(std::move(lw));
   }
 
@@ -206,7 +214,8 @@ bool ModelWeights::SaveToFile(const std::string& path) const {
   write(embedding);
   write(pos_embedding);
   for (const LayerWeights& layer : layers) {
-    const RawProjections raw = UnpackProjections(layer);
+    const RawProjections raw =
+        UnpackProjections(layer, config.activation == ActivationKind::kSwiGlu);
     ForEachLayerTensor(layer, raw, write);
   }
   write(final_norm_weight);
@@ -282,7 +291,8 @@ bool ModelWeights::LoadFromFile(const std::string& path, ModelWeights* out) {
   for (LayerWeights& layer : out->layers) {
     RawProjections raw;
     ForEachLayerTensor(layer, raw, read);
-    ok = ok && PackProjections(raw, &layer);  // packs as it reads
+    ok = ok && PackProjections(raw, cfg.activation == ActivationKind::kSwiGlu,
+                               &layer);  // packs as it reads
   }
   read(out->final_norm_weight);
   read(out->final_norm_bias);

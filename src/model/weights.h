@@ -8,8 +8,9 @@
 // Every projection is held only in packed form (PackedWeight), built once when the
 // weights are sampled or loaded, so no GEMM re-packs a weight per call and no raw copy
 // doubles the weights' memory. W_k and W_v are packed stacked, so the K/V projection
-// that restoration runs is one GEMM. The checkpoint file keeps the raw row-major
-// layout: SaveToFile unpacks, LoadFromFile packs as it reads.
+// that restoration runs is one GEMM, and so are SwiGLU's W_gate and W_up. The
+// checkpoint file keeps the raw row-major layout, each matrix on its own: SaveToFile
+// unpacks, LoadFromFile packs as it reads.
 #ifndef HCACHE_SRC_MODEL_WEIGHTS_H_
 #define HCACHE_SRC_MODEL_WEIGHTS_H_
 
@@ -36,9 +37,9 @@ struct LayerWeights {
   Tensor ffn_norm_weight;   // [hidden]
   Tensor ffn_norm_bias;     // [hidden], LayerNorm only
 
-  // FFN. SwiGLU uses w_gate/w_up/w_down; GELU/ReLU models use w_up (fc1) / w_down (fc2).
-  PackedWeight w_gate;  // [ffn, hidden]
-  PackedWeight w_up;    // [ffn, hidden]
+  // FFN. SwiGLU: w_gate_up is [W_gate; W_up], [2 * ffn, hidden] with the gate rows
+  // first, so gate and up are one GEMM. GELU/ReLU: w_gate_up is W_up (fc1), [ffn, hidden].
+  PackedWeight w_gate_up;
   PackedWeight w_down;  // [hidden, ffn]
   Tensor b_up;    // [ffn], OPT only
   Tensor b_down;  // [hidden], OPT only

@@ -12,7 +12,17 @@
 
 namespace hcache {
 
-// In-place numerically-stable softmax over the last `n` entries of `row`.
+// out[i] = e^in[i] for i < n, through the forward's one exp kernel (SoftmaxRow and
+// SwiGluInPlace use it): 16 lanes of range reduction and one polynomial, within 2 ULP of
+// the correctly rounded e^x (subnormal results included; 0 below -103.97, +inf above
+// 88.73, NaN stays NaN). It calls no libm function, so its bits do not depend on the
+// host's libm, and they do not depend on an element's position or n, or on the build's
+// -march (contraction off).
+void ExpRow(const float* in, int64_t n, float* out);
+
+// In-place numerically-stable softmax over the first `n` entries of `row`: the max,
+// e^(x - max) through ExpRow's kernel, a sum whose order depends only on n, and the
+// scale by 1 / sum. An element's result depends only on the row's values and n.
 void SoftmaxRow(float* row, int64_t n);
 
 // Softmax over the last dimension of a rank-2 tensor, row by row.
@@ -37,8 +47,11 @@ void LayerNormRow(const float* in, const float* weight, const float* bias, float
 void RmsNormRows(const float* in, const float* weight, float eps, int64_t dim, int64_t rows,
                  float* out);
 
-// SiLU (x * sigmoid(x)), in place.
-void SiluInPlace(Tensor& t);
+// SwiGLU's gating in place, for gate_up [rows, 2 * width], the output of one GEMM over a
+// stacked [W_gate; W_up]: each gate element g = gate_up[r][c] becomes
+// SiLU(g) * u = g / (1 + e^-g) * u with u = gate_up[r][width + c]; the up columns keep
+// their values. e^-g comes from ExpRow's kernel.
+void SwiGluInPlace(Tensor& gate_up);
 
 // Tanh-approximated GELU, in place.
 void GeluInPlace(Tensor& t);
@@ -48,9 +61,6 @@ void ReluInPlace(Tensor& t);
 
 // out[i] += a[i].
 void AddInPlace(Tensor& out, const Tensor& a);
-
-// out[i] *= a[i] (used by SwiGLU's gate).
-void MulInPlace(Tensor& out, const Tensor& a);
 
 }  // namespace hcache
 

@@ -145,9 +145,9 @@ TEST_F(WeightsIoTest, SaveLoadSaveIsByteIdentical) {
 
 TEST_F(WeightsIoTest, ProjectionsStoredRawRowMajor) {
   // The file format predates packed weights: each projection is stored as its raw
-  // row-major [out, in] tensor, W_k and W_v as two tensors. Planting known matrices
-  // (kv_dim 24, not a multiple of the 16-column panels) checks every projection's
-  // bytes in the file against the matrix it was packed from.
+  // row-major [out, in] tensor, W_k and W_v as two tensors, W_gate and W_up too.
+  // Planting known matrices (kv_dim 24, not a multiple of the 16-column panels)
+  // checks every projection's bytes in the file against the matrix it was packed from.
   const ModelConfig cfg = ModelConfig::TinyGqa(2, 48, 4, 2);
   ModelWeights w = ModelWeights::Random(cfg, 16);
   const int64_t h = cfg.hidden_dim, kv = cfg.kv_dim(), ffn = cfg.ffn_dim;
@@ -163,8 +163,7 @@ TEST_F(WeightsIoTest, ProjectionsStoredRawRowMajor) {
     lw.wq = PackedWeight(wq);
     lw.wkv = PackedWeight::Stack(wk, wv);
     lw.wo = PackedWeight(wo);
-    lw.w_gate = PackedWeight(gate);
-    lw.w_up = PackedWeight(up);
+    lw.w_gate_up = PackedWeight::Stack(gate, up);
     lw.w_down = PackedWeight(down);
     const size_t base = 2 + l * kPerLayer;
     planted.emplace_back(base + 0, std::move(wq));

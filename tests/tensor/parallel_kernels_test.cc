@@ -313,12 +313,14 @@ TEST(ParallelKernelsTest, RowWiseOpsBitExactAcrossThreadCounts) {
   });
   EXPECT_TRUE(Tensor::BitwiseEqual(ln_s, ln_p));
 
-  auto [silu_s, silu_p] = SerialVsParallel([&] {
-    Tensor t = base.Clone();
-    SiluInPlace(t);
+  // Enough rows of 67 gated columns to split into several subranges.
+  const Tensor gate_up = RandomMatrix(601, 2 * 67, 603);
+  auto [swiglu_s, swiglu_p] = SerialVsParallel([&] {
+    Tensor t = gate_up.Clone();
+    SwiGluInPlace(t);
     return t;
   });
-  EXPECT_TRUE(Tensor::BitwiseEqual(silu_s, silu_p));
+  EXPECT_TRUE(Tensor::BitwiseEqual(swiglu_s, swiglu_p));
 }
 
 TEST(ParallelKernelsTest, TransformerForwardBitExactAcrossThreadCounts) {
