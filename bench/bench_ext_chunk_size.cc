@@ -24,8 +24,7 @@ int main() {
   for (const int64_t chunk : {4, 16, 64, 256, 1024}) {
     Restorer r(platform, cfg, chunk);
     const RestoreResult res = r.Restore(RestoreMethod::kHCache, 1024);
-    const double layer_read =
-        io.HiddenLayerReadTime(cfg, 1024, StorageLayout::kLayerChunked, chunk);
+    const double layer_read = io.HiddenLayerReadTime(cfg, 1024, chunk);
     const int64_t chunk_bytes = chunk * cfg.HiddenBytesPerTokenLayer();
     std::printf("  %8lld | %9.0fKB %10.2fms | %9.1fK t/s %11.0f KB\n",
                 static_cast<long long>(chunk), chunk_bytes / 1024.0, layer_read * 1e3,

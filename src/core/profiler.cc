@@ -43,8 +43,7 @@ LayerProfile ProfileLayer(const Platform& platform, const ModelConfig& cfg, int6
   // size), then all-gather so every TP rank holds the full activation (it needs all
   // tokens to project its KV heads). The gather moves the dequantized FP16 activation
   // over NVLink — the GPU-side working dtype — regardless of the storage codec.
-  const IoPattern hidden_shard =
-      RestoreLayerPattern(StorageLayout::kLayerChunked, cfg, shard_tokens, chunk_tokens, codec);
+  const IoPattern hidden_shard = RestoreLayerPattern(cfg, shard_tokens, chunk_tokens, codec);
   const double shard_read =
       static_cast<double>(hidden_shard.total_bytes()) /
       io.EffectiveReadBw(static_cast<double>(hidden_shard.io_size));
@@ -53,8 +52,7 @@ LayerProfile ProfileLayer(const Platform& platform, const ModelConfig& cfg, int6
 
   // KV cache: each rank owns its heads' KV shard outright — parallel reads, no gather.
   // KV offload ships FP16 KV (2*kv_dim rows), independent of the hidden-state codec.
-  const IoPattern kv_shard =
-      KvRestoreLayerPattern(StorageLayout::kLayerChunked, cfg, shard_tokens, chunk_tokens);
+  const IoPattern kv_shard = KvRestoreLayerPattern(cfg, shard_tokens, chunk_tokens);
   p.io_kv = static_cast<double>(kv_shard.total_bytes()) /
             io.EffectiveReadBw(static_cast<double>(kv_shard.io_size));
 

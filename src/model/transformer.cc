@@ -243,26 +243,13 @@ void Transformer::ProjectKv(int64_t layer, const float* hidden, int64_t n,
 
   const auto project = [&](int64_t r0, int64_t r1, bool parallel_gemm) {
     // Grown to the largest tile once per thread, then reused.
-    thread_local std::vector<float> x_tile;
     thread_local std::vector<float> kv_tile;
     const int64_t rows = r1 - r0;
-    x_tile.resize(static_cast<size_t>(rows * dim));
     kv_tile.resize(static_cast<size_t>(rows * 2 * kv_dim));
-    // The paper's K = W_k * H elides the (cheap, per-row) pre-norm; including it here is
-    // required for exactness and is covered by the epsilon term of §3.2's cost analysis.
-    if (cfg.norm == NormKind::kRmsNorm) {
-      RmsNormRows(hidden + r0 * dim, lw.attn_norm_weight.data(), cfg.norm_eps, dim, rows,
-                  x_tile.data());
-    } else {
-      for (int64_t r = 0; r < rows; ++r) {
-        LayerNormRow(hidden + (r0 + r) * dim, lw.attn_norm_weight.data(),
-                     lw.attn_norm_bias.data(), cfg.norm_eps, dim, x_tile.data() + r * dim);
-      }
-    }
     if (parallel_gemm) {
-      GemmPacked(x_tile.data(), dim, lw.wkv, kv_tile.data(), 2 * kv_dim, rows);
+      GemmPacked(hidden + r0 * dim, dim, lw.wkv, kv_tile.data(), 2 * kv_dim, rows);
     } else {
-      GemmPackedSerial(x_tile.data(), dim, lw.wkv, kv_tile.data(), 2 * kv_dim, rows);
+      GemmPackedSerial(hidden + r0 * dim, dim, lw.wkv, kv_tile.data(), 2 * kv_dim, rows);
     }
     for (int64_t r = 0; r < rows; ++r) {
       float* k = kv_tile.data() + r * 2 * kv_dim;
@@ -438,17 +425,16 @@ Tensor Transformer::ForwardPartial(const std::vector<int32_t>& tokens, PagedKvSe
   Tensor normed({n, cfg.hidden_dim});
   for (int64_t layer = 0; layer < num_layers; ++layer) {
     const LayerWeights& lw = weights_->layers[static_cast<size_t>(layer)];
-    if (sink != nullptr) {
-      sink->OnLayerInput(layer, h, positions.data(), n);
-    }
-
     Normalize(h, lw.attn_norm_weight, lw.attn_norm_bias, &normed);
+    if (sink != nullptr) {
+      sink->OnLayerInput(layer, normed, positions.data(), n);
+    }
     Tensor q = MatMulTransposedB(normed, lw.wq);
     AddBiasRows(q, lw.bq);
     if (cfg.position == PositionKind::kRope) {
       rope_.Apply(q, positions.data(), cfg.num_heads);
     }
-    RestoreLayerKv(layer, h, positions.data(), seq);
+    RestoreLayerKv(layer, normed, positions.data(), seq);
     if (layer == 0) {
       // Tokens become visible to attention once their layer-0 K/V exist; later layers
       // reuse the same committed range.

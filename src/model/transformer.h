@@ -5,25 +5,26 @@
 // restoring KV from hidden states is checked against this implementation bit-for-bit.
 // Determinism contract: all kernels accumulate in a fixed, batch-size-independent order
 // per output row, so computing K/V for a token during prefill and recomputing it later
-// from the saved layer input produces *identical* floats. Softmax and SwiGLU take e^x
+// from the saved attention input produces *identical* floats. Softmax and SwiGLU take e^x
 // from one vector kernel of this repo (ExpRow in ops.h), not from libm, so no forward
 // bit depends on which expf variant the host's glibc picks; the RoPE table (powf,
 // sincosf) and GELU (tanhf) still come from libm.
 //
 // Structure (pre-norm, as in Llama2 and OPT):
-//   h_L  --(capture: this is HCache's hidden state for layer L)-->
-//   x   = Norm1(h_L)
+//   x   = Norm1(h_L)  --(capture: this is HCache's hidden state for layer L)-->
 //   q,k,v = x W{q,k,v}^T (+bias)     k,q get RoPE for Llama-family models
 //   KV  -> paged cache
 //   h   = h_L + (MHA(q, KV) W_o^T)
 //   h_{L+1} = h + FFN(Norm2(h))      SwiGLU: one GEMM over [W_gate; W_up]
 //
-// The K/V step is one fused call shared by the forward pass and restoration: per row
-// tile aligned to the pool's blocks it normalizes h_L into per-thread scratch, runs
-// one GEMM over the packed [W_k; W_v], and in the epilogue adds the biases, rotates K
-// from the RoPE table and writes each row straight into its K and V pool pages. The
-// forward pass writes its KV through RestoreLayerKv, so restoring a layer from its
-// saved input lands the same bits by construction.
+// The saved row is the attention input x, so a restore computes the paper's K = W_k x
+// and V = W_v x (§3.2) with no norm of its own. The K/V step is one fused call shared
+// by the forward pass and restoration: per row tile aligned to the pool's blocks it
+// runs one GEMM over the packed [W_k; W_v] straight from the caller's rows, and in the
+// epilogue adds the biases, rotates K from the RoPE table and writes each row into its
+// K and V pool pages. The forward pass writes its KV through RestoreLayerKv from the
+// same x it saves and projects Q from, so restoring a layer from its saved rows lands
+// the same bits by construction.
 //
 // Attention is one tiled kernel for prefill and decode. Its per-element order (stated
 // at Transformer::Attention) never depends on how many rows a call carries, which rows
@@ -43,15 +44,17 @@
 
 namespace hcache {
 
-// Receives each layer's input activations during a forward pass. HCache's saving path
+// Receives each layer's attention input during a forward pass. HCache's saving path
 // implements this to snapshot hidden states; passing nullptr disables capture.
 class HiddenStateSink {
  public:
   virtual ~HiddenStateSink() = default;
 
-  // `hidden` is [n, hidden_dim]: the input to `layer` for the n tokens whose absolute
+  // `hidden` is [n, hidden_dim]: the attention input of `layer` (its input after the
+  // pre-norm, the rows Q, K and V are projected from) for the n tokens whose absolute
   // positions are positions[0..n). Called once per layer per forward pass, in layer
-  // order — the "layer-before-token" generation order of Fig 6a.
+  // order — the "layer-before-token" generation order of Fig 6a. The rows are valid
+  // only during the call.
   virtual void OnLayerInput(int64_t layer, const Tensor& hidden, const int32_t* positions,
                             int64_t n) = 0;
 };
@@ -101,9 +104,10 @@ class Transformer {
 
   // === The HCache restoration primitive (paper §3.1) ===
   // Computes layer `layer`'s K/V for tokens with the given `positions` from that
-  // layer's saved input `hidden` [n, hidden_dim], applying exactly the operations the
-  // forward pass applies (pre-norm, projection, bias, RoPE with original positions),
-  // and writes each token's rows into `seq`'s pool pages at its position. The
+  // layer's saved attention input `hidden` [n, hidden_dim] (what OnLayerInput saw),
+  // applying exactly the operations the forward pass applies (projection, bias, RoPE
+  // with original positions), and writes each token's rows into `seq`'s pool pages at
+  // its position. The
   // sequence's capacity must cover every position. Allocates nothing in steady state.
   // Bit-identical to what Forward wrote for those tokens: Forward writes through it.
   void RestoreLayerKv(int64_t layer, const Tensor& hidden, const int32_t* positions,
@@ -142,11 +146,11 @@ class Transformer {
  private:
   Tensor Embed(const std::vector<int32_t>& tokens, const int32_t* positions) const;
   void Normalize(const Tensor& x, const Tensor& weight, const Tensor& bias, Tensor* out) const;
-  // The fused K/V projection behind every RestoreLayerKv form, over `n` rows of
-  // hidden_dim floats at `hidden`. Works in row tiles of `tile_rows` whose boundaries
-  // fall where positions[i] % tile_rows == 0 (pool blocks, for contiguous positions);
-  // per tile it pre-norms the tile's rows into per-thread scratch, runs one GEMM over
-  // the packed [W_k; W_v] and, in the epilogue, adds the biases, rotates K from the
+  // The fused K/V projection behind every RestoreLayerKv form, over `n` attention-input
+  // rows of hidden_dim floats at `hidden`. Works in row tiles of `tile_rows` whose
+  // boundaries fall where positions[i] % tile_rows == 0 (pool blocks, for contiguous
+  // positions); per tile it runs one GEMM over the packed [W_k; W_v] that reads the
+  // tile's rows in place and, in the epilogue, adds the biases, rotates K from the
   // RoPE table and stores row i through dest(i), which returns its {K row, V row}.
   // Tiles work-share on the pool. A call with fewer than tile_rows rows per pool
   // participant (a decode step, a short prefill) runs all its rows as one GEMM that

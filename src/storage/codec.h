@@ -61,7 +61,7 @@ void Int8DecodeRow(const int8_t* values, float scale, int64_t cols, float* dst);
 // --- chunk encode ---
 
 // Fills a ChunkHeader for `rows` x `cols` under `codec` at `dst` (≥ sizeof(ChunkHeader)
-// bytes). MUST be called after the rows were encoded: the v2 header checksums the
+// bytes). MUST be called after the rows were encoded: the header checksums the
 // rows * CodecRowBytes payload that follows it (encoding never touches the header
 // region, so sealing the header last is always safe).
 void WriteChunkHeader(ChunkCodec codec, int64_t rows, int64_t cols, void* dst);

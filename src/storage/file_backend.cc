@@ -50,7 +50,7 @@ constexpr int64_t kMinKey = std::numeric_limits<int64_t>::min();
 constexpr size_t kMaxOpenFds = 128;  // segments kept open; the rest reopen on use
 
 // The frame in front of every record. The chunk bytes after it are stored exactly as
-// the caller handed them over, so a sealed chunk keeps its own v2 header and CRCs.
+// the caller handed them over, so a sealed chunk keeps its own header and CRCs.
 struct Frame {
   uint32_t magic;
   uint32_t crc;  // CRC32C of the frame with this field zeroed

@@ -16,7 +16,7 @@
 //
 // Opening a backend over existing device dirs replays every segment's frames, so a
 // previous process's chunks read back after a crash or restart. The frame CRC covers
-// the frame alone; a sealed chunk's own v2 CRCs cover its bytes on every verified read.
+// the frame alone; a sealed chunk's own CRCs cover its bytes on every verified read.
 // Replay stops at the first frame that does not parse or whose bytes run past the end
 // of the file. Less than one whole record after it is a torn tail, which is truncated
 // (see FileBackendOptions::sweep_temp_files); more is damage, which is logged, left in

@@ -70,9 +70,8 @@ double StorageIoModel::WriteTime(const IoPattern& pattern) const {
 }
 
 double StorageIoModel::HiddenLayerReadTime(const ModelConfig& cfg, int64_t n,
-                                           StorageLayout layout, int64_t chunk_tokens,
-                                           ChunkCodec codec) const {
-  return ReadTime(RestoreLayerPattern(layout, cfg, n, chunk_tokens, codec));
+                                           int64_t chunk_tokens, ChunkCodec codec) const {
+  return ReadTime(RestoreLayerPattern(cfg, n, chunk_tokens, codec));
 }
 
 double StorageIoModel::KvLayerReadTime(const ModelConfig& cfg, int64_t n,
@@ -80,7 +79,7 @@ double StorageIoModel::KvLayerReadTime(const ModelConfig& cfg, int64_t n,
   // KV offload stores K and V chunks with the same chunked layout; rows are
   // 2*kv_dim wide (2x hidden for MHA, less under GQA) at the FP16 state dtype,
   // independent of the hidden-state codec.
-  return ReadTime(KvRestoreLayerPattern(StorageLayout::kLayerChunked, cfg, n, chunk_tokens));
+  return ReadTime(KvRestoreLayerPattern(cfg, n, chunk_tokens));
 }
 
 }  // namespace hcache

@@ -36,7 +36,6 @@ class StorageIoModel {
   // Convenience wrappers for the restoration paths. `codec` sets the encoded bytes
   // the hidden-state stream moves (kFp16 = the paper's transport).
   double HiddenLayerReadTime(const ModelConfig& cfg, int64_t n,
-                             StorageLayout layout = StorageLayout::kLayerChunked,
                              int64_t chunk_tokens = kDefaultChunkTokens,
                              ChunkCodec codec = ChunkCodec::kFp16) const;
   double KvLayerReadTime(const ModelConfig& cfg, int64_t n,

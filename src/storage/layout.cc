@@ -54,75 +54,27 @@ bool ChunkSizeCoversRows(int64_t stored_bytes, int64_t min_rows, int64_t max_row
 
 namespace {
 
-// Shared geometry of the per-layer restore read: chunked -> few large IOs of
-// `chunk_tokens` rows; token-major -> one strided row per token (the layer's slice
-// inside each token record).
-IoPattern RestorePatternForRowBytes(StorageLayout layout, int64_t n, int64_t chunk_tokens,
-                                    int64_t row_bytes) {
+// Shared geometry of the per-layer restore read: one IO per `chunk_tokens`-row chunk.
+IoPattern RestorePatternForRowBytes(int64_t n, int64_t chunk_tokens, int64_t row_bytes) {
   CHECK_GT(chunk_tokens, 0);
   IoPattern p;
   if (n <= 0) {
     return p;
   }
-  switch (layout) {
-    case StorageLayout::kLayerChunked:
-      p.num_ios = (n + chunk_tokens - 1) / chunk_tokens;
-      p.io_size = chunk_tokens * row_bytes;
-      break;
-    case StorageLayout::kTokenMajor:
-      p.num_ios = n;
-      p.io_size = row_bytes;
-      break;
-  }
+  p.num_ios = (n + chunk_tokens - 1) / chunk_tokens;
+  p.io_size = chunk_tokens * row_bytes;
   return p;
 }
 
 }  // namespace
 
-IoPattern RestoreLayerPattern(StorageLayout layout, const ModelConfig& cfg, int64_t n,
-                              int64_t chunk_tokens, ChunkCodec codec) {
-  return RestorePatternForRowBytes(layout, n, chunk_tokens,
-                                   CodecRowBytes(codec, cfg.hidden_dim));
+IoPattern RestoreLayerPattern(const ModelConfig& cfg, int64_t n, int64_t chunk_tokens,
+                              ChunkCodec codec) {
+  return RestorePatternForRowBytes(n, chunk_tokens, CodecRowBytes(codec, cfg.hidden_dim));
 }
 
-IoPattern KvRestoreLayerPattern(StorageLayout layout, const ModelConfig& cfg, int64_t n,
-                                int64_t chunk_tokens) {
-  return RestorePatternForRowBytes(layout, n, chunk_tokens, cfg.KvBytesPerTokenLayer());
-}
-
-IoPattern DirectSavePattern(StorageLayout layout, const ModelConfig& cfg, int64_t batch,
-                            int64_t /*chunk_tokens*/, ChunkCodec codec) {
-  IoPattern p;
-  if (batch <= 0) {
-    return p;
-  }
-  const int64_t row_bytes = CodecRowBytes(codec, cfg.hidden_dim);
-  switch (layout) {
-    case StorageLayout::kLayerChunked:
-      // Each sequence's new token lands in a different open chunk per layer.
-      p.num_ios = cfg.num_layers * batch;
-      p.io_size = row_bytes;
-      break;
-    case StorageLayout::kTokenMajor:
-      // One contiguous record per sequence covering all layers.
-      p.num_ios = batch;
-      p.io_size = cfg.num_layers * row_bytes;
-      break;
-  }
-  return p;
-}
-
-IoPattern ChunkFlushPattern(const ModelConfig& cfg, int64_t chunk_tokens, ChunkCodec codec) {
-  IoPattern p;
-  p.num_ios = 1;
-  p.io_size = chunk_tokens * CodecRowBytes(codec, cfg.hidden_dim);
-  return p;
-}
-
-int64_t ReservationWasteBytes(const ModelConfig& cfg, int64_t n) {
-  CHECK_GE(n, 0);
-  CHECK_LE(n, cfg.max_position);
-  return (cfg.max_position - n) * cfg.HiddenBytesPerTokenLayer();
+IoPattern KvRestoreLayerPattern(const ModelConfig& cfg, int64_t n, int64_t chunk_tokens) {
+  return RestorePatternForRowBytes(n, chunk_tokens, cfg.KvBytesPerTokenLayer());
 }
 
 }  // namespace hcache

@@ -1,20 +1,15 @@
-// Storage layout analysis for hidden states (paper §4.2.1, challenge C2) and the
-// on-storage chunk format shared by every backend.
+// Storage layout of hidden states (paper §4.2.1, challenge C2) and the on-storage
+// chunk format shared by every backend.
 //
 // Hidden states are *generated* layer-before-token (Fig 6a) but *restored*
 // token-before-layer (Fig 6b). A layout can be contiguous for at most one of the two
-// orders; the other order then issues many small IOs. This module turns a layout choice
-// into concrete IO patterns that the SSD model (and the real chunk store) execute:
-//
-//   kLayerChunked (HCache's choice): tokens of one layer are grouped into fixed
-//     64-token chunks, chunks striped round-robin over the SSDs. Restoration of a layer
-//     reads ceil(n/64) large contiguous chunks; direct saving of one decode step would
-//     touch every layer's open chunk (small writes) — which is exactly why the
-//     two-stage saver exists.
-//
-//   kTokenMajor (the save-optimized strawman): each token's hidden states across all
-//     layers are contiguous. One decode step appends one record per sequence (a single
-//     medium write), but restoring a layer gathers n strided rows (small reads).
+// orders; the other order then issues many small IOs. HCache's layout groups the tokens
+// of one layer into fixed 64-token chunks, striped round-robin over the SSDs, so
+// restoring a layer reads ceil(n/64) large contiguous chunks. Saving one decode step
+// directly would then touch every layer's open chunk with a small write, which is why
+// the two-stage saver stages rows and flushes whole chunks. A token-major layout (each
+// token's rows of every layer contiguous) would make that save one medium write but
+// turn every restored layer into n strided small reads.
 //
 // Chunks are additionally *encoded*: restoration is bound by bytes moved per token
 // (§3.2), so the precision of the stored rows is a first-class lever. A ChunkCodec
@@ -28,8 +23,6 @@
 #include "src/model/config.h"
 
 namespace hcache {
-
-enum class StorageLayout { kLayerChunked, kTokenMajor };
 
 // The paper fixes chunks at 64 tokens (§4.2.1); the ablation bench sweeps this.
 inline constexpr int64_t kDefaultChunkTokens = 64;
@@ -56,7 +49,7 @@ int64_t CodecRowBytes(ChunkCodec codec, int64_t cols);
 //
 // --- storage-format note (version + durability protocol) ---
 //
-//   v2 is the one chunk format: {magic, version, codec, rows, cols} followed by two
+//   v3 is the one chunk format: {magic, version, codec, rows, cols} followed by two
 //   CRC32C checksums (Castagnoli polynomial, ~0 init, final xor, i.e. the SSE4.2
 //   `crc32` instruction's convention):
 //     payload_crc32c — over the rows * CodecRowBytes payload that follows the
@@ -69,6 +62,12 @@ int64_t CodecRowBytes(ChunkCodec codec, int64_t cols);
 //   Readers accept nothing else (codec.h's ParseChunkHeader is the one parser):
 //   bytes without the magic are opaque and never decode, and bytes with the magic
 //   but any other version read as corrupt.
+//
+//   A v3 hidden chunk holds each token's attention input: the layer's input after its
+//   pre-norm, the rows the K/V projection reads. v2 had the same layout but stored
+//   the layer input before the pre-norm; projecting those rows would restore wrong
+//   K/V, so a v2 chunk reads as corrupt, its restore fails, and the caller recomputes
+//   from tokens.
 //
 //   Crash consistency: FileBackend appends a chunk's bytes, unchanged, to its
 //   context's log segment behind a private frame {key, length, frame CRC}. The index
@@ -89,7 +88,7 @@ struct ChunkHeader {
 static_assert(sizeof(ChunkHeader) == 24, "header layout is part of the storage format");
 
 inline constexpr uint32_t kChunkMagic = 0x4b434348;  // "HCCK" little-endian
-inline constexpr uint16_t kChunkFormatVersion = 2;
+inline constexpr uint16_t kChunkFormatVersion = 3;
 
 // Chunk keys: a context's hidden-state chunks sit under the model layer index, its
 // KV-offload chunks under kKvLayerBase + layer, so the two kinds never collide.
@@ -134,35 +133,20 @@ struct IoPattern {
   int64_t total_bytes() const { return num_ios * io_size; }
 };
 
-// IO pattern to restore ONE layer's hidden states for n history tokens. `codec` sets
-// the per-row transmission bytes; the default kFp16 matches the paper's FP16 transport
-// (and ModelConfig::state_dtype_bytes == 2). The 24-byte chunk header is amortized to
-// noise (< 0.1% of a 64-token chunk) and not charged.
-IoPattern RestoreLayerPattern(StorageLayout layout, const ModelConfig& cfg, int64_t n,
+// IO pattern to restore ONE layer's hidden states for n history tokens: ceil(n /
+// chunk_tokens) reads of one chunk each. `codec` sets the per-row transmission bytes;
+// the default kFp16 matches the paper's FP16 transport (and
+// ModelConfig::state_dtype_bytes == 2). The 24-byte chunk header is amortized to noise
+// (< 0.1% of a 64-token chunk) and not charged.
+IoPattern RestoreLayerPattern(const ModelConfig& cfg, int64_t n,
                               int64_t chunk_tokens = kDefaultChunkTokens,
                               ChunkCodec codec = ChunkCodec::kFp16);
 
 // IO pattern to restore ONE layer's offloaded KV cache for n history tokens. KV chunks
 // mirror the hidden chunk geometry but rows are 2 * kv_dim wide at the FP16 state
 // dtype (KvBytesPerTokenLayer), independent of the hidden-state codec.
-IoPattern KvRestoreLayerPattern(StorageLayout layout, const ModelConfig& cfg, int64_t n,
+IoPattern KvRestoreLayerPattern(const ModelConfig& cfg, int64_t n,
                                 int64_t chunk_tokens = kDefaultChunkTokens);
-
-// IO pattern to persist the hidden states produced by one forward step (one iteration
-// of decode with `batch` sequences, or one prefill chunk of `batch` tokens of a single
-// sequence), summed over ALL layers, when writing *directly* to storage (no staging).
-IoPattern DirectSavePattern(StorageLayout layout, const ModelConfig& cfg, int64_t batch,
-                            int64_t chunk_tokens = kDefaultChunkTokens,
-                            ChunkCodec codec = ChunkCodec::kFp16);
-
-// IO pattern for the two-stage saver's background flush of one sealed chunk.
-IoPattern ChunkFlushPattern(const ModelConfig& cfg, int64_t chunk_tokens = kDefaultChunkTokens,
-                            ChunkCodec codec = ChunkCodec::kFp16);
-
-// Bytes of internal fragmentation per (sequence, layer) if storage were reserved at the
-// model's max context instead of allocated chunk-by-chunk — the §4.2.1 argument against
-// whole-buffer reservation. `n` is the actual history length.
-int64_t ReservationWasteBytes(const ModelConfig& cfg, int64_t n);
 
 }  // namespace hcache
 

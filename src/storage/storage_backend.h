@@ -49,7 +49,7 @@ struct ChunkKey {
 };
 
 // Read-path status for a chunk whose stored bytes FAILED integrity verification
-// (ChunkHeader v2 payload-CRC mismatch, or a header that contradicts itself).
+// (ChunkHeader payload-CRC mismatch, or a header that contradicts itself).
 // Distinct from -1 (absent / short buffer): a corrupt chunk EXISTS — callers must
 // not retry the read or treat the key as free, they must fall back to recompute
 // (and fsck can quarantine it). Returned in a ReadChunks request's `result`.
@@ -106,7 +106,7 @@ struct StorageStats {
   int64_t writeback_failures = 0;    // evictions rolled back on cold-tier write error
   int64_t promotions_skipped = 0;    // cold reads not admitted (chunk can't fit)
 
-  // Integrity plane (ChunkHeader v2 CRC32C verification on the read paths).
+  // Integrity plane (ChunkHeader CRC32C verification on the read paths).
   int64_t crc_failures = 0;       // reads rejected on checksum mismatch (kChunkCorrupt)
   int64_t crc_checked_bytes = 0;  // payload bytes CRC-verified on successful reads
 
@@ -167,7 +167,7 @@ class StorageBackend {
   //   * Results: each request's `result` is the chunk's byte count on success (`buf`
   //     then holds the chunk bytes), -1 when the chunk is absent or `buf_bytes` is
   //     too small, or kChunkCorrupt when the stored bytes exist but fail integrity
-  //     verification (v2 CRC mismatch: counted in Stats().crc_failures, no data
+  //     verification (CRC mismatch: counted in Stats().crc_failures, no data
   //     delivered). Requests may be serviced in any order and concurrently;
   //     duplicate keys in one batch are allowed (each is served independently).
   //   * Per-request failure: an absent chunk or short buffer fails ONLY its own

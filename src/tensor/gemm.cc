@@ -189,8 +189,10 @@ constexpr auto kMicroKernels = MicroKernelTable(std::make_index_sequence<kTilePa
 void PackedSlab(const float* a, int64_t lda, const float* panels, int64_t k, float* c,
                 int64_t ldc, int64_t r0, int64_t r1, int64_t c0, int64_t c1,
                 bool accumulate) {
-  thread_local std::vector<float> a_pack;
-  a_pack.resize(static_cast<size_t>(CeilDiv(kMc, kMr) * kMr * kKc));
+  // One packed kMc x kKc block of A (64 KiB), on the stack: no thread allocates it, so
+  // the first GEMM a thread runs (a restore's transmission thread assists mid-restore)
+  // costs no heap growth.
+  alignas(64) float a_pack[CeilDiv(kMc, kMr) * kMr * kKc];
 
   for (int64_t jc = c0; jc < c1; jc += kNc) {
     const int64_t nc = std::min(kNc, c1 - jc);
@@ -199,14 +201,14 @@ void PackedSlab(const float* a, int64_t lda, const float* panels, int64_t k, flo
       const bool assign = !accumulate && pc == 0;
       for (int64_t ic = r0; ic < r1; ic += kMc) {
         const int64_t mc = std::min(kMc, r1 - ic);
-        PackA(a + ic * lda + pc, lda, mc, kc, a_pack.data());
+        PackA(a + ic * lda + pc, lda, mc, kc, a_pack);
         for (int64_t jr = 0; jr < nc; jr += kTileCols) {
           const float* bp = panels + ((jc + jr) / kNr) * k * kNr + pc * kNr;
           const int64_t nr = std::min(kTileCols, nc - jr);
           const auto& kernels = kMicroKernels[static_cast<size_t>(CeilDiv(nr, kNr) - 1)];
           for (int64_t ir = 0; ir < mc; ir += kMr) {
             kernels[static_cast<size_t>(std::min(kMr, mc - ir) - 1)](
-                a_pack.data() + (ir / kMr) * kc * kMr, bp, k * kNr, kc,
+                a_pack + (ir / kMr) * kc * kMr, bp, k * kNr, kc,
                 c + (ic + ir) * ldc + jc + jr, ldc, nr, assign);
           }
         }

@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <filesystem>
 
 #include "src/common/rng.h"
 #include "src/storage/codec.h"
+#include "src/storage/codec_simd.h"
 #include "src/storage/file_backend.h"
+#include "src/storage/fsck.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "src/tensor/ops.h"
 #include "tests/test_dir.h"
 
 namespace hcache {
@@ -378,10 +383,91 @@ TEST_F(FunctionalEngineTest, ReadHiddenMatchesCapture) {
   const Tensor h0 = engine_->ReadHidden(8, 0, 12);
   EXPECT_EQ(h0.dim(0), 12);
   EXPECT_EQ(h0.dim(1), cfg_.hidden_dim);
-  // Layer 0 input is the embedding of the prompt — check one row.
+  // Layer 0's stored row is its attention input: the RMS pre-norm of the prompt's
+  // embedding — check one row.
+  std::vector<float> want(static_cast<size_t>(cfg_.hidden_dim));
+  RmsNormRow(weights_->embedding.row(prompt[0]), weights_->layers[0].attn_norm_weight.data(),
+             cfg_.norm_eps, cfg_.hidden_dim, want.data());
   for (int64_t d = 0; d < cfg_.hidden_dim; ++d) {
-    EXPECT_EQ(h0.at(0, d), weights_->embedding.at(prompt[0], d));
+    EXPECT_EQ(h0.at(0, d), want[static_cast<size_t>(d)]);
   }
+}
+
+TEST(FunctionalEngineLayerNormTest, ReadHiddenMatchesCapture) {
+  // The same under OPT's LayerNorm, whose layer 0 input adds the learned position row.
+  const ModelConfig cfg = ModelConfig::TinyOpt(2, 32, 2);
+  const ModelWeights weights = ModelWeights::Random(cfg, 7);
+  Transformer model(&weights);
+  KvBlockPool pool(KvPoolConfig::ForModel(cfg, 16, 8));
+  MemoryBackend store(1 << 20);
+  FunctionalHCache engine(&model, &store, /*flush_pool=*/nullptr, /*chunk_tokens=*/8);
+  const std::vector<int32_t> prompt = {5, 17, 3, 42, 9, 11, 60, 2, 31, 7};
+  PagedKvSequence seq(&pool);
+  model.Forward(prompt, &seq, engine.BeginCapture(1));
+  engine.SealContext(1);
+  const Tensor h0 = engine.ReadHidden(1, 0, 10);
+  const int64_t row = 3;  // position 3
+  std::vector<float> x(static_cast<size_t>(cfg.hidden_dim));
+  for (int64_t d = 0; d < cfg.hidden_dim; ++d) {
+    x[static_cast<size_t>(d)] =
+        weights.embedding.at(prompt[row], d) + weights.pos_embedding.at(row, d);
+  }
+  std::vector<float> want(x.size());
+  LayerNormRow(x.data(), weights.layers[0].attn_norm_weight.data(),
+               weights.layers[0].attn_norm_bias.data(), cfg.norm_eps, cfg.hidden_dim,
+               want.data());
+  for (int64_t d = 0; d < cfg.hidden_dim; ++d) {
+    EXPECT_EQ(h0.at(row, d), want[static_cast<size_t>(d)]);
+  }
+}
+
+TEST_F(FunctionalEngineTest, FormatV2StoreRecomputesInsteadOfRestoring) {
+  // A v2 hidden chunk holds the residual stream h, not the attention input the
+  // projection now takes, so restoring from it would land wrong K/V. A store written in
+  // v2 must fail its restore and leave the caller to recompute from tokens.
+  const auto prompt = RandomTokens(20, 23);
+  PagedKvSequence seq(pool_.get());
+  model_->Forward(prompt, &seq, engine_->BeginCapture(43));
+  engine_->SealContext(43);
+  seq.Evict();
+
+  // Rewrite every chunk as a v2 writer stored it: the same bytes under version 2, with
+  // the header CRC resealed so only the version tells the two formats apart.
+  const auto chunks = store_->ListChunks();
+  ASSERT_EQ(static_cast<int64_t>(chunks.size()), cfg_.num_layers * 3);  // 20 rows, 8/chunk
+  for (const auto& [key, bytes] : chunks) {
+    std::vector<uint8_t> buf(static_cast<size_t>(bytes));
+    ASSERT_EQ(store_->ReadChunkUnverified(key, buf.data(), bytes), bytes);
+    ChunkHeader h;
+    std::memcpy(&h, buf.data(), sizeof(h));
+    h.version = 2;
+    h.header_crc32c = Crc32c(&h, offsetof(ChunkHeader, header_crc32c));
+    std::memcpy(buf.data(), &h, sizeof(h));
+    ASSERT_TRUE(store_->WriteChunk(key, buf.data(), bytes));
+  }
+
+  const int64_t free_blocks = pool_->num_free();
+  EXPECT_FALSE(engine_->RestoreContext(43, Scheme(cfg_.num_layers, ComplementMethod::kNone),
+                                       {}, &seq));
+  EXPECT_FALSE(seq.has_kv());
+  EXPECT_EQ(seq.num_tokens(), 20);
+  EXPECT_EQ(pool_->num_free(), free_blocks);
+
+  // Fallback: recompute from tokens equals the run that was never evicted.
+  ASSERT_TRUE(engine_->RestoreContext(43, Scheme(0, ComplementMethod::kRecompute), prompt,
+                                      &seq));
+  PagedKvSequence ref(pool_.get());
+  model_->Forward(prompt, &ref);
+  ExpectKvEqual(ref, seq);
+
+  // hcache-fsck reports every v2 chunk as corrupt, and --repair removes them.
+  const FsckReport scan = RunFsck(store_.get());
+  EXPECT_EQ(scan.corrupt, static_cast<int64_t>(chunks.size()));
+  EXPECT_EQ(scan.clean, 0);
+  FsckOptions repair;
+  repair.repair = true;
+  EXPECT_EQ(RunFsck(store_.get(), repair).repaired, static_cast<int64_t>(chunks.size()));
+  EXPECT_TRUE(store_->ListChunks().empty());
 }
 
 // Multi-round KV offload under each stored precision. KV saving is append-only, so a

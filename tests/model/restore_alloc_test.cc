@@ -1,5 +1,5 @@
-// The per-layer restore projection step — pre-norm, packed [W_k; W_v] GEMM, bias and
-// RoPE epilogue, rows written into the pool's pages — makes no heap allocation in
+// The per-layer restore projection step — packed [W_k; W_v] GEMM, bias and RoPE
+// epilogue, rows written into the pool's pages — makes no heap allocation in
 // steady state: its scratch is per thread and reused, and its rows land in pages the
 // sequence already holds.
 #include <gtest/gtest.h>

@@ -12,7 +12,8 @@
 namespace hcache {
 namespace {
 
-// Test sink: retains every layer's input rows keyed by absolute token position.
+// Test sink: retains every layer's attention-input rows keyed by absolute token
+// position.
 class CaptureSink : public HiddenStateSink {
  public:
   explicit CaptureSink(const ModelConfig& cfg)

@@ -47,7 +47,7 @@ TEST(CodecTest, RowBytesAndChunkBytes) {
   EXPECT_EQ(CodecRowBytes(ChunkCodec::kFp32, 64), 256);
   EXPECT_EQ(CodecRowBytes(ChunkCodec::kFp16, 64), 128);
   EXPECT_EQ(CodecRowBytes(ChunkCodec::kInt8, 64), 68);  // values + per-row scale
-  // v2 header: 16 descriptor bytes + payload CRC32C + header CRC32C.
+  // The header: 16 descriptor bytes + payload CRC32C + header CRC32C.
   EXPECT_EQ(static_cast<int64_t>(sizeof(ChunkHeader)), 24);
   EXPECT_EQ(EncodedChunkBytes(ChunkCodec::kFp16, 64, 128), 24 + 64 * 256);
 }

@@ -26,7 +26,7 @@ namespace {
 
 constexpr int64_t kChunkBytes = 64 * 1024;
 
-// A sealed v2 chunk with deterministic FP32 payload.
+// A sealed chunk with deterministic FP32 payload.
 std::vector<uint8_t> SealedChunk(int64_t rows, int64_t cols, uint8_t salt) {
   std::vector<uint8_t> chunk(
       static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, cols)));

@@ -47,7 +47,7 @@ std::vector<char> Payload(const ChunkKey& key, int64_t bytes) {
   return data;
 }
 
-// A sealed v2 chunk (header + payload CRC): the form whose at-rest damage the CRC
+// A sealed chunk (header + payload CRC): the form whose at-rest damage the CRC
 // path can actually detect. Raw Payload() blobs read back kOkUnverified by design,
 // so corruption-detection tests must write sealed chunks.
 std::vector<char> SealedPayload(const ChunkKey& key, int64_t rows, int64_t cols) {

@@ -229,7 +229,7 @@ TEST_F(FsckTest, DedupScanAuditsRefcountInvariantAndRepairs) {
   }
   ASSERT_TRUE(dedup.WriteChunk({4, 0, 0}, solo.data(), bytes));
   // Healthy store: the scan walks the PHYSICAL plane — 2 unique chunks, not 4
-  // logical keys — and each carries a verifiable v2 header.
+  // logical keys — and each carries a verifiable header.
   FsckReport healthy = RunFsck(&dedup);
   EXPECT_TRUE(healthy.Healthy()) << healthy.ToJson();
   EXPECT_EQ(healthy.chunks_scanned, 2);

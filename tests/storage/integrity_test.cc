@@ -1,5 +1,5 @@
 // The durability plane's integrity primitives: CRC32C kernel correctness across
-// SIMD tiers, v2 header sealing, and VerifyChunkBytes' three-way verdict — the
+// SIMD tiers, header sealing, and VerifyChunkBytes' three-way verdict — the
 // contract every backend's verified read path is built on.
 #include "src/storage/integrity.h"
 
@@ -90,7 +90,8 @@ TEST(Crc32cTest, KernelStateChainsAcrossSplits) {
   }
 }
 
-// A sealed v2 chunk: `rows` x `cols` FP32 payload with deterministic contents.
+// A sealed chunk in the current format: `rows` x `cols` FP32 payload with deterministic
+// contents.
 std::vector<uint8_t> MakeChunk(int64_t rows, int64_t cols, uint32_t seed = 1) {
   std::vector<uint8_t> chunk(
       static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, cols)));
@@ -174,31 +175,42 @@ TEST(VerifyChunkBytesTest, OpaqueBytesStayUnverified) {
   EXPECT_EQ(VerifyChunkBytes(nullptr, 0, nullptr), ChunkVerdict::kOkUnverified);
 }
 
-TEST(VerifyChunkBytesTest, V1HeaderIsCorrupt) {
-  // A 16-byte v1 chunk (magic, no CRC): it claims the chunk format in a version no
-  // reader accepts, so it is a detected corruption, not opaque bytes.
+TEST(VerifyChunkBytesTest, PriorVersionHeadersAreCorrupt) {
+  // A chunk that claims the chunk format in a version no reader accepts is a detected
+  // corruption, not opaque bytes.
   const int64_t rows = 4, cols = 8;
   const int64_t stride = CodecRowBytes(ChunkCodec::kFp32, cols);
-  std::vector<uint8_t> chunk(static_cast<size_t>(16 + rows * stride), 0x3C);
+  // v1: a 16-byte header (magic, no CRC).
+  std::vector<uint8_t> v1(static_cast<size_t>(16 + rows * stride), 0x3C);
   const uint32_t magic = kChunkMagic;
   const uint16_t version = 1;
   const uint8_t codec = 0;  // kFp32
   const uint32_t rows32 = static_cast<uint32_t>(rows), cols32 = static_cast<uint32_t>(cols);
-  std::memcpy(chunk.data() + 0, &magic, 4);
-  std::memcpy(chunk.data() + 4, &version, 2);
-  chunk[6] = codec;
-  chunk[7] = 0;
-  std::memcpy(chunk.data() + 8, &rows32, 4);
-  std::memcpy(chunk.data() + 12, &cols32, 4);
+  std::memcpy(v1.data() + 0, &magic, 4);
+  std::memcpy(v1.data() + 4, &version, 2);
+  v1[6] = codec;
+  v1[7] = 0;
+  std::memcpy(v1.data() + 8, &rows32, 4);
+  std::memcpy(v1.data() + 12, &cols32, 4);
+  // v2: today's header layout with both CRCs valid; its hidden rows hold the residual
+  // stream instead of the attention input, so only the version sets it apart.
+  std::vector<uint8_t> v2 = MakeChunk(rows, cols);
+  ChunkHeader h;
+  std::memcpy(&h, v2.data(), sizeof(h));
+  h.version = 2;
+  h.header_crc32c = Crc32c(&h, offsetof(ChunkHeader, header_crc32c));
+  std::memcpy(v2.data(), &h, sizeof(h));
 
-  ChunkInfo info;
-  EXPECT_FALSE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 0, &info));
-  EXPECT_EQ(VerifyChunkBytes(chunk.data(), static_cast<int64_t>(chunk.size()), nullptr),
-            ChunkVerdict::kCorrupt);
-  std::vector<uint8_t> copy(chunk.size());
-  EXPECT_EQ(VerifyAndCopyChunk(chunk.data(), static_cast<int64_t>(chunk.size()), copy.data(),
-                               nullptr),
-            ChunkVerdict::kCorrupt);
+  for (const std::vector<uint8_t>& chunk : {v1, v2}) {
+    ChunkInfo info;
+    EXPECT_FALSE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 0, &info));
+    EXPECT_EQ(VerifyChunkBytes(chunk.data(), static_cast<int64_t>(chunk.size()), nullptr),
+              ChunkVerdict::kCorrupt);
+    std::vector<uint8_t> copy(chunk.size());
+    EXPECT_EQ(VerifyAndCopyChunk(chunk.data(), static_cast<int64_t>(chunk.size()),
+                                 copy.data(), nullptr),
+              ChunkVerdict::kCorrupt);
+  }
 }
 
 TEST(VerifyChunkBytesTest, VerdictStableAcrossSimdTiers) {

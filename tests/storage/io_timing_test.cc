@@ -10,25 +10,13 @@ namespace {
 TEST(IoTimingTest, ChunkedReadsHitAggregateBandwidth) {
   StorageIoModel io(Platform::DefaultTestbed(1, 4));
   const ModelConfig cfg = ModelConfig::Llama2_7B();
-  const IoPattern p = RestoreLayerPattern(StorageLayout::kLayerChunked, cfg, 1024, 64);
+  const IoPattern p = RestoreLayerPattern(cfg, 1024, 64);
   const double t = io.ReadTime(p);
   const double ideal = static_cast<double>(p.total_bytes()) / (27.6 * kGB);
   EXPECT_GE(t, ideal);
   // Within ~10% of line rate plus the one-time fill latency: 512 KiB chunks sit far
   // above the SSD's latency-bandwidth knee.
   EXPECT_LT(t, ideal * 1.1 + 1e-4);
-}
-
-TEST(IoTimingTest, TokenMajorReadsArePunished) {
-  // The C2 mismatch in time: scattered per-token rows (8 KiB for 7B) fall below each
-  // SSD's IOPS knee, so the same bytes take longer than chunked reads.
-  StorageIoModel io(Platform::DefaultTestbed(1, 4));
-  const ModelConfig cfg = ModelConfig::Llama2_7B();
-  const double chunked =
-      io.HiddenLayerReadTime(cfg, 1024, StorageLayout::kLayerChunked);
-  const double scattered =
-      io.HiddenLayerReadTime(cfg, 1024, StorageLayout::kTokenMajor);
-  EXPECT_GT(scattered, chunked);
 }
 
 TEST(IoTimingTest, KvReadIsTwiceHiddenRead) {

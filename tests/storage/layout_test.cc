@@ -7,7 +7,7 @@ namespace {
 
 TEST(LayoutTest, ChunkedRestoreUsesFewLargeIos) {
   const ModelConfig cfg = ModelConfig::Llama2_7B();
-  const IoPattern p = RestoreLayerPattern(StorageLayout::kLayerChunked, cfg, 1024, 64);
+  const IoPattern p = RestoreLayerPattern(cfg, 1024, 64);
   EXPECT_EQ(p.num_ios, 16);
   EXPECT_EQ(p.io_size, 64 * cfg.HiddenBytesPerTokenLayer());
   EXPECT_EQ(p.total_bytes(), 1024 * cfg.HiddenBytesPerTokenLayer());
@@ -15,51 +15,13 @@ TEST(LayoutTest, ChunkedRestoreUsesFewLargeIos) {
 
 TEST(LayoutTest, ChunkedRestoreRoundsUpPartialChunk) {
   const ModelConfig cfg = ModelConfig::Llama2_7B();
-  const IoPattern p = RestoreLayerPattern(StorageLayout::kLayerChunked, cfg, 100, 64);
+  const IoPattern p = RestoreLayerPattern(cfg, 100, 64);
   EXPECT_EQ(p.num_ios, 2);
-}
-
-TEST(LayoutTest, TokenMajorRestoreScattersPerToken) {
-  const ModelConfig cfg = ModelConfig::Llama2_7B();
-  const IoPattern p = RestoreLayerPattern(StorageLayout::kTokenMajor, cfg, 1024, 64);
-  EXPECT_EQ(p.num_ios, 1024);
-  EXPECT_EQ(p.io_size, cfg.HiddenBytesPerTokenLayer());
-  // Same bytes, radically different IO count — the C2 trade-off.
-  const IoPattern chunked = RestoreLayerPattern(StorageLayout::kLayerChunked, cfg, 1024, 64);
-  EXPECT_EQ(p.total_bytes(), chunked.total_bytes());
-  EXPECT_GT(p.num_ios, 32 * chunked.num_ios);
-}
-
-TEST(LayoutTest, DirectSaveMirrorsTheTradeoff) {
-  const ModelConfig cfg = ModelConfig::Llama2_7B();
-  // One decode iteration, batch of 8 sequences.
-  const IoPattern chunked = DirectSavePattern(StorageLayout::kLayerChunked, cfg, 8, 64);
-  const IoPattern token = DirectSavePattern(StorageLayout::kTokenMajor, cfg, 8, 64);
-  EXPECT_EQ(chunked.num_ios, cfg.num_layers * 8);  // small write per layer per seq
-  EXPECT_EQ(token.num_ios, 8);                     // one record per sequence
-  EXPECT_EQ(chunked.total_bytes(), token.total_bytes());
-}
-
-TEST(LayoutTest, ChunkFlushIsOneLargeWrite) {
-  const ModelConfig cfg = ModelConfig::Llama2_13B();
-  const IoPattern p = ChunkFlushPattern(cfg, 64);
-  EXPECT_EQ(p.num_ios, 1);
-  EXPECT_EQ(p.io_size, 64 * cfg.HiddenBytesPerTokenLayer());  // 640 KiB for 13B
 }
 
 TEST(LayoutTest, ZeroTokensYieldNoIo) {
   const ModelConfig cfg = ModelConfig::Llama2_7B();
-  EXPECT_EQ(RestoreLayerPattern(StorageLayout::kLayerChunked, cfg, 0).num_ios, 0);
-  EXPECT_EQ(DirectSavePattern(StorageLayout::kTokenMajor, cfg, 0).num_ios, 0);
-}
-
-TEST(LayoutTest, ReservationWasteIsSevere) {
-  // §4.2.1: reserving at max context would waste most of the space for typical
-  // histories — the motivation for incremental chunk allocation.
-  const ModelConfig cfg = ModelConfig::Llama2_7B();  // max_position 16384
-  const int64_t waste = ReservationWasteBytes(cfg, 2500);  // median ShareGPT4 history
-  const int64_t used = 2500 * cfg.HiddenBytesPerTokenLayer();
-  EXPECT_GT(waste, 5 * used);
+  EXPECT_EQ(RestoreLayerPattern(cfg, 0).num_ios, 0);
 }
 
 }  // namespace

@@ -184,7 +184,7 @@ TEST_F(WriteAtomicityTest, StartupTruncatesTornTailAndSweepsOrphanedTemps) {
 }
 
 TEST_F(WriteAtomicityTest, RecoveredChunksStillVerify) {
-  // Recovery must not bypass verification: a sealed v2 chunk that survived a
+  // Recovery must not bypass verification: a sealed chunk that survived a
   // "crash" reads back verified; one rotted on disk while the process was down
   // reads back kChunkCorrupt.
   std::vector<uint8_t> chunk(

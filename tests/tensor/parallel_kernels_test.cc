@@ -175,7 +175,7 @@ TEST(ParallelKernelsTest, PackedGemmAtServingShapesBitExactAcrossPoolSizes) {
   ThreadPool::ResizeShared(kParallelThreads);
 }
 
-// Captures each layer's input rows at their positions.
+// Captures each layer's attention-input rows at their positions.
 class LayerInputs : public HiddenStateSink {
  public:
   LayerInputs(int64_t layers, int64_t tokens, int64_t dim) {
@@ -197,7 +197,7 @@ TEST(ParallelKernelsTest, RagPrefillBitExactAcrossPoolSizesAndEqualsRestore) {
   // A rag-shaped prefill: 20 tokens appended at position 350 with 16-token blocks, so
   // its K/V rows span a 2-row tail, a whole block and a 2-row head (a 14-row lead).
   // Its output and K/V must be the same bits at every pool size, and equal what a
-  // full 370-row restore of the same layer inputs writes, which runs block tiles.
+  // full 370-row restore of the same attention inputs writes, which runs block tiles.
   ModelConfig cfg = ModelConfig::TinyLlama(2, 256, 4);
   cfg.vocab_size = 1024;
   const ModelWeights weights = ModelWeights::Random(cfg, 901);
